@@ -6,7 +6,8 @@
 //! `O(V + E)` per pair — even though, for a fixed destination, deployment
 //! and policy, the destination-rooted side is byte-identical across all
 //! attackers in `M`. [`AttackDeltaEngine`] computes the **normal-conditions
-//! outcome once** (no attacker), snapshots it, and then evaluates each
+//! outcome once** (no attacker; deferred until needed, see below),
+//! snapshots it, and then evaluates each
 //! attacker `m` by re-fixing only the *contested region*: the ASes whose
 //! fixed route the forged announcement (a `k`-hop
 //! [`AttackStrategy::FakePath`], of which the paper's `"m, d"` fake link
@@ -24,6 +25,22 @@
 //! root's offer can reach it competitively), all roots are re-fixed in the
 //! solve, and the same touched-list undo restores the snapshot exactly —
 //! a colluding patch costs one region solve, not one per member.
+//!
+//! **Deferred base.** [`AttackDeltaEngine::begin`] only records the cell;
+//! it computes nothing. The cell's first attack is served by one direct
+//! [`Engine::compute`] — exactly what a fallback runs — because a cell with
+//! a single attacker (the common case under random `(m, d)` sampling) has
+//! no attacker axis to amortize a base over. The base (normal-conditions
+//! outcome, its happy bounds and the per-AS preference keys) is built the
+//! first time something needs it: the cell's **second** attack, which then
+//! takes the scan → patch / fallback path below unchanged, or a read of
+//! [`AttackDeltaEngine::normal_outcome`] / [`AttackDeltaEngine::normal_happy`]
+//! / [`AttackDeltaEngine::export_base`]. Building it never disturbs the last
+//! served outcome. [`AttackDeltaEngine::begin_from_normal`] and
+//! [`AttackDeltaEngine::begin_from_base`] stay eager: their base is adopted,
+//! not computed. The price of deferral is one extra `compute − patch` per
+//! cell with k ≥ 2 attackers whose first attack would have patched — per
+//! cell, not per pair.
 //!
 //! **Snapshot/undo invariant:** each [`AttackDeltaEngine::attack`] records
 //! the set of ASes it touched (the final region, which the engine's fix
@@ -78,16 +95,20 @@ const SCAN_DOWN: u8 = 2;
 /// [`AttackDeltaEngine::begin`] calls).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Normal-conditions base outcomes computed by
-    /// [`AttackDeltaEngine::begin`].
+    /// Normal-conditions base outcomes computed. A deferred base (see the
+    /// module docs) counts only once it is actually built.
     pub base_computes: usize,
     /// Base outcomes adopted from an external computation (the
     /// deployment-sweep composition path).
     pub adopted_bases: usize,
     /// Attacks served by contested-region re-fixing.
     pub delta_attacks: usize,
-    /// Attacks served by a full [`Engine::compute`] after a region blow-up.
+    /// Attacks served by a full [`Engine::compute`]: after a region
+    /// blow-up, or directly while the cell's base was deferred.
     pub full_recomputes: usize,
+    /// Attacks served by a direct compute before their cell's base existed
+    /// (a subset of `full_recomputes`).
+    pub direct_attacks: usize,
     /// Total ASes re-fixed across all delta-served attacks.
     pub refixed_ases: usize,
     /// Extra verify-and-grow rounds beyond the first attempt.
@@ -98,6 +119,27 @@ impl DeltaStats {
     /// Total attacks served.
     pub fn attacks(&self) -> usize {
         self.delta_attacks + self.full_recomputes
+    }
+
+    /// Accumulate another engine's counters into this one.
+    pub fn merge(&mut self, other: &DeltaStats) {
+        // Destructured so that a new counter cannot be left out of the sum.
+        let DeltaStats {
+            base_computes,
+            adopted_bases,
+            delta_attacks,
+            full_recomputes,
+            direct_attacks,
+            refixed_ases,
+            grow_rounds,
+        } = *other;
+        self.base_computes += base_computes;
+        self.adopted_bases += adopted_bases;
+        self.delta_attacks += delta_attacks;
+        self.full_recomputes += full_recomputes;
+        self.direct_attacks += direct_attacks;
+        self.refixed_ases += refixed_ases;
+        self.grow_rounds += grow_rounds;
     }
 }
 
@@ -117,6 +159,20 @@ impl CachedBase {
     pub fn outcome(&self) -> &Outcome {
         &self.outcome
     }
+}
+
+/// Whether the current cell's base (snapshot, happy bounds, cell keys)
+/// exists yet.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Base {
+    /// Built or adopted: attacks take the scan → patch / fallback path.
+    Built,
+    /// Recorded by [`AttackDeltaEngine::begin`]; the next attack is served
+    /// by a direct compute.
+    Deferred,
+    /// Still deferred, with one attack served directly: the next attack
+    /// builds the base first.
+    DeferredServed,
 }
 
 /// How the engine's working outcome differs from the snapshot, i.e. what
@@ -139,12 +195,14 @@ enum Restore {
 /// [`AttackDeltaEngine::begin_from_normal`], when a [`crate::SweepEngine`]
 /// already holds the normal-conditions outcome) fixes the cell, then each
 /// [`AttackDeltaEngine::attack`] returns the exact stable outcome for one
-/// attacker.
+/// attacker. `begin` defers the base until the cell's second attack (see
+/// the module docs).
 #[derive(Debug)]
 pub struct AttackDeltaEngine<'g> {
     engine: Engine<'g>,
-    /// Normal-conditions outcome of the current cell.
+    /// Normal-conditions outcome of the current cell (once built).
     snapshot: Outcome,
+    base: Base,
     destination: AsId,
     deployment: Option<Deployment>,
     policy: Policy,
@@ -188,6 +246,7 @@ impl<'g> AttackDeltaEngine<'g> {
         AttackDeltaEngine {
             engine: Engine::new(graph),
             snapshot: Outcome::new_empty(),
+            base: Base::Built,
             destination: AsId(0),
             deployment: None,
             policy: Policy::new(crate::policy::SecurityModel::Security3rd),
@@ -218,21 +277,21 @@ impl<'g> AttackDeltaEngine<'g> {
         self.engine.graph()
     }
 
-    /// Fix the `(destination, deployment, policy)` cell, computing its
-    /// normal-conditions outcome from scratch. Statistics keep accumulating
-    /// across cells.
+    /// Fix the `(destination, deployment, policy)` cell. Nothing is
+    /// computed here: the first attack is served by a direct compute and
+    /// the normal-conditions base is built when first needed (see the
+    /// module docs). Statistics keep accumulating across cells.
     pub fn begin(&mut self, destination: AsId, deployment: &Deployment, policy: Policy) {
-        self.stats.base_computes += 1;
-        self.engine
-            .compute(AttackScenario::normal(destination), deployment, policy);
-        self.snapshot.copy_from(self.engine.outcome());
-        self.restore = Restore::Clean;
-        self.adopt(destination, deployment, policy);
+        self.destination = destination;
+        self.policy = policy;
+        self.deployment = Some(deployment.clone());
+        self.base = Base::Deferred;
     }
 
     /// Fix the cell from an externally computed normal-conditions outcome —
     /// typically a [`crate::SweepEngine`] mid-rollout, which is what lets
-    /// the deployment and attacker amortization axes compose.
+    /// the deployment and attacker amortization axes compose. The base is
+    /// adopted eagerly.
     ///
     /// # Panics
     ///
@@ -243,13 +302,67 @@ impl<'g> AttackDeltaEngine<'g> {
             "base outcome must be normal conditions"
         );
         assert_eq!(normal.len(), self.graph().len(), "outcome/graph mismatch");
-        self.stats.adopted_bases += 1;
-        self.snapshot.copy_from(normal);
-        // The engine's working buffers hold whatever the previous cell
-        // left; resync them wholesale once per cell.
-        self.engine.outcome_mut().copy_from(normal);
-        self.restore = Restore::Clean;
-        self.adopt(normal.destination(), deployment, policy);
+        self.begin(normal.destination(), deployment, policy);
+        self.build_base(Some(normal));
+    }
+
+    /// Build the current cell's base if it is still deferred: compute the
+    /// normal-conditions outcome, or copy `normal` when a sibling engine of
+    /// the same cell already holds it, then derive the happy bounds and
+    /// packed preference keys the scan filters with. The last served
+    /// outcome is left as it was; before the cell's first attack the
+    /// working outcome starts from the base, as after an eager begin.
+    pub(crate) fn build_base(&mut self, normal: Option<&Outcome>) {
+        if self.base == Base::Built {
+            return;
+        }
+        let deployment = self
+            .deployment
+            .as_ref()
+            .expect("AttackDeltaEngine::begin not called");
+        match normal {
+            Some(normal) => {
+                self.stats.adopted_bases += 1;
+                self.snapshot.copy_from(normal);
+            }
+            None => {
+                self.stats.base_computes += 1;
+                // Compute into the snapshot's buffer so a directly served
+                // attack's outcome survives in the working buffer.
+                std::mem::swap(self.engine.outcome_mut(), &mut self.snapshot);
+                self.engine.compute(
+                    AttackScenario::normal(self.destination),
+                    deployment,
+                    self.policy,
+                );
+                std::mem::swap(self.engine.outcome_mut(), &mut self.snapshot);
+            }
+        }
+        self.normal_happy = self.snapshot.count_happy();
+        self.region_list.clear();
+        self.region.clear();
+        self.touched.clear();
+        // Precompute every AS's packed snapshot key once per cell: the
+        // contested-ball scan then filters each offer with one compare.
+        let n = self.snapshot.len();
+        self.cell_keys.clear();
+        self.cell_keys.resize(n, u128::MAX);
+        for i in 0..n {
+            let v = AsId(i as u32);
+            if let Some(k) =
+                region::current_key(&self.snapshot, v, self.policy, deployment.validates(v))
+            {
+                self.cell_keys[i] = pack_key(k);
+            }
+        }
+        if self.base == Base::Deferred {
+            self.engine.outcome_mut().copy_from(&self.snapshot);
+            self.happy = self.normal_happy;
+            self.restore = Restore::Clean;
+        } else {
+            self.restore = Restore::Full;
+        }
+        self.base = Base::Built;
     }
 
     /// Export the current cell's base state for external caching: the
@@ -263,7 +376,10 @@ impl<'g> AttackDeltaEngine<'g> {
     /// engine cannot verify that from the outcome alone, so callers key
     /// their caches on the full cell identity (the planner service
     /// compares the deployment's member lists).
-    pub fn export_base(&self) -> CachedBase {
+    ///
+    /// Builds a deferred base first.
+    pub fn export_base(&mut self) -> CachedBase {
+        self.build_base(None);
         CachedBase {
             outcome: self.snapshot.clone(),
             cell_keys: self.cell_keys.clone(),
@@ -301,6 +417,7 @@ impl<'g> AttackDeltaEngine<'g> {
         self.stats.adopted_bases += 1;
         self.snapshot.copy_from(&base.outcome);
         self.engine.outcome_mut().copy_from(&base.outcome);
+        self.base = Base::Built;
         self.restore = Restore::Clean;
         self.destination = base.outcome.destination();
         self.policy = policy;
@@ -314,48 +431,32 @@ impl<'g> AttackDeltaEngine<'g> {
         self.deployment = Some(deployment.clone());
     }
 
-    fn adopt(&mut self, destination: AsId, deployment: &Deployment, policy: Policy) {
-        self.destination = destination;
-        self.policy = policy;
-        self.normal_happy = self.snapshot.count_happy();
-        self.happy = self.normal_happy;
-        self.region_list.clear();
-        self.region.clear();
-        self.touched.clear();
-        // Precompute every AS's packed snapshot key once per cell: the
-        // contested-ball scan then filters each offer with one compare.
-        let n = self.graph().len();
-        self.cell_keys.clear();
-        self.cell_keys.resize(n, u128::MAX);
-        for i in 0..n {
-            let v = AsId(i as u32);
-            if let Some(k) = region::current_key(&self.snapshot, v, policy, deployment.validates(v))
-            {
-                self.cell_keys[i] = pack_key(k);
-            }
-        }
-        self.deployment = Some(deployment.clone());
-    }
-
-    /// The outcome of the last served attack (the normal-conditions
-    /// outcome before the first attack of a cell). Identical to what
+    /// The outcome of the last served attack, identical to what
     /// [`AttackDeltaEngine::attack`] returned, re-borrowable immutably.
+    /// Before a cell's first attack it is the normal-conditions outcome
+    /// once the base is built; after a bare [`AttackDeltaEngine::begin`]
+    /// it is unspecified until then.
     pub fn last_outcome(&self) -> &Outcome {
         self.engine.outcome()
     }
 
-    /// The normal-conditions outcome of the current cell.
-    pub fn normal_outcome(&self) -> &Outcome {
+    /// The normal-conditions outcome of the current cell, building a
+    /// deferred base first.
+    pub fn normal_outcome(&mut self) -> &Outcome {
+        self.build_base(None);
         &self.snapshot
     }
 
-    /// Happy bounds of the normal-conditions outcome.
-    pub fn normal_happy(&self) -> (usize, usize) {
+    /// Happy bounds of the normal-conditions outcome, building a deferred
+    /// base first.
+    pub fn normal_happy(&mut self) -> (usize, usize) {
+        self.build_base(None);
         self.normal_happy
     }
 
     /// Happy-source tie-break bounds of the last served attack, identical
-    /// to [`Outcome::count_happy`] but patched incrementally.
+    /// to [`Outcome::count_happy`] but patched incrementally (same
+    /// before-the-first-attack rule as [`AttackDeltaEngine::last_outcome`]).
     pub fn count_happy(&self) -> (usize, usize) {
         self.happy
     }
@@ -368,6 +469,7 @@ impl<'g> AttackDeltaEngine<'g> {
     /// The per-cell packed snapshot preference keys (`u128::MAX` = no
     /// route), for the fused engine's shared multi-lane scan.
     pub(crate) fn cell_keys(&self) -> &[u128] {
+        debug_assert_eq!(self.base, Base::Built, "cell keys of a deferred base");
         &self.cell_keys
     }
 
@@ -378,7 +480,8 @@ impl<'g> AttackDeltaEngine<'g> {
 
     /// Compute the exact stable outcome for `attacker` announcing
     /// `strategy` against the cell's destination. The returned outcome is
-    /// valid until the next `attack`/`begin*` call.
+    /// valid until the next `attack`/`begin*` call (or the build of a
+    /// deferred base, which leaves it intact).
     ///
     /// # Panics
     ///
@@ -401,12 +504,19 @@ impl<'g> AttackDeltaEngine<'g> {
     /// [`crate::MAX_ATTACKERS`], duplicates, or containing the
     /// destination).
     pub fn attack_set(&mut self, attackers: &[AsId], strategy: AttackStrategy) -> &Outcome {
-        let deployment = self
-            .deployment
-            .take()
-            .expect("AttackDeltaEngine::begin not called");
-        let d = self.destination;
-        let scenario = AttackScenario::colluding(attackers, d).with_strategy(strategy);
+        let scenario = self.scenario(attackers, strategy);
+        match self.base {
+            Base::Deferred => {
+                // The cell's first attack: no base to patch against yet.
+                self.stats.direct_attacks += 1;
+                self.base = Base::DeferredServed;
+                let deployment = self.take_deployment();
+                return self.fallback(scenario, deployment);
+            }
+            Base::DeferredServed => self.build_base(None),
+            Base::Built => {}
+        }
+        let deployment = self.take_deployment();
         self.init_roots(scenario);
 
         // Discover the contested ball in one cheap forward scan over the
@@ -438,12 +548,10 @@ impl<'g> AttackDeltaEngine<'g> {
         strategy: AttackStrategy,
         seeds: &[AsId],
     ) -> &Outcome {
-        let deployment = self
-            .deployment
-            .take()
-            .expect("AttackDeltaEngine::begin not called");
+        let scenario = self.scenario(attackers, strategy);
+        debug_assert_eq!(self.base, Base::Built, "seeded attack on a deferred base");
+        let deployment = self.take_deployment();
         let d = self.destination;
-        let scenario = AttackScenario::colluding(attackers, d).with_strategy(strategy);
         self.init_roots(scenario);
         let graph = self.graph();
         for &v in seeds {
@@ -469,13 +577,27 @@ impl<'g> AttackDeltaEngine<'g> {
         attackers: &[AsId],
         strategy: AttackStrategy,
     ) -> &Outcome {
-        let deployment = self
-            .deployment
-            .take()
-            .expect("AttackDeltaEngine::begin not called");
-        let scenario =
-            AttackScenario::colluding(attackers, self.destination).with_strategy(strategy);
+        let scenario = self.scenario(attackers, strategy);
+        debug_assert_eq!(self.base, Base::Built, "forced fallback on a deferred base");
+        let deployment = self.take_deployment();
         self.fallback(scenario, deployment)
+    }
+
+    /// The attack scenario of `attackers` against the current cell.
+    fn scenario(&self, attackers: &[AsId], strategy: AttackStrategy) -> AttackScenario {
+        assert!(
+            self.deployment.is_some(),
+            "AttackDeltaEngine::begin not called"
+        );
+        AttackScenario::colluding(attackers, self.destination).with_strategy(strategy)
+    }
+
+    /// Move the cell's deployment out for the duration of one attack (every
+    /// serving path puts it back).
+    fn take_deployment(&mut self) -> Deployment {
+        self.deployment
+            .take()
+            .expect("AttackDeltaEngine::begin not called")
     }
 
     /// Reset the region to exactly the announcer roots.
@@ -570,7 +692,7 @@ impl<'g> AttackDeltaEngine<'g> {
     }
 
     /// Serve the current attack with a full [`Engine::compute`] (contested
-    /// ball past the cap). The compute rewrites the working outcome
+    /// ball past the cap, or no base yet). The compute rewrites the working outcome
     /// wholesale, so whatever restore was pending is moot and the next one
     /// must be a full copy.
     fn fallback(&mut self, scenario: AttackScenario, deployment: Deployment) -> &Outcome {

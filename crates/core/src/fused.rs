@@ -34,6 +34,19 @@
 //!    stable outcome. Only fallback decisions and statistics may differ
 //!    from what each lane's private scan would have produced.
 //!
+//! **Deferred bases.** [`FusedDeltaEngine::begin`] defers every
+//! computation's normal-conditions base exactly as
+//! [`AttackDeltaEngine::begin`] does: the pair's first attack is served by
+//! one direct [`Engine::compute`] per distinct computation (after model
+//! collapse, so an S=∅ pair runs one compute for all three models) and no
+//! shared scan. The bases — each policy group's computed once and adopted
+//! by its strategy-only siblings — are built together at the pair's second
+//! attack, or when [`FusedDeltaEngine::normal_outcome`],
+//! [`FusedDeltaEngine::normal_happy`] or [`FusedDeltaEngine::export_bases`]
+//! needs them. [`FusedDeltaEngine::begin_with_bases`] stays eager, since
+//! its callers harvest the bases right away. A pair with k ≥ 2 attackers
+//! pays one extra `compute − patch` per computation, not per attack.
+//!
 //! **Per-lane fallback exactness.** When the shared scan proves a lane's
 //! ball exceeds its adjacency-mass budget, that lane alone is served by a
 //! full single-cell [`Engine::compute`]
@@ -45,7 +58,7 @@
 use sbgp_topology::{AsGraph, AsId};
 
 use crate::attack::AttackStrategy;
-use crate::delta::{AttackDeltaEngine, CachedBase, DeltaStats};
+use crate::delta::{AttackDeltaEngine, Base, CachedBase, DeltaStats};
 use crate::deployment::Deployment;
 use crate::outcome::Outcome;
 use crate::policy::Policy;
@@ -153,8 +166,12 @@ pub struct FusedStats {
     /// Lanes that shared a sibling computation outright (model collapse).
     pub collapsed_lanes: usize,
     /// Base outcomes adopted from a sibling computation of the same
-    /// policy group instead of being recomputed (strategy-only siblings).
+    /// policy group instead of being recomputed (strategy-only siblings;
+    /// counted when the base is actually built).
     pub shared_bases: usize,
+    /// Per-computation attacks served by a direct compute before the
+    /// pair's bases were built (the first attack after a deferred begin).
+    pub direct_attacks: usize,
     /// Per-computation attacks served from the shared multi-lane scan.
     pub seeded_attacks: usize,
     /// Per-computation attacks the shared scan already proved over budget
@@ -201,6 +218,9 @@ pub struct FusedDeltaEngine<'g> {
     over: Vec<bool>,
     destination: AsId,
     deployment: Option<Deployment>,
+    /// Whether the current pair's bases exist yet; every live engine is in
+    /// the same state.
+    base: Base,
     stats: FusedStats,
 }
 
@@ -218,6 +238,7 @@ impl<'g> FusedDeltaEngine<'g> {
             over: Vec::new(),
             destination: AsId(0),
             deployment: None,
+            base: Base::Built,
             stats: FusedStats::default(),
         }
     }
@@ -247,23 +268,18 @@ impl<'g> FusedDeltaEngine<'g> {
     pub fn delta_stats(&self) -> DeltaStats {
         let mut sum = DeltaStats::default();
         for e in &self.engines {
-            let s = e.stats();
-            sum.base_computes += s.base_computes;
-            sum.adopted_bases += s.adopted_bases;
-            sum.delta_attacks += s.delta_attacks;
-            sum.full_recomputes += s.full_recomputes;
-            sum.refixed_ases += s.refixed_ases;
-            sum.grow_rounds += s.grow_rounds;
+            sum.merge(&e.stats());
         }
         sum
     }
 
     /// Fix the `(destination, deployment)` pair for every cell: group the
     /// lanes into distinct computations (collapsing models when the
-    /// deployment has no validators), compute each policy group's
-    /// normal-conditions base once, and share it across the group.
+    /// deployment has no validators). Each policy group's
+    /// normal-conditions base is deferred, then computed once and shared
+    /// across the group (see the module docs).
     pub fn begin(&mut self, destination: AsId, deployment: &Deployment) {
-        self.begin_with_bases(destination, deployment, |_| None);
+        self.fix_pair(destination, deployment, |_| None);
     }
 
     /// As [`FusedDeltaEngine::begin`], adopting externally cached base
@@ -271,7 +287,8 @@ impl<'g> FusedDeltaEngine<'g> {
     /// `base(policy)` may supply a [`CachedBase`] exported earlier from
     /// the **same** `(destination, deployment, policy)` cell, which is
     /// then re-adopted through [`AttackDeltaEngine::begin_from_base`]
-    /// instead of recomputed.
+    /// instead of recomputed. Unlike [`FusedDeltaEngine::begin`], every
+    /// base is built here.
     ///
     /// This is the planner service's cache-adoption hook. Exactness is the
     /// caller's contract: a supplied base must be bit-identical to what a
@@ -289,7 +306,16 @@ impl<'g> FusedDeltaEngine<'g> {
     where
         F: FnMut(Policy) -> Option<&'b CachedBase>,
     {
-        let mut lookup = base;
+        self.fix_pair(destination, deployment, base);
+        self.ensure_bases();
+    }
+
+    /// Group the lanes into computations, adopt the supplied cached bases
+    /// and defer every other base.
+    fn fix_pair<'b, F>(&mut self, destination: AsId, deployment: &Deployment, mut lookup: F)
+    where
+        F: FnMut(Policy) -> Option<&'b CachedBase>,
+    {
         self.stats.begins += 1;
         self.destination = destination;
         let collapse = deployment.full_count() == 0;
@@ -331,8 +357,9 @@ impl<'g> FusedDeltaEngine<'g> {
         self.over.resize(self.comps.len(), false);
         for ci in 0..self.comps.len() {
             let Comp { policy, base, .. } = self.comps[ci];
-            if base == ci {
-                if let Some(cached) = lookup(policy) {
+            let cached = if base == ci { lookup(policy) } else { None };
+            match cached {
+                Some(cached) => {
                     assert_eq!(
                         cached.outcome().destination(),
                         destination,
@@ -340,19 +367,34 @@ impl<'g> FusedDeltaEngine<'g> {
                     );
                     self.engines[ci].begin_from_base(cached, deployment, policy);
                     self.stats.cached_bases += 1;
-                } else {
-                    self.engines[ci].begin(destination, deployment, policy);
                 }
+                None => self.engines[ci].begin(destination, deployment, policy),
+            }
+        }
+        self.base = Base::Deferred;
+        self.deployment = Some(deployment.clone());
+    }
+
+    /// Build every deferred base of the current pair: each policy group's
+    /// head computes its own (or already adopted a cached one), and its
+    /// strategy-only siblings adopt it — the normal-conditions outcome does
+    /// not depend on the strategy.
+    fn ensure_bases(&mut self) {
+        if self.base == Base::Built {
+            return;
+        }
+        for ci in 0..self.comps.len() {
+            let base = self.comps[ci].base;
+            if base == ci {
+                self.engines[ci].build_base(None);
             } else {
-                // Strategy-only sibling: the normal-conditions outcome
-                // does not depend on the strategy, adopt the group base.
                 debug_assert!(base < ci);
                 let (head, tail) = self.engines.split_at_mut(ci);
-                tail[0].begin_from_normal(head[base].normal_outcome(), deployment, policy);
+                tail[0].build_base(Some(head[base].normal_outcome()));
                 self.stats.shared_bases += 1;
             }
         }
-        self.deployment = Some(deployment.clone());
+        self.base = Base::Built;
     }
 
     /// Serve `attacker` for every cell (see
@@ -370,11 +412,26 @@ impl<'g> FusedDeltaEngine<'g> {
     /// Panics before [`FusedDeltaEngine::begin`], or when `attackers`
     /// violates [`crate::AttackScenario::colluding`]'s preconditions.
     pub fn attack_set(&mut self, attackers: &[AsId]) {
-        let deployment = self
-            .deployment
-            .as_ref()
-            .expect("FusedDeltaEngine::begin not called");
+        assert!(
+            self.deployment.is_some(),
+            "FusedDeltaEngine::begin not called"
+        );
         let ncomp = self.comps.len();
+        match self.base {
+            Base::Deferred => {
+                // The pair's first attack: one direct compute per
+                // computation, no bases and no shared scan.
+                for (comp, engine) in self.comps.iter().zip(&mut self.engines) {
+                    engine.attack_set(attackers, comp.strategy);
+                }
+                self.stats.direct_attacks += ncomp;
+                self.base = Base::DeferredServed;
+                return;
+            }
+            Base::DeferredServed => self.ensure_bases(),
+            Base::Built => {}
+        }
+        let deployment = self.deployment.as_ref().expect("checked above");
         let mut lanes: Vec<ScanLane<'_>> = Vec::with_capacity(ncomp);
         for (comp, engine) in self.comps.iter().zip(&self.engines) {
             lanes.push(ScanLane {
@@ -410,6 +467,12 @@ impl<'g> FusedDeltaEngine<'g> {
         &self.engines[self.comp_of[self.cells.lane_of(cell)]]
     }
 
+    /// Input cell `cell`'s engine with the pair's bases built.
+    fn built_engine_for(&mut self, cell: usize) -> &mut AttackDeltaEngine<'g> {
+        self.ensure_bases();
+        &mut self.engines[self.comp_of[self.cells.lane_of(cell)]]
+    }
+
     /// The last served outcome of input cell `cell` — bit-identical to
     /// what a dedicated [`AttackDeltaEngine`] (and hence
     /// [`Engine::compute`]) returns for that cell.
@@ -422,14 +485,16 @@ impl<'g> FusedDeltaEngine<'g> {
         self.engine_for(cell).count_happy()
     }
 
-    /// The normal-conditions outcome of input cell `cell`.
-    pub fn normal_outcome(&self, cell: usize) -> &Outcome {
-        self.engine_for(cell).normal_outcome()
+    /// The normal-conditions outcome of input cell `cell`, building the
+    /// pair's deferred bases first.
+    pub fn normal_outcome(&mut self, cell: usize) -> &Outcome {
+        self.built_engine_for(cell).normal_outcome()
     }
 
-    /// Happy bounds of input cell `cell`'s normal-conditions outcome.
-    pub fn normal_happy(&self, cell: usize) -> (usize, usize) {
-        self.engine_for(cell).normal_happy()
+    /// Happy bounds of input cell `cell`'s normal-conditions outcome,
+    /// building the pair's deferred bases first.
+    pub fn normal_happy(&mut self, cell: usize) -> (usize, usize) {
+        self.built_engine_for(cell).normal_happy()
     }
 
     /// As [`FusedDeltaEngine::outcome`], indexed by *lane* (unique cell)
@@ -451,12 +516,16 @@ impl<'g> FusedDeltaEngine<'g> {
     /// policy). This is the harvest side of
     /// [`FusedDeltaEngine::begin_with_bases`]: a caching layer keeps the
     /// bases it did not supply and re-adopts them on later queries.
-    pub fn export_bases(&self) -> impl Iterator<Item = (Policy, CachedBase)> + '_ {
-        self.comps
-            .iter()
-            .enumerate()
-            .filter(|(ci, c)| c.base == *ci)
-            .map(|(ci, c)| (c.policy, self.engines[ci].export_base()))
+    /// Builds deferred bases first.
+    pub fn export_bases(&mut self) -> impl Iterator<Item = (Policy, CachedBase)> {
+        self.ensure_bases();
+        let mut bases = Vec::new();
+        for (ci, c) in self.comps.iter().enumerate() {
+            if c.base == ci {
+                bases.push((c.policy, self.engines[ci].export_base()));
+            }
+        }
+        bases.into_iter()
     }
 }
 

@@ -32,7 +32,9 @@
 //!   secure set by re-fixing only a dirty region (rollout curves cost a
 //!   fraction of from-scratch recomputation).
 //! * [`delta`] — the attacker-delta engine: for a fixed `(d, S, policy)`,
-//!   compute the normal-conditions outcome once and serve every attacker
+//!   compute the normal-conditions outcome at most once (deferred until
+//!   the cell's second attacker, since a lone attacker is one direct
+//!   compute either way) and serve every attacker
 //!   `m ∈ M` by re-fixing only the contested region around its bogus
 //!   announcement, with a touched-list snapshot restore between attackers.
 //! * [`fused`] — the fused multi-cell pass: one traversal serves every
@@ -47,8 +49,8 @@
 //! the delta engine anchors each `(m, d)` pair's first step off the
 //! destination's shared normal outcome, and a sweep adopted from that
 //! patch ([`SweepEngine::begin_from`]) carries the remaining deployment
-//! steps — so a whole rollout costs one base fix per destination plus one
-//! anchor patch and `|S|−1` small sweep patches per pair.
+//! steps — so a whole rollout costs at most one base fix per destination
+//! plus one anchor patch and `|S|−1` small sweep patches per pair.
 //!
 //! The crate is single-threaded by design; [`Engine`], [`SweepEngine`] and
 //! [`AttackDeltaEngine`] instances hold reusable scratch and the
