@@ -1,10 +1,9 @@
 //! Fused multi-cell marginal cost: what one *additional* policy lane
-//! costs when every lane rides the same snapshot traversal. The envelope
+//! costs when it collapses onto an existing computation. The envelope
 //! pinned here: at zero validators the full 9-lane grid (3 models × 3 LP
 //! variants) must cost far closer to the 3 distinct computations it
-//! collapses to than to 9 composed-delta loops — the per-lane marginal
-//! cost is a bitset update in the shared scan plus one `count_happy`
-//! readout, not a traversal.
+//! collapses to than to 9 composed-delta loops — a collapsed lane costs
+//! one `count_happy` readout, not a traversal.
 //!
 //! (`bench_fused` emits the composed-vs-fused comparison with the
 //! exactness cross-check as `BENCH_fused.json`.)

@@ -8,11 +8,11 @@
 //!
 //! * **empty** — zero validators: the models collapse onto one lane per
 //!   LP variant (the fused engine computes 3 lanes where the composed
-//!   path computes 9), plus the shared contested-region scan. This is the
-//!   campaign-baseline shape and the acceptance gate (≥ 2× at 4000 ASes
-//!   on the full 3-model grid).
+//!   path computes 9). This is the campaign-baseline shape and the
+//!   acceptance gate (≥ 2× at 4000 ASes on the full 3-model grid).
 //! * **rollout** — a mid-rollout deployment: no model collapse, so the
-//!   measured gain is the shared-traversal amortization alone.
+//!   fused engine runs the same computations as the composed path and
+//!   the measured ratio is its bookkeeping overhead (≈1×).
 //!
 //! ```text
 //! bench_fused --asns 4000,40000 --seed 42 --out BENCH_fused.json

@@ -466,18 +466,6 @@ impl<'g> AttackDeltaEngine<'g> {
         self.stats
     }
 
-    /// The per-cell packed snapshot preference keys (`u128::MAX` = no
-    /// route), for the fused engine's shared multi-lane scan.
-    pub(crate) fn cell_keys(&self) -> &[u128] {
-        debug_assert_eq!(self.base, Base::Built, "cell keys of a deferred base");
-        &self.cell_keys
-    }
-
-    /// The adjacency-mass budget above which this engine would fall back.
-    pub(crate) fn mass_budget(&self) -> usize {
-        self.mass_budget
-    }
-
     /// Compute the exact stable outcome for `attacker` announcing
     /// `strategy` against the cell's destination. The returned outcome is
     /// valid until the next `attack`/`begin*` call (or the build of a
@@ -534,55 +522,6 @@ impl<'g> AttackDeltaEngine<'g> {
         self.serve(scenario, deployment)
     }
 
-    /// As [`AttackDeltaEngine::attack_set`], but adopt an externally
-    /// discovered seed region instead of running this engine's own
-    /// contested-ball scan — the [`crate::FusedDeltaEngine`] discovers all
-    /// its lanes' balls in one shared multi-lane traversal and hands each
-    /// lane its slice here. Seeding is *purely* a performance hint: the
-    /// verify-and-grow loop reaches local consistency from any seed set and
-    /// Theorem 2.1 uniqueness then pins the same stable outcome bit for
-    /// bit, so callers may pass any subset or superset of the true ball.
-    pub(crate) fn attack_set_seeded(
-        &mut self,
-        attackers: &[AsId],
-        strategy: AttackStrategy,
-        seeds: &[AsId],
-    ) -> &Outcome {
-        let scenario = self.scenario(attackers, strategy);
-        debug_assert_eq!(self.base, Base::Built, "seeded attack on a deferred base");
-        let deployment = self.take_deployment();
-        let d = self.destination;
-        self.init_roots(scenario);
-        let graph = self.graph();
-        for &v in seeds {
-            if v == d || scenario.is_attacker(v) {
-                continue;
-            }
-            if self.region.insert(v) {
-                self.region_list.push(v);
-                self.region_mass += graph.degree(v);
-            }
-        }
-        if self.region_mass > self.mass_budget {
-            return self.fallback(scenario, deployment);
-        }
-        self.serve(scenario, deployment)
-    }
-
-    /// Serve one attack with a forced full compute — the fused engine's
-    /// per-lane escape hatch when the shared scan already proved this
-    /// lane's ball blows its budget.
-    pub(crate) fn attack_set_full(
-        &mut self,
-        attackers: &[AsId],
-        strategy: AttackStrategy,
-    ) -> &Outcome {
-        let scenario = self.scenario(attackers, strategy);
-        debug_assert_eq!(self.base, Base::Built, "forced fallback on a deferred base");
-        let deployment = self.take_deployment();
-        self.fallback(scenario, deployment)
-    }
-
     /// The attack scenario of `attackers` against the current cell.
     fn scenario(&self, attackers: &[AsId], strategy: AttackStrategy) -> AttackScenario {
         assert!(
@@ -613,7 +552,7 @@ impl<'g> AttackDeltaEngine<'g> {
         }
     }
 
-    /// The patch tail shared by every seeded entry point: undo, solve the
+    /// The patch tail of [`AttackDeltaEngine::attack_set`]: undo, solve the
     /// region to local consistency (growing it as needed), patch the happy
     /// bounds, and flip the snapshot/undo bookkeeping.
     fn serve(&mut self, scenario: AttackScenario, deployment: Deployment) -> &Outcome {

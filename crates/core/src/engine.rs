@@ -33,16 +33,10 @@
 //! [`RootFlags`], which is what makes the tie-break-free happy bounds of
 //! §4.1 exact.
 //!
-//! **Fused multi-cell passes.** [`Engine::compute_cells`] evaluates a
-//! whole [`crate::CellSet`] of policy cells over one scenario into a
-//! [`crate::MultiOutcome`] (one lane per unique cell, lane-major storage
-//! with a cross-cell dirty bitset): behaviorally identical lanes — same
-//! policy, or models collapsed at a validator-free deployment — share one
-//! computation, and every remaining lane runs the ordinary single-cell
-//! [`Engine::compute`], so fused results are bit-identical to per-cell
-//! computes by construction. The incremental fused engine
-//! ([`crate::FusedDeltaEngine`]) extends the same contract to the
-//! attacker axis with a shared contested-region traversal.
+//! Every other engine in this crate — [`crate::SweepEngine`],
+//! [`crate::AttackDeltaEngine`] and the per-computation engines of
+//! [`crate::FusedDeltaEngine`] — either calls [`Engine::compute`] or
+//! re-runs its stage schedule over a sub-region of a previous outcome.
 
 use sbgp_topology::{AsGraph, AsId};
 
@@ -234,56 +228,6 @@ impl<'g> Engine<'g> {
 
         self.run_schedule(policy, deployment);
         &self.outcome
-    }
-
-    /// Compute the stable outcomes of a whole *set* of policy cells over
-    /// one `(destination, announcers, deployment)` scenario in a single
-    /// fused pass, filling one [`MultiOutcome`] lane per unique cell of
-    /// `cells` (see [`crate::CellSet`] for the input→lane mapping).
-    ///
-    /// Lanes that are behaviorally identical under this deployment share
-    /// one computation: at `deployment.full_count() == 0` no secure offer
-    /// can ever be assembled and the preference order ignores the security
-    /// model, so lanes differing only in their model collapse onto their
-    /// group's representative (and with no announcers, the strategy is
-    /// moot too). Every remaining lane is served by the ordinary
-    /// single-cell [`Engine::compute`], so each lane is bit-identical to a
-    /// dedicated compute of that cell — the per-lane fallback exactness
-    /// contract the fused incremental engines
-    /// ([`crate::FusedDeltaEngine`]) also guarantee.
-    ///
-    /// With an empty `attackers` slice the scenario is normal conditions.
-    pub fn compute_cells(
-        &mut self,
-        destination: AsId,
-        attackers: &[AsId],
-        deployment: &Deployment,
-        cells: &crate::CellSet,
-        out: &mut crate::MultiOutcome,
-    ) {
-        let collapse = deployment.full_count() == 0;
-        let lanes = cells.lanes();
-        out.reset_lanes(lanes.len());
-        for (j, cell) in lanes.iter().enumerate() {
-            let twin = (0..j).find(|&i| {
-                let c = lanes[i];
-                (c.policy == cell.policy || (collapse && c.policy.variant == cell.policy.variant))
-                    && (attackers.is_empty() || c.strategy == cell.strategy)
-            });
-            if let Some(i) = twin {
-                out.share_lane(i, j);
-                continue;
-            }
-            let scenario = if attackers.is_empty() {
-                AttackScenario::normal(destination)
-            } else {
-                AttackScenario::colluding(attackers, destination).with_strategy(cell.strategy)
-            };
-            self.compute(scenario, deployment, cell.policy);
-            let happy = self.outcome.count_happy();
-            out.set_lane(j, &self.outcome, happy);
-        }
-        out.rebuild_dirty();
     }
 
     /// Validate inputs and reset the per-run machinery (queues, secure-queue

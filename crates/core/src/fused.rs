@@ -1,12 +1,10 @@
-//! Fused multi-cell engine pass: one snapshot traversal serves every
-//! policy cell of a `(destination, deployment)` pair.
+//! Fused multi-cell engine pass: one call serves every policy cell of a
+//! `(destination, deployment)` pair.
 //!
 //! The paper's headline figures evaluate the *same* `(d, S)` pair under
-//! every security model × LP variant × attack-strategy rung, and the
-//! contested regions of those policy cells overlap heavily: the bogus
-//! announcement spreads through the same neighborhoods, just priced by a
-//! slightly different preference order per cell. [`FusedDeltaEngine`]
-//! exploits that overlap along three independent axes:
+//! every security model × LP variant × attack-strategy rung. Many of those
+//! cells are the same computation in disguise, and [`FusedDeltaEngine`]
+//! runs each distinct computation once, sharing along two axes:
 //!
 //! 1. **Cell dedup.** A [`CellSet`] canonicalizes every cell's strategy
 //!    through [`AttackStrategy::canonical`], so the `path1`/fake-link and
@@ -23,37 +21,25 @@
 //!    lanes therefore coincides bit for bit, and the fused pass runs one
 //!    *computation* for the whole model group. `tests/fused_equivalence.rs`
 //!    pins this equivalence against per-cell engines.
-//! 3. **Shared contested-region discovery.** For the computations that do
-//!    remain distinct, one multi-lane forward scan
-//!    ([`crate::region::MultiScan`]) walks the snapshot neighborhood once
-//!    with a per-frontier-entry lane bitmask and discovers every lane's
-//!    seed ball simultaneously — the **shared-region invariant**: the scan
-//!    is a per-lane *superset/subset-tolerant seeding*, never an exactness
-//!    input, because the verify-and-grow loop reaches local consistency
-//!    from any seed set and Theorem 2.1 uniqueness then forces the same
-//!    stable outcome. Only fallback decisions and statistics may differ
-//!    from what each lane's private scan would have produced.
+//!
+//! Each distinct computation is a plain [`AttackDeltaEngine`], and every
+//! attack is served by that engine's own [`AttackDeltaEngine::attack_set`]
+//! (private contested-ball scan → patch, or fallback to a full compute).
+//! Fused results are therefore `≡` per-cell results by construction: the
+//! fused pass only decides *which* engines run, never *how*.
 //!
 //! **Deferred bases.** [`FusedDeltaEngine::begin`] defers every
 //! computation's normal-conditions base exactly as
 //! [`AttackDeltaEngine::begin`] does: the pair's first attack is served by
-//! one direct [`Engine::compute`] per distinct computation (after model
-//! collapse, so an S=∅ pair runs one compute for all three models) and no
-//! shared scan. The bases — each policy group's computed once and adopted
-//! by its strategy-only siblings — are built together at the pair's second
+//! one direct [`crate::Engine::compute`] per distinct computation (after
+//! model collapse, so an S=∅ pair runs one compute for all three models).
+//! The bases — each policy group's computed once and adopted by its
+//! strategy-only siblings — are built together at the pair's second
 //! attack, or when [`FusedDeltaEngine::normal_outcome`],
 //! [`FusedDeltaEngine::normal_happy`] or [`FusedDeltaEngine::export_bases`]
 //! needs them. [`FusedDeltaEngine::begin_with_bases`] stays eager, since
 //! its callers harvest the bases right away. A pair with k ≥ 2 attackers
 //! pays one extra `compute − patch` per computation, not per attack.
-//!
-//! **Per-lane fallback exactness.** When the shared scan proves a lane's
-//! ball exceeds its adjacency-mass budget, that lane alone is served by a
-//! full single-cell [`Engine::compute`]
-//! ([`AttackDeltaEngine::attack_set_full`]); the other lanes keep their
-//! patches. Fused results are therefore `≡` per-cell results bit for bit
-//! in every case — the fused pass only ever changes *how* an outcome is
-//! reached, never *which* outcome.
 
 use sbgp_topology::{AsGraph, AsId};
 
@@ -62,7 +48,6 @@ use crate::delta::{AttackDeltaEngine, Base, CachedBase, DeltaStats};
 use crate::deployment::Deployment;
 use crate::outcome::Outcome;
 use crate::policy::Policy;
-use crate::region::{MultiScan, ScanLane};
 
 /// One policy cell of a fused pass: a complete routing policy plus the
 /// attack-strategy rung every announcer uses. Construction canonicalizes
@@ -101,8 +86,7 @@ impl CellSet {
     ///
     /// # Panics
     ///
-    /// Panics when `cells` is empty or deduplicates to more than 64 lanes
-    /// (the fused scan packs lane membership into a `u64`).
+    /// Panics when `cells` is empty.
     pub fn new(cells: &[PolicyCell]) -> CellSet {
         assert!(!cells.is_empty(), "a CellSet needs at least one cell");
         let mut lanes: Vec<PolicyCell> = Vec::new();
@@ -115,11 +99,6 @@ impl CellSet {
             });
             lane_of.push(j);
         }
-        assert!(
-            lanes.len() <= 64,
-            "at most 64 unique cells per fused pass, got {}",
-            lanes.len()
-        );
         CellSet { lanes, lane_of }
     }
 
@@ -159,6 +138,8 @@ impl CellSet {
 }
 
 /// How a fused engine's lanes were served (cumulative across begins).
+/// `direct_attacks` and `forced_fallbacks` are read from the
+/// per-computation engines' [`DeltaStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FusedStats {
     /// Cells fixed ([`FusedDeltaEngine::begin`] calls).
@@ -172,10 +153,9 @@ pub struct FusedStats {
     /// Per-computation attacks served by a direct compute before the
     /// pair's bases were built (the first attack after a deferred begin).
     pub direct_attacks: usize,
-    /// Per-computation attacks served from the shared multi-lane scan.
-    pub seeded_attacks: usize,
-    /// Per-computation attacks the shared scan already proved over budget
-    /// (served by a full compute without any patch work).
+    /// Per-computation attacks that fell back to a full compute after the
+    /// bases were built: the contested ball blew its budget, either in the
+    /// scan or while verify-and-grow enlarged the region.
     pub forced_fallbacks: usize,
     /// Base outcomes adopted from an *external* cache
     /// ([`FusedDeltaEngine::begin_with_bases`]) instead of being computed.
@@ -193,9 +173,8 @@ struct Comp {
 }
 
 /// The fused multi-cell attacker-delta engine: an [`AttackDeltaEngine`]
-/// per *distinct* computation of a [`CellSet`], driven by one shared
-/// contested-region traversal per attack. See the module docs for the
-/// sharing axes and the exactness argument.
+/// per *distinct* computation of a [`CellSet`]. See the module docs for
+/// the sharing axes and the exactness argument.
 ///
 /// Create one per worker and reuse it across destinations:
 /// [`FusedDeltaEngine::begin`] fixes the `(destination, deployment)` pair
@@ -213,11 +192,6 @@ pub struct FusedDeltaEngine<'g> {
     /// Lane index → computation index, rebuilt per begin (model collapse
     /// depends on the deployment).
     comp_of: Vec<usize>,
-    scan: MultiScan,
-    seeds: Vec<Vec<AsId>>,
-    over: Vec<bool>,
-    destination: AsId,
-    deployment: Option<Deployment>,
     /// Whether the current pair's bases exist yet; every live engine is in
     /// the same state.
     base: Base,
@@ -233,11 +207,6 @@ impl<'g> FusedDeltaEngine<'g> {
             engines: Vec::new(),
             comps: Vec::new(),
             comp_of: Vec::new(),
-            scan: MultiScan::new(graph.len()),
-            seeds: Vec::new(),
-            over: Vec::new(),
-            destination: AsId(0),
-            deployment: None,
             base: Base::Built,
             stats: FusedStats::default(),
         }
@@ -261,7 +230,12 @@ impl<'g> FusedDeltaEngine<'g> {
 
     /// Cumulative fused-pass statistics.
     pub fn stats(&self) -> FusedStats {
-        self.stats
+        let delta = self.delta_stats();
+        FusedStats {
+            direct_attacks: delta.direct_attacks,
+            forced_fallbacks: delta.full_recomputes - delta.direct_attacks,
+            ..self.stats
+        }
     }
 
     /// Summed statistics of the per-computation delta engines.
@@ -317,7 +291,6 @@ impl<'g> FusedDeltaEngine<'g> {
         F: FnMut(Policy) -> Option<&'b CachedBase>,
     {
         self.stats.begins += 1;
-        self.destination = destination;
         let collapse = deployment.full_count() == 0;
         let same_policy = |a: Policy, b: Policy| a == b || (collapse && a.variant == b.variant);
         let lane_cells: Vec<PolicyCell> = self.cells.lanes().to_vec();
@@ -353,8 +326,6 @@ impl<'g> FusedDeltaEngine<'g> {
         while self.engines.len() < self.comps.len() {
             self.engines.push(AttackDeltaEngine::new(self.graph));
         }
-        self.seeds.resize_with(self.comps.len(), Vec::new);
-        self.over.resize(self.comps.len(), false);
         for ci in 0..self.comps.len() {
             let Comp { policy, base, .. } = self.comps[ci];
             let cached = if base == ci { lookup(policy) } else { None };
@@ -372,7 +343,6 @@ impl<'g> FusedDeltaEngine<'g> {
             }
         }
         self.base = Base::Deferred;
-        self.deployment = Some(deployment.clone());
     }
 
     /// Build every deferred base of the current pair: each policy group's
@@ -403,63 +373,24 @@ impl<'g> FusedDeltaEngine<'g> {
         self.attack_set(&[attacker]);
     }
 
-    /// Serve a colluding announcer set for every cell: one shared
-    /// multi-lane scan discovers all computations' seed balls, then each
-    /// computation patches (or, over budget, fully recomputes) its lane.
+    /// Serve a colluding announcer set for every cell: each distinct
+    /// computation's engine serves it (a direct compute on the pair's first
+    /// attack, then scan → patch or fallback against the shared bases).
     ///
     /// # Panics
     ///
     /// Panics before [`FusedDeltaEngine::begin`], or when `attackers`
     /// violates [`crate::AttackScenario::colluding`]'s preconditions.
     pub fn attack_set(&mut self, attackers: &[AsId]) {
-        assert!(
-            self.deployment.is_some(),
-            "FusedDeltaEngine::begin not called"
-        );
-        let ncomp = self.comps.len();
+        assert!(!self.comps.is_empty(), "FusedDeltaEngine::begin not called");
         match self.base {
-            Base::Deferred => {
-                // The pair's first attack: one direct compute per
-                // computation, no bases and no shared scan.
-                for (comp, engine) in self.comps.iter().zip(&mut self.engines) {
-                    engine.attack_set(attackers, comp.strategy);
-                }
-                self.stats.direct_attacks += ncomp;
-                self.base = Base::DeferredServed;
-                return;
-            }
+            // The pair's first attack: every engine serves it directly.
+            Base::Deferred => self.base = Base::DeferredServed,
             Base::DeferredServed => self.ensure_bases(),
             Base::Built => {}
         }
-        let deployment = self.deployment.as_ref().expect("checked above");
-        let mut lanes: Vec<ScanLane<'_>> = Vec::with_capacity(ncomp);
-        for (comp, engine) in self.comps.iter().zip(&self.engines) {
-            lanes.push(ScanLane {
-                policy: comp.policy,
-                root_depth: comp.strategy.root_depth(),
-                cell_keys: engine.cell_keys(),
-                budget: engine.mass_budget(),
-            });
-        }
-        self.scan.run(
-            self.graph,
-            self.destination,
-            attackers,
-            deployment,
-            &lanes,
-            &mut self.seeds[..ncomp],
-            &mut self.over[..ncomp],
-        );
-        drop(lanes);
-        for ci in 0..ncomp {
-            let strategy = self.comps[ci].strategy;
-            if self.over[ci] {
-                self.stats.forced_fallbacks += 1;
-                self.engines[ci].attack_set_full(attackers, strategy);
-            } else {
-                self.stats.seeded_attacks += 1;
-                self.engines[ci].attack_set_seeded(attackers, strategy, &self.seeds[ci]);
-            }
+        for (comp, engine) in self.comps.iter().zip(&mut self.engines) {
+            engine.attack_set(attackers, comp.strategy);
         }
     }
 
@@ -475,7 +406,7 @@ impl<'g> FusedDeltaEngine<'g> {
 
     /// The last served outcome of input cell `cell` — bit-identical to
     /// what a dedicated [`AttackDeltaEngine`] (and hence
-    /// [`Engine::compute`]) returns for that cell.
+    /// [`crate::Engine::compute`]) returns for that cell.
     pub fn outcome(&self, cell: usize) -> &Outcome {
         self.engine_for(cell).last_outcome()
     }
@@ -529,14 +460,9 @@ impl<'g> FusedDeltaEngine<'g> {
     }
 }
 
-// `Engine` is only mentioned in docs; keep the link target alive.
-#[allow(unused_imports)]
-use crate::engine::Engine;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::AttackScenario;
     use crate::policy::{LpVariant, SecurityModel};
     use sbgp_topology::GraphBuilder;
 
@@ -650,40 +576,5 @@ mod tests {
         // A single validator splits the models apart again.
         fused.begin(AsId(0), &Deployment::full_from_iter(8, [AsId(1)]));
         assert_eq!(fused.computations(), 3);
-    }
-
-    #[test]
-    fn compute_cells_matches_engine_compute() {
-        let g = gadget();
-        let cells = CellSet::grid(
-            &all_policies(),
-            &[AttackStrategy::OriginHijack, AttackStrategy::FakeLink],
-        );
-        let dep = Deployment::full_from_iter(8, [AsId(0), AsId(2)]);
-        let mut engine = Engine::new(&g);
-        let mut fresh = Engine::new(&g);
-        let mut multi = crate::MultiOutcome::new();
-        for attackers in [vec![], vec![AsId(4)], vec![AsId(3), AsId(6)]] {
-            engine.compute_cells(AsId(0), &attackers, &dep, &cells, &mut multi);
-            assert_eq!(multi.lane_count(), cells.lane_count());
-            for (j, cell) in cells.lanes().iter().enumerate() {
-                let scenario = if attackers.is_empty() {
-                    AttackScenario::normal(AsId(0))
-                } else {
-                    AttackScenario::colluding(&attackers, AsId(0)).with_strategy(cell.strategy)
-                };
-                let want = fresh.compute(scenario, &dep, cell.policy);
-                let got = multi.lane(j);
-                for v in g.ases() {
-                    assert_eq!(got.route(v), want.route(v), "lane {j} at {v}");
-                    assert_eq!(got.next_hop(v), want.next_hop(v), "lane {j} at {v}");
-                }
-                assert_eq!(multi.happy(j), want.count_happy(), "lane {j}");
-            }
-            // Lane 0 is never dirty against itself.
-            for v in g.ases() {
-                assert_eq!(multi.dirty_mask(v) & 1, 0);
-            }
-        }
     }
 }

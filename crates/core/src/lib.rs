@@ -37,12 +37,12 @@
 //!   compute either way) and serve every attacker
 //!   `m ∈ M` by re-fixing only the contested region around its bogus
 //!   announcement, with a touched-list snapshot restore between attackers.
-//! * [`fused`] — the fused multi-cell pass: one traversal serves every
-//!   policy cell (model × LP variant × strategy rung) of a
-//!   `(destination, deployment)` pair at once, collapsing behaviorally
-//!   identical cells and sharing the contested-region discovery, with a
-//!   per-lane fallback to the single-cell engines that keeps fused
-//!   results bit-identical to per-cell computes.
+//! * [`fused`] — the fused multi-cell pass: one call serves every policy
+//!   cell (model × LP variant × strategy rung) of a
+//!   `(destination, deployment)` pair at once, running one plain
+//!   [`AttackDeltaEngine`] per distinct computation after collapsing
+//!   behaviorally identical cells, so fused results are bit-identical to
+//!   per-cell computes by construction.
 //!
 //! [`sweep`] and [`delta`] are the two axes of one amortization hierarchy
 //! (deployment × attacker); `sbgp-sim` composes them destination-major —
@@ -80,7 +80,7 @@ pub use deployment::Deployment;
 pub use engine::Engine;
 pub use fused::{CellSet, FusedDeltaEngine, FusedStats, PolicyCell};
 pub use metric::{Bounds, HappyCount};
-pub use outcome::{MultiOutcome, Outcome, RootFlags, RouteClass, RouteInfo};
+pub use outcome::{Outcome, RootFlags, RouteClass, RouteInfo};
 pub use partition::{Fate, PartitionComputer, PartitionCounts};
 pub use policy::{LpVariant, Policy, SecurityModel};
 pub use sweep::{SweepEngine, SweepStats};

@@ -10,14 +10,10 @@
 //! (Appendix C).
 //!
 //! Storage layout: the per-AS root flags, the security bit and the
-//! mark-traversal bit all live in one `flags` byte (see [`FLAG_ROOTS`],
-//! [`FLAG_SECURE`], [`FLAG_VIA_MARK`]), so the engine's inner rescan loop
-//! reads a single byte stream instead of three parallel arrays.
-//!
-//! For fused multi-cell passes, [`MultiOutcome`] stacks one such outcome
-//! per policy-cell *lane* (lane-major) and keeps a per-AS cross-cell dirty
-//! bitset recording which lanes still differ from the shared lane 0 — see
-//! its type-level docs for the layout and the sharing invariant.
+//! mark-traversal bit all live in one `flags` byte (the crate-private
+//! `FLAG_ROOTS`, `FLAG_SECURE` and `FLAG_VIA_MARK` masks), so the engine's
+//! inner rescan loop reads a single byte stream instead of three parallel
+//! arrays.
 
 use sbgp_topology::AsId;
 
@@ -404,97 +400,6 @@ impl Outcome {
         (0..self.kind.len() as u32)
             .map(AsId)
             .filter(move |&v| self.is_source(v))
-    }
-}
-
-/// Structure-of-arrays outcome storage for a *set* of policy cells over
-/// the same `(destination, deployment, announcers)` scenario — the lane
-/// store behind [`crate::Engine::compute_cells`] and the fused engine.
-///
-/// **Lane layout.** Lane `j` holds the complete per-AS state (kind, length,
-/// packed flags byte, next hop — each itself a struct-of-arrays
-/// [`Outcome`]) of the `j`-th unique cell of a [`crate::CellSet`], so all
-/// lanes of one AS are reachable by striding the lane array at a fixed
-/// index: lane-major, AS-minor. Alongside the lanes sits a **cross-cell
-/// dirty bitset**: bit `j` of `dirty[v]` is set exactly when lane `j`'s
-/// entry at `v` differs from lane 0's — i.e. which cells still have the
-/// AS dirty relative to the shared reference lane after the fused pass.
-/// A zero mask means every cell agrees at that AS and one entry serves
-/// them all; on the paper's grids the masks are overwhelmingly zero, which
-/// is the overlap the fused traversal exploits.
-#[derive(Debug, Default)]
-pub struct MultiOutcome {
-    lanes: Vec<Outcome>,
-    happy: Vec<(usize, usize)>,
-    dirty: Vec<u64>,
-}
-
-impl MultiOutcome {
-    /// An empty store; [`crate::Engine::compute_cells`] sizes it.
-    pub fn new() -> MultiOutcome {
-        MultiOutcome::default()
-    }
-
-    /// Number of lanes (unique cells) currently stored.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Lane `j`'s full outcome.
-    pub fn lane(&self, j: usize) -> &Outcome {
-        &self.lanes[j]
-    }
-
-    /// Lane `j`'s happy-source bounds (as [`Outcome::count_happy`]).
-    pub fn happy(&self, j: usize) -> (usize, usize) {
-        self.happy[j]
-    }
-
-    /// The cross-cell dirty mask at `v`: bit `j` set iff lane `j` differs
-    /// from lane 0 at `v` (kind, length, flags byte or next hop).
-    pub fn dirty_mask(&self, v: AsId) -> u64 {
-        self.dirty[v.index()]
-    }
-
-    /// Clear and size the store for `lanes` lanes.
-    pub(crate) fn reset_lanes(&mut self, lanes: usize) {
-        self.lanes.resize_with(lanes, Outcome::new_empty);
-        self.happy.clear();
-        self.happy.resize(lanes, (0, 0));
-        self.dirty.clear();
-    }
-
-    /// Store lane `j` by copying `outcome`.
-    pub(crate) fn set_lane(&mut self, j: usize, outcome: &Outcome, happy: (usize, usize)) {
-        self.lanes[j].copy_from(outcome);
-        self.happy[j] = happy;
-    }
-
-    /// Share lane `from`'s outcome into lane `to` (`from < to`): the two
-    /// cells were proven behaviorally identical, so one computation
-    /// serves both.
-    pub(crate) fn share_lane(&mut self, from: usize, to: usize) {
-        assert!(from < to, "share_lane copies forward only");
-        let (head, tail) = self.lanes.split_at_mut(to);
-        tail[0].copy_from(&head[from]);
-        self.happy[to] = self.happy[from];
-    }
-
-    /// Rebuild the cross-cell dirty bitset against lane 0.
-    pub(crate) fn rebuild_dirty(&mut self) {
-        let n = self.lanes.first().map_or(0, Outcome::len);
-        self.dirty.clear();
-        self.dirty.resize(n, 0);
-        for j in 1..self.lanes.len() {
-            let (lane0, lane) = (&self.lanes[0], &self.lanes[j]);
-            assert_eq!(lane.len(), n, "lane {j} size mismatch");
-            for i in 0..n {
-                let v = AsId(i as u32);
-                if !lane.same_for_neighbors(lane0, v) || lane.next_hop[i] != lane0.next_hop[i] {
-                    self.dirty[i] |= 1 << j;
-                }
-            }
-        }
     }
 }
 

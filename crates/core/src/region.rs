@@ -146,210 +146,6 @@ pub(crate) fn pack_key(k: (u32, u32, u32)) -> u128 {
     ((k.0 as u128) << 64) | ((k.1 as u128) << 32) | (k.2 as u128)
 }
 
-/// One lane of the fused multi-cell contested-ball scan: the policy cell's
-/// preference order, its forged announcement's claimed root depth, its
-/// snapshot's packed per-AS keys, and its adjacency-mass budget.
-pub(crate) struct ScanLane<'a> {
-    pub policy: Policy,
-    pub root_depth: u32,
-    pub cell_keys: &'a [u128],
-    pub budget: usize,
-}
-
-/// Contested-ball scan state bit: the AS already propagated the bogus
-/// offer to every neighbor (customer-class receipt exports everywhere)...
-const SCAN_WIDE: usize = 0;
-/// ...or at least to its customers (peer/provider-class receipt).
-const SCAN_DOWN: usize = 1;
-/// The AS was adopted into the lane's seed region.
-const SCAN_MEMBER: usize = 2;
-
-/// Reusable scratch for the **fused multi-lane contested-ball scan**: one
-/// breadth-first traversal of the snapshot neighborhood discovers every
-/// lane's seed ball at once. Frontier entries carry a lane bitmask; each
-/// AS holds per-lane member/wide/down bitsets (the cross-cell dirty masks)
-/// so an edge is walked once per *distinct export decision*, not once per
-/// lane. Per-lane offer keys differ only by the lane's policy and claimed
-/// root depth, so each BFS level prices all lanes from six keys per lane.
-///
-/// Like the single-lane scan this is purely a performance seeding — the
-/// verify-and-grow loop reaches the same unique stable outcome from any
-/// seed set — so lanes may legally disagree with what their private scans
-/// would have marked; only fallback decisions (via per-lane budgets) and
-/// stats can differ, never outcomes.
-#[derive(Debug)]
-pub(crate) struct MultiScan {
-    /// Per-AS `[wide, down, member]` lane bitsets.
-    state: Vec<[u64; 3]>,
-    touched: Vec<u32>,
-    cur: Vec<(u32, u8, u64)>,
-    next: Vec<(u32, u8, u64)>,
-}
-
-impl MultiScan {
-    pub(crate) fn new(n: usize) -> MultiScan {
-        MultiScan {
-            state: vec![[0; 3]; n],
-            touched: Vec::new(),
-            cur: Vec::new(),
-            next: Vec::new(),
-        }
-    }
-
-    /// Discover all lanes' seed balls for `attackers` announcing against
-    /// `destination`. Fills `seeds[j]` with lane `j`'s ball (roots
-    /// excluded) and sets `over[j]` when the lane's adjacency mass blew
-    /// its budget mid-scan (the caller then serves that lane with a full
-    /// compute instead of a patch). Lanes must number at most 64.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run(
-        &mut self,
-        graph: &AsGraph,
-        destination: AsId,
-        attackers: &[AsId],
-        deployment: &Deployment,
-        lanes: &[ScanLane<'_>],
-        seeds: &mut [Vec<AsId>],
-        over: &mut [bool],
-    ) {
-        let nl = lanes.len();
-        assert!(nl <= 64, "the fused scan packs lanes into a u64 mask");
-        assert!(seeds.len() == nl && over.len() == nl);
-        let all: u64 = if nl == 64 { u64::MAX } else { (1u64 << nl) - 1 };
-        // Lanes drop out of `active` when they exceed their budget; their
-        // partial seed lists are never used.
-        let mut active = all;
-        let mut mass = vec![0usize; nl];
-        for j in 0..nl {
-            seeds[j].clear();
-            over[j] = false;
-            for &m in attackers {
-                mass[j] += graph.degree(m);
-            }
-        }
-        // Every announcer's origin announcement exports to every neighbor.
-        for &m in attackers {
-            for &u in graph.providers(m) {
-                self.next.push((u.0, 0, all));
-            }
-            for &u in graph.peers(m) {
-                self.next.push((u.0, 1, all));
-            }
-            for &u in graph.customers(m) {
-                self.next.push((u.0, 2, all));
-            }
-        }
-        let mut level_keys = vec![[[0u128; 3]; 2]; nl];
-        let mut level: u32 = 1;
-        while !self.next.is_empty() && active != 0 {
-            std::mem::swap(&mut self.cur, &mut self.next);
-            // All offers of a level share the lane's bogus-path length, so
-            // only six distinct offer keys exist per lane per level.
-            for (j, lane) in lanes.iter().enumerate() {
-                let len = lane.root_depth + level;
-                for (validating, keys) in level_keys[j].iter_mut().enumerate() {
-                    for (rank, key) in keys.iter_mut().enumerate() {
-                        *key = pack_key(preference_key(
-                            lane.policy,
-                            validating == 1,
-                            rank as u8,
-                            len,
-                            false,
-                        ));
-                    }
-                }
-            }
-            for k in 0..self.cur.len() {
-                let (ui, rank, mask) = self.cur[k];
-                let mask = mask & active;
-                if mask == 0 {
-                    continue;
-                }
-                let u = AsId(ui);
-                if u == destination || attackers.contains(&u) {
-                    continue;
-                }
-                let validating = usize::from(deployment.validates(u));
-                // An AS whose snapshot route strictly beats the offer
-                // neither adopts nor re-exports it: prune per lane.
-                let mut adopt = 0u64;
-                let mut bits = mask;
-                while bits != 0 {
-                    let j = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if level_keys[j][validating][rank as usize] <= lanes[j].cell_keys[u.index()] {
-                        adopt |= 1 << j;
-                    }
-                }
-                if adopt == 0 {
-                    continue;
-                }
-                let idx = u.index();
-                let st = self.state[idx];
-                let new_member = adopt & !st[SCAN_MEMBER];
-                if new_member != 0 {
-                    if st[SCAN_MEMBER] | st[SCAN_WIDE] | st[SCAN_DOWN] == 0 {
-                        self.touched.push(ui);
-                    }
-                    self.state[idx][SCAN_MEMBER] |= new_member;
-                    let deg = graph.degree(u);
-                    let mut bits = new_member;
-                    while bits != 0 {
-                        let j = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        seeds[j].push(u);
-                        mass[j] += deg;
-                        if mass[j] > lanes[j].budget {
-                            over[j] = true;
-                            active &= !(1u64 << j);
-                        }
-                    }
-                }
-                // Export onward for the lanes that adopted and are still
-                // in budget: customer-class receipt exports everywhere,
-                // peer/provider-class receipt only to customers (Ex).
-                let adopt = adopt & active;
-                if rank == 0 {
-                    let new_wide = adopt & !st[SCAN_WIDE];
-                    if new_wide != 0 {
-                        let cust = new_wide & !st[SCAN_DOWN];
-                        self.state[idx][SCAN_WIDE] |= new_wide;
-                        self.state[idx][SCAN_DOWN] |= new_wide;
-                        for &p in graph.providers(u) {
-                            self.next.push((p.0, 0, new_wide));
-                        }
-                        for &q in graph.peers(u) {
-                            self.next.push((q.0, 1, new_wide));
-                        }
-                        if cust != 0 {
-                            for &c in graph.customers(u) {
-                                self.next.push((c.0, 2, cust));
-                            }
-                        }
-                    }
-                } else {
-                    let new_down = adopt & !st[SCAN_DOWN];
-                    if new_down != 0 {
-                        self.state[idx][SCAN_DOWN] |= new_down;
-                        for &c in graph.customers(u) {
-                            self.next.push((c.0, 2, new_down));
-                        }
-                    }
-                }
-            }
-            self.cur.clear();
-            level += 1;
-        }
-        // An all-lanes-over break can leave entries in either frontier.
-        self.cur.clear();
-        self.next.clear();
-        for &x in &self.touched {
-            self.state[x as usize] = [0; 3];
-        }
-        self.touched.clear();
-    }
-}
-
 /// The position of the route `u` would learn from `v` at class `rank`, or
 /// `None` when `v` has no route or may not export it at that class (Ex).
 fn offer_key(

@@ -30,8 +30,8 @@
 //!    deliberately two-sided: a *withdrawn or worsened* offer (the old one
 //!    tied or beat the neighbor's current route) can strictly worsen that
 //!    neighbor's best route just as an improved offer can better it, which
-//!    is exactly what makes retraction steps sound (see
-//!    [`crate::region::grow_affected`]);
+//!    is exactly what makes retraction steps sound (see the crate-private
+//!    `region::grow_affected`);
 //! 4. when no change escapes the region, the patched state is locally
 //!    consistent at every AS — inside the region by construction, outside
 //!    it because no input changed — and uniqueness makes it exact.

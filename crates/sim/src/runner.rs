@@ -47,7 +47,7 @@ impl Parallelism {
 /// one sub-accumulator (fixes the reduction order).
 const CHUNK: usize = 16;
 
-/// Generic parallel map-reduce over `items`, claimed [`CHUNK`] at a time
+/// Generic parallel map-reduce over `items`, claimed `CHUNK` at a time
 /// (right for light items like individual pairs).
 ///
 /// `make_worker` builds per-thread scratch (typically an engine); `step`

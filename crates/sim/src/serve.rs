@@ -87,7 +87,7 @@ use sbgp_topology::AsId;
 use crate::runner::{map_reduce_grouped, Parallelism};
 use crate::stats::{estimate_adaptive_cells_eval, CellEval, EstimatorConfig, PairUniverse};
 use crate::supervise::{
-    json_str_field, json_u64_field, json_u64s, read_frame, sanitize, write_frame,
+    json_str_field, json_u64_field, json_u64s, json_value, read_frame, sanitize, write_frame,
 };
 use crate::Internet;
 use sbgp_core::Bounds;
@@ -338,8 +338,13 @@ pub struct Query {
     pub deadline_ms: Option<u64>,
 }
 
+/// The ids listed under `key` (empty when the key is absent). A present
+/// key whose value is not a list of ids in `[0, n)` is an error naming it.
 fn parse_ids(text: &str, key: &str, n: usize) -> Result<Vec<AsId>, String> {
-    let raw = json_u64s(text, key).unwrap_or_default();
+    if json_value(text, key).is_none() {
+        return Ok(Vec::new());
+    }
+    let raw = json_u64s(text, key).ok_or_else(|| format!("{key}: not a list of AS ids"))?;
     let mut out = Vec::with_capacity(raw.len());
     for v in raw {
         if v >= n as u64 {
@@ -402,7 +407,7 @@ impl Query {
         };
         if models.len() * strategies.len() > 64 {
             return Err(format!(
-                "{} models x {} strategies exceeds the 64-cell fused-pass cap",
+                "{} models x {} strategies exceeds the 64-cell per-query cap",
                 models.len(),
                 strategies.len()
             ));
@@ -1055,6 +1060,29 @@ mod tests {
         assert_eq!(q.strategies, vec![AttackStrategy::FakeLink]);
         assert_eq!(q.budget, None);
         assert_eq!(q.id, 0);
+
+        // JSON whitespace inside and around an id list.
+        for frame in [
+            "{\"op\":\"query\",\"secure\": [1, 2],\"attackers\":[5],\"destinations\":[9]}",
+            "{\"op\":\"query\",\"secure\":[1, 2],\"attackers\":[5],\"destinations\":[9]}",
+        ] {
+            let q = Query::parse(frame, n).unwrap();
+            assert_eq!(q.secure, vec![AsId(1), AsId(2)], "{frame}");
+        }
+        // A present key holding no valid id list is an error naming it.
+        for (frame, key) in [
+            (
+                "{\"op\":\"query\",\"secure\":[1,x],\"attackers\":[5],\"destinations\":[9]}",
+                "secure",
+            ),
+            (
+                "{\"op\":\"query\",\"attackers\":[18446744073709551621],\"destinations\":[9]}",
+                "attackers",
+            ),
+        ] {
+            let err = Query::parse(frame, n).unwrap_err();
+            assert!(err.starts_with(key), "{frame} -> {err}");
+        }
 
         // Rejections.
         for bad in [

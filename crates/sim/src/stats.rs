@@ -47,7 +47,7 @@
 //!   [`estimate_metric_sweep_cells`], [`estimate_strategy_ladder_cells`])
 //!   run *every policy* of a figure through one
 //!   [`sbgp_core::FusedDeltaEngine`] per worker, sharing the sample stream
-//!   and the snapshot traversal across cells. Because the sampling
+//!   and the normal-conditions bases across cells. Because the sampling
 //!   schedule depends only on the universe and the seed — never on the
 //!   policy — each cell can stop at its own round and still reproduce its
 //!   solo estimator **bit for bit** ([`estimate_adaptive_cells`]).
@@ -764,7 +764,7 @@ pub fn estimate_adaptive<W>(
 /// at exactly the round where its solo run would stop (its CI target met,
 /// or the shared budget exhausted), so each returned [`AdaptiveRun`] is
 /// bit-identical to the solo run's. Evaluation for already-stopped cells
-/// still happens (the fused engine serves all lanes in one traversal; the
+/// still happens (the fused engine serves all lanes in one call; the
 /// marginal cost is the point) — its emissions are simply not folded.
 ///
 /// Evaluation is **panic-isolated**

@@ -109,33 +109,69 @@ pub(crate) fn json_u64_field(text: &str, key: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-/// Parse a flat or one-level-nested array of unsigned integers starting at
-/// `"key":[` — every number in source order, nesting flattened.
+/// The text right after `"key"` and its colon (JSON whitespace allowed on
+/// both sides of the colon), or `None` when no such key is present.
+pub(crate) fn json_value<'t>(text: &'t str, key: &str) -> Option<&'t str> {
+    let pat = format!("\"{key}\"");
+    text.match_indices(&pat).find_map(|(i, _)| {
+        let rest = text[i + pat.len()..].trim_start_matches(JSON_WS);
+        Some(rest.strip_prefix(':')?.trim_start_matches(JSON_WS))
+    })
+}
+
+const JSON_WS: [char; 4] = [' ', '\t', '\n', '\r'];
+
+/// Parse the value of `key` as a flat or one-level-nested array of
+/// unsigned integers — every number in source order, nesting flattened.
+/// JSON whitespace may surround every token. `None` when the key is absent
+/// or its value is anything else: a stray token, an empty element, deeper
+/// nesting, or a number past `u64::MAX`.
 pub(crate) fn json_u64s(text: &str, key: &str) -> Option<Vec<u64>> {
-    let pat = format!("\"{key}\":[");
-    let start = text.find(&pat)? + pat.len() - 1;
+    let value = json_value(text, key)?;
+    if !value.starts_with('[') {
+        return None;
+    }
+    let b = value.as_bytes();
     let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut cur: Option<u64> = None;
-    for c in text[start..].chars() {
-        match c {
-            '[' => depth += 1,
-            ']' | ',' => {
-                if let Some(v) = cur.take() {
-                    out.push(v);
-                }
-                if c == ']' {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(out);
-                    }
-                }
+    let (mut i, mut depth) = (0, 0);
+    // Right after `[` or `,` a value must follow; `]` may close an array
+    // right after `[` or a value, and `,` may only follow a value.
+    let (mut want_value, mut may_close) = (true, true);
+    loop {
+        while b.get(i).is_some_and(|c| JSON_WS.contains(&char::from(*c))) {
+            i += 1;
+        }
+        match *b.get(i)? {
+            b'[' if want_value && depth < 2 => {
+                depth += 1;
+                may_close = true;
+                i += 1;
             }
-            '0'..='9' => cur = Some(cur.unwrap_or(0) * 10 + (c as u64 - '0' as u64)),
+            b']' if may_close => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(out);
+                }
+                want_value = false;
+                i += 1;
+            }
+            b',' if !want_value => {
+                want_value = true;
+                may_close = false;
+                i += 1;
+            }
+            b'0'..=b'9' if want_value => {
+                let start = i;
+                while b.get(i).is_some_and(u8::is_ascii_digit) {
+                    i += 1;
+                }
+                out.push(value[start..i].parse().ok()?);
+                want_value = false;
+                may_close = true;
+            }
             _ => return None,
         }
     }
-    None
 }
 
 pub(crate) fn sanitize(msg: &str) -> String {
@@ -1114,6 +1150,38 @@ mod tests {
         let err = encode_error(2, "boom \"quoted\"\nline");
         assert_eq!(json_u64_field(&err, "id"), Some(2));
         assert_eq!(json_str_field(&err, "msg"), Some("boom  quoted  line"));
+    }
+
+    #[test]
+    fn u64_lists_accept_json_whitespace_and_reject_overflow() {
+        let parse = |text: &str| json_u64s(text, "k");
+        assert_eq!(parse("{\"k\":[1,2]}"), Some(vec![1, 2]));
+        assert_eq!(parse("{\"k\" : [ 1 , 2 ] }"), Some(vec![1, 2]));
+        assert_eq!(parse("{\"k\":\n[[1, 2],\t[3]]}"), Some(vec![1, 2, 3]));
+        assert_eq!(parse("{\"k\":[ ]}"), Some(vec![]));
+        assert_eq!(
+            parse("{\"k\":[18446744073709551615]}"),
+            Some(vec![u64::MAX])
+        );
+        for bad in [
+            "{\"k\":[18446744073709551616]}",
+            "{\"k\":[18446744073709551621]}",
+            "{\"k\":[1,x]}",
+            "{\"k\":[1,,2]}",
+            "{\"k\":[1,]}",
+            "{\"k\":[,1]}",
+            "{\"k\":[1 2]}",
+            "{\"k\":[-1]}",
+            "{\"k\":[1.5]}",
+            "{\"k\":[[[1]]]}",
+            "{\"k\":[1",
+            "{\"k\":1}",
+            "{\"j\":[1]}",
+        ] {
+            assert_eq!(parse(bad), None, "accepted: {bad}");
+        }
+        // A string value that spells the key is not the key.
+        assert_eq!(parse("{\"x\":\"k\",\"k\":[4]}"), Some(vec![4]));
     }
 
     #[test]

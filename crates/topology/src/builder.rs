@@ -123,10 +123,11 @@ impl GraphBuilder {
     }
 
     /// Bulk construction: the batch equivalent of [`new`](Self::new) +
-    /// [`add_edge`](Self::add_edge) per edge + [`set_asn_labels`]
-    /// (Self::set_asn_labels) + [`build`](Self::build), producing a
-    /// bit-identical [`AsGraph`] without the per-edge hash-map probe that
-    /// dominates incremental build time past ~60k ASes.
+    /// [`add_edge`](Self::add_edge) per edge +
+    /// [`set_asn_labels`](Self::set_asn_labels) +
+    /// [`build`](Self::build), producing a bit-identical [`AsGraph`]
+    /// without the per-edge hash-map probe that dominates incremental
+    /// build time past ~60k ASes.
     ///
     /// Edges are collected, normalized into packed `(min, max)` keys,
     /// sorted with one unstable integer sort, deduplicated and

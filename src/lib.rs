@@ -59,9 +59,9 @@ pub use sbgp_topology as topology;
 pub mod prelude {
     pub use sbgp_core::{
         AttackDeltaEngine, AttackScenario, AttackStrategy, Bounds, CellSet, DeltaStats, Deployment,
-        Engine, Fate, FusedDeltaEngine, FusedStats, HappyCount, LpVariant, MultiOutcome, Outcome,
-        PairAnalysis, PairAnalyzer, PartitionComputer, Policy, PolicyCell, RouteClass,
-        SecurityModel, SweepEngine, SweepStats,
+        Engine, Fate, FusedDeltaEngine, FusedStats, HappyCount, LpVariant, Outcome, PairAnalysis,
+        PairAnalyzer, PartitionComputer, Policy, PolicyCell, RouteClass, SecurityModel,
+        SweepEngine, SweepStats,
     };
     pub use sbgp_sim::{runner, sample, scenario, stats, sweep, Internet, Parallelism};
     pub use sbgp_topology::{AsGraph, AsId, AsSet, GraphBuilder};

@@ -1,17 +1,18 @@
 //! The fused multi-cell equivalence property suite: on random
-//! valley-free graphs, one fused pass over a whole policy grid —
-//! [`Engine::compute_cells`] for snapshot computes, [`FusedDeltaEngine`]
-//! for the incremental attacker loop — must reproduce a dedicated
-//! per-cell computation **bit for bit** (route class, length, flags,
-//! representative next hop, and happy bounds) for every input cell of the
-//! grid: all three security models, the `LP2`/`LPinf` variants, the full
-//! `FakePath` ladder plus the duplicate `FakeLink`/`OriginHijack`
-//! spellings, and colluding announcer sets via
-//! [`FusedDeltaEngine::attack_set`]. `tests/delta_equivalence.rs` pins
-//! the solo [`AttackDeltaEngine`] against fresh computes, so checking the
-//! fused engine against the solo delta closes the chain fused ≡ delta ≡
-//! engine ≡ simulated S*BGP. A fixed-seed determinism test additionally
-//! pins the fused destination-major runners (`runner::metric_cells`,
+//! valley-free graphs, [`FusedDeltaEngine`] serving a whole policy grid in
+//! the incremental attacker loop must reproduce a dedicated per-cell
+//! computation **bit for bit** (route class, length, flags, representative
+//! next hop, and happy bounds) for every input cell of the grid: all three
+//! security models, the `LP2`/`LPinf` variants, the full `FakePath` ladder
+//! plus the duplicate `FakeLink`/`OriginHijack` spellings, and colluding
+//! announcer sets via [`FusedDeltaEngine::attack_set`]. It must also take
+//! the same serving path (patch, fallback, direct compute, base build) as
+//! one solo [`AttackDeltaEngine`] per distinct computation, counter for
+//! counter. `tests/delta_equivalence.rs` pins the solo
+//! [`AttackDeltaEngine`] against fresh computes, so checking the fused
+//! engine against the solo delta closes the chain fused ≡ delta ≡ engine ≡
+//! simulated S*BGP. A fixed-seed determinism test additionally pins the
+//! fused destination-major runners (`runner::metric_cells`,
 //! `sweep::metric_sweep_cells`) bit-identical across thread counts *and*
 //! to their single-cell counterparts.
 
@@ -128,95 +129,86 @@ fn assert_outcomes_match(got: &Outcome, want: &Outcome, graph: &AsGraph, ctx: &s
     }
 }
 
-/// One fused snapshot pass ([`Engine::compute_cells`]) vs a dedicated
-/// [`Engine::compute`] per input cell, plus the cross-cell dirty-bitset
-/// semantics of the [`MultiOutcome`] store.
-fn check_compute_cells(inst: &Instance) {
-    let graph = graph_from_codes(inst.n, &inst.codes);
-    let steps = deployment_sequence(inst.n, &inst.join_codes);
-    let d = AsId(inst.destination as u32);
-    let (policies, rungs) = (grid_policies(), grid_rungs());
-    let cells = CellSet::grid(&policies, &rungs);
-    // The duplicate spellings fold away: FakePath{0}/{1} share lanes with
-    // OriginHijack/FakeLink, so the grid dedups to 4 rungs per policy.
-    assert_eq!(cells.input_len(), policies.len() * rungs.len());
-    assert_eq!(
-        cells.lane_count(),
-        policies.len() * AttackStrategy::LADDER.len()
-    );
-    for (p, _) in policies.iter().enumerate() {
-        let row = p * rungs.len();
-        assert_eq!(
-            cells.lane_of(row + 1),
-            cells.lane_of(row + 4),
-            "FakeLink dup"
-        );
-        assert_eq!(
-            cells.lane_of(row),
-            cells.lane_of(row + 5),
-            "OriginHijack dup"
-        );
+/// One solo [`AttackDeltaEngine`] per distinct computation of a fused
+/// pair: the grid's lanes grouped as model collapse groups them (same
+/// strategy, and the same policy or, with no validators, the same LP
+/// variant). Driven in step with a [`FusedDeltaEngine`], its summed
+/// counters must equal the fused engine's.
+struct Mirror<'g> {
+    graph: &'g AsGraph,
+    comps: Vec<PolicyCell>,
+    engines: Vec<AttackDeltaEngine<'g>>,
+}
+
+impl<'g> Mirror<'g> {
+    fn new(graph: &'g AsGraph) -> Mirror<'g> {
+        Mirror {
+            graph,
+            comps: Vec::new(),
+            engines: Vec::new(),
+        }
     }
 
-    let mut engine = Engine::new(&graph);
-    let mut fresh = Engine::new(&graph);
-    let mut out = MultiOutcome::new();
-    for (k, dep) in steps.iter().enumerate() {
-        // Normal conditions (empty announcer slice) and every
-        // single-attacker scenario.
-        let mut scenarios: Vec<Vec<AsId>> = vec![Vec::new()];
-        scenarios.extend(graph.ases().filter(|&m| m != d).map(|m| vec![m]));
-        for attackers in &scenarios {
-            engine.compute_cells(d, attackers, dep, &cells, &mut out);
-            assert_eq!(out.lane_count(), cells.lane_count());
-            for (i, (p, r)) in (0..policies.len())
-                .flat_map(|p| (0..rungs.len()).map(move |r| (p, r)))
-                .enumerate()
-            {
-                let scenario = if attackers.is_empty() {
-                    AttackScenario::normal(d)
-                } else {
-                    AttackScenario::colluding(attackers, d).with_strategy(rungs[r])
-                };
-                let want = fresh.compute(scenario, dep, policies[p]);
-                let lane = cells.lane_of(i);
-                assert_outcomes_match(
-                    out.lane(lane),
-                    want,
-                    &graph,
-                    &format!(
-                        "cell {i} ({}, {}), m={attackers:?}, step {k}: {inst:?}",
-                        policies[p], rungs[r]
-                    ),
-                );
-                assert_eq!(
-                    out.happy(lane),
-                    want.count_happy(),
-                    "happy mismatch at cell {i}, m={attackers:?}, step {k}: {inst:?}"
-                );
-            }
-            // Dirty-bitset semantics: bit 0 is never set (lane 0 is the
-            // reference), and a zero bit certifies the lane agrees with
-            // lane 0 at that AS.
-            for v in graph.ases() {
-                let mask = out.dirty_mask(v);
-                assert_eq!(mask & 1, 0, "reference-lane bit set at {v}");
-                for j in 1..out.lane_count() {
-                    if mask & (1 << j) == 0 {
-                        assert_eq!(
-                            out.lane(j).route(v),
-                            out.lane(0).route(v),
-                            "clean bit but dirty route: lane {j} at {v}, step {k}"
-                        );
-                        assert_eq!(
-                            out.lane(j).next_hop(v),
-                            out.lane(0).next_hop(v),
-                            "clean bit but dirty next hop: lane {j} at {v}, step {k}"
-                        );
-                    }
-                }
+    fn begin(&mut self, cells: &CellSet, d: AsId, dep: &Deployment) {
+        let collapse = dep.full_count() == 0;
+        self.comps.clear();
+        for &cell in cells.lanes() {
+            let same = |c: &PolicyCell| {
+                c.strategy == cell.strategy
+                    && (c.policy == cell.policy
+                        || (collapse && c.policy.variant == cell.policy.variant))
+            };
+            if !self.comps.iter().any(same) {
+                self.comps.push(cell);
             }
         }
+        while self.engines.len() < self.comps.len() {
+            self.engines.push(AttackDeltaEngine::new(self.graph));
+        }
+        for (c, e) in self.comps.iter().zip(&mut self.engines) {
+            e.begin(d, dep, c.policy);
+        }
+    }
+
+    fn build_bases(&mut self) {
+        for e in &mut self.engines[..self.comps.len()] {
+            e.normal_outcome();
+        }
+    }
+
+    fn attack_set(&mut self, set: &[AsId]) {
+        for (c, e) in self.comps.iter().zip(&mut self.engines) {
+            e.attack_set(set, c.strategy);
+        }
+    }
+
+    /// Assert the fused engine took exactly the mirror's serving paths.
+    fn assert_same_path(&self, fused: &FusedDeltaEngine, ctx: &str) {
+        assert_eq!(
+            fused.computations(),
+            self.comps.len(),
+            "computations, {ctx}"
+        );
+        let mut want = DeltaStats::default();
+        for e in &self.engines {
+            want.merge(&e.stats());
+        }
+        let got = fused.delta_stats();
+        let fields = |s: &DeltaStats| {
+            [
+                s.delta_attacks,
+                s.full_recomputes,
+                s.direct_attacks,
+                s.refixed_ases,
+                s.grow_rounds,
+                s.base_computes + s.adopted_bases,
+            ]
+        };
+        assert_eq!(
+            fields(&got),
+            fields(&want),
+            "[delta, full, direct, refixed, grow, bases] counters, {ctx}"
+        );
     }
 }
 
@@ -230,13 +222,36 @@ fn check_fused_delta(inst: &Instance) {
     let d = AsId(inst.destination as u32);
     let (policies, rungs) = (grid_policies(), grid_rungs());
     let cells = CellSet::grid(&policies, &rungs);
+    // The duplicate spellings fold away: FakePath{0}/{1} share lanes with
+    // OriginHijack/FakeLink, so the grid dedups to 4 rungs per policy.
+    assert_eq!(cells.input_len(), policies.len() * rungs.len());
+    assert_eq!(
+        cells.lane_count(),
+        policies.len() * AttackStrategy::LADDER.len()
+    );
+    for p in 0..policies.len() {
+        let row = p * rungs.len();
+        assert_eq!(
+            cells.lane_of(row + 1),
+            cells.lane_of(row + 4),
+            "FakeLink dup"
+        );
+        assert_eq!(
+            cells.lane_of(row),
+            cells.lane_of(row + 5),
+            "OriginHijack dup"
+        );
+    }
     let mut fused = FusedDeltaEngine::new(&graph, cells.clone());
+    let mut mirror = Mirror::new(&graph);
     let mut solos: Vec<AttackDeltaEngine> = policies
         .iter()
         .map(|_| AttackDeltaEngine::new(&graph))
         .collect();
     for (k, dep) in steps.iter().enumerate() {
         fused.begin(d, dep);
+        mirror.begin(&cells, d, dep);
+        mirror.build_bases();
         for (p, solo) in solos.iter_mut().enumerate() {
             solo.begin(d, dep, policies[p]);
             for r in 0..rungs.len() {
@@ -254,8 +269,11 @@ fn check_fused_delta(inst: &Instance) {
                 );
             }
         }
+        mirror.assert_same_path(&fused, &format!("normal reads, step {k}: {inst:?}"));
         for m in graph.ases().filter(|&m| m != d) {
             fused.attack(m);
+            mirror.attack_set(&[m]);
+            mirror.assert_same_path(&fused, &format!("m={m}, step {k}: {inst:?}"));
             for (p, solo) in solos.iter_mut().enumerate() {
                 for (r, &rung) in rungs.iter().enumerate() {
                     let i = p * rungs.len() + r;
@@ -291,12 +309,14 @@ fn check_fused_collusion(inst: &Instance) {
     let (policies, rungs) = (grid_policies(), grid_rungs());
     let cells = CellSet::grid(&policies, &rungs);
     let mut fused = FusedDeltaEngine::new(&graph, cells.clone());
+    let mut mirror = Mirror::new(&graph);
     let mut solos: Vec<AttackDeltaEngine> = policies
         .iter()
         .map(|_| AttackDeltaEngine::new(&graph))
         .collect();
     for (k, dep) in steps.iter().enumerate().take(2) {
         fused.begin(d, dep);
+        mirror.begin(&cells, d, dep);
         for (p, solo) in solos.iter_mut().enumerate() {
             solo.begin(d, dep, policies[p]);
         }
@@ -310,6 +330,8 @@ fn check_fused_collusion(inst: &Instance) {
                     continue;
                 }
                 fused.attack_set(&set);
+                mirror.attack_set(&set);
+                mirror.assert_same_path(&fused, &format!("set={set:?}, step {k}: {inst:?}"));
                 for (p, solo) in solos.iter_mut().enumerate() {
                     for (r, &rung) in rungs.iter().enumerate() {
                         let i = p * rungs.len() + r;
@@ -495,14 +517,6 @@ proptest! {
         for reads in [reads, 0, u8::MAX] {
             check_fused_deferred(&inst, reads);
         }
-    }
-
-    /// One fused snapshot pass serves the whole grid, bit-identical to a
-    /// dedicated compute per cell, for normal conditions and every
-    /// single-attacker scenario at every deployment step.
-    #[test]
-    fn compute_cells_matches_per_cell_compute(inst in arb_instance()) {
-        check_compute_cells(&inst);
     }
 
     /// The incremental fused engine reproduces a solo delta engine per
