@@ -7,7 +7,8 @@
 //! accumulators, and adaptive growth until the requested CI half-width or
 //! pair budget is reached. They are additive — nothing here runs unless
 //! the caller asked for estimation — so the classic outputs (and their
-//! committed goldens) never move.
+//! committed goldens) never move. Each driver panics, naming the loss, on
+//! a run that lost a destination group to a panic.
 
 use sbgp_core::{AttackStrategy, Deployment, Policy, SecurityModel};
 use sbgp_topology::AsId;
@@ -30,10 +31,25 @@ pub struct EstimatedSweep {
     pub models: Vec<(SecurityModel, AdaptiveRun)>,
 }
 
+/// A figure must not silently cover a reduced sample: the in-process
+/// estimators isolate a panicking destination group and carry on, so a run
+/// that lost any group is refused here, naming the loss.
+fn complete(run: AdaptiveRun, what: &str) -> AdaptiveRun {
+    assert!(
+        run.lost_groups == 0,
+        "{what}: {} destination group(s) ({} pairs) were lost to a panic during \
+         evaluation; refusing to report an estimate over the reduced sample",
+        run.lost_groups,
+        run.lost_pairs
+    );
+    run
+}
+
 /// Estimate `H_{M',V}(S_k)` with confidence intervals along a rollout, for
 /// every security model. Attackers are the paper's non-stub set `M'`,
-/// destinations the whole population; each model's sweep stops when every
-/// step's half-width meets the target (or the budget runs out).
+/// destinations the whole population; one fused estimator pass serves all
+/// three models, and each model's sweep stops when every step's
+/// half-width meets the target (or the budget runs out).
 pub fn estimated_rollout(
     net: &Internet,
     cfg: &ExperimentConfig,
@@ -47,21 +63,21 @@ pub fn estimated_rollout(
     deployments.extend(steps.iter().map(|s| s.deployment.clone()));
     let mut step_labels = vec!["∅".to_string()];
     step_labels.extend(steps.iter().map(|s| s.label.clone()));
+    let policies = SecurityModel::ALL.map(Policy::new);
+    let runs = stats::estimate_metric_sweep_cells(
+        net,
+        &attackers,
+        &dests,
+        &deployments,
+        &policies,
+        cfg.strategy,
+        est,
+        cfg.parallelism,
+    );
     let models = SecurityModel::ALL
         .into_iter()
-        .map(|model| {
-            let run = stats::estimate_metric_sweep(
-                net,
-                &attackers,
-                &dests,
-                &deployments,
-                Policy::new(model),
-                cfg.strategy,
-                est,
-                cfg.parallelism,
-            );
-            (model, run)
-        })
+        .zip(runs)
+        .map(|(model, run)| (model, complete(run, &format!("{name} rollout, {model}"))))
         .collect();
     EstimatedSweep {
         name: name.to_string(),
@@ -78,16 +94,18 @@ pub fn estimated_baseline(
     est: &EstimatorConfig,
 ) -> AdaptiveRun {
     let pool: Vec<AsId> = net.graph.ases().collect();
-    stats::estimate_metric(
+    let run = stats::estimate_metric_cells(
         net,
         &pool,
         &pool,
         &Deployment::empty(net.len()),
-        Policy::new(SecurityModel::Security3rd),
+        &[Policy::new(SecurityModel::Security3rd)],
         cfg.strategy,
         est,
         cfg.parallelism,
     )
+    .swap_remove(0);
+    complete(run, "baseline")
 }
 
 /// Estimate the strategy ladder (per-rung and per-pair-optimal metrics)
@@ -100,16 +118,19 @@ pub fn estimated_ladder(
 ) -> LadderEstimate {
     let attackers = net.tiers.non_stubs();
     let dests: Vec<AsId> = net.graph.ases().collect();
-    stats::estimate_strategy_ladder(
+    let mut ladder = stats::estimate_strategy_ladder_cells(
         net,
         &attackers,
         &dests,
         &Deployment::empty(net.len()),
-        Policy::new(SecurityModel::Security2nd),
+        &[Policy::new(SecurityModel::Security2nd)],
         &AttackStrategy::LADDER,
         est,
         cfg.parallelism,
     )
+    .swap_remove(0);
+    ladder.run = complete(ladder.run, "strategy ladder");
+    ladder
 }
 
 #[cfg(test)]
@@ -154,6 +175,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "baseline: 2 destination group(s) (9 pairs) were lost")]
+    fn a_run_that_lost_groups_is_refused() {
+        let run = AdaptiveRun {
+            estimates: Vec::new(),
+            rounds: Vec::new(),
+            sampled: Vec::new(),
+            population: 0,
+            strata: 0,
+            lost_groups: 2,
+            lost_pairs: 9,
+        };
+        complete(run, "baseline");
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! * [`weighted_baseline`] — the §4.5 caveat: the metric reweighted by a
 //!   hypergiant-skewed traffic model.
 
-use sbgp_core::{AttackScenario, AttackStrategy, Bounds, Deployment, Policy, SecurityModel};
+use sbgp_core::{
+    AttackScenario, AttackStrategy, Bounds, CellSet, Deployment, Policy, SecurityModel,
+};
 use sbgp_proto::{Schedule, Simulator, SourceCensus};
 use sbgp_topology::AsId;
 
@@ -39,8 +41,8 @@ pub struct SecurityLadderRow {
 /// The two fake-link security-3rd rows share their `(policy, strategy)` and
 /// differ only in the growing deployment, so they are served by a single
 /// `[∅, S]` sweep (both amortization axes composed); the remaining rows
-/// change the attack strategy or the model and ride the destination-major
-/// [`runner::metric_with_strategy`] driver, which still shares each
+/// change the attack strategy or the model and are one-step runs of their
+/// own cell through [`sweep::metric_sweep_cells`], which still shares each
 /// destination's base computation across its attackers.
 pub fn rpki_value(net: &Internet, cfg: &ExperimentConfig) -> Vec<SecurityLadderRow> {
     let attackers = sample::sample_non_stubs(net, cfg.attackers, cfg.seed);
@@ -51,23 +53,20 @@ pub fn rpki_value(net: &Internet, cfg: &ExperimentConfig) -> Vec<SecurityLadderR
     let sec3 = Policy::new(SecurityModel::Security3rd);
     let sec1 = Policy::new(SecurityModel::Security1st);
 
-    let metric_with = |deployment: &Deployment, policy: Policy, strategy: AttackStrategy| {
-        runner::metric_with_strategy(net, &pairs, deployment, policy, strategy, cfg.parallelism)
+    let sweep_of = |deployments: &[Deployment], policy: Policy, strategy: AttackStrategy| {
+        let cells = CellSet::per_policy(&[policy], strategy);
+        sweep::metric_sweep_cells(net, &pairs, deployments, &cells, cfg.parallelism).swap_remove(0)
     };
-
-    let fake_link_sec3 = sweep::metric_sweep(
-        net,
-        &pairs,
+    let fake_link_sec3 = sweep_of(
         &[empty.clone(), step.deployment.clone()],
         sec3,
         AttackStrategy::FakeLink,
-        cfg.parallelism,
     );
 
     vec![
         SecurityLadderRow {
             label: "no RPKI (prefix hijack possible)".into(),
-            metric: metric_with(&empty, sec3, AttackStrategy::OriginHijack),
+            metric: sweep_of(&[empty], sec3, AttackStrategy::OriginHijack)[0],
         },
         SecurityLadderRow {
             label: "RPKI only (attacker must fake a link)".into(),
@@ -79,7 +78,7 @@ pub fn rpki_value(net: &Internet, cfg: &ExperimentConfig) -> Vec<SecurityLadderR
         },
         SecurityLadderRow {
             label: "RPKI + S*BGP at T1+T2+stubs, security 1st".into(),
-            metric: metric_with(&step.deployment, sec1, AttackStrategy::FakeLink),
+            metric: sweep_of(&[step.deployment], sec1, AttackStrategy::FakeLink)[0],
         },
     ]
 }
@@ -241,9 +240,10 @@ pub fn weighted_baseline(net: &Internet, cfg: &ExperimentConfig) -> Vec<(String,
     let policy = Policy::new(SecurityModel::Security3rd);
 
     let run = |weights: &TrafficWeights| -> Bounds {
-        let (sum, count) = runner::map_reduce_grouped(
+        let (sum, count) = runner::map_reduce(
             cfg.parallelism,
             &groups,
+            1,
             || sbgp_core::AttackDeltaEngine::new(&net.graph),
             || (Bounds::default(), 0usize),
             |delta, acc, (d, ms)| {

@@ -161,6 +161,7 @@ pub fn by_source_tier(net: &Internet, cfg: &ExperimentConfig, policy: Policy) ->
     let buckets = runner::map_reduce(
         cfg.parallelism,
         &pairs,
+        runner::PAIR_CHUNK,
         || PartitionComputer::new(&net.graph),
         || vec![sbgp_core::PartitionCounts::default(); FIGURE_TIER_ORDER.len()],
         |computer, acc, &(m, d)| {

@@ -75,7 +75,7 @@ pub fn per_destination(
 
     let mut series = Vec::with_capacity(3);
     for model in SecurityModel::ALL {
-        let counts = sweep::metric_sweep_by_destination(
+        let (counts, _) = sweep::metric_churn_by_destination(
             net,
             &attackers,
             &dests,

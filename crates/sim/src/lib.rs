@@ -10,26 +10,28 @@
 //!   enumeration is infeasible);
 //! * [`scenario`] — the §5 deployment scenarios (Tier 1+2 rollouts, CP
 //!   variants, Tier-2-only, all non-stubs, simplex-at-stubs);
-//! * [`runner`] — a `std::thread::scope` worker pool that evaluates
-//!   destination-major pair groups with one reusable
-//!   [`sbgp_core::AttackDeltaEngine`] per worker (each destination's
-//!   normal-conditions outcome is computed once and every attacker is a
-//!   contested-region patch), reducing per-chunk accumulators in a fixed
-//!   order so results are bit-identical at any thread count;
-//! * [`sweep`] — deployment-sweep runners composing both amortization
-//!   axes: per destination, the delta engine anchors each pair's first
-//!   step and a [`sbgp_core::SweepEngine`] adopted from that patch
-//!   carries the remaining deployments incrementally — in any direction:
-//!   the `metric_churn` variants serve wax-and-wane trajectories through
-//!   the engine's retraction path and surface the merged per-run
-//!   [`sbgp_core::SweepStats`];
+//! * [`runner`] — the one map-reduce: a `std::thread::scope` worker pool
+//!   that claims work items in chunks, keeps one reusable engine per
+//!   worker, and merges chunk accumulators in a fixed order so results are
+//!   bit-identical at any thread count (optionally panic-isolated);
+//! * [`sweep`] — the pair-sample runners, one cell grid along one
+//!   deployment sequence (a single policy is a one-cell grid, a single
+//!   deployment a one-step sweep), composing both amortization axes: per
+//!   destination, a fused delta engine anchors each pair's first step for
+//!   every cell and a [`sbgp_core::SweepEngine`] per lane, adopted from
+//!   that patch, carries the remaining deployments incrementally — in any
+//!   direction: the `metric_churn` variants serve wax-and-wane
+//!   trajectories through the engine's retraction path and surface the
+//!   merged per-run [`sbgp_core::SweepStats`];
 //! * [`strategy`] — strategic attackers: per-pair optimal-strategy
 //!   ladders over `k`-hop forged paths, and colluding announcer sets
 //!   served by [`sbgp_core::AttackDeltaEngine::attack_set`];
 //! * [`stats`] — the statistical estimation subsystem: tier-stratified
 //!   pair sampling with nested without-replacement prefixes, streaming
 //!   per-stratum Welford accumulators, population-weighted recombination
-//!   with confidence intervals, and adaptive sample growth;
+//!   with confidence intervals, and adaptive sample growth — one round
+//!   loop, and one kernel ([`stats::SweepCellsEval`]) that every
+//!   estimator, runner and campaign worker drives;
 //! * [`supervise`] — the crash-contained distributed campaign: a
 //!   coordinator sharding destination groups across supervised worker
 //!   processes (watchdogs, exponential-backoff respawn, K-strikes

@@ -16,13 +16,14 @@
 //! * each destination's normal-conditions base ([`CachedBase`]: outcome
 //!   plus packed preference keys) is fetched from the cache (keyed by
 //!   the exact `(destination, deployment, policy)` cell) and adopted via
-//!   [`FusedDeltaEngine::begin_with_bases`] /
+//!   [`sbgp_core::FusedDeltaEngine::begin_with_bases`] /
 //!   [`sbgp_core::AttackDeltaEngine::begin_from_base`], skipping both the
 //!   route computation and the adoption scans; misses are computed once
 //!   and harvested back into the cache;
 //! * each suspected attacker is then a contested-region **patch**, and
 //!   one fused pass serves every `(model, strategy)` cell of the query at
-//!   once;
+//!   once — through [`crate::stats::SweepCellsEval`], the one-step case
+//!   of the kernel every runner and estimator drives;
 //! * when the `attackers × destinations` pair universe is large, the
 //!   query opts into the stratified estimator (`"budget"`): tier-strata,
 //!   Feistel without-replacement sampling, Welford accumulators and
@@ -79,18 +80,19 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sbgp_core::{
-    AttackStrategy, CachedBase, CellSet, Deployment, FusedDeltaEngine, LpVariant, Policy,
-    PolicyCell, SecurityModel,
+    AttackStrategy, CachedBase, CellSet, Deployment, LpVariant, Policy, PolicyCell, SecurityModel,
 };
 use sbgp_topology::AsId;
 
-use crate::runner::{map_reduce_grouped, Parallelism};
-use crate::stats::{estimate_adaptive_cells_eval, CellEval, EstimatorConfig, PairUniverse};
+use crate::runner::{map_reduce, Parallelism};
+use crate::stats::{
+    estimate_adaptive_cells_eval, CellEval, EstimatorConfig, PairUniverse, SweepCellsEval,
+};
 use crate::supervise::{
     json_str_field, json_u64_field, json_u64s, json_value, read_frame, sanitize, write_frame,
+    JSON_WS,
 };
 use crate::Internet;
-use sbgp_core::Bounds;
 
 /// Wire-schema tag carried by every planner reply.
 pub const PLANNER_SCHEMA: &str = "planner-v1";
@@ -163,23 +165,41 @@ pub fn parse_strategy(tok: &str) -> Result<AttackStrategy, String> {
     }
 }
 
-/// Parse `"key":["a","b",...]` as a list of strings (no escapes — the
-/// planner vocabulary is plain tokens).
+/// The strings listed under `key` (JSON whitespace allowed around every
+/// token; no escapes — the planner vocabulary is plain tokens), or `None`
+/// when the key is absent or holds anything but a flat list of strings.
 fn json_str_list(text: &str, key: &str) -> Option<Vec<String>> {
-    let pat = format!("\"{key}\":[");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest.find(']')?;
-    let body = &rest[..end];
-    let mut out = Vec::new();
-    for tok in body.split(',') {
-        let tok = tok.trim();
-        if tok.is_empty() {
-            continue;
-        }
-        out.push(tok.trim_matches('"').to_string());
+    let body = json_value(text, key)?.strip_prefix('[')?;
+    let body = &body[..body.find(']')?];
+    if body.trim_matches(JSON_WS).is_empty() {
+        return Some(Vec::new());
     }
-    Some(out)
+    body.split(',')
+        .map(|tok| {
+            let tok = tok
+                .trim_matches(JSON_WS)
+                .strip_prefix('"')?
+                .strip_suffix('"')?;
+            (!tok.contains('"')).then(|| tok.to_string())
+        })
+        .collect()
+}
+
+/// The value of an optional query key: `Ok(None)` when the key is absent,
+/// an error naming the key when it is present but `read` finds no `what`
+/// there.
+fn optional<'t, T>(
+    text: &'t str,
+    key: &str,
+    what: &str,
+    read: impl FnOnce(&'t str, &str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    if json_value(text, key).is_none() {
+        return Ok(None);
+    }
+    read(text, key)
+        .map(Some)
+        .ok_or_else(|| format!("{key}: not {what}"))
 }
 
 /// Shortest-round-trip float formatting (Rust's `Display` for `f64` is
@@ -374,7 +394,8 @@ impl Query {
         if n < 3 {
             return Err(format!("graph has {n} ASes; the metric needs at least 3"));
         }
-        let id = json_u64_field(text, "id").unwrap_or(0);
+        const UINT: &str = "an unsigned integer";
+        let id = optional(text, "id", UINT, json_u64_field)?.unwrap_or(0);
         let secure = parse_ids(text, "secure", n)?;
         let simplex = parse_ids(text, "simplex", n)?;
         let attackers = parse_ids(text, "attackers", n)?;
@@ -387,18 +408,18 @@ impl Query {
         }
         reject_duplicates(&attackers, "attackers")?;
         reject_duplicates(&destinations, "destinations")?;
-        let models = match json_str_list(text, "models") {
+        let models = match optional(text, "models", "a list of strings", json_str_list)? {
             Some(toks) if !toks.is_empty() => toks
                 .iter()
                 .map(|t| parse_model(t))
                 .collect::<Result<Vec<_>, _>>()?,
             _ => vec![SecurityModel::Security3rd],
         };
-        let variant = match json_str_field(text, "variant") {
+        let variant = match optional(text, "variant", "a string", json_str_field)? {
             Some(tok) => parse_variant(tok)?,
             None => LpVariant::Standard,
         };
-        let strategies = match json_str_list(text, "strategies") {
+        let strategies = match optional(text, "strategies", "a list of strings", json_str_list)? {
             Some(toks) if !toks.is_empty() => toks
                 .iter()
                 .map(|t| parse_strategy(t))
@@ -412,14 +433,15 @@ impl Query {
                 strategies.len()
             ));
         }
-        let budget = match json_u64_field(text, "budget") {
+        let budget = match optional(text, "budget", UINT, json_u64_field)? {
             Some(0) | None => None,
             Some(b) => Some(b),
         };
-        let deadline_ms = match json_u64_field(text, "deadline_ms") {
+        let deadline_ms = match optional(text, "deadline_ms", UINT, json_u64_field)? {
             Some(0) | None => None,
             Some(ms) => Some(ms),
         };
+        let seed = optional(text, "seed", UINT, json_u64_field)?.unwrap_or(0);
         let pairs_exist = destinations
             .iter()
             .any(|d| attackers.iter().any(|m| m != d));
@@ -436,7 +458,7 @@ impl Query {
             variant,
             strategies,
             budget,
-            seed: json_u64_field(text, "seed").unwrap_or(0),
+            seed,
             deadline_ms,
         })
     }
@@ -482,66 +504,6 @@ impl Query {
 }
 
 // ---------------------------------------------------------------------------
-// Estimate-path kernel
-// ---------------------------------------------------------------------------
-
-/// [`CellEval`] kernel for one query's `(model × strategy)` grid under a
-/// single deployment, with cached-base adoption: sampled destination
-/// groups whose normal outcome is already cached anchor through
-/// [`FusedDeltaEngine::begin_with_bases`]. (The estimate path reads the
-/// cache but does not populate it — harvested bases would arrive in
-/// sample order, not query order.)
-struct GridCellsEval<'a> {
-    net: &'a Internet,
-    deployment: &'a Deployment,
-    cells: CellSet,
-    bases: HashMap<AsId, Vec<(Policy, Arc<CachedBase>)>>,
-    sources: f64,
-}
-
-impl<'a> CellEval for GridCellsEval<'a> {
-    type Worker = FusedDeltaEngine<'a>;
-
-    fn cell_stats(&self) -> Vec<usize> {
-        vec![1; self.cells.input_len()]
-    }
-
-    fn make_worker(&self) -> Self::Worker {
-        FusedDeltaEngine::new(&self.net.graph, self.cells.clone())
-    }
-
-    fn begin(&self, w: &mut Self::Worker, d: AsId) {
-        match self.bases.get(&d) {
-            Some(bases) => w.begin_with_bases(d, self.deployment, |p| {
-                bases.iter().find(|(q, _)| *q == p).map(|(_, o)| &**o)
-            }),
-            None => w.begin(d, self.deployment),
-        }
-    }
-
-    fn eval_pair(
-        &self,
-        w: &mut Self::Worker,
-        m: AsId,
-        _d: AsId,
-        emit: &mut dyn FnMut(usize, usize, Bounds),
-    ) {
-        w.attack(m);
-        for c in 0..self.cells.input_len() {
-            let (lower, upper) = w.count_happy(c);
-            emit(
-                c,
-                0,
-                Bounds {
-                    lower: lower as f64 / self.sources,
-                    upper: upper as f64 / self.sources,
-                },
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The planner
 // ---------------------------------------------------------------------------
 
@@ -554,15 +516,6 @@ struct CellAnswer {
     hw_lower: f64,
     hw_upper: f64,
     pairs: u64,
-}
-
-/// Exact-path per-destination work item: the destination plus the cached
-/// bases extracted for it (cloned up front so the parallel pass never
-/// borrows the cache).
-struct DestItem {
-    dest: AsId,
-    attackers: Vec<AsId>,
-    bases: Vec<(Policy, Arc<CachedBase>)>,
 }
 
 /// Exact-path accumulator, merged in item order (deterministic at any
@@ -778,6 +731,40 @@ impl Planner {
         }
     }
 
+    /// The cached normal-conditions bases of a query's cell grid, per
+    /// destination (destinations with none are absent), cloned so the
+    /// parallel pass owns its inputs. Probing every lane policy covers the
+    /// model-collapse representatives too: a group's representative is
+    /// always some lane's policy.
+    fn cached_bases(
+        &mut self,
+        q: &Query,
+        cells: &CellSet,
+        (full, simplex): &(Vec<AsId>, Vec<AsId>),
+    ) -> HashMap<AsId, Vec<(Policy, Arc<CachedBase>)>> {
+        let mut lane_policies: Vec<Policy> = cells.lanes().iter().map(|c| c.policy).collect();
+        lane_policies.dedup();
+        let mut bases = HashMap::new();
+        for &d in &q.destinations {
+            let found: Vec<(Policy, Arc<CachedBase>)> = lane_policies
+                .iter()
+                .filter_map(|&policy| {
+                    let key = CacheKey {
+                        dest: d,
+                        policy,
+                        full: full.clone(),
+                        simplex: simplex.clone(),
+                    };
+                    self.cache.get(&key).map(|base| (policy, base.clone()))
+                })
+                .collect();
+            if !found.is_empty() {
+                bases.insert(d, found);
+            }
+        }
+        bases
+    }
+
     /// Exact path: enumerate every `m ≠ d` pair, one fused pass per
     /// destination, bases adopted from (and harvested into) the cache.
     #[allow(clippy::type_complexity)]
@@ -789,75 +776,42 @@ impl Planner {
         let n = self.net.len();
         let dep = q.deployment(n);
         let cells = q.cell_set();
-        let (full, simplex) = q.canonical_sets();
+        let sets = q.canonical_sets();
         let key_of = |dest: AsId, policy: Policy| CacheKey {
             dest,
             policy,
-            full: full.clone(),
-            simplex: simplex.clone(),
+            full: sets.0.clone(),
+            simplex: sets.1.clone(),
         };
-
-        // Pre-extract cached bases per destination (cloned, so the
-        // parallel pass owns its inputs). Probing every lane policy
-        // covers the model-collapse representatives too: a group's
-        // representative is always some lane's policy.
-        let lane_policies: Vec<Policy> = {
-            let mut ps: Vec<Policy> = cells.lanes().iter().map(|c| c.policy).collect();
-            ps.dedup();
-            ps
-        };
-        let items: Vec<DestItem> = q
-            .destinations
-            .iter()
-            .map(|&d| {
-                let mut bases = Vec::new();
-                for &p in &lane_policies {
-                    let key = key_of(d, p);
-                    if let Some(base) = self.cache.get(&key) {
-                        bases.push((p, base.clone()));
-                    }
-                }
-                DestItem {
-                    dest: d,
-                    attackers: q.attackers.clone(),
-                    bases,
-                }
-            })
-            .collect();
-
+        let bases = self.cached_bases(q, &cells, &sets);
+        let eval = SweepCellsEval::from_cells(&self.net, std::slice::from_ref(&dep), cells.clone())
+            .with_bases(bases);
         let sources = (n - 2) as f64;
-        let graph = &self.net.graph;
         let ncells = cells.input_len();
-        let acc = map_reduce_grouped(
+        let acc = map_reduce(
             self.cfg.parallelism,
-            &items,
-            || FusedDeltaEngine::new(graph, cells.clone()),
+            &q.destinations,
+            1,
+            || eval.make_worker(),
             || ExactAcc::new(ncells),
-            |fused, acc, item| {
+            |w, acc, &d| {
                 if let Some(dl) = deadline {
                     if Instant::now() >= dl {
                         acc.timed_out = true;
                         return;
                     }
                 }
-                fused.begin_with_bases(item.dest, &dep, |p| {
-                    item.bases.iter().find(|(q, _)| *q == p).map(|(_, o)| &**o)
-                });
-                for (p, base) in fused.export_bases() {
-                    if !item.bases.iter().any(|(q, _)| *q == p) {
-                        acc.harvest.push((item.dest, p, Arc::new(base)));
+                eval.begin(w, d);
+                for (p, base) in w.0.export_bases() {
+                    if !eval.has_base(d, p) {
+                        acc.harvest.push((d, p, Arc::new(base)));
                     }
                 }
-                for &m in &item.attackers {
-                    if m == item.dest {
-                        continue;
-                    }
-                    fused.attack(m);
-                    for c in 0..ncells {
-                        let (lower, upper) = fused.count_happy(c);
+                for &m in q.attackers.iter().filter(|&&m| m != d) {
+                    eval.serve_pair(w, m, d, &mut |c, _, (lower, upper)| {
                         acc.lower[c] += lower as f64 / sources;
                         acc.upper[c] += upper as f64 / sources;
-                    }
+                    });
                     acc.pairs += 1;
                 }
             },
@@ -911,44 +865,18 @@ impl Planner {
                 ));
             }
         }
-        let n = self.net.len();
-        let dep = q.deployment(n);
+        let dep = q.deployment(self.net.len());
         let cells = q.cell_set();
-        let (full, simplex) = q.canonical_sets();
-        let lane_policies: Vec<Policy> = {
-            let mut ps: Vec<Policy> = cells.lanes().iter().map(|c| c.policy).collect();
-            ps.dedup();
-            ps
-        };
-        let mut bases: HashMap<AsId, Vec<(Policy, Arc<CachedBase>)>> = HashMap::new();
-        for &d in &q.destinations {
-            let mut found = Vec::new();
-            for &p in &lane_policies {
-                let key = CacheKey {
-                    dest: d,
-                    policy: p,
-                    full: full.clone(),
-                    simplex: simplex.clone(),
-                };
-                if let Some(base) = self.cache.get(&key) {
-                    found.push((p, base.clone()));
-                }
-            }
-            if !found.is_empty() {
-                bases.insert(d, found);
-            }
-        }
+        let bases = self.cached_bases(q, &cells, &q.canonical_sets());
         let universe = PairUniverse::new(&self.net, &q.attackers, &q.destinations);
         if universe.population() == 0 {
             return Err("no valid pairs in the estimation universe".into());
         }
-        let eval = GridCellsEval {
-            net: &self.net,
-            deployment: &dep,
-            cells: cells.clone(),
-            bases,
-            sources: (n - 2).max(1) as f64,
-        };
+        // Sampled destination groups whose normal outcome is cached adopt
+        // it. (The estimate path reads the cache but does not populate it:
+        // harvested bases would arrive in sample order, not query order.)
+        let eval = SweepCellsEval::from_cells(&self.net, std::slice::from_ref(&dep), cells.clone())
+            .with_bases(bases);
         let cfg = EstimatorConfig::with_budget(budget, q.seed);
         let runs = estimate_adaptive_cells_eval(&universe, &cfg, &eval, self.cfg.parallelism);
         let mut pairs = 0;
@@ -1069,7 +997,39 @@ mod tests {
             let q = Query::parse(frame, n).unwrap();
             assert_eq!(q.secure, vec![AsId(1), AsId(2)], "{frame}");
         }
-        // A present key holding no valid id list is an error naming it.
+        // Python's default `json.dumps` separators (", " and ": ") parse
+        // exactly like the compact form.
+        let spaced = Query::parse(
+            "{\"op\": \"query\", \"attackers\": [1], \"destinations\": [2], \
+             \"models\": [\"sec1\"], \"variant\": \"lp2\", \"budget\": 500, \"seed\": 9}",
+            n,
+        )
+        .unwrap();
+        let compact = Query::parse(
+            "{\"op\":\"query\",\"attackers\":[1],\"destinations\":[2],\
+             \"models\":[\"sec1\"],\"variant\":\"lp2\",\"budget\":500,\"seed\":9}",
+            n,
+        )
+        .unwrap();
+        assert_eq!(format!("{spaced:?}"), format!("{compact:?}"));
+        assert_eq!(spaced.models, vec![SecurityModel::Security1st]);
+        assert_eq!(spaced.variant, LpVariant::LpK(2));
+        assert_eq!(spaced.budget, Some(500));
+        assert_eq!(spaced.seed, 9);
+        let listed = Query::parse(
+            "{\"attackers\": [1], \"destinations\": [2], \
+             \"models\" : [ \"sec1\" , \"sec2\" ], \"strategies\": [\"hijack\"], \"id\": 4}",
+            n,
+        )
+        .unwrap();
+        assert_eq!(
+            listed.models,
+            vec![SecurityModel::Security1st, SecurityModel::Security2nd]
+        );
+        assert_eq!(listed.strategies, vec![AttackStrategy::OriginHijack]);
+        assert_eq!(listed.id, 4);
+
+        // A present key holding no valid value is an error naming it.
         for (frame, key) in [
             (
                 "{\"op\":\"query\",\"secure\":[1,x],\"attackers\":[5],\"destinations\":[9]}",
@@ -1078,6 +1038,34 @@ mod tests {
             (
                 "{\"op\":\"query\",\"attackers\":[18446744073709551621],\"destinations\":[9]}",
                 "attackers",
+            ),
+            (
+                "{\"attackers\":[5],\"destinations\":[9],\"budget\": \"x\"}",
+                "budget",
+            ),
+            (
+                "{\"attackers\":[5],\"destinations\":[9],\"models\": \"sec1\"}",
+                "models",
+            ),
+            (
+                "{\"attackers\":[5],\"destinations\":[9],\"strategies\":[hijack]}",
+                "strategies",
+            ),
+            (
+                "{\"attackers\":[5],\"destinations\":[9],\"variant\":2}",
+                "variant",
+            ),
+            (
+                "{\"attackers\":[5],\"destinations\":[9],\"seed\":-1}",
+                "seed",
+            ),
+            (
+                "{\"attackers\":[5],\"destinations\":[9],\"deadline_ms\":1.5}",
+                "deadline_ms",
+            ),
+            (
+                "{\"id\":\"7\",\"attackers\":[5],\"destinations\":[9]}",
+                "id",
             ),
         ] {
             let err = Query::parse(frame, n).unwrap_err();

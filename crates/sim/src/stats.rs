@@ -37,31 +37,39 @@
 //!   full budget — where the estimate *equals* the exhaustive value
 //!   (`tests/estimator_conformance.rs` pins both properties against
 //!   [`crate::sample::pairs_exhaustive`]).
-//! * [`estimate_adaptive`] grows the sample in seeded, deterministic
+//! * [`estimate_adaptive_cells`] grows the sample in seeded, deterministic
 //!   doubling rounds until the widest confidence half-width hits
 //!   [`EstimatorConfig::ci_target`] or the pair budget is exhausted. The
 //!   round schedule does not depend on the target, so a tighter target
 //!   stops at a later round and its sample is a **superset** of every
-//!   looser target's sample.
-//! * The fused multi-cell drivers ([`estimate_metric_cells`],
-//!   [`estimate_metric_sweep_cells`], [`estimate_strategy_ladder_cells`])
-//!   run *every policy* of a figure through one
-//!   [`sbgp_core::FusedDeltaEngine`] per worker, sharing the sample stream
-//!   and the normal-conditions bases across cells. Because the sampling
-//!   schedule depends only on the universe and the seed — never on the
-//!   policy — each cell can stop at its own round and still reproduce its
-//!   solo estimator **bit for bit** ([`estimate_adaptive_cells`]).
+//!   looser target's sample. One round loop serves every estimator, in
+//!   process and across the supervised worker fleet
+//!   ([`crate::supervise::estimate_adaptive_supervised`]): a round's
+//!   destination groups fold in group order into a fresh round
+//!   accumulator, which then merges into the persistent state.
+//! * Every estimator is multi-cell ([`estimate_metric_cells`],
+//!   [`estimate_metric_sweep_cells`], [`estimate_strategy_ladder_cells`]);
+//!   a single policy is a one-cell run. They run *every policy* of a
+//!   figure through one [`sbgp_core::FusedDeltaEngine`] per worker,
+//!   sharing the sample stream and the normal-conditions bases across
+//!   cells. Because the sampling schedule depends only on the universe and
+//!   the seed — never on the policy — each cell can stop at its own round
+//!   and still reproduce its one-cell run **bit for bit**.
+//! * [`SweepCellsEval`] is the one kernel that serves a destination group
+//!   along a deployment sequence; the pair-sample runners of
+//!   [`crate::sweep`] fold its raw happy counts.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use sbgp_core::{
-    AttackDeltaEngine, AttackScenario, AttackStrategy, Bounds, CellSet, Deployment,
-    FusedDeltaEngine, Policy, SweepEngine,
+    AttackScenario, AttackStrategy, Bounds, CachedBase, CellSet, Deployment, FusedDeltaEngine,
+    Policy, SweepEngine, SweepStats,
 };
 use sbgp_topology::tier::{Tier, FIGURE_TIER_ORDER};
 use sbgp_topology::AsId;
 
-use crate::runner::{map_reduce_grouped, map_reduce_grouped_isolated, Parallelism};
+use crate::runner::{map_reduce_isolated, Parallelism};
 use crate::Internet;
 
 /// The default two-sided 95% normal quantile.
@@ -520,7 +528,7 @@ impl Estimate {
 /// reached every stratum. Fully enumerated strata contribute zero variance
 /// (finite-population correction); strata with a single observation
 /// contribute their weight but no variance estimate.
-pub(crate) fn recombine(universe: &PairUniverse, stats: &[StratumStats], z: f64) -> Estimate {
+fn recombine(universe: &PairUniverse, stats: &[StratumStats], z: f64) -> Estimate {
     let mut covered = 0u64;
     let mut pairs = 0u64;
     for (s, acc) in universe.strata.iter().zip(stats) {
@@ -563,7 +571,7 @@ pub(crate) fn recombine(universe: &PairUniverse, stats: &[StratumStats], z: f64)
 // Adaptive estimation driver
 // ---------------------------------------------------------------------------
 
-/// Configuration for [`estimate_adaptive`] and its wrappers.
+/// Configuration for [`estimate_adaptive_cells`] and its wrappers.
 #[derive(Clone, Copy, Debug)]
 pub struct EstimatorConfig {
     /// Stop once every tracked statistic's confidence half-width is at or
@@ -641,11 +649,17 @@ impl AdaptiveRun {
     }
 }
 
-/// Group tagged pairs destination-major (first-appearance order), keeping
-/// each attacker's stratum tag — the shape the delta engine amortizes.
-pub(crate) fn group_tagged_by_destination(pairs: &[TaggedPair]) -> Vec<(AsId, Vec<(AsId, usize)>)> {
+/// One round's destination group: the destination and its attackers, each
+/// with its stratum tag — the shape the delta engine amortizes.
+pub(crate) type DestGroup = (AsId, Vec<(AsId, usize)>);
+
+/// Accumulators indexed `[cell][statistic][stratum]`.
+pub(crate) type CellStrata = Vec<Vec<Vec<StratumStats>>>;
+
+/// Group tagged pairs destination-major (first-appearance order).
+fn group_tagged_by_destination(pairs: &[TaggedPair]) -> Vec<DestGroup> {
     let mut index: HashMap<AsId, usize> = HashMap::new();
-    let mut groups: Vec<(AsId, Vec<(AsId, usize)>)> = Vec::new();
+    let mut groups: Vec<DestGroup> = Vec::new();
     for p in pairs {
         let slot = *index.entry(p.dest).or_insert_with(|| {
             groups.push((p.dest, Vec::new()));
@@ -656,131 +670,43 @@ pub(crate) fn group_tagged_by_destination(pairs: &[TaggedPair]) -> Vec<(AsId, Ve
     groups
 }
 
-/// The generic adaptive estimation loop.
-///
-/// `stat_count` statistics are tracked per pair (for a deployment sweep,
-/// one per step; for a strategy ladder, one per rung plus the optimum).
-/// `begin_destination` runs once per destination group on the worker's
-/// scratch (typically an engine `begin`); `eval_pair` evaluates one
-/// `(m, d)` pair and emits each statistic's `Bounds` through the callback
-/// (indices `0..stat_count`, at most once each per pair).
-///
-/// Rounds double the cumulative sample-size target from
-/// [`EstimatorConfig::initial`] until the CI target is met or the budget
-/// (clamped to the population) is exhausted. Every round's increment is
-/// evaluated through [`map_reduce_grouped`] with chunk-order merging, and
-/// round accumulators merge into the persistent per-stratum state in round
-/// order — so the whole run is bit-identical at any thread count.
-pub fn estimate_adaptive<W>(
-    universe: &PairUniverse,
-    cfg: &EstimatorConfig,
-    stat_count: usize,
-    par: Parallelism,
-    make_worker: impl Fn() -> W + Sync,
-    begin_destination: impl Fn(&mut W, AsId) + Sync,
-    eval_pair: impl Fn(&mut W, AsId, AsId, &mut dyn FnMut(usize, Bounds)) + Sync,
-) -> AdaptiveRun {
-    let nstrata = universe.strata().len();
-    let budget = cfg.budget.min(universe.population());
-    let mut run = AdaptiveRun {
-        estimates: vec![Estimate::default(); stat_count],
-        rounds: Vec::new(),
-        sampled: Vec::new(),
-        population: universe.population(),
-        strata: nstrata,
-        lost_groups: 0,
-        lost_pairs: 0,
-    };
-    if budget == 0 || stat_count == 0 {
-        return run;
-    }
-    let sampler = StratifiedSampler::new(universe, cfg.seed);
-    let initial = if cfg.initial == 0 {
-        (2 * nstrata as u64).max(64)
-    } else {
-        cfg.initial
-    };
-    let mut counts = vec![0u64; nstrata];
-    let mut persistent: Vec<Vec<StratumStats>> =
-        vec![vec![StratumStats::default(); nstrata]; stat_count];
-    let mut target = initial.min(budget);
-    loop {
-        let prev = counts.clone();
-        universe.allocate_into(&mut counts, target);
-        let incr = sampler.increment(&prev, &counts);
-        let groups = group_tagged_by_destination(&incr);
-        let round = map_reduce_grouped(
-            par,
-            &groups,
-            &make_worker,
-            || vec![vec![StratumStats::default(); nstrata]; stat_count],
-            |worker, acc, (d, attackers)| {
-                begin_destination(worker, *d);
-                for &(m, h) in attackers {
-                    eval_pair(worker, m, *d, &mut |k, b| acc[k][h].push(b));
-                }
-            },
-            |a, b| {
-                for (xs, ys) in a.iter_mut().zip(b) {
-                    for (x, y) in xs.iter_mut().zip(ys) {
-                        x.merge(y);
-                    }
-                }
-            },
-        );
-        for (p, r) in persistent.iter_mut().zip(round) {
-            for (x, y) in p.iter_mut().zip(r) {
+/// Empty accumulators for `cell_stats[c]` statistics per cell.
+pub(crate) fn empty_strata(cell_stats: &[usize], nstrata: usize) -> CellStrata {
+    cell_stats
+        .iter()
+        .map(|&k| vec![vec![StratumStats::default(); nstrata]; k])
+        .collect()
+}
+
+/// Chan-merge `from` into `into`, accumulator by accumulator.
+pub(crate) fn merge_strata(into: &mut CellStrata, from: CellStrata) {
+    for (cell_a, cell_b) in into.iter_mut().zip(from) {
+        for (xs, ys) in cell_a.iter_mut().zip(cell_b) {
+            for (x, y) in xs.iter_mut().zip(ys) {
                 x.merge(y);
             }
         }
-        run.sampled
-            .extend(incr.iter().map(|p| (p.attacker, p.dest)));
-        run.estimates = persistent
-            .iter()
-            .map(|stats| recombine(universe, stats, cfg.z))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        run.rounds.push(RoundTrace {
-            pairs: total,
-            max_halfwidth: run.max_halfwidth(),
-        });
-        let ci_met = cfg.ci_target.is_some_and(|t| run.max_halfwidth() <= t);
-        if ci_met || total >= budget {
-            return run;
-        }
-        target = (total * 2).min(budget);
     }
 }
 
-/// The multi-cell generalization of [`estimate_adaptive`]: `cell_stats[c]`
-/// statistics are tracked for each of several *cells* (policy × figure
-/// lanes sharing one worker), and every cell stops **on its own schedule**.
+/// The adaptive round loop, shared by the in-process estimators and the
+/// supervised campaign ([`crate::supervise::estimate_adaptive_supervised`]).
 ///
-/// The round schedule — allocation targets, per-stratum counts, sampled
-/// pairs — depends only on the universe and `cfg`, never on the observed
-/// statistics, so cell `c`'s solo run ([`estimate_adaptive`] with
-/// `stat_count = cell_stats[c]`) executes a *prefix* of the fused rounds.
-/// The driver freezes each cell's accumulators, sample list and trajectory
-/// at exactly the round where its solo run would stop (its CI target met,
-/// or the shared budget exhausted), so each returned [`AdaptiveRun`] is
-/// bit-identical to the solo run's. Evaluation for already-stopped cells
-/// still happens (the fused engine serves all lanes in one call; the
-/// marginal cost is the point) — its emissions are simply not folded.
-///
-/// Evaluation is **panic-isolated**
-/// ([`map_reduce_grouped_isolated`]): a destination group that
-/// panics mid-evaluation is dropped from every active cell (tracked in
-/// [`AdaptiveRun::lost_groups`] / [`AdaptiveRun::lost_pairs`]) instead of
-/// aborting the whole run. With no panics the isolation is free and the
-/// results are unchanged, bit for bit.
-pub fn estimate_adaptive_cells<W>(
+/// Rounds double the cumulative sample-size target from
+/// [`EstimatorConfig::initial`]; each round's increment is grouped
+/// destination-major and handed to `eval_round(groups, active)`, which
+/// returns the round's accumulators — the surviving groups folded **in
+/// group order** into a fresh accumulator, with nothing folded for the
+/// cells that are no longer `active` — plus the indices of the groups it
+/// lost. That round accumulator then merges into the persistent state.
+/// This is the only merge order, so the in-process pool and any worker
+/// fleet produce the same bits. Each cell stops on its own round: its CI
+/// target met, or the budget exhausted.
+pub(crate) fn adaptive_rounds(
     universe: &PairUniverse,
     cfg: &EstimatorConfig,
     cell_stats: &[usize],
-    par: Parallelism,
-    make_worker: impl Fn() -> W + Sync,
-    begin_destination: impl Fn(&mut W, AsId) + Sync,
-    eval_pair: impl Fn(&mut W, AsId, AsId, &mut dyn FnMut(usize, usize, Bounds)) + Sync,
+    mut eval_round: impl FnMut(&[DestGroup], &[bool]) -> (CellStrata, Vec<usize>),
 ) -> Vec<AdaptiveRun> {
     let nstrata = universe.strata().len();
     let budget = cfg.budget.min(universe.population());
@@ -796,7 +722,7 @@ pub fn estimate_adaptive_cells<W>(
             lost_pairs: 0,
         })
         .collect();
-    // A zero-stat cell is done before sampling, exactly like its solo run.
+    // A zero-stat cell is done before sampling.
     let mut active: Vec<bool> = cell_stats.iter().map(|&k| k > 0 && budget > 0).collect();
     if !active.iter().any(|&a| a) {
         return runs;
@@ -808,76 +734,32 @@ pub fn estimate_adaptive_cells<W>(
         cfg.initial
     };
     let mut counts = vec![0u64; nstrata];
-    let mut persistent: Vec<Vec<Vec<StratumStats>>> = cell_stats
-        .iter()
-        .map(|&k| vec![vec![StratumStats::default(); nstrata]; k])
-        .collect();
+    let mut persistent = empty_strata(cell_stats, nstrata);
     let mut target = initial.min(budget);
     loop {
         let prev = counts.clone();
         universe.allocate_into(&mut counts, target);
         let incr = sampler.increment(&prev, &counts);
         let groups = group_tagged_by_destination(&incr);
-        let active_now = &active;
-        let (round, poisoned) = map_reduce_grouped_isolated(
-            par,
-            &groups,
-            &make_worker,
-            || {
-                cell_stats
-                    .iter()
-                    .map(|&k| vec![vec![StratumStats::default(); nstrata]; k])
-                    .collect::<Vec<_>>()
-            },
-            |worker, acc, (d, attackers)| {
-                begin_destination(worker, *d);
-                for &(m, h) in attackers {
-                    eval_pair(worker, m, *d, &mut |c, k, b| {
-                        if active_now[c] {
-                            acc[c][k][h].push(b);
-                        }
-                    });
-                }
-            },
-            |a, b| {
-                for (cell_a, cell_b) in a.iter_mut().zip(b) {
-                    for (xs, ys) in cell_a.iter_mut().zip(cell_b) {
-                        for (x, y) in xs.iter_mut().zip(ys) {
-                            x.merge(y);
-                        }
-                    }
-                }
-            },
-        );
-        for (p, r) in persistent.iter_mut().zip(round) {
-            for (xs, ys) in p.iter_mut().zip(r) {
-                for (x, y) in xs.iter_mut().zip(ys) {
-                    x.merge(y);
-                }
-            }
-        }
-        // Pairs of poisoned groups never reached an accumulator: drop
-        // them from every active cell's sample and mark the loss, so the
+        let (round, poisoned) = eval_round(&groups, &active);
+        merge_strata(&mut persistent, round);
+        // Pairs of lost groups never reached an accumulator: drop them
+        // from every active cell's sample and mark the loss, so the
         // estimates and the sample list stay consistent.
-        let lost: std::collections::HashSet<AsId> = poisoned.iter().map(|&g| groups[g].0).collect();
+        let lost: HashSet<AsId> = poisoned.iter().map(|&g| groups[g].0).collect();
         let lost_pairs: u64 = poisoned.iter().map(|&g| groups[g].1.len() as u64).sum();
         let total: u64 = counts.iter().sum();
         for (c, run) in runs.iter_mut().enumerate() {
             if !active[c] {
                 continue;
             }
-            if lost.is_empty() {
-                run.sampled
-                    .extend(incr.iter().map(|p| (p.attacker, p.dest)));
-            } else {
-                run.sampled.extend(
-                    incr.iter()
-                        .filter(|p| !lost.contains(&p.dest))
-                        .map(|p| (p.attacker, p.dest)),
-                );
-                run.lost_groups += poisoned.len() as u64;
-                run.lost_pairs += lost_pairs;
-            }
+            run.sampled.extend(
+                incr.iter()
+                    .filter(|p| !lost.contains(&p.dest))
+                    .map(|p| (p.attacker, p.dest)),
+            );
+            run.lost_groups += poisoned.len() as u64;
+            run.lost_pairs += lost_pairs;
             run.estimates = persistent[c]
                 .iter()
                 .map(|stats| recombine(universe, stats, cfg.z))
@@ -898,173 +780,66 @@ pub fn estimate_adaptive_cells<W>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Concrete estimators
-// ---------------------------------------------------------------------------
-
-/// Estimate `H_{M,D}(S)` with a confidence interval (a one-step
-/// [`estimate_metric_sweep`]); `estimates[0]` is the metric.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_metric(
-    net: &Internet,
-    attacker_pool: &[AsId],
-    dest_pool: &[AsId],
-    deployment: &Deployment,
-    policy: Policy,
-    strategy: AttackStrategy,
+/// The in-process adaptive estimator: `cell_stats[c]` statistics are
+/// tracked for each of several *cells* (policy × figure lanes sharing one
+/// worker; for a deployment sweep, one statistic per step; for a strategy
+/// ladder, one per rung plus the optimum), and every cell stops **on its
+/// own schedule**. `begin_destination` runs once per destination group on
+/// the worker's scratch (typically an engine `begin`); `eval_pair`
+/// evaluates one `(m, d)` pair and emits `(cell, statistic, value)`
+/// triples (each statistic at most once per pair).
+///
+/// The round schedule — allocation targets, per-stratum counts, sampled
+/// pairs — depends only on the universe and `cfg`, never on the observed
+/// statistics, so a one-cell run of cell `c` executes a *prefix* of the
+/// multi-cell rounds. Each cell's accumulators, sample list and trajectory
+/// freeze at exactly the round where its own run would stop, so every
+/// returned [`AdaptiveRun`] is bit-identical to the one-cell run of that
+/// cell. Evaluation for already-stopped cells still happens (the fused
+/// engine serves all lanes in one call; the marginal cost is the point) —
+/// its emissions are simply not folded. Every round's groups are evaluated
+/// through [`map_reduce_isolated`] with group-order merging, so the whole
+/// run is bit-identical at any thread count.
+///
+/// Evaluation is **panic-isolated**: a destination group that panics
+/// mid-evaluation is dropped from every active cell (tracked in
+/// [`AdaptiveRun::lost_groups`] / [`AdaptiveRun::lost_pairs`]) instead of
+/// aborting the whole run. With no panics the isolation is free and the
+/// results are unchanged, bit for bit.
+pub fn estimate_adaptive_cells<W>(
+    universe: &PairUniverse,
     cfg: &EstimatorConfig,
+    cell_stats: &[usize],
     par: Parallelism,
-) -> AdaptiveRun {
-    estimate_metric_sweep(
-        net,
-        attacker_pool,
-        dest_pool,
-        std::slice::from_ref(deployment),
-        policy,
-        strategy,
-        cfg,
-        par,
-    )
-}
-
-/// Estimate `H_{M,D}(S_k)` for every deployment of a sweep, with one
-/// confidence interval per step. Adaptive stopping watches the *widest*
-/// half-width across steps, so every step meets the target. Rides the same
-/// two-axis amortization as [`crate::sweep::metric_sweep`]: each
-/// destination group's first step is an [`AttackDeltaEngine`] patch and the
-/// remaining steps a [`SweepEngine`] adoption.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_metric_sweep(
-    net: &Internet,
-    attacker_pool: &[AsId],
-    dest_pool: &[AsId],
-    deployments: &[Deployment],
-    policy: Policy,
-    strategy: AttackStrategy,
-    cfg: &EstimatorConfig,
-    par: Parallelism,
-) -> AdaptiveRun {
-    let universe = PairUniverse::new(net, attacker_pool, dest_pool);
-    let sources = (net.graph.len() - 2).max(1) as f64;
-    let fraction = move |(lower, upper): (usize, usize)| Bounds {
-        lower: lower as f64 / sources,
-        upper: upper as f64 / sources,
-    };
-    estimate_adaptive(
-        &universe,
-        cfg,
-        deployments.len(),
-        par,
-        || {
-            (
-                SweepEngine::new(&net.graph),
-                AttackDeltaEngine::new(&net.graph),
-            )
-        },
-        |(_, delta), d| {
-            if let Some(first) = deployments.first() {
-                delta.begin(d, first, policy);
-            }
-        },
-        |(sweep, delta), m, d, emit| {
-            delta.attack(m, strategy);
-            emit(0, fraction(delta.count_happy()));
-            if deployments.len() > 1 {
-                let scenario = AttackScenario::attack(m, d).with_strategy(strategy);
-                sweep.begin_from(
-                    scenario,
-                    policy,
-                    &deployments[0],
-                    delta.last_outcome(),
-                    delta.count_happy(),
-                );
-                for (k, dep) in deployments.iter().enumerate().skip(1) {
-                    sweep.advance(dep);
-                    emit(k, fraction(sweep.count_happy()));
+    make_worker: impl Fn() -> W + Sync,
+    begin_destination: impl Fn(&mut W, AsId) + Sync,
+    eval_pair: impl Fn(&mut W, AsId, AsId, &mut dyn FnMut(usize, usize, Bounds)) + Sync,
+) -> Vec<AdaptiveRun> {
+    let nstrata = universe.strata().len();
+    adaptive_rounds(universe, cfg, cell_stats, |groups, active| {
+        map_reduce_isolated(
+            par,
+            groups,
+            1,
+            &make_worker,
+            || empty_strata(cell_stats, nstrata),
+            |worker, acc, (d, attackers)| {
+                begin_destination(worker, *d);
+                for &(m, h) in attackers {
+                    eval_pair(worker, m, *d, &mut |c, k, b| {
+                        if active[c] {
+                            acc[c][k][h].push(b);
+                        }
+                    });
                 }
-            }
-        },
-    )
-}
-
-/// A strategy ladder with confidence intervals: per-rung estimates plus the
-/// per-pair damage-maximizing choice (the statistic
-/// [`crate::strategy::metric_strategy_ladder`] reports as `optimal`).
-#[derive(Clone, Debug)]
-pub struct LadderEstimate {
-    /// The evaluated rungs.
-    pub rungs: Vec<AttackStrategy>,
-    /// One estimate per rung.
-    pub per_rung: Vec<Estimate>,
-    /// The per-pair optimal-rung estimate.
-    pub optimal: Estimate,
-    /// The underlying adaptive run (trajectory, sample, population).
-    pub run: AdaptiveRun,
-}
-
-/// Estimate every rung of a strategy ladder and the per-pair optimum, with
-/// confidence intervals, under one deployment.
-///
-/// # Panics
-///
-/// Panics when `rungs` is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_strategy_ladder(
-    net: &Internet,
-    attacker_pool: &[AsId],
-    dest_pool: &[AsId],
-    deployment: &Deployment,
-    policy: Policy,
-    rungs: &[AttackStrategy],
-    cfg: &EstimatorConfig,
-    par: Parallelism,
-) -> LadderEstimate {
-    assert!(!rungs.is_empty(), "the ladder needs at least one rung");
-    let universe = PairUniverse::new(net, attacker_pool, dest_pool);
-    let sources = (net.graph.len() - 2).max(1) as f64;
-    let run = estimate_adaptive(
-        &universe,
-        cfg,
-        rungs.len() + 1,
-        par,
-        || AttackDeltaEngine::new(&net.graph),
-        |delta, d| delta.begin(d, deployment, policy),
-        |delta, m, _d, emit| {
-            let mut best = (usize::MAX, usize::MAX);
-            for (r, &strategy) in rungs.iter().enumerate() {
-                delta.attack(m, strategy);
-                let (lower, upper) = delta.count_happy();
-                emit(
-                    r,
-                    Bounds {
-                        lower: lower as f64 / sources,
-                        upper: upper as f64 / sources,
-                    },
-                );
-                best = best.min((lower, upper));
-            }
-            emit(
-                rungs.len(),
-                Bounds {
-                    lower: best.0 as f64 / sources,
-                    upper: best.1 as f64 / sources,
-                },
-            );
-        },
-    );
-    // `run` keeps the full statistics vector (per rung, optimal last) so
-    // its trajectory and max half-width stay meaningful to callers.
-    let optimal = *run.estimates.last().expect("rungs is nonempty");
-    LadderEstimate {
-        rungs: rungs.to_vec(),
-        per_rung: run.estimates[..rungs.len()].to_vec(),
-        optimal,
-        run,
-    }
+            },
+            merge_strata,
+        )
+    })
 }
 
 // ---------------------------------------------------------------------------
-// Fused multi-cell estimators (one engine pass serves every policy)
+// Cell kernels and concrete estimators (one engine pass serves every policy)
 // ---------------------------------------------------------------------------
 
 /// A figure's multi-cell evaluation kernel, factored out of the closures
@@ -1115,16 +890,23 @@ pub fn estimate_adaptive_cells_eval<E: CellEval>(
     )
 }
 
-/// The deployment-sweep kernel behind [`estimate_metric_sweep_cells`]
-/// (and, with a single deployment, [`estimate_metric_cells`]): one fused
-/// patch per pair serves every policy lane's first step, and a per-lane
-/// [`SweepEngine`] adopted from the fused outcome carries the remaining
-/// deployments.
+/// The one kernel that serves a destination group along a deployment
+/// sequence, for every cell of a [`CellSet`]: one fused patch per pair
+/// serves every policy lane's first step, and a per-lane [`SweepEngine`]
+/// adopted from the fused outcome carries the remaining deployments.
+///
+/// It drives [`estimate_metric_sweep_cells`] (and, with a single
+/// deployment, [`estimate_metric_cells`]) as a [`CellEval`], the
+/// supervised campaign workers, the planner's estimate path (which also
+/// adopts cached normal-conditions bases), and every pair-sample runner of
+/// [`crate::sweep`], which fold its raw per-pair happy counts instead of
+/// fractions.
 pub struct SweepCellsEval<'a> {
     net: &'a Internet,
     deployments: &'a [Deployment],
     cells: CellSet,
-    npolicies: usize,
+    /// Cached first-step bases per destination, adopted at `begin`.
+    bases: HashMap<AsId, Vec<(Policy, Arc<CachedBase>)>>,
     sources: f64,
 }
 
@@ -1136,56 +918,61 @@ impl<'a> SweepCellsEval<'a> {
         policies: &[Policy],
         strategy: AttackStrategy,
     ) -> SweepCellsEval<'a> {
+        SweepCellsEval::from_cells(net, deployments, CellSet::per_policy(policies, strategy))
+    }
+
+    /// Build the kernel for an arbitrary cell grid.
+    pub(crate) fn from_cells(
+        net: &'a Internet,
+        deployments: &'a [Deployment],
+        cells: CellSet,
+    ) -> SweepCellsEval<'a> {
         SweepCellsEval {
             net,
             deployments,
-            cells: CellSet::per_policy(policies, strategy),
-            npolicies: policies.len(),
+            cells,
+            bases: HashMap::new(),
             sources: (net.graph.len() - 2).max(1) as f64,
         }
     }
 
-    fn fraction(&self, (lower, upper): (usize, usize)) -> Bounds {
-        Bounds {
-            lower: lower as f64 / self.sources,
-            upper: upper as f64 / self.sources,
-        }
-    }
-}
-
-impl<'a> CellEval for SweepCellsEval<'a> {
-    type Worker = (FusedDeltaEngine<'a>, Vec<SweepEngine<'a>>);
-
-    fn cell_stats(&self) -> Vec<usize> {
-        vec![self.deployments.len(); self.npolicies]
+    /// Adopt `bases[d]` — bases exported earlier from the same
+    /// `(d, first deployment, policy)` cells — when anchoring on `d`,
+    /// instead of computing them (see
+    /// [`FusedDeltaEngine::begin_with_bases`]; results are unchanged).
+    pub(crate) fn with_bases(
+        mut self,
+        bases: HashMap<AsId, Vec<(Policy, Arc<CachedBase>)>>,
+    ) -> SweepCellsEval<'a> {
+        self.bases = bases;
+        self
     }
 
-    fn make_worker(&self) -> Self::Worker {
-        let sweeps: Vec<SweepEngine> = (0..self.cells.lane_count())
-            .map(|_| SweepEngine::new(&self.net.graph))
-            .collect();
-        (
-            FusedDeltaEngine::new(&self.net.graph, self.cells.clone()),
-            sweeps,
-        )
+    /// Whether [`SweepCellsEval::with_bases`] supplied destination `d`'s
+    /// base for `policy`.
+    pub(crate) fn has_base(&self, d: AsId, policy: Policy) -> bool {
+        self.bases
+            .get(&d)
+            .is_some_and(|bases| bases.iter().any(|(p, _)| *p == policy))
     }
 
-    fn begin(&self, (fused, _): &mut Self::Worker, d: AsId) {
-        if let Some(first) = self.deployments.first() {
-            fused.begin(d, first);
-        }
-    }
-
-    fn eval_pair(
+    /// Serve pair `(m, d)` — the worker anchored on `d` by
+    /// [`CellEval::begin`] — along the whole sequence, emitting raw happy
+    /// counts as `(input cell, step, (lower, upper))`. An empty sequence
+    /// emits nothing.
+    pub(crate) fn serve_pair(
         &self,
-        (fused, sweeps): &mut Self::Worker,
+        (fused, sweeps): &mut (FusedDeltaEngine<'a>, Vec<SweepEngine<'a>>),
         m: AsId,
         d: AsId,
-        emit: &mut dyn FnMut(usize, usize, Bounds),
+        emit: &mut impl FnMut(usize, usize, (usize, usize)),
     ) {
+        let Some(first) = self.deployments.first() else {
+            return;
+        };
         fused.attack(m);
         for c in 0..self.cells.input_len() {
-            emit(c, 0, self.fraction(fused.count_happy(c)));
+            emit(c, 0, fused.count_happy(c));
         }
         if self.deployments.len() > 1 {
             for (j, (lane, sweep)) in self.cells.lanes().iter().zip(sweeps.iter_mut()).enumerate() {
@@ -1193,7 +980,7 @@ impl<'a> CellEval for SweepCellsEval<'a> {
                 sweep.begin_from(
                     scenario,
                     lane.policy,
-                    &self.deployments[0],
+                    first,
                     fused.lane_outcome(j),
                     fused.lane_happy(j),
                 );
@@ -1203,20 +990,84 @@ impl<'a> CellEval for SweepCellsEval<'a> {
                     sweep.advance(dep);
                 }
                 for c in 0..self.cells.input_len() {
-                    emit(
-                        c,
-                        k,
-                        self.fraction(sweeps[self.cells.lane_of(c)].count_happy()),
-                    );
+                    emit(c, k, sweeps[self.cells.lane_of(c)].count_happy());
                 }
             }
         }
     }
+
+    /// The summed counters of a worker's lane sweep engines.
+    pub(crate) fn sweep_stats(
+        (_, sweeps): &(FusedDeltaEngine<'a>, Vec<SweepEngine<'a>>),
+    ) -> SweepStats {
+        let mut stats = SweepStats::default();
+        for sweep in sweeps {
+            stats.merge(&sweep.stats());
+        }
+        stats
+    }
 }
 
-/// The strategy-ladder kernel behind [`estimate_strategy_ladder_cells`]:
-/// the (policy × rung) grid is one [`CellSet`], and statistic `nr` of each
-/// policy cell is the per-pair damage-maximizing rung.
+impl<'a> CellEval for SweepCellsEval<'a> {
+    type Worker = (FusedDeltaEngine<'a>, Vec<SweepEngine<'a>>);
+
+    fn cell_stats(&self) -> Vec<usize> {
+        vec![self.deployments.len(); self.cells.input_len()]
+    }
+
+    fn make_worker(&self) -> Self::Worker {
+        // A one-step sequence never advances, so it needs no sweep engine.
+        let lanes = if self.deployments.len() > 1 {
+            self.cells.lane_count()
+        } else {
+            0
+        };
+        let sweeps = (0..lanes)
+            .map(|_| SweepEngine::new(&self.net.graph))
+            .collect();
+        (
+            FusedDeltaEngine::new(&self.net.graph, self.cells.clone()),
+            sweeps,
+        )
+    }
+
+    fn begin(&self, (fused, _): &mut Self::Worker, d: AsId) {
+        let Some(first) = self.deployments.first() else {
+            return;
+        };
+        match self.bases.get(&d) {
+            Some(bases) => fused.begin_with_bases(d, first, |p| {
+                bases.iter().find(|(q, _)| *q == p).map(|(_, b)| &**b)
+            }),
+            None => fused.begin(d, first),
+        }
+    }
+
+    fn eval_pair(
+        &self,
+        w: &mut Self::Worker,
+        m: AsId,
+        d: AsId,
+        emit: &mut dyn FnMut(usize, usize, Bounds),
+    ) {
+        self.serve_pair(w, m, d, &mut |c, k, counts| {
+            emit(c, k, fraction(counts, self.sources));
+        });
+    }
+}
+
+/// A pair's happy counts as fractions of the `sources` non-endpoint ASes.
+fn fraction((lower, upper): (usize, usize), sources: f64) -> Bounds {
+    Bounds {
+        lower: lower as f64 / sources,
+        upper: upper as f64 / sources,
+    }
+}
+
+/// The strategy-ladder kernel behind [`estimate_strategy_ladder_cells`]
+/// and [`crate::strategy::metric_strategy_ladder`]: the (policy × rung)
+/// grid is one [`CellSet`], and statistic `nr` of each policy cell is the
+/// per-pair damage-maximizing rung.
 pub struct LadderCellsEval<'a> {
     net: &'a Internet,
     deployment: &'a Deployment,
@@ -1246,6 +1097,31 @@ impl<'a> LadderCellsEval<'a> {
     }
 }
 
+impl<'a> LadderCellsEval<'a> {
+    /// Serve attacker `m` — the engine anchored by [`CellEval::begin`] —
+    /// on every policy's whole ladder, emitting raw happy counts as
+    /// `(policy, statistic, (lower, upper))`: statistic `r` is rung `r`,
+    /// statistic `rungs.len()` the per-pair damage-maximizing rung (the
+    /// lexicographic minimum of the rungs' counts).
+    pub(crate) fn serve_pair(
+        &self,
+        fused: &mut FusedDeltaEngine<'a>,
+        m: AsId,
+        emit: &mut impl FnMut(usize, usize, (usize, usize)),
+    ) {
+        fused.attack(m);
+        for p in 0..self.npolicies {
+            let mut best = (usize::MAX, usize::MAX);
+            for r in 0..self.nr {
+                let counts = fused.count_happy(p * self.nr + r);
+                emit(p, r, counts);
+                best = best.min(counts);
+            }
+            emit(p, self.nr, best);
+        }
+    }
+}
+
 impl<'a> CellEval for LadderCellsEval<'a> {
     type Worker = FusedDeltaEngine<'a>;
 
@@ -1268,38 +1144,19 @@ impl<'a> CellEval for LadderCellsEval<'a> {
         _d: AsId,
         emit: &mut dyn FnMut(usize, usize, Bounds),
     ) {
-        fused.attack(m);
-        for p in 0..self.npolicies {
-            let mut best = (usize::MAX, usize::MAX);
-            for r in 0..self.nr {
-                let (lower, upper) = fused.count_happy(p * self.nr + r);
-                emit(
-                    p,
-                    r,
-                    Bounds {
-                        lower: lower as f64 / self.sources,
-                        upper: upper as f64 / self.sources,
-                    },
-                );
-                best = best.min((lower, upper));
-            }
-            emit(
-                p,
-                self.nr,
-                Bounds {
-                    lower: best.0 as f64 / self.sources,
-                    upper: best.1 as f64 / self.sources,
-                },
-            );
-        }
+        self.serve_pair(fused, m, &mut |p, k, counts| {
+            emit(p, k, fraction(counts, self.sources));
+        });
     }
 }
 
-/// [`estimate_metric`] for a whole set of policies at once: one fused
-/// engine per worker serves every policy cell from one snapshot traversal
-/// (and one computation per *distinct* lane — at zero validators the three
-/// security models collapse onto a single lane). Returns one run per input
-/// policy, each bit-identical to its solo [`estimate_metric`].
+/// Estimate `H_{M,D}(S)` with a confidence interval for a whole set of
+/// policies at once (a one-step [`estimate_metric_sweep_cells`]);
+/// `runs[i].estimates[0]` is policy `i`'s metric. One fused engine per
+/// worker serves every policy cell from one snapshot traversal (and one
+/// computation per *distinct* lane — at zero validators the three security
+/// models collapse onto a single lane). Each run is bit-identical to a
+/// one-policy run of that policy.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_metric_cells(
     net: &Internet,
@@ -1323,12 +1180,13 @@ pub fn estimate_metric_cells(
     )
 }
 
-/// [`estimate_metric_sweep`] for a whole set of policies at once. The
-/// first step of every destination group is one fused patch serving all
-/// policy lanes; the remaining steps run one [`SweepEngine`] per lane,
-/// adopted from the lane's fused outcome — exactly the composition the
-/// solo estimator uses per policy, so each returned run is bit-identical
-/// to its solo [`estimate_metric_sweep`].
+/// Estimate `H_{M,D}(S_k)` for every deployment of a sweep and every
+/// policy, with one confidence interval per step: `runs[i].estimates[k]`
+/// is policy `i` under `deployments[k]`. Adaptive stopping watches each
+/// policy's *widest* half-width across steps, so every step meets the
+/// target. Rides the same two-axis amortization as
+/// [`crate::sweep::metric_sweep_cells`] through [`SweepCellsEval`]; each
+/// run is bit-identical to a one-policy run of that policy.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_metric_sweep_cells(
     net: &Internet,
@@ -1348,11 +1206,27 @@ pub fn estimate_metric_sweep_cells(
     estimate_adaptive_cells_eval(&universe, cfg, &eval, par)
 }
 
-/// [`estimate_strategy_ladder`] for a whole set of policies at once: the
-/// (policy × rung) grid becomes one [`CellSet`] (rungs deduped through
-/// [`AttackStrategy::canonical`]), so every attack serves all policies'
-/// whole ladders from one shared traversal. Returns one ladder per input
-/// policy, each bit-identical to its solo [`estimate_strategy_ladder`].
+/// A strategy ladder with confidence intervals: per-rung estimates plus the
+/// per-pair damage-maximizing choice (the statistic
+/// [`crate::strategy::metric_strategy_ladder`] reports as `optimal`).
+#[derive(Clone, Debug)]
+pub struct LadderEstimate {
+    /// The evaluated rungs.
+    pub rungs: Vec<AttackStrategy>,
+    /// One estimate per rung.
+    pub per_rung: Vec<Estimate>,
+    /// The per-pair optimal-rung estimate.
+    pub optimal: Estimate,
+    /// The underlying adaptive run (trajectory, sample, population).
+    pub run: AdaptiveRun,
+}
+
+/// Estimate every rung of a strategy ladder and the per-pair optimum, with
+/// confidence intervals, under one deployment, for a whole set of policies
+/// at once: the (policy × rung) grid becomes one [`CellSet`] (rungs deduped
+/// through [`AttackStrategy::canonical`]), so every attack serves all
+/// policies' whole ladders from one shared traversal. Returns one ladder
+/// per input policy, each bit-identical to a one-policy run of that policy.
 ///
 /// # Panics
 ///
@@ -1378,6 +1252,8 @@ pub fn estimate_strategy_ladder_cells(
     let nr = rungs.len();
     runs.into_iter()
         .map(|run| {
+            // `run` keeps the full statistics vector (per rung, optimal
+            // last) so its trajectory and max half-width stay meaningful.
             let optimal = *run.estimates.last().expect("rungs is nonempty");
             LadderEstimate {
                 rungs: rungs.to_vec(),
@@ -1544,30 +1420,32 @@ mod tests {
         let dests: Vec<AsId> = net.graph.ases().collect();
         let cfg = EstimatorConfig::with_budget(100, 3);
         // Empty attacker pool: an empty run.
-        let r = estimate_metric(
+        let r = estimate_metric_cells(
             &net,
             &[],
             &dests,
             &Deployment::empty(net.len()),
-            Policy::new(SecurityModel::Security2nd),
+            &[Policy::new(SecurityModel::Security2nd)],
             AttackStrategy::FakeLink,
             &cfg,
             Parallelism(1),
-        );
+        )
+        .swap_remove(0);
         assert_eq!(r.population, 0);
         assert!(r.sampled.is_empty());
         assert_eq!(r.estimates.len(), 1);
         // Empty deployment list: no statistics.
-        let r = estimate_metric_sweep(
+        let r = estimate_metric_sweep_cells(
             &net,
             &dests,
             &dests,
             &[],
-            Policy::new(SecurityModel::Security2nd),
+            &[Policy::new(SecurityModel::Security2nd)],
             AttackStrategy::FakeLink,
             &cfg,
             Parallelism(1),
-        );
+        )
+        .swap_remove(0);
         assert!(r.estimates.is_empty());
         assert!(r.sampled.is_empty());
     }
@@ -1578,16 +1456,17 @@ mod tests {
         let attackers = net.tiers.non_stubs();
         let dests: Vec<AsId> = net.graph.ases().collect();
         let cfg = EstimatorConfig::with_budget(500, 11);
-        let r = estimate_metric(
+        let r = estimate_metric_cells(
             &net,
             &attackers,
             &dests,
             &Deployment::empty(net.len()),
-            Policy::new(SecurityModel::Security3rd),
+            &[Policy::new(SecurityModel::Security3rd)],
             AttackStrategy::FakeLink,
             &cfg,
             Parallelism(2),
-        );
+        )
+        .swap_remove(0);
         assert_eq!(r.sampled.len(), 500);
         assert_eq!(r.estimates[0].pairs, 500);
         assert!(!r.rounds.is_empty());
@@ -1607,16 +1486,17 @@ mod tests {
         let attackers = sample::sample_non_stubs(&net, 20, 5);
         let dests = sample::sample_all(&net, 40, 6);
         let cfg = EstimatorConfig::with_budget(300, 13);
-        let r = estimate_strategy_ladder(
+        let r = estimate_strategy_ladder_cells(
             &net,
             &attackers,
             &dests,
             &Deployment::empty(net.len()),
-            Policy::new(SecurityModel::Security2nd),
+            &[Policy::new(SecurityModel::Security2nd)],
             &AttackStrategy::LADDER,
             &cfg,
             Parallelism(2),
-        );
+        )
+        .swap_remove(0);
         assert_eq!(r.per_rung.len(), AttackStrategy::LADDER.len());
         // The underlying run keeps every statistic (per rung + optimal),
         // so its trajectory and max half-width stay meaningful.
@@ -1634,6 +1514,7 @@ mod tests {
         assert_eq!(fused.sampled, solo.sampled, "{label}: sample");
         assert_eq!(fused.population, solo.population, "{label}: population");
         assert_eq!(fused.strata, solo.strata, "{label}: strata");
+        assert_eq!(fused.lost_pairs, solo.lost_pairs, "{label}: lost pairs");
     }
 
     #[test]
@@ -1663,17 +1544,19 @@ mod tests {
             Parallelism(2),
         );
         assert_eq!(fused.len(), policies.len());
+        // Each cell of the 3-cell run equals a one-cell run of that cell.
         for (i, &policy) in policies.iter().enumerate() {
-            let solo = estimate_metric_sweep(
+            let solo = estimate_metric_sweep_cells(
                 &net,
                 &attackers,
                 &dests,
                 &deps,
-                policy,
+                &[policy],
                 AttackStrategy::FakeLink,
                 &cfg,
                 Parallelism(2),
-            );
+            )
+            .swap_remove(0);
             assert_runs_identical(&fused[i], &solo, &format!("{:?}", policy.model));
         }
         // Budget-only single-deployment form, at a different thread count.
@@ -1690,16 +1573,17 @@ mod tests {
             Parallelism(1),
         );
         for (i, &policy) in policies.iter().enumerate() {
-            let solo = estimate_metric(
+            let solo = estimate_metric_cells(
                 &net,
                 &attackers,
                 &dests,
                 &dep,
-                policy,
+                &[policy],
                 AttackStrategy::FakeLink,
                 &cfg,
                 Parallelism(2),
-            );
+            )
+            .swap_remove(0);
             assert_runs_identical(&fused[i], &solo, &format!("{:?}", policy.model));
         }
     }
@@ -1724,16 +1608,17 @@ mod tests {
         );
         assert_eq!(fused.len(), policies.len());
         for (i, &policy) in policies.iter().enumerate() {
-            let solo = estimate_strategy_ladder(
+            let solo = estimate_strategy_ladder_cells(
                 &net,
                 &attackers,
                 &dests,
                 &dep,
-                policy,
+                &[policy],
                 &AttackStrategy::LADDER,
                 &cfg,
                 Parallelism(2),
-            );
+            )
+            .swap_remove(0);
             assert_eq!(fused[i].rungs, solo.rungs);
             assert_eq!(fused[i].per_rung, solo.per_rung, "{:?}", policy.model);
             assert_eq!(fused[i].optimal, solo.optimal, "{:?}", policy.model);

@@ -17,24 +17,23 @@
 //!   strongest single member, exposing the *collusion dividend*.
 //!
 //! Both run destination-major and reduce in chunk order, so results are
-//! bit-identical at any thread count. The ladder rides one
+//! bit-identical at any thread count. The ladder rides the ladder
+//! estimator's kernel, [`crate::stats::LadderCellsEval`], with one
 //! [`sbgp_core::FusedDeltaEngine`] per worker: the rungs form a
-//! [`CellSet`] deduped through [`AttackStrategy::canonical`] (so the
-//! `path1`/fake-link and `path0`/hijack spellings can never run the same
-//! cell twice), every attack serves all remaining rungs from one shared
-//! contested-region traversal, and duplicate rungs report their shared
-//! lane's value — with ties still going to the earlier input rung, win
-//! attribution is unchanged. [`metric_collusion`] keeps a plain
+//! [`sbgp_core::CellSet`] deduped through [`AttackStrategy::canonical`]
+//! (so the `path1`/fake-link and `path0`/hijack spellings can never run
+//! the same cell twice), every attack serves all remaining rungs from one
+//! shared contested-region traversal, and duplicate rungs report their
+//! shared lane's value — with ties still going to the earlier input rung,
+//! win attribution is unchanged. [`metric_collusion`] keeps a plain
 //! [`AttackDeltaEngine`] (one cell per call).
 
 use sbgp_core::metric::MetricAccumulator;
-use sbgp_core::{
-    AttackDeltaEngine, AttackStrategy, Bounds, CellSet, Deployment, FusedDeltaEngine, HappyCount,
-    Policy,
-};
+use sbgp_core::{AttackDeltaEngine, AttackStrategy, Bounds, Deployment, HappyCount, Policy};
 use sbgp_topology::AsId;
 
-use crate::runner::{map_reduce_grouped, Parallelism};
+use crate::runner::{map_reduce, Parallelism};
+use crate::stats::{CellEval, LadderCellsEval};
 use crate::{sample, Internet};
 
 /// Ladder evaluation over a pair sample (see [`metric_strategy_ladder`]).
@@ -79,48 +78,41 @@ pub fn metric_strategy_ladder(
         !rungs.is_empty(),
         "the strategy ladder needs at least one rung"
     );
-    // Input cell r of the grid is exactly rung r; canonical dedup makes
-    // duplicate spellings share a lane (evaluated once, reported per
-    // input rung).
-    let cells = CellSet::grid(&[policy], rungs);
+    // Input cell r of the one-policy grid is exactly rung r; canonical
+    // dedup makes duplicate spellings share a lane (evaluated once,
+    // reported per input rung).
+    let eval = LadderCellsEval::new(net, deployment, &[policy], rungs);
     let groups = sample::group_by_destination(pairs);
-    let sources = net.graph.len() - 2;
-    let acc = map_reduce_grouped(
+    let (nr, sources) = (rungs.len(), net.graph.len() - 2);
+    let acc = map_reduce(
         par,
         &groups,
-        || FusedDeltaEngine::new(&net.graph, cells.clone()),
+        1,
+        || eval.make_worker(),
         || LadderAcc {
-            per_rung: vec![MetricAccumulator::default(); rungs.len()],
+            per_rung: vec![MetricAccumulator::default(); nr],
             optimal: MetricAccumulator::default(),
-            wins: vec![0; rungs.len()],
+            wins: vec![0; nr],
         },
         |fused, acc, (d, attackers)| {
-            fused.begin(*d, deployment);
-            for &m in attackers {
-                if m == *d {
-                    continue;
-                }
-                fused.attack(m);
-                let mut best = (usize::MAX, usize::MAX);
-                let mut best_rung = 0usize;
-                for r in 0..rungs.len() {
-                    let (lower, upper) = fused.count_happy(r);
-                    acc.per_rung[r].add(HappyCount {
+            eval.begin(fused, *d);
+            for &m in attackers.iter().filter(|&m| m != d) {
+                // Ties go to the earlier (shorter) rung.
+                let mut best = ((usize::MAX, usize::MAX), 0);
+                eval.serve_pair(fused, m, &mut |_, r, (lower, upper)| {
+                    let count = HappyCount {
                         lower,
                         upper,
                         sources,
-                    });
-                    if (lower, upper) < best {
-                        best = (lower, upper);
-                        best_rung = r;
+                    };
+                    if r == nr {
+                        acc.optimal.add(count);
+                    } else {
+                        acc.per_rung[r].add(count);
+                        best = best.min(((lower, upper), r));
                     }
-                }
-                acc.wins[best_rung] += 1;
-                acc.optimal.add(HappyCount {
-                    lower: best.0,
-                    upper: best.1,
-                    sources,
                 });
+                acc.wins[best.1] += 1;
             }
         },
         |a, b| {
@@ -172,9 +164,10 @@ pub fn metric_collusion(
     par: Parallelism,
 ) -> CollusionResult {
     let n = net.graph.len();
-    let acc = map_reduce_grouped(
+    let acc = map_reduce(
         par,
         destinations,
+        1,
         || AttackDeltaEngine::new(&net.graph),
         || {
             (
@@ -287,15 +280,14 @@ mod tests {
             Parallelism(2),
         );
         for (k, &rung) in r.rungs.iter().enumerate() {
-            let fixed = crate::runner::metric_with_strategy(
+            let fixed = crate::sweep::metric_sweep_cells(
                 &net,
                 &pairs,
-                &dep,
-                policy,
-                rung,
+                std::slice::from_ref(&dep),
+                &sbgp_core::CellSet::per_policy(&[policy], rung),
                 Parallelism(2),
             );
-            assert_eq!(r.per_rung[k], fixed, "rung {k}");
+            assert_eq!(r.per_rung[k], fixed[0][0], "rung {k}");
         }
     }
 

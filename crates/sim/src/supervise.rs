@@ -20,15 +20,16 @@
 //! campaign's final JSON lists the affected cells under `"degraded"`, and
 //! the grid still validates.
 //!
-//! **Bit-identity.** [`estimate_adaptive_supervised`] mirrors
-//! [`crate::stats::estimate_adaptive_cells`] exactly: workers evaluate a
-//! destination group through the same [`CellEval`] kernel and stream back
-//! raw per-stratum Welford triples (floats as `to_bits`, so the wire
-//! round trip is exact); the coordinator merges group accumulators **in
-//! group order** into the round state and round state into persistent
-//! state in round order — the same Chan-merge sequence the in-process
-//! chunk-ordered reduction performs. An N-worker run therefore produces
-//! the same bytes as the single-process run, for any N (pinned by
+//! **Bit-identity.** [`estimate_adaptive_supervised`] runs the very round
+//! loop of [`crate::stats::estimate_adaptive_cells`]; only the evaluation
+//! of a round's destination groups differs. Workers evaluate a group
+//! through the same [`CellEval`] kernel and stream back raw per-stratum
+//! Welford triples (floats as `to_bits`, so the wire round trip is exact);
+//! the coordinator folds group accumulators **in group order** into a fresh
+//! round accumulator, which the shared loop merges into the persistent
+//! state — the same Chan-merge sequence the in-process chunk-ordered
+//! reduction performs. An N-worker run therefore produces the same bits
+//! as the single-process run, for any N (pinned at full precision by
 //! `tests/campaign.rs`).
 //!
 //! Checkpoint integrity rides along: [`content_checksum`] /
@@ -47,8 +48,8 @@ use sbgp_topology::AsId;
 
 use crate::faultpoint;
 use crate::stats::{
-    group_tagged_by_destination, recombine, AdaptiveRun, CellEval, Estimate, EstimatorConfig,
-    PairUniverse, RoundTrace, StratifiedSampler, StratumStats, Welford,
+    adaptive_rounds, empty_strata, merge_strata, AdaptiveRun, CellEval, CellStrata,
+    EstimatorConfig, PairUniverse, Welford,
 };
 
 // ---------------------------------------------------------------------------
@@ -92,21 +93,26 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<String>> {
 // Wire messages (hand-rolled JSON, like every serializer in this repo)
 // ---------------------------------------------------------------------------
 
+/// The string value of `key` (no escapes: the protocol vocabulary is
+/// plain tokens), or `None` when the key is absent or holds no string.
 pub(crate) fn json_str_field<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let pat = format!("\"{key}\":\"");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
+    let rest = json_value(text, key)?.strip_prefix('"')?;
     Some(&rest[..rest.find('"')?])
 }
 
+/// The unsigned-integer value of `key`, or `None` when the key is absent
+/// or holds anything else (a string, a sign, a fraction, a number past
+/// `u64::MAX`).
 pub(crate) fn json_u64_field(text: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest
+    let value = json_value(text, key)?;
+    let end = value
         .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+        .unwrap_or(value.len());
+    let after = value[end..].trim_start_matches(JSON_WS);
+    if !(after.is_empty() || after.starts_with([',', '}', ']'])) {
+        return None;
+    }
+    value[..end].parse().ok()
 }
 
 /// The text right after `"key"` and its colon (JSON whitespace allowed on
@@ -119,7 +125,7 @@ pub(crate) fn json_value<'t>(text: &'t str, key: &str) -> Option<&'t str> {
     })
 }
 
-const JSON_WS: [char; 4] = [' ', '\t', '\n', '\r'];
+pub(crate) const JSON_WS: [char; 4] = [' ', '\t', '\n', '\r'];
 
 /// Parse the value of `key` as a flat or one-level-nested array of
 /// unsigned integers — every number in source order, nesting flattened.
@@ -324,10 +330,7 @@ pub fn eval_task_data<E: CellEval>(
     attackers: &[(AsId, usize)],
 ) -> Vec<u64> {
     let cell_stats = eval.cell_stats();
-    let mut acc: Vec<Vec<Vec<StratumStats>>> = cell_stats
-        .iter()
-        .map(|&k| vec![vec![StratumStats::default(); nstrata]; k])
-        .collect();
+    let mut acc = empty_strata(&cell_stats, nstrata);
     eval.begin(w, dest);
     for &(m, h) in attackers {
         eval.eval_pair(w, m, dest, &mut |c, k, b: Bounds| {
@@ -335,16 +338,9 @@ pub fn eval_task_data<E: CellEval>(
         });
     }
     let mut data = Vec::with_capacity(data_len(&cell_stats, nstrata));
-    for cell in &acc {
-        for stats in cell {
-            for s in stats {
-                for welford in [&s.lower, &s.upper] {
-                    let (n, mean, m2) = welford.raw();
-                    data.push(n);
-                    data.push(mean.to_bits());
-                    data.push(m2.to_bits());
-                }
-            }
+    for s in acc.iter().flatten().flatten() {
+        for (n, mean, m2) in [s.lower.raw(), s.upper.raw()] {
+            data.extend([n, mean.to_bits(), m2.to_bits()]);
         }
     }
     data
@@ -355,36 +351,18 @@ pub fn data_len(cell_stats: &[usize], nstrata: usize) -> usize {
     cell_stats.iter().sum::<usize>() * nstrata * 6
 }
 
-fn decode_result_data(
-    data: &[u64],
-    cell_stats: &[usize],
-    nstrata: usize,
-) -> Vec<Vec<Vec<StratumStats>>> {
-    let mut it = data.iter().copied();
-    cell_stats
-        .iter()
-        .map(|&k| {
-            (0..k)
-                .map(|_| {
-                    (0..nstrata)
-                        .map(|_| {
-                            let mut halves = [Welford::default(), Welford::default()];
-                            for w in halves.iter_mut() {
-                                let n = it.next().unwrap_or(0);
-                                let mean = f64::from_bits(it.next().unwrap_or(0));
-                                let m2 = f64::from_bits(it.next().unwrap_or(0));
-                                *w = Welford::from_raw(n, mean, m2);
-                            }
-                            StratumStats {
-                                lower: halves[0],
-                                upper: halves[1],
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect()
+/// The accumulators of one [`eval_task_data`] reply (whose length the
+/// supervisor has already checked against [`data_len`]).
+fn decode_result_data(data: &[u64], cell_stats: &[usize], nstrata: usize) -> CellStrata {
+    let mut welfords = data
+        .chunks_exact(3)
+        .map(|t| Welford::from_raw(t[0], f64::from_bits(t[1]), f64::from_bits(t[2])));
+    let mut acc = empty_strata(cell_stats, nstrata);
+    for s in acc.iter_mut().flatten().flatten() {
+        s.lower = welfords.next().unwrap_or_default();
+        s.upper = welfords.next().unwrap_or_default();
+    }
+    acc
 }
 
 // ---------------------------------------------------------------------------
@@ -915,10 +893,12 @@ impl Drop for Supervisor {
 // ---------------------------------------------------------------------------
 
 /// [`crate::stats::estimate_adaptive_cells`] over a [`Supervisor`]'s
-/// worker pool: same universe, same seeded round schedule, same Chan-merge
-/// order — bit-identical to the in-process estimator for any worker
-/// count. Degraded groups surface as [`AdaptiveRun::lost_groups`] /
-/// [`AdaptiveRun::lost_pairs`] on every cell still active that round.
+/// worker pool: the same round loop, universe, seeded round schedule and
+/// merge order, with each round's destination groups served by
+/// [`Supervisor::run_batch`] — bit-identical to the in-process estimator
+/// for any worker count. Degraded groups surface as
+/// [`AdaptiveRun::lost_groups`] / [`AdaptiveRun::lost_pairs`] on every
+/// cell still active that round.
 pub fn estimate_adaptive_supervised(
     universe: &PairUniverse,
     cfg: &EstimatorConfig,
@@ -927,103 +907,29 @@ pub fn estimate_adaptive_supervised(
     sup: &mut Supervisor,
 ) -> Vec<AdaptiveRun> {
     let nstrata = universe.strata().len();
-    let budget = cfg.budget.min(universe.population());
-    let mut runs: Vec<AdaptiveRun> = cell_stats
-        .iter()
-        .map(|&k| AdaptiveRun {
-            estimates: vec![Estimate::default(); k],
-            rounds: Vec::new(),
-            sampled: Vec::new(),
-            population: universe.population(),
-            strata: nstrata,
-            lost_groups: 0,
-            lost_pairs: 0,
-        })
-        .collect();
-    let mut active: Vec<bool> = cell_stats.iter().map(|&k| k > 0 && budget > 0).collect();
-    if !active.iter().any(|&a| a) {
-        return runs;
-    }
-    let sampler = StratifiedSampler::new(universe, cfg.seed);
-    let initial = if cfg.initial == 0 {
-        (2 * nstrata as u64).max(64)
-    } else {
-        cfg.initial
-    };
-    let mut counts = vec![0u64; nstrata];
-    let mut persistent: Vec<Vec<Vec<StratumStats>>> = cell_stats
-        .iter()
-        .map(|&k| vec![vec![StratumStats::default(); nstrata]; k])
-        .collect();
-    let mut target = initial.min(budget);
-    loop {
-        let prev = counts.clone();
-        universe.allocate_into(&mut counts, target);
-        let incr = sampler.increment(&prev, &counts);
-        let groups = group_tagged_by_destination(&incr);
-        let outcomes = sup.run_batch(init, cell_stats, nstrata, &groups);
-
-        // Merge group accumulators in group (= task) order — exactly the
-        // chunk-order merge of the in-process reduction — skipping
-        // already-stopped cells (whose in-process accumulators would have
-        // been empty).
-        let mut poisoned: Vec<usize> = Vec::new();
-        for (g, outcome) in outcomes.iter().enumerate() {
+    adaptive_rounds(universe, cfg, cell_stats, |groups, active| {
+        // Fold group accumulators in group (= task) order into a fresh
+        // round accumulator, exactly as the in-process pool folds its
+        // chunks; a stopped cell folds nothing, as in process.
+        let mut round = empty_strata(cell_stats, nstrata);
+        let mut lost = Vec::new();
+        let outcomes = sup.run_batch(init, cell_stats, nstrata, groups);
+        for (g, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
                 TaskOutcome::Done(data) => {
-                    let decoded = decode_result_data(data, cell_stats, nstrata);
-                    for (c, cell) in decoded.into_iter().enumerate() {
-                        if !active[c] {
-                            continue;
-                        }
-                        for (xs, ys) in persistent[c].iter_mut().zip(cell) {
-                            for (x, y) in xs.iter_mut().zip(ys) {
-                                x.merge(y);
-                            }
+                    let mut group = decode_result_data(&data, cell_stats, nstrata);
+                    for (cell, &live) in group.iter_mut().zip(active) {
+                        if !live {
+                            cell.clear();
                         }
                     }
+                    merge_strata(&mut round, group);
                 }
-                TaskOutcome::Degraded { .. } => poisoned.push(g),
+                TaskOutcome::Degraded { .. } => lost.push(g),
             }
         }
-
-        let lost: HashSet<AsId> = poisoned.iter().map(|&g| groups[g].0).collect();
-        let lost_pairs: u64 = poisoned.iter().map(|&g| groups[g].1.len() as u64).sum();
-        let total: u64 = counts.iter().sum();
-        for (c, run) in runs.iter_mut().enumerate() {
-            if !active[c] {
-                continue;
-            }
-            if lost.is_empty() {
-                run.sampled
-                    .extend(incr.iter().map(|p| (p.attacker, p.dest)));
-            } else {
-                run.sampled.extend(
-                    incr.iter()
-                        .filter(|p| !lost.contains(&p.dest))
-                        .map(|p| (p.attacker, p.dest)),
-                );
-                run.lost_groups += poisoned.len() as u64;
-                run.lost_pairs += lost_pairs;
-            }
-            run.estimates = persistent[c]
-                .iter()
-                .map(|stats| recombine(universe, stats, cfg.z))
-                .collect();
-            run.rounds.push(RoundTrace {
-                pairs: total,
-                max_halfwidth: run.max_halfwidth(),
-            });
-            let ci_met = cfg.ci_target.is_some_and(|t| run.max_halfwidth() <= t);
-            if ci_met || total >= budget {
-                active[c] = false;
-            }
-        }
-        if !active.iter().any(|&a| a) {
-            return runs;
-        }
-        target = (total * 2).min(budget);
-    }
+        (round, lost)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1085,6 +991,7 @@ pub fn verify_checksum(text: &str) -> ChecksumStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::StratumStats;
 
     #[test]
     fn frames_round_trip() {

@@ -1,207 +1,129 @@
-//! Deployment-sweep runners: evaluate the metric along a *sequence* of
-//! deployments with **both amortization axes composed**, destination-major.
+//! The pair-sample runners: the metric for a grid of policy cells along a
+//! *sequence* of deployments, with **both amortization axes composed**,
+//! destination-major. A single policy is a one-cell [`CellSet`]; a single
+//! deployment is a one-step sweep.
 //!
-//! For every claimed destination group a worker computes the
-//! normal-conditions outcome of the first deployment once, then iterates
-//! `for m (contested-region patch of the first step) → for S_k (monotone
-//! sweep of the remaining steps)`:
+//! Every destination group is served by the one kernel,
+//! [`crate::stats::SweepCellsEval`], which the adaptive estimators and the
+//! supervised campaign workers also run. For each claimed destination
+//! group a worker iterates `for m (fused contested-region patch of the
+//! first step) → for S_k (per-lane sweep of the remaining steps)`:
 //!
-//! * the [`AttackDeltaEngine`] serves each pair's **first step** from the
-//!   destination's shared normal outcome (or falls back to a fresh compute
-//!   when the contested region is large — measured on the synthetic
-//!   4000-AS graph, a fake-link attack changes ~40% of all ASes once the
-//!   downstream flag contamination is counted, so large regions are
-//!   common at small `S`);
-//! * [`SweepEngine::begin_from`] adopts that outcome, and the remaining
-//!   steps ride the deployment axis, whose dirty regions are tiny (~4% of
-//!   AS-steps) because the bogus announcement's spread is *shared* between
-//!   consecutive steps instead of being re-patched per step.
+//! * one [`sbgp_core::FusedDeltaEngine`] serves each pair's **first
+//!   step** for every cell from the destination's shared normal outcome
+//!   (or falls back to a fresh compute when the contested region is large
+//!   — measured on the synthetic 4000-AS graph, a fake-link attack changes
+//!   ~40% of all ASes once the downstream flag contamination is counted,
+//!   so large regions are common at small `S`);
+//! * each lane's [`sbgp_core::SweepEngine`] adopts that outcome through
+//!   `begin_from`, and the remaining steps ride the deployment axis, whose
+//!   dirty regions are tiny (~4% of AS-steps) because the bogus
+//!   announcement's spread is *shared* between consecutive steps instead
+//!   of being re-patched per step.
 //!
 //! This ordering keeps the cheaper axis innermost; the transposed
 //! `for S_k → for m` order would re-patch the attacker's whole contested
 //! region into every step. Sequences may churn in any direction — grow,
 //! shrink, or both per step — and still ride the deployment axis
 //! incrementally; only a dirty-region blow-up falls back to a full
-//! recomputation, and [`metric_churn`] surfaces the merged
-//! [`SweepStats`] (fallback rate, refixed fraction, step directions) so
-//! that cost is observable instead of silent.
+//! recomputation, and [`metric_churn`] / [`metric_churn_by_destination`]
+//! surface the merged [`SweepStats`] (fallback rate, refixed fraction,
+//! step directions) so that cost is observable instead of silent.
 //!
-//! Results are identical, bit for bit, to evaluating every step with
-//! [`crate::runner::metric`] / [`crate::runner::metric_by_destination`]
-//! (the sweep- and delta-equivalence property suites enforce the
+//! The pooled runners fold per-pair happy fractions through
+//! [`MetricAccumulator`] in (group, attacker) order; the per-destination
+//! runner sums integer [`HappyCount`]s, one row per destination, collected
+//! in destination order. Both ride [`crate::runner::map_reduce`], so results
+//! are bit-identical at any [`Parallelism`], and each cell of an N-cell run
+//! is bit-identical to a one-cell run of that cell (the fused engine is
+//! exact per cell). Every step equals a fresh per-step evaluation, bit for
+//! bit (the sweep- and delta-equivalence property suites enforce the
 //! per-outcome version of this claim).
 
 use sbgp_core::metric::MetricAccumulator;
-use sbgp_core::{
-    AttackDeltaEngine, AttackScenario, AttackStrategy, Bounds, CellSet, Deployment,
-    FusedDeltaEngine, HappyCount, Policy, SweepEngine, SweepStats,
-};
+use sbgp_core::{AttackStrategy, Bounds, CellSet, Deployment, HappyCount, Policy, SweepStats};
 use sbgp_topology::AsId;
 
-use crate::runner::{map_reduce_commutative_grouped, map_reduce_grouped, Parallelism};
+use crate::runner::{map_reduce, Parallelism};
+use crate::stats::{CellEval, SweepCellsEval};
 use crate::{sample, Internet};
 
-/// One destination group's inner loop: serve `(m, d)` under every
-/// deployment of the sweep, reporting `(step, happy)` to `record`. The
-/// attackers all announce `strategy`.
-#[allow(clippy::too_many_arguments)]
-fn sweep_pairs_for_destination(
-    sweep: &mut SweepEngine<'_>,
-    delta: &mut AttackDeltaEngine<'_>,
+/// Serve destination `d` against `attackers` (self-attacks skipped, as the
+/// paper's metric excludes them), reporting raw `(cell, step, counts)` to
+/// `emit`. Returns the lane sweep engines' counter deltas.
+fn serve_group<'a>(
+    eval: &SweepCellsEval<'a>,
+    w: &mut <SweepCellsEval<'a> as CellEval>::Worker,
     d: AsId,
     attackers: &[AsId],
-    deployments: &[Deployment],
-    policy: Policy,
-    strategy: AttackStrategy,
-    mut record: impl FnMut(usize, (usize, usize)),
-) {
-    let Some(first) = deployments.first() else {
-        return;
-    };
-    delta.begin(d, first, policy);
+    mut emit: impl FnMut(usize, usize, (usize, usize)),
+) -> SweepStats {
+    let before = SweepCellsEval::sweep_stats(w);
+    eval.begin(w, d);
     for &m in attackers {
-        if m == d {
-            continue;
-        }
-        delta.attack(m, strategy);
-        let happy = delta.count_happy();
-        let outcome = delta.last_outcome();
-        record(0, happy);
-        if deployments.len() > 1 {
-            let scenario = AttackScenario::attack(m, d).with_strategy(strategy);
-            sweep.begin_from(scenario, policy, first, outcome, happy);
-            for (k, dep) in deployments.iter().enumerate().skip(1) {
-                sweep.advance(dep);
-                record(k, sweep.count_happy());
-            }
+        if m != d {
+            eval.serve_pair(w, m, d, &mut emit);
         }
     }
+    SweepCellsEval::sweep_stats(w).delta_since(&before)
 }
 
-/// The metric `H_{M,D}(S_k)` for every deployment `S_k` of a sweep, over
-/// explicit pairs, with every attacker announcing `strategy`. Returned in
-/// `deployments` order.
-pub fn metric_sweep(
+/// The pooled accumulators behind every pair-sample runner: `acc[c][k]`
+/// folds input cell `c` under `deployments[k]` over `pairs`, plus the merged
+/// sweep statistics.
+pub(crate) fn pooled(
     net: &Internet,
     pairs: &[(AsId, AsId)],
     deployments: &[Deployment],
-    policy: Policy,
-    strategy: AttackStrategy,
+    cells: &CellSet,
     par: Parallelism,
-) -> Vec<Bounds> {
+) -> (Vec<Vec<MetricAccumulator>>, SweepStats) {
+    let eval = SweepCellsEval::from_cells(net, deployments, cells.clone());
     let groups = sample::group_by_destination(pairs);
     let sources = net.graph.len() - 2;
-    let accs = map_reduce_grouped(
+    map_reduce(
         par,
         &groups,
+        1,
+        || eval.make_worker(),
         || {
             (
-                SweepEngine::new(&net.graph),
-                AttackDeltaEngine::new(&net.graph),
-            )
-        },
-        || vec![MetricAccumulator::default(); deployments.len()],
-        |(sweep, delta), acc, (d, attackers)| {
-            sweep_pairs_for_destination(
-                sweep,
-                delta,
-                *d,
-                attackers,
-                deployments,
-                policy,
-                strategy,
-                |k, (lower, upper)| {
-                    acc[k].add(HappyCount {
-                        lower,
-                        upper,
-                        sources,
-                    });
-                },
-            );
-        },
-        |a, b| {
-            for (x, y) in a.iter_mut().zip(b) {
-                x.merge(y);
-            }
-        },
-    );
-    accs.into_iter().map(|a| a.value()).collect()
-}
-
-/// [`metric_sweep`] over a **churn trajectory** — deployments that grow,
-/// shrink, or flip members in both directions between steps — returning the
-/// per-step metric *and* the merged [`SweepStats`] of every worker engine,
-/// so fallback rate and refixed fraction are observable per run.
-///
-/// Results are bit-identical to [`metric_sweep`] on the same inputs (the
-/// metric path is shared); the stats are sums of per-destination-group
-/// counter deltas, so they too are identical at any [`Parallelism`] and
-/// chunk order.
-pub fn metric_churn(
-    net: &Internet,
-    pairs: &[(AsId, AsId)],
-    deployments: &[Deployment],
-    policy: Policy,
-    strategy: AttackStrategy,
-    par: Parallelism,
-) -> (Vec<Bounds>, SweepStats) {
-    let groups = sample::group_by_destination(pairs);
-    let sources = net.graph.len() - 2;
-    let (accs, stats) = map_reduce_grouped(
-        par,
-        &groups,
-        || {
-            (
-                SweepEngine::new(&net.graph),
-                AttackDeltaEngine::new(&net.graph),
-            )
-        },
-        || {
-            (
-                vec![MetricAccumulator::default(); deployments.len()],
+                vec![vec![MetricAccumulator::default(); deployments.len()]; cells.input_len()],
                 SweepStats::default(),
             )
         },
-        |(sweep, delta), (acc, stats), (d, attackers)| {
-            let before = sweep.stats();
-            sweep_pairs_for_destination(
-                sweep,
-                delta,
-                *d,
-                attackers,
-                deployments,
-                policy,
-                strategy,
-                |k, (lower, upper)| {
-                    acc[k].add(HappyCount {
-                        lower,
-                        upper,
-                        sources,
-                    });
-                },
-            );
-            stats.merge(&sweep.stats().delta_since(&before));
+        |w, (acc, stats), (d, attackers)| {
+            let s = serve_group(&eval, w, *d, attackers, |c, k, (lower, upper)| {
+                acc[c][k].add(HappyCount {
+                    lower,
+                    upper,
+                    sources,
+                });
+            });
+            stats.merge(&s);
         },
         |(a, s), (b, t)| {
-            for (x, y) in a.iter_mut().zip(b) {
-                x.merge(y);
+            for (xs, ys) in a.iter_mut().zip(b) {
+                for (x, y) in xs.iter_mut().zip(ys) {
+                    x.merge(y);
+                }
             }
             s.merge(&t);
         },
-    );
-    (accs.into_iter().map(|a| a.value()).collect(), stats)
+    )
 }
 
-/// The swept metric for **every policy cell** of a [`CellSet`] at once:
-/// `result[i][k]` is input cell `i` under `deployments[k]`. The first
-/// step of every `(m, d)` pair is served by one [`FusedDeltaEngine`]
-/// (all cells share the contested-region discovery and, at
-/// validator-free steps, whole computations), and each *lane* then rides
-/// its own [`SweepEngine`] along the remaining steps.
+/// The metric `H_{M,D}(S_k)` for **every policy cell** of a [`CellSet`]
+/// along a deployment sequence, over explicit pairs: `result[i][k]` is
+/// input cell `i` under `deployments[k]` (duplicate spellings report their
+/// shared lane's value). One fused engine pass per pair serves every cell's
+/// first step (all cells share whole computations at validator-free
+/// steps), and each *lane* then rides its own sweep engine along the
+/// remaining steps.
 ///
-/// Each cell's row is bit-identical to [`metric_sweep`] for that
-/// `(policy, strategy)` alone: per-cell outcomes are identical, and the
-/// per-cell accumulators fold the same fractions in the same
+/// Each cell's row is bit-identical to a one-cell run of that cell: the
+/// fused engine returns per-cell outcomes identical to a dedicated engine,
+/// and every cell's accumulators fold the same fractions in the same
 /// (group, attacker, step) order.
 pub fn metric_sweep_cells(
     net: &Internet,
@@ -210,106 +132,44 @@ pub fn metric_sweep_cells(
     cells: &CellSet,
     par: Parallelism,
 ) -> Vec<Vec<Bounds>> {
-    if deployments.is_empty() {
-        return vec![Vec::new(); cells.input_len()];
-    }
-    let groups = sample::group_by_destination(pairs);
-    let sources = net.graph.len() - 2;
-    let accs = map_reduce_grouped(
-        par,
-        &groups,
-        || {
-            let sweeps: Vec<SweepEngine<'_>> = (0..cells.lane_count())
-                .map(|_| SweepEngine::new(&net.graph))
-                .collect();
-            (FusedDeltaEngine::new(&net.graph, cells.clone()), sweeps)
-        },
-        || vec![vec![MetricAccumulator::default(); deployments.len()]; cells.input_len()],
-        |(fused, sweeps), acc, (d, attackers)| {
-            let first = &deployments[0];
-            fused.begin(*d, first);
-            for &m in attackers {
-                if m == *d {
-                    continue;
-                }
-                fused.attack(m);
-                for (i, row) in acc.iter_mut().enumerate() {
-                    let (lower, upper) = fused.count_happy(i);
-                    row[0].add(HappyCount {
-                        lower,
-                        upper,
-                        sources,
-                    });
-                }
-                if deployments.len() > 1 {
-                    for (j, cell) in cells.lanes().iter().enumerate() {
-                        let scenario = AttackScenario::attack(m, *d).with_strategy(cell.strategy);
-                        sweeps[j].begin_from(
-                            scenario,
-                            cell.policy,
-                            first,
-                            fused.lane_outcome(j),
-                            fused.lane_happy(j),
-                        );
-                    }
-                    for (k, dep) in deployments.iter().enumerate().skip(1) {
-                        for sweep in sweeps.iter_mut() {
-                            sweep.advance(dep);
-                        }
-                        for (i, row) in acc.iter_mut().enumerate() {
-                            let (lower, upper) = sweeps[cells.lane_of(i)].count_happy();
-                            row[k].add(HappyCount {
-                                lower,
-                                upper,
-                                sources,
-                            });
-                        }
-                    }
-                }
-            }
-        },
-        |a, b| {
-            for (xs, ys) in a.iter_mut().zip(b) {
-                for (x, y) in xs.iter_mut().zip(ys) {
-                    x.merge(y);
-                }
-            }
-        },
-    );
-    accs.into_iter()
+    pooled(net, pairs, deployments, cells, par)
+        .0
+        .into_iter()
         .map(|row| row.into_iter().map(|a| a.value()).collect())
         .collect()
 }
 
-/// Per-destination happy counts (summed over the attackers) for every
-/// deployment of a sweep: `result[k][i]` is destination `destinations[i]`
-/// under `deployments[k]`. The sweep analogue of
-/// [`crate::runner::metric_by_destination`].
-pub fn metric_sweep_by_destination(
+/// The one-cell [`metric_sweep_cells`] over a **churn trajectory** —
+/// deployments that grow, shrink, or flip members in both directions
+/// between steps — returning the per-step metric *and* the merged
+/// [`SweepStats`] of every worker engine, so fallback rate and refixed
+/// fraction are observable per run.
+///
+/// The stats are sums of per-destination-group counter deltas, so they too
+/// are identical at any [`Parallelism`] and chunk order.
+pub fn metric_churn(
     net: &Internet,
-    attackers: &[AsId],
-    destinations: &[AsId],
+    pairs: &[(AsId, AsId)],
     deployments: &[Deployment],
     policy: Policy,
     strategy: AttackStrategy,
     par: Parallelism,
-) -> Vec<Vec<HappyCount>> {
-    metric_churn_by_destination(
-        net,
-        attackers,
-        destinations,
-        deployments,
-        policy,
-        strategy,
-        par,
-    )
-    .0
+) -> (Vec<Bounds>, SweepStats) {
+    let cells = CellSet::per_policy(&[policy], strategy);
+    let (mut accs, stats) = pooled(net, pairs, deployments, &cells, par);
+    let row = accs.swap_remove(0);
+    (row.into_iter().map(|a| a.value()).collect(), stats)
 }
 
-/// [`metric_sweep_by_destination`] plus the merged per-run [`SweepStats`]
-/// of every worker engine. Counts and stats are both bit-identical at any
-/// [`Parallelism`]: the per-destination slots are disjoint, and the stats
-/// are sums of per-destination counter deltas (order-independent).
+/// Per-destination happy counts (summed over the attackers) for every
+/// deployment of a sequence, plus the merged [`SweepStats`]:
+/// `counts[k][i]` is destination `destinations[i]` under `deployments[k]`
+/// (the per-destination series of Figures 7(b), 9, 10 and 12).
+///
+/// Each destination is one work item that emits one row; rows are
+/// collected in destination order. Counts are exact integer sums and the
+/// stats sums of per-destination counter deltas, so both are identical at
+/// any [`Parallelism`].
 pub fn metric_churn_by_destination(
     net: &Internet,
     attackers: &[AsId],
@@ -319,52 +179,37 @@ pub fn metric_churn_by_destination(
     strategy: AttackStrategy,
     par: Parallelism,
 ) -> (Vec<Vec<HappyCount>>, SweepStats) {
-    let indexed: Vec<(usize, AsId)> = destinations.iter().copied().enumerate().collect();
+    let eval =
+        SweepCellsEval::from_cells(net, deployments, CellSet::per_policy(&[policy], strategy));
     let sources = net.graph.len() - 2;
-    map_reduce_commutative_grouped(
+    let rows = map_reduce(
         par,
-        &indexed,
-        || {
-            (
-                SweepEngine::new(&net.graph),
-                AttackDeltaEngine::new(&net.graph),
-            )
+        destinations,
+        1,
+        || eval.make_worker(),
+        Vec::new,
+        |w, rows, &d| {
+            let mut row = vec![HappyCount::default(); deployments.len()];
+            let stats = serve_group(&eval, w, d, attackers, |_, k, (lower, upper)| {
+                row[k] += HappyCount {
+                    lower,
+                    upper,
+                    sources,
+                };
+            });
+            rows.push((row, stats));
         },
-        || {
-            (
-                vec![vec![HappyCount::default(); destinations.len()]; deployments.len()],
-                SweepStats::default(),
-            )
-        },
-        |(sweep, delta), (acc, stats), &(slot, d)| {
-            let before = sweep.stats();
-            sweep_pairs_for_destination(
-                sweep,
-                delta,
-                d,
-                attackers,
-                deployments,
-                policy,
-                strategy,
-                |k, (lower, upper)| {
-                    acc[k][slot] += HappyCount {
-                        lower,
-                        upper,
-                        sources,
-                    };
-                },
-            );
-            stats.merge(&sweep.stats().delta_since(&before));
-        },
-        |(a, s), (b, t)| {
-            for (xs, ys) in a.iter_mut().zip(b) {
-                for (x, y) in xs.iter_mut().zip(ys) {
-                    *x += y;
-                }
-            }
-            s.merge(&t);
-        },
-    )
+        |a, b| a.extend(b),
+    );
+    let mut counts = vec![Vec::with_capacity(destinations.len()); deployments.len()];
+    let mut stats = SweepStats::default();
+    for (row, s) in rows {
+        for (k, c) in row.into_iter().enumerate() {
+            counts[k].push(c);
+        }
+        stats.merge(&s);
+    }
+    (counts, stats)
 }
 
 #[cfg(test)]
@@ -385,6 +230,18 @@ mod tests {
         deps
     }
 
+    /// One cell's swept metric.
+    fn one_cell(
+        net: &Internet,
+        pairs: &[(AsId, AsId)],
+        deps: &[Deployment],
+        policy: Policy,
+        strategy: AttackStrategy,
+    ) -> Vec<Bounds> {
+        let cells = CellSet::per_policy(&[policy], strategy);
+        metric_sweep_cells(net, pairs, deps, &cells, Parallelism(2)).swap_remove(0)
+    }
+
     #[test]
     fn sweep_metric_equals_per_step_metric() {
         let net = net();
@@ -392,23 +249,18 @@ mod tests {
         let dests = sample::sample_all(&net, 6, 2);
         let pairs = sample::pairs(&attackers, &dests);
         let deps = deployments(&net);
-        for model in SecurityModel::ALL {
-            let policy = Policy::new(model);
-            let swept = metric_sweep(
-                &net,
-                &pairs,
-                &deps,
-                policy,
-                AttackStrategy::FakeLink,
-                Parallelism(2),
-            );
-            assert_eq!(swept.len(), deps.len());
+        let policies = SecurityModel::ALL.map(Policy::new);
+        let cells = CellSet::per_policy(&policies, AttackStrategy::FakeLink);
+        let swept = metric_sweep_cells(&net, &pairs, &deps, &cells, Parallelism(2));
+        assert_eq!(swept.len(), policies.len());
+        for (row, policy) in swept.iter().zip(policies) {
+            assert_eq!(row.len(), deps.len());
             for (k, dep) in deps.iter().enumerate() {
                 // Bit-identical, not approximately equal: both paths add
                 // the same per-pair fractions in the same (group, attacker)
                 // order, whatever serves the outcomes.
                 let fresh = runner::metric(&net, &pairs, dep, policy, Parallelism(2));
-                assert_eq!(swept[k], fresh, "{model} step {k}");
+                assert_eq!(row[k], fresh, "{} step {k}", policy.model);
             }
         }
     }
@@ -420,27 +272,23 @@ mod tests {
         let dests = sample::sample_all(&net, 5, 8);
         let deps = deployments(&net);
         let policy = Policy::new(SecurityModel::Security2nd);
-        let swept = metric_sweep_by_destination(
-            &net,
-            &attackers,
-            &dests,
-            &deps,
-            policy,
-            AttackStrategy::FakeLink,
-            Parallelism(2),
-        );
-        assert_eq!(swept.len(), deps.len());
-        for (k, dep) in deps.iter().enumerate() {
-            let fresh = runner::metric_by_destination(
+        let by_dest = |deps: &[Deployment]| {
+            metric_churn_by_destination(
                 &net,
                 &attackers,
                 &dests,
-                dep,
+                deps,
                 policy,
                 AttackStrategy::FakeLink,
                 Parallelism(2),
-            );
-            assert_eq!(swept[k], fresh, "step {k}");
+            )
+            .0
+        };
+        let swept = by_dest(&deps);
+        assert_eq!(swept.len(), deps.len());
+        for (k, dep) in deps.iter().enumerate() {
+            let fresh = by_dest(std::slice::from_ref(dep));
+            assert_eq!(swept[k], fresh[0], "step {k}");
         }
     }
 
@@ -456,20 +304,12 @@ mod tests {
         let deps = deployments(&net);
         let policy = Policy::new(SecurityModel::Security3rd);
         let forged = AttackStrategy::FakePath { hops: 3 };
-        let swept = metric_sweep(&net, &pairs, &deps, policy, forged, Parallelism(2));
+        let swept = one_cell(&net, &pairs, &deps, policy, forged);
         for (k, dep) in deps.iter().enumerate() {
-            let fresh =
-                runner::metric_with_strategy(&net, &pairs, dep, policy, forged, Parallelism(2));
-            assert_eq!(swept[k], fresh, "step {k}");
+            let fresh = one_cell(&net, &pairs, std::slice::from_ref(dep), policy, forged);
+            assert_eq!(swept[k], fresh[0], "step {k}");
         }
-        let fake_link = metric_sweep(
-            &net,
-            &pairs,
-            &deps,
-            policy,
-            AttackStrategy::FakeLink,
-            Parallelism(2),
-        );
+        let fake_link = one_cell(&net, &pairs, &deps, policy, AttackStrategy::FakeLink);
         assert!(
             swept[0].lower >= fake_link[0].lower - 1e-12,
             "a 3-hop forged path cannot attract more than the fake link: \
@@ -560,9 +400,12 @@ mod tests {
         let pairs = sample::pairs(&attackers, &dests);
         let policy = Policy::new(SecurityModel::Security3rd);
         let fake_link = AttackStrategy::FakeLink;
-        assert!(metric_sweep(&net, &pairs, &[], policy, fake_link, Parallelism(1)).is_empty());
+        assert!(one_cell(&net, &pairs, &[], policy, fake_link).is_empty());
+        let (empty, stats) = metric_churn(&net, &pairs, &[], policy, fake_link, Parallelism(1));
+        assert!(empty.is_empty());
+        assert_eq!(stats, SweepStats::default());
         let single = vec![Deployment::empty(net.len())];
-        let swept = metric_sweep(&net, &pairs, &single, policy, fake_link, Parallelism(1));
+        let swept = one_cell(&net, &pairs, &single, policy, fake_link);
         let fresh = runner::metric(&net, &pairs, &single[0], policy, Parallelism(1));
         assert_eq!(swept, vec![fresh]);
     }

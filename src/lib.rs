@@ -39,6 +39,16 @@
 //!     Parallelism(1),
 //! );
 //! assert!(h.lower > 0.0 && h.upper <= 1.0);
+//!
+//! // Every model along [∅, S] at once: one fused pass per pair serves the
+//! // whole cell grid, and each cell equals its one-cell run bit for bit.
+//! let cells = CellSet::per_policy(
+//!     &SecurityModel::ALL.map(Policy::new),
+//!     AttackStrategy::FakeLink,
+//! );
+//! let steps = [Deployment::empty(net.len()), step.deployment.clone()];
+//! let swept = sweep::metric_sweep_cells(&net, &pairs, &steps, &cells, Parallelism(1));
+//! assert_eq!(swept[1][1], h); // Security 2nd under S
 //! ```
 //!
 //! See `README.md` for the architecture tour and the paper-to-crate

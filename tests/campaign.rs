@@ -217,6 +217,96 @@ fn campaign_workers_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The supervised estimator over two real `campaign --worker` processes
+/// reproduces the in-process estimator **bit for bit** — every
+/// `AdaptiveRun` field, floats compared by `to_bits` — on a rollout cell
+/// that runs several adaptive rounds, where any difference in the Welford
+/// merge order surfaces in the last ulp. Cell JSON prints six decimals, so
+/// [`campaign_workers_bit_identical`] alone cannot see such a drift.
+#[test]
+fn supervised_estimator_is_bit_identical_at_full_precision() {
+    use std::time::Duration;
+
+    use bgp_juice::prelude::*;
+    use bgp_juice::sim::stats::{AdaptiveRun, EstimatorConfig, PairUniverse};
+    use bgp_juice::sim::supervise::{self, Supervisor, SupervisorConfig};
+
+    let (asns, seed, steps) = (300, 7, 5);
+    let net = Internet::synthetic(asns, seed);
+    let all: Vec<AsId> = net.graph.ases().collect();
+    let non_stubs = net.tiers.non_stubs();
+    let mut deps = vec![Deployment::empty(net.len())];
+    deps.extend(scenario::sweep_rollout_steps(&net, steps));
+    let policies = [SecurityModel::Security1st, SecurityModel::Security2nd].map(Policy::new);
+    let est = EstimatorConfig::with_budget(1000, seed);
+
+    let in_process = stats::estimate_metric_sweep_cells(
+        &net,
+        &non_stubs,
+        &all,
+        &deps,
+        &policies,
+        AttackStrategy::FakeLink,
+        &est,
+        Parallelism(2),
+    );
+    // The group spec the campaign coordinator sends for this cell.
+    let spec = format!(
+        "{{\"figure\":\"rollout\",\"asns\":{asns},\"seed\":{seed},\
+         \"models\":[\"sec1\",\"sec2\"],\"steps\":{steps}}}"
+    );
+    let mut sup = Supervisor::new(SupervisorConfig {
+        workers: 2,
+        argv: vec![campaign_bin().display().to_string(), "--worker".to_string()],
+        watchdog: Duration::from_secs(300),
+        strikes: 3,
+        backoff: Duration::from_millis(10),
+    });
+    let supervised = supervise::estimate_adaptive_supervised(
+        &PairUniverse::new(&net, &non_stubs, &all),
+        &est,
+        &[deps.len(); 2],
+        &spec,
+        &mut sup,
+    );
+    drop(sup);
+
+    let bits = |run: &AdaptiveRun| -> Vec<u64> {
+        let mut v = vec![
+            run.population,
+            run.strata as u64,
+            run.lost_groups,
+            run.lost_pairs,
+        ];
+        for e in &run.estimates {
+            v.push(e.pairs);
+            for x in [
+                e.value.lower,
+                e.value.upper,
+                e.halfwidth.lower,
+                e.halfwidth.upper,
+            ] {
+                v.push(x.to_bits());
+            }
+        }
+        for r in &run.rounds {
+            v.extend([r.pairs, r.max_halfwidth.to_bits()]);
+        }
+        v
+    };
+    assert_eq!(supervised.len(), in_process.len());
+    for (c, (got, want)) in supervised.iter().zip(&in_process).enumerate() {
+        assert!(
+            want.rounds.len() >= 3,
+            "cell {c}: only {} rounds",
+            want.rounds.len()
+        );
+        assert_eq!(got.lost_groups, 0, "cell {c}: a worker group degraded");
+        assert_eq!(got.sampled, want.sampled, "cell {c}: sample");
+        assert_eq!(bits(got), bits(want), "cell {c}: fields differ in some bit");
+    }
+}
+
 /// Resume must never trust damaged checkpoint bytes: a corrupted cell
 /// (checksum mismatch) and a zero-byte cell are both quarantined to
 /// `<name>.json.quarantined` and recomputed, and the repaired campaign

@@ -1,13 +1,18 @@
-//! Thread-count determinism: `runner::metric`, the sweep and churn
-//! runners (merged `SweepStats` included), and the
+//! Thread-count determinism: `runner::metric`, the cell-grid sweep and
+//! churn runners (merged `SweepStats` included), the adaptive estimators,
+//! and the
 //! strategic-attacker runners (strategy ladder, collusion) must
 //! produce **bit-identical** results at any [`Parallelism`] — including the
 //! floating-point metric bounds, not just integer counts. The runner
 //! guarantees this by reducing fixed-size work chunks in chunk order, no
-//! matter which worker computed which chunk.
+//! matter which worker computed which chunk. Every cell of a multi-cell
+//! run is also pinned bit-identical to a one-cell run of that cell — the
+//! property campaign resume relies on when it recomputes only a group's
+//! missing cells.
 
 use bgp_juice::prelude::*;
-use bgp_juice::sim::stats::{self, EstimatorConfig};
+use bgp_juice::sim::experiments::{baseline, ExperimentConfig};
+use bgp_juice::sim::stats::{self, AdaptiveRun, EstimatorConfig};
 use bgp_juice::sim::strategy;
 use bgp_juice::sim::sweep;
 use std::collections::HashSet;
@@ -53,27 +58,42 @@ fn metric_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn metric_with_stderr_is_bit_identical_across_thread_counts() {
+    // The §4.2 baseline reports the sampled mean with its standard error,
+    // both folded through the pooled runner's accumulators.
     let net = net();
-    let attackers = sample::sample_non_stubs(&net, 5, 3);
-    let dests = sample::sample_all(&net, 9, 4);
-    let pairs = sample::pairs(&attackers, &dests);
-    let dep = Deployment::empty(net.len());
-    let policy = Policy::new(SecurityModel::Security3rd);
-    let (ref_val, ref_err) = runner::metric_with_stderr(
-        &net,
-        &pairs,
-        &dep,
-        policy,
-        AttackStrategy::FakeLink,
-        Parallelism::sequential(),
-    );
+    let run = |par: Parallelism| {
+        let mut cfg = ExperimentConfig::small(3);
+        cfg.parallelism = par;
+        baseline::baseline_metric(&net, &cfg)
+    };
+    let reference = run(Parallelism::sequential());
+    assert!(reference.stderr.lower > 0.0, "{:?}", reference.stderr);
     for par in parallelisms() {
-        let (val, err) =
-            runner::metric_with_stderr(&net, &pairs, &dep, policy, AttackStrategy::FakeLink, par);
-        assert_eq!(val.lower.to_bits(), ref_val.lower.to_bits(), "{par:?}");
-        assert_eq!(val.upper.to_bits(), ref_val.upper.to_bits(), "{par:?}");
-        assert_eq!(err.lower.to_bits(), ref_err.lower.to_bits(), "{par:?}");
-        assert_eq!(err.upper.to_bits(), ref_err.upper.to_bits(), "{par:?}");
+        let got = run(par);
+        for (g, r) in [
+            (got.metric.lower, reference.metric.lower),
+            (got.metric.upper, reference.metric.upper),
+            (got.stderr.lower, reference.stderr.lower),
+            (got.stderr.upper, reference.stderr.upper),
+        ] {
+            assert_eq!(g.to_bits(), r.to_bits(), "{par:?}");
+        }
+    }
+}
+
+fn assert_bounds_bits(got: &[Bounds], want: &[Bounds], label: &str) {
+    assert_eq!(got.len(), want.len(), "{label}");
+    for (k, (g, r)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            g.lower.to_bits(),
+            r.lower.to_bits(),
+            "{label} step {k} lower"
+        );
+        assert_eq!(
+            g.upper.to_bits(),
+            r.upper.to_bits(),
+            "{label} step {k} upper"
+        );
     }
 }
 
@@ -88,33 +108,26 @@ fn sweep_results_are_bit_identical_across_thread_counts() {
         scenario::tier12_step(&net, 3, 5).deployment.clone(),
         scenario::tier12_step(&net, 5, 20).deployment.clone(),
     ];
-    for model in SecurityModel::ALL {
-        let policy = Policy::new(model);
-        let reference = sweep::metric_sweep(
-            &net,
-            &pairs,
-            &deps,
-            policy,
-            AttackStrategy::FakeLink,
-            Parallelism::sequential(),
-        );
-        for par in parallelisms() {
-            let got =
-                sweep::metric_sweep(&net, &pairs, &deps, policy, AttackStrategy::FakeLink, par);
-            assert_eq!(got.len(), reference.len());
-            for (k, (g, r)) in got.iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    g.lower.to_bits(),
-                    r.lower.to_bits(),
-                    "{model} step {k} lower @ {par:?}"
-                );
-                assert_eq!(
-                    g.upper.to_bits(),
-                    r.upper.to_bits(),
-                    "{model} step {k} upper @ {par:?}"
-                );
-            }
+    let policies = SecurityModel::ALL.map(Policy::new);
+    let cells = CellSet::per_policy(&policies, AttackStrategy::FakeLink);
+    let reference =
+        sweep::metric_sweep_cells(&net, &pairs, &deps, &cells, Parallelism::sequential());
+    for par in parallelisms() {
+        let got = sweep::metric_sweep_cells(&net, &pairs, &deps, &cells, par);
+        assert_eq!(got.len(), reference.len());
+        for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
+            assert_bounds_bits(g, r, &format!("{} @ {par:?}", policies[i].model));
         }
+    }
+    // Every cell of the 3-cell run equals a one-cell run of that cell.
+    for (i, &policy) in policies.iter().enumerate() {
+        let one = CellSet::per_policy(&[policy], AttackStrategy::FakeLink);
+        let solo = sweep::metric_sweep_cells(&net, &pairs, &deps, &one, Parallelism(2));
+        assert_bounds_bits(
+            &solo[0],
+            &reference[i],
+            &format!("{} one-cell", policy.model),
+        );
     }
 }
 
@@ -201,17 +214,8 @@ fn sweep_by_destination_is_identical_across_thread_counts() {
         scenario::tier12_step(&net, 4, 10).deployment.clone(),
     ];
     let policy = Policy::new(SecurityModel::Security2nd);
-    let reference = sweep::metric_sweep_by_destination(
-        &net,
-        &attackers,
-        &dests,
-        &deps,
-        policy,
-        AttackStrategy::FakeLink,
-        Parallelism::sequential(),
-    );
-    for par in parallelisms() {
-        let got = sweep::metric_sweep_by_destination(
+    let run = |par: Parallelism| {
+        sweep::metric_churn_by_destination(
             &net,
             &attackers,
             &dests,
@@ -219,8 +223,11 @@ fn sweep_by_destination_is_identical_across_thread_counts() {
             policy,
             AttackStrategy::FakeLink,
             par,
-        );
-        assert_eq!(got, reference, "{par:?}");
+        )
+    };
+    let reference = run(Parallelism::sequential());
+    for par in parallelisms() {
+        assert_eq!(run(par), reference, "{par:?}");
     }
 }
 
@@ -278,12 +285,42 @@ fn strategy_ladder_is_bit_identical_across_thread_counts() {
     }
 }
 
+/// Every field of two adaptive runs, floats compared by `to_bits`.
+fn assert_runs_bits(got: &AdaptiveRun, want: &AdaptiveRun, label: &str) {
+    assert_eq!(got.sampled, want.sampled, "{label} sample");
+    assert_eq!(got.rounds.len(), want.rounds.len(), "{label} rounds");
+    for (g, r) in got.rounds.iter().zip(&want.rounds) {
+        assert_eq!(g.pairs, r.pairs, "{label} round pairs");
+        assert_eq!(
+            g.max_halfwidth.to_bits(),
+            r.max_halfwidth.to_bits(),
+            "{label} round width"
+        );
+    }
+    assert_eq!(got.estimates.len(), want.estimates.len(), "{label}");
+    for (k, (g, r)) in got.estimates.iter().zip(&want.estimates).enumerate() {
+        assert_eq!(g.pairs, r.pairs, "{label} step {k} pairs");
+        for (a, b) in [
+            (g.value.lower, r.value.lower),
+            (g.value.upper, r.value.upper),
+            (g.halfwidth.lower, r.halfwidth.lower),
+            (g.halfwidth.upper, r.halfwidth.upper),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{label} step {k}");
+        }
+    }
+    assert_eq!(got.population, want.population, "{label} population");
+    assert_eq!(got.strata, want.strata, "{label} strata");
+    assert_eq!(got.lost_groups, want.lost_groups, "{label} lost groups");
+    assert_eq!(got.lost_pairs, want.lost_pairs, "{label} lost pairs");
+}
+
 #[test]
 fn stratified_adaptive_runs_are_bit_identical_across_thread_counts() {
     // The estimation subsystem inherits the chunk-order reduction: the
     // whole adaptive run — estimates (floating point included), CI-width
     // trajectory, and the realized sample — is bit-identical at any
-    // thread count.
+    // thread count, and every cell equals its one-cell run.
     let net = net();
     let attackers = net.tiers.non_stubs();
     let dests: Vec<AsId> = net.graph.ases().collect();
@@ -293,43 +330,33 @@ fn stratified_adaptive_runs_are_bit_identical_across_thread_counts() {
         scenario::tier12_step(&net, 5, 20).deployment.clone(),
     ];
     let cfg = EstimatorConfig::with_budget(600, 21).with_ci(0.004);
-    for model in SecurityModel::ALL {
-        let policy = Policy::new(model);
-        let reference = stats::estimate_metric_sweep(
+    let policies = SecurityModel::ALL.map(Policy::new);
+    let run = |policies: &[Policy], par: Parallelism| {
+        stats::estimate_metric_sweep_cells(
             &net,
             &attackers,
             &dests,
             &deps,
-            policy,
+            policies,
             AttackStrategy::FakeLink,
             &cfg,
-            Parallelism::sequential(),
-        );
-        for par in parallelisms() {
-            let got = stats::estimate_metric_sweep(
-                &net,
-                &attackers,
-                &dests,
-                &deps,
-                policy,
-                AttackStrategy::FakeLink,
-                &cfg,
-                par,
-            );
-            assert_eq!(got.sampled, reference.sampled, "{model} sample @ {par:?}");
-            assert_eq!(got.rounds, reference.rounds, "{model} rounds @ {par:?}");
-            assert_eq!(got.estimates.len(), reference.estimates.len());
-            for (k, (g, r)) in got.estimates.iter().zip(&reference.estimates).enumerate() {
-                for (a, b) in [
-                    (g.value.lower, r.value.lower),
-                    (g.value.upper, r.value.upper),
-                    (g.halfwidth.lower, r.halfwidth.lower),
-                    (g.halfwidth.upper, r.halfwidth.upper),
-                ] {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{model} step {k} @ {par:?}");
-                }
-            }
+            par,
+        )
+    };
+    let reference = run(&policies, Parallelism::sequential());
+    for par in parallelisms() {
+        let got = run(&policies, par);
+        for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
+            assert_runs_bits(g, r, &format!("{} @ {par:?}", policies[i].model));
         }
+    }
+    for (i, &policy) in policies.iter().enumerate() {
+        let solo = run(&[policy], Parallelism(2));
+        assert_runs_bits(
+            &solo[0],
+            &reference[i],
+            &format!("{} one-cell", policy.model),
+        );
     }
 }
 
@@ -350,16 +377,17 @@ fn adaptive_stopping_is_monotone_in_the_ci_target() {
         if let Some(t) = target {
             cfg = cfg.with_ci(t);
         }
-        stats::estimate_metric(
+        stats::estimate_metric_cells(
             &net,
             &attackers,
             &dests,
             &dep,
-            policy,
+            &[policy],
             AttackStrategy::FakeLink,
             &cfg,
             Parallelism(2),
         )
+        .swap_remove(0)
     };
     // Loosest to tightest; `None` runs to the budget, the floor for all.
     let targets = [Some(0.05), Some(0.02), Some(0.01), Some(0.004), None];

@@ -22,6 +22,7 @@ use proptest::prelude::*;
 
 use bgp_juice::prelude::*;
 use bgp_juice::sim::stats::{self, EstimatorConfig};
+use bgp_juice::sim::sweep;
 
 /// Strategy / model / variant combinations that jointly cover all three
 /// models, both LP variants, and FakePath k ∈ {0, 1, 2}.
@@ -35,7 +36,8 @@ const COMBOS: [(SecurityModel, LpVariant, u8); 6] = [
 ];
 
 /// The exhaustive-oracle metric: a plain mean of per-pair happy fractions
-/// over the full `m ≠ d` grid, through the classic runner.
+/// over the full `m ≠ d` grid, through a one-cell, one-step run of the
+/// pair-sample runner.
 fn oracle(
     net: &Internet,
     attackers: &[AsId],
@@ -45,7 +47,14 @@ fn oracle(
     strategy: AttackStrategy,
 ) -> Bounds {
     let pairs = sample::pairs_exhaustive(attackers, dests);
-    runner::metric_with_strategy(net, &pairs, dep, policy, strategy, Parallelism(2))
+    let cell = CellSet::per_policy(&[policy], strategy);
+    sweep::metric_sweep_cells(
+        net,
+        &pairs,
+        std::slice::from_ref(dep),
+        &cell,
+        Parallelism(2),
+    )[0][0]
 }
 
 /// Full-budget estimation: sampled set ≡ exhaustive grid, half-width ≡ 0,
@@ -61,16 +70,17 @@ fn check_full_budget(
 ) {
     let truth = oracle(net, attackers, dests, dep, policy, strategy);
     let cfg = EstimatorConfig::with_budget(u64::MAX, seed);
-    let run = stats::estimate_metric(
+    let run = stats::estimate_metric_cells(
         net,
         attackers,
         dests,
         dep,
-        policy,
+        &[policy],
         strategy,
         &cfg,
         Parallelism(2),
-    );
+    )
+    .swap_remove(0);
     let exhaustive: HashSet<(AsId, AsId)> = sample::pairs_exhaustive(attackers, dests)
         .into_iter()
         .collect();
@@ -159,16 +169,17 @@ fn ci_coverage_meets_the_nominal_rate() {
         let (mut combo_cov, mut combo_total) = (0u32, 0u32);
         for trial in 0..TRIALS {
             let cfg = EstimatorConfig::with_budget(BUDGET, 0x9000 + 64 * c as u64 + trial);
-            let run = stats::estimate_metric(
+            let run = stats::estimate_metric_cells(
                 &net,
                 &attackers,
                 &dests,
                 &dep,
-                policy,
+                &[policy],
                 strategy,
                 &cfg,
                 Parallelism(2),
-            );
+            )
+            .swap_remove(0);
             assert_eq!(run.sampled.len() as u64, BUDGET);
             let e = run.estimates[0];
             assert!(

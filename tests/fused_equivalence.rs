@@ -12,9 +12,9 @@
 //! [`AttackDeltaEngine`] against fresh computes, so checking the fused
 //! engine against the solo delta closes the chain fused ≡ delta ≡ engine ≡
 //! simulated S*BGP. A fixed-seed determinism test additionally pins the
-//! fused destination-major runners (`runner::metric_cells`,
-//! `sweep::metric_sweep_cells`) bit-identical across thread counts *and*
-//! to their single-cell counterparts.
+//! fused destination-major runner (`sweep::metric_sweep_cells`, at one
+//! step and along a sweep) bit-identical across thread counts *and*, cell
+//! by cell, to one-cell runs.
 
 use proptest::prelude::*;
 
@@ -567,12 +567,29 @@ fn fused_runners_are_bit_identical_across_thread_counts() {
         Parallelism::auto(),
     ];
 
+    // One cell of the grid, alone, along `deps`.
+    let one_cell = |i: usize, deps: &[Deployment]| {
+        let (p, rung) = (i / rungs.len(), rungs[i % rungs.len()]);
+        let cell = CellSet::per_policy(&[policies[p]], rung);
+        simsweep::metric_sweep_cells(&net, &pairs, deps, &cell, Parallelism::sequential())
+            .swap_remove(0)
+    };
+
     for dep in &deployments {
-        let reference = runner::metric_cells(&net, &pairs, dep, &cells, Parallelism::sequential());
+        let step = std::slice::from_ref(dep);
+        let first = |row: Vec<Bounds>| row[0];
+        let reference: Vec<Bounds> =
+            simsweep::metric_sweep_cells(&net, &pairs, step, &cells, Parallelism::sequential())
+                .into_iter()
+                .map(first)
+                .collect();
         assert_eq!(reference.len(), cells.input_len());
         // Across thread counts: bit-identical, not approximately equal.
         for par in parallelisms {
-            let got = runner::metric_cells(&net, &pairs, dep, &cells, par);
+            let got: Vec<Bounds> = simsweep::metric_sweep_cells(&net, &pairs, step, &cells, par)
+                .into_iter()
+                .map(first)
+                .collect();
             for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
                 assert_eq!(
                     g.lower.to_bits(),
@@ -586,17 +603,9 @@ fn fused_runners_are_bit_identical_across_thread_counts() {
                 );
             }
         }
-        // Against the single-cell runner, cell by cell.
+        // Against one-cell runs, cell by cell.
         for (i, r) in reference.iter().enumerate() {
-            let (p, rung) = (i / rungs.len(), rungs[i % rungs.len()]);
-            let solo = runner::metric_with_strategy(
-                &net,
-                &pairs,
-                dep,
-                policies[p],
-                rung,
-                Parallelism::sequential(),
-            );
+            let solo = one_cell(i, step)[0];
             assert_eq!(
                 solo.lower.to_bits(),
                 r.lower.to_bits(),
@@ -636,15 +645,8 @@ fn fused_runners_are_bit_identical_across_thread_counts() {
         }
     }
     for (i, rrow) in reference.iter().enumerate() {
-        let (p, rung) = (i / rungs.len(), rungs[i % rungs.len()]);
-        let solo = simsweep::metric_sweep(
-            &net,
-            &pairs,
-            &deployments,
-            policies[p],
-            rung,
-            Parallelism::sequential(),
-        );
+        let solo = one_cell(i, &deployments);
+        assert_eq!(solo.len(), rrow.len());
         for (k, (s, r)) in solo.iter().zip(rrow).enumerate() {
             assert_eq!(
                 s.lower.to_bits(),
