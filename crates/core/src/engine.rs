@@ -33,10 +33,27 @@
 //! [`RootFlags`], which is what makes the tie-break-free happy bounds of
 //! §4.1 exact.
 //!
+//! **Stub folding.** About 85% of ASes are stubs (no customers). By the
+//! export rule (§2.2, Ex) a stub that is not a root exports no route, so
+//! no other AS's route depends on it. [`Engine::compute`] therefore runs
+//! the staged BFS over the transit core only: the O(V) pass that resets
+//! the outcome marks every stub with a private `kind` sentinel, which the
+//! BFS's unfixed test skips, so no stub is ever enqueued, popped or
+//! rescanned (a stub root is fixed as a root as usual). Once the schedule
+//! has drained, every core route is final, and one linear pass resolves
+//! each folded stub by a single scan of its peers holding an origin or
+//! customer route and its providers holding any route: the candidates
+//! with the least [`crate::policy::preference_key`] are exactly the
+//! stub's `BPR` set, and the pass writes the same class, length,
+//! security, root flags, mark bit and lowest-id next hop the BFS fix
+//! would have. A stub with no candidate stays unrouted.
+//!
 //! Every other engine in this crate — [`crate::SweepEngine`],
 //! [`crate::AttackDeltaEngine`] and the per-computation engines of
 //! [`crate::FusedDeltaEngine`] — either calls [`Engine::compute`] or
 //! re-runs its stage schedule over a sub-region of a previous outcome.
+//! Region solves start from a complete outcome and keep the queue path:
+//! a stub inside a region is enqueued and fixed like any other AS.
 
 use sbgp_topology::{AsGraph, AsId};
 
@@ -47,9 +64,14 @@ use crate::outcome::{
     KIND_PEER, KIND_PROVIDER, KIND_UNFIXED,
 };
 use crate::policy::{Policy, SecurityModel};
+use crate::region::offer_key;
 
 /// Sentinel for an empty per-length chain in [`BucketQueue`].
 const NO_ENTRY: u32 = u32::MAX;
+
+/// Outcome `kind` of a stub that [`Engine::compute`] has folded out of its
+/// BFS and not yet resolved. It never leaves `compute`.
+const KIND_FOLDED: u8 = u8::MAX;
 
 /// Monotone bucket queue of fix candidates keyed by route length.
 ///
@@ -138,7 +160,10 @@ enum Class {
 /// Create one engine per worker thread; [`Engine::compute`] reuses all
 /// internal buffers, so a single `(m, d, S)` evaluation on a graph with
 /// `V` ASes and `E` edges costs `O(V + E)` with no allocation in the
-/// steady state.
+/// steady state. [`Engine::new`] is O(1) and allocates nothing: serving
+/// layers build an engine per query, so even the stubs that `compute`
+/// folds out of its BFS are found per run (in the reset pass), not listed
+/// up front.
 #[derive(Debug)]
 pub struct Engine<'g> {
     graph: &'g AsGraph,
@@ -198,10 +223,22 @@ impl<'g> Engine<'g> {
         policy: Policy,
     ) -> &Outcome {
         self.begin(scenario, deployment, policy);
-        self.outcome.reset(
-            self.graph.len(),
+        // Fold every stub out of the BFS: marked here, it fails the
+        // `KIND_UNFIXED` test in `push_from_fixed` and is never enqueued
+        // (its `len` stays `u32::MAX`, so no `try_fix` rescan matches it
+        // either). A stub root is overwritten by `fix_root` below.
+        let graph = self.graph;
+        self.outcome.reset_with_kinds(
+            graph.len(),
             scenario.destination,
             scenario.attacker_array(),
+            |i| {
+                if graph.customers(AsId(i as u32)).is_empty() {
+                    KIND_FOLDED
+                } else {
+                    KIND_UNFIXED
+                }
+            },
         );
 
         // Roots. The destination announces at depth 0; every announcer's
@@ -227,7 +264,72 @@ impl<'g> Engine<'g> {
         }
 
         self.run_schedule(policy, deployment);
+        self.resolve_folded_stubs(policy, deployment);
+        debug_assert!(
+            !self.outcome.kind.contains(&KIND_FOLDED),
+            "a folded stub escaped compute"
+        );
         &self.outcome
+    }
+
+    /// Fix every stub `compute` folded out of the BFS, in one pass over the
+    /// outcome once the transit core is final.
+    ///
+    /// A folded stub exports no route (Ex), so nothing else depends on it
+    /// and its route is simply the best its neighbours offer: the routes of
+    /// peers holding an origin or customer route, and of providers holding
+    /// any route. One scan of the two sets keeps the candidates with the
+    /// least offer key (`region::offer_key`, the export rule plus
+    /// [`crate::policy::preference_key`]) — the stub's `BPR` set — and
+    /// writes the same fields `try_fix` would: the union of their root and
+    /// mark bits, the lowest-id next hop, and the key's class, length and
+    /// security.
+    fn resolve_folded_stubs(&mut self, policy: Policy, deployment: &Deployment) {
+        let graph = self.graph;
+        let o = &mut self.outcome;
+        for i in 0..o.kind.len() {
+            if o.kind[i] != KIND_FOLDED {
+                continue;
+            }
+            let v = AsId(i as u32);
+            let validating = deployment.validates(v);
+            let mut best: Option<(u32, u32, u32)> = None;
+            let (mut kind, mut len, mut secure) = (KIND_UNFIXED, u32::MAX, false);
+            let (mut flags, mut via, mut hop) = (0u8, false, u32::MAX);
+            let peers = graph.peers(v).iter().map(|&u| (u, 1));
+            let providers = graph.providers(v).iter().map(|&u| (u, 2));
+            for (u, rank) in peers.chain(providers) {
+                // `offer_key` applies Ex: a peer offers only an origin or
+                // customer route (never a folded stub's), a provider any.
+                let Some(key) = offer_key(o, u, rank, policy, validating) else {
+                    continue;
+                };
+                let ui = u.index();
+                let packed = o.packed_flags(ui);
+                if best.is_some_and(|b| key > b) {
+                    continue;
+                }
+                if best != Some(key) {
+                    best = Some(key);
+                    kind = if rank == 1 { KIND_PEER } else { KIND_PROVIDER };
+                    (len, secure) = (o.len[ui] + 1, packed & FLAG_SECURE != 0 && validating);
+                    (flags, via, hop) = (0, false, u32::MAX);
+                }
+                flags |= packed & FLAG_ROOTS;
+                via |= packed & FLAG_VIA_MARK != 0;
+                hop = hop.min(u.0);
+            }
+            if best.is_none() {
+                o.kind[i] = KIND_UNFIXED;
+                continue;
+            }
+            o.set_fixed(i, kind, len, secure, flags, via || self.mark == Some(v));
+            o.next_hop[i] = hop;
+            debug_assert!(
+                !secure || flags == RootFlags::TO_D.0,
+                "secure routes cannot reach the attacker"
+            );
+        }
     }
 
     /// Validate inputs and reset the per-run machinery (queues, secure-queue
@@ -1212,6 +1314,87 @@ mod tests {
         // Only s is a source: n − 1 − 2 colluders.
         assert_eq!(o.sources().count(), 1);
         assert_eq!(o.count_happy(), (0, 0));
+    }
+
+    #[test]
+    fn stub_reachable_only_through_a_peering_with_a_stub_destination() {
+        // d(0) is a stub customer of p(1); s(2) is a stub whose only link
+        // is a peering with d. u(3) is a stub peering only with s: s's
+        // peer route is not exported to peers, so u has no route.
+        let mut b = GraphBuilder::new(4);
+        b.add_provider(AsId(0), AsId(1)).unwrap();
+        b.add_peering(AsId(2), AsId(0)).unwrap();
+        b.add_peering(AsId(3), AsId(2)).unwrap();
+        let g = b.build();
+        let dep = Deployment::full_from_iter(4, [AsId(0), AsId(2)]);
+        let mut e = Engine::new(&g);
+        for model in SecurityModel::ALL {
+            let o = e.compute(AttackScenario::normal(AsId(0)), &dep, sec(model));
+            let s = o.route(AsId(2)).unwrap();
+            assert_eq!(s.class, crate::RouteClass::Peer, "{model}");
+            assert_eq!(s.length, 1, "{model}");
+            assert!(s.secure, "{model}");
+            assert_eq!(s.flags, RootFlags::TO_D, "{model}");
+            assert_eq!(o.next_hop(AsId(2)), Some(AsId(0)), "{model}");
+            assert!(o.route(AsId(3)).is_none(), "{model}: peer routes leaked");
+        }
+    }
+
+    #[test]
+    fn unreachable_stub_stays_unrouted() {
+        // d(0) <- p(1) <- s(2) is routed; x(3) is a transit AS with stub
+        // customer w(4) but no path to d: both stay unrouted, under
+        // normal conditions and under an attack from elsewhere.
+        let mut b = GraphBuilder::new(6);
+        b.add_provider(AsId(0), AsId(1)).unwrap();
+        b.add_provider(AsId(2), AsId(1)).unwrap();
+        b.add_provider(AsId(4), AsId(3)).unwrap();
+        b.add_provider(AsId(5), AsId(1)).unwrap();
+        let g = b.build();
+        let dep = Deployment::empty(6);
+        let mut e = Engine::new(&g);
+        for scenario in [
+            AttackScenario::normal(AsId(0)),
+            AttackScenario::attack(AsId(5), AsId(0)),
+        ] {
+            let o = e.compute(scenario, &dep, sec(SecurityModel::Security3rd));
+            assert!(o.route(AsId(2)).is_some());
+            for v in [AsId(3), AsId(4)] {
+                assert!(o.route(v).is_none(), "{v} routed");
+                assert_eq!(o.flags(v), RootFlags::NONE);
+                assert_eq!(o.next_hop(v), None);
+                assert!(!o.may_traverse_mark(v));
+            }
+        }
+    }
+
+    #[test]
+    fn multihomed_stub_tie_between_destination_and_attacker_is_mixed() {
+        // Stub d(0) buys from pd(4); stub m(1) buys from pm(2); stub s(5)
+        // buys from both. Under an origin hijack both providers hold a
+        // 1-hop customer route, so s ties at length 2 between a TO_D and
+        // a TO_M provider route; its next hop is the lower id, pm.
+        let mut b = GraphBuilder::new(6);
+        b.add_provider(AsId(0), AsId(4)).unwrap();
+        b.add_provider(AsId(1), AsId(2)).unwrap();
+        b.add_provider(AsId(5), AsId(4)).unwrap();
+        b.add_provider(AsId(5), AsId(2)).unwrap();
+        b.add_peering(AsId(2), AsId(4)).unwrap();
+        let g = b.build();
+        let dep = Deployment::empty(6);
+        let mut e = Engine::new(&g);
+        let scenario = AttackScenario {
+            mark: Some(AsId(4)),
+            ..AttackScenario::hijack(AsId(1), AsId(0))
+        };
+        let o = e.compute(scenario, &dep, sec(SecurityModel::Security3rd));
+        let s = o.route(AsId(5)).unwrap();
+        assert_eq!(s.class, crate::RouteClass::Provider);
+        assert_eq!(s.length, 2);
+        assert!(!s.secure);
+        assert_eq!(s.flags, RootFlags::MIXED);
+        assert_eq!(o.next_hop(AsId(5)), Some(AsId(2)));
+        assert!(o.may_traverse_mark(AsId(5)), "pd is in the BPR set");
     }
 
     #[test]

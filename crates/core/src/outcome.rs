@@ -167,8 +167,21 @@ impl Outcome {
         destination: AsId,
         attackers: [Option<AsId>; MAX_ATTACKERS],
     ) {
+        self.reset_with_kinds(n, destination, attackers, |_| KIND_UNFIXED);
+    }
+
+    /// [`Outcome::reset`], except that index `i` starts with kind
+    /// `initial_kind(i)` rather than unfixed — the engine marks the stubs
+    /// it folds out of its BFS in the same pass.
+    pub(crate) fn reset_with_kinds(
+        &mut self,
+        n: usize,
+        destination: AsId,
+        attackers: [Option<AsId>; MAX_ATTACKERS],
+        initial_kind: impl FnMut(usize) -> u8,
+    ) {
         self.kind.clear();
-        self.kind.resize(n, KIND_UNFIXED);
+        self.kind.extend((0..n).map(initial_kind));
         self.len.clear();
         self.len.resize(n, u32::MAX);
         self.flags.clear();

@@ -148,7 +148,7 @@ pub(crate) fn pack_key(k: (u32, u32, u32)) -> u128 {
 
 /// The position of the route `u` would learn from `v` at class `rank`, or
 /// `None` when `v` has no route or may not export it at that class (Ex).
-fn offer_key(
+pub(crate) fn offer_key(
     outcome: &Outcome,
     v: AsId,
     rank: u8,

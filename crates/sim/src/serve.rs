@@ -977,6 +977,15 @@ mod tests {
         assert_eq!(ok.variant, LpVariant::LpK(2));
         assert_eq!(ok.budget, Some(50));
         assert_eq!(ok.seed, 11);
+        // Keys of a nested object never shadow the top-level fields.
+        let nested = Query::parse(
+            "{\"op\":\"query\",\"attackers\":[5],\"destinations\":[9],\
+             \"opts\":{\"seed\":4,\"budget\":7},\"seed\":11}",
+            n,
+        )
+        .unwrap();
+        assert_eq!(nested.seed, 11);
+        assert_eq!(nested.budget, None);
 
         // Defaults.
         let q = Query::parse(

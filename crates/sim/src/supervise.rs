@@ -116,13 +116,64 @@ pub(crate) fn json_u64_field(text: &str, key: &str) -> Option<u64> {
 }
 
 /// The text right after `"key"` and its colon (JSON whitespace allowed on
-/// both sides of the colon), or `None` when no such key is present.
+/// both sides of the colon), or `None` when the outermost object has no
+/// such key. Keys of nested objects and the contents of strings (escapes
+/// included) are skipped, so a nested `"key":` never shadows a top-level
+/// one.
 pub(crate) fn json_value<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let pat = format!("\"{key}\"");
-    text.match_indices(&pat).find_map(|(i, _)| {
-        let rest = text[i + pat.len()..].trim_start_matches(JSON_WS);
-        Some(rest.strip_prefix(':')?.trim_start_matches(JSON_WS))
-    })
+    // Most lookups are for absent optional keys: one substring search
+    // rules those out without walking the frame.
+    if !text.contains(&format!("\"{key}\"")) {
+        return None;
+    }
+    let mut depth = 0i64;
+    let mut rest = text;
+    // String by string: between two strings only brackets matter, and a
+    // branch-free count over that stretch keeps long id lists cheap.
+    while let Some(open) = rest.find('"') {
+        depth += nesting(&rest.as_bytes()[..open]);
+        let body = &rest[open + 1..];
+        let close = string_end(body.as_bytes())?;
+        rest = &body[close + 1..];
+        if depth == 1 && body[..close] == *key {
+            if let Some(value) = rest.trim_start_matches(JSON_WS).strip_prefix(':') {
+                return Some(value.trim_start_matches(JSON_WS));
+            }
+        }
+    }
+    None
+}
+
+/// Opening minus closing brackets in `bytes`, counted in chunks small
+/// enough for byte-wide counters so the loop vectorizes.
+fn nesting(bytes: &[u8]) -> i64 {
+    bytes
+        .chunks(255)
+        .map(|chunk| {
+            let (mut open, mut close) = (0u8, 0u8);
+            for &c in chunk {
+                open += u8::from(c == b'{' || c == b'[');
+                close += u8::from(c == b'}' || c == b']');
+            }
+            i64::from(open) - i64::from(close)
+        })
+        .sum()
+}
+
+/// The index of the quote that ends a JSON string whose contents start at
+/// `body[0]`, skipping escaped characters; `None` when it never ends.
+fn string_end(body: &[u8]) -> Option<usize> {
+    let mut i = 0;
+    loop {
+        i += body
+            .get(i..)?
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')?;
+        if body[i] == b'"' {
+            return Some(i);
+        }
+        i += 2;
+    }
 }
 
 pub(crate) const JSON_WS: [char; 4] = [' ', '\t', '\n', '\r'];
@@ -1089,6 +1140,10 @@ mod tests {
         }
         // A string value that spells the key is not the key.
         assert_eq!(parse("{\"x\":\"k\",\"k\":[4]}"), Some(vec![4]));
+        // Nor is a key of a nested object, or text inside a string.
+        assert_eq!(parse("{\"x\":{\"k\":[1]},\"k\":[2]}"), Some(vec![2]));
+        assert_eq!(parse("{\"x\":[{\"k\":[1]}]}"), None);
+        assert_eq!(parse("{\"s\":\"a\\\"k\\\":[9]\",\"k\":[3]}"), Some(vec![3]));
     }
 
     #[test]

@@ -337,7 +337,10 @@ proptest! {
 /// structured (generated) topology, not just proptest soup. Both legacy
 /// attack strategies are cross-checked (the hijack pass additionally runs
 /// the §5.3.2 simplex-at-stubs deployment variant), plus a 3-hop forged
-/// path and a colluding pair flooding 2-hop forged paths.
+/// path and a colluding pair flooding 2-hop forged paths. Stubs (ASes with
+/// no customers, most of the topology) take every root role too: a
+/// hijacked stub destination, a stub attacker and a colluding stub pair.
+/// Every scenario runs under LP, LP2 and LPinf.
 #[test]
 fn engine_matches_protocol_simulator_on_generated_internet() {
     let net = Internet::synthetic(160, 9);
@@ -347,39 +350,56 @@ fn engine_matches_protocol_simulator_on_generated_internet() {
     let m = net.tiers.tier2()[1];
     let m2 = net.tiers.tier2()[3];
     assert_ne!(m, m2);
+    let stubs: Vec<AsId> = net
+        .graph
+        .ases()
+        .filter(|&v| net.graph.customer_degree(v) == 0 && v != d)
+        .collect();
+    let (stub_d, stub_m, stub_m2) = (stubs[0], stubs[stubs.len() / 2], stubs[stubs.len() - 1]);
     for model in SecurityModel::ALL {
-        let policy = Policy::new(model);
-        for (scenario, deployment) in [
-            (AttackScenario::attack(m, d), &step.deployment),
-            (AttackScenario::hijack(m, d), &simplex_step.deployment),
-            (
-                AttackScenario::attack(m, d).with_strategy(AttackStrategy::FakePath { hops: 3 }),
-                &step.deployment,
-            ),
-            (
-                AttackScenario::colluding(&[m, m2], d)
-                    .with_strategy(AttackStrategy::FakePath { hops: 2 }),
-                &step.deployment,
-            ),
-        ] {
-            let mut engine = Engine::new(&net.graph);
-            let outcome = engine.compute(scenario, deployment, policy);
-            let mut sim = Simulator::new(&net.graph, deployment, policy, scenario);
-            let run = sim.run(Schedule::Random(model as u64), 5_000_000);
-            assert!(matches!(run, RunOutcome::Converged { .. }), "{model}");
-            assert!(sim.unstable_ases().is_empty(), "{model}");
-            for v in net.graph.ases() {
-                if !scenario.is_source(v) {
-                    continue;
-                }
-                match (outcome.route(v), sim.selected(v)) {
-                    (None, None) => {}
-                    (Some(er), Some(sel)) => {
-                        assert_eq!(er.length, sel.route.length(), "{model} {v}");
-                        assert_eq!(er.secure, sel.secure, "{model} {v}");
-                        assert!(class_matches(er.class, sel.class), "{model} {v}");
+        for variant in [LpVariant::Standard, LpVariant::LpK(2), LpVariant::LpInf] {
+            let policy = Policy::with_variant(model, variant);
+            for (scenario, deployment) in [
+                (AttackScenario::attack(m, d), &step.deployment),
+                (AttackScenario::hijack(m, d), &simplex_step.deployment),
+                (
+                    AttackScenario::attack(m, d)
+                        .with_strategy(AttackStrategy::FakePath { hops: 3 }),
+                    &step.deployment,
+                ),
+                (
+                    AttackScenario::colluding(&[m, m2], d)
+                        .with_strategy(AttackStrategy::FakePath { hops: 2 }),
+                    &step.deployment,
+                ),
+                (AttackScenario::hijack(m, stub_d), &simplex_step.deployment),
+                (AttackScenario::attack(stub_m, d), &step.deployment),
+                (
+                    AttackScenario::colluding(&[stub_m, stub_m2], d)
+                        .with_strategy(AttackStrategy::FakePath { hops: 2 }),
+                    &simplex_step.deployment,
+                ),
+            ] {
+                let ctx = format!("{model} {variant} {scenario:?}");
+                let mut engine = Engine::new(&net.graph);
+                let outcome = engine.compute(scenario, deployment, policy);
+                let mut sim = Simulator::new(&net.graph, deployment, policy, scenario);
+                let run = sim.run(Schedule::Random(model as u64), 5_000_000);
+                assert!(matches!(run, RunOutcome::Converged { .. }), "{ctx}");
+                assert!(sim.unstable_ases().is_empty(), "{ctx}");
+                for v in net.graph.ases() {
+                    if !scenario.is_source(v) {
+                        continue;
                     }
-                    (er, sel) => panic!("{model} {v}: {er:?} vs {sel:?}"),
+                    match (outcome.route(v), sim.selected(v)) {
+                        (None, None) => {}
+                        (Some(er), Some(sel)) => {
+                            assert_eq!(er.length, sel.route.length(), "{ctx} {v}");
+                            assert_eq!(er.secure, sel.secure, "{ctx} {v}");
+                            assert!(class_matches(er.class, sel.class), "{ctx} {v}");
+                        }
+                        (er, sel) => panic!("{ctx} {v}: {er:?} vs {sel:?}"),
+                    }
                 }
             }
         }
