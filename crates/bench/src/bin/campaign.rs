@@ -58,9 +58,9 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use sbgp_bench::sweep_rollout_steps;
 use sbgp_core::{AttackStrategy, Deployment, Policy, SecurityModel};
 use sbgp_sim::faultpoint;
+use sbgp_sim::scenario::sweep_rollout_steps;
 use sbgp_sim::stats::{self, AdaptiveRun, EstimatorConfig, PairUniverse};
 use sbgp_sim::supervise::{self, Supervisor, SupervisorConfig, WorkerMsg};
 use sbgp_sim::{Internet, Parallelism};

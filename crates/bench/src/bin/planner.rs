@@ -1,53 +1,31 @@
 //! The deployment-planner what-if service binary.
 //!
-//! Default mode: load the snapshot once (`--file` or synthetic), then
-//! serve [`sbgp_sim::serve::Planner`] queries over length-prefixed JSON
-//! frames on stdin/stdout until EOF or a `{"op":"shutdown"}` frame.
-//! Diagnostics go to stderr; stdout carries frames only.
+//! Load the snapshot once (`--file` or synthetic), then serve
+//! [`sbgp_sim::serve::Planner`] queries over length-prefixed JSON frames
+//! on stdin/stdout until EOF or a `{"op":"shutdown"}` frame. Diagnostics
+//! go to stderr; stdout carries frames only.
 //!
 //! ```text
 //! planner --file snapshot.as-rel --cps 15169,20940 --prewarm 32
 //! planner --asns 4000 --threads 8 --cache 512
-//! planner --bench --asns 4000                 # cold vs warm latency -> BENCH_planner.json
-//! planner --validate BENCH_planner.json       # schema drift check
 //! ```
 //!
-//! `--bench` measures the cache's value: the same what-if query stream is
-//! answered by a cold planner (every normal-conditions base computed) and
-//! a warm one (every base adopted from the cache), min-of-3 each, and a
-//! solo [`sbgp_core::AttackDeltaEngine`] cross-check pins that both
-//! answers are bit-identical to first principles. The committed JSON
-//! carries the measured speedup (gate: warm beats cold by ≥ 5×).
+//! The cache's speed gate (warm ≥5× cold) is `tests/speed_gates.rs`.
 
 use std::io::Write as _;
-use std::path::PathBuf;
-use std::time::Instant;
 
 use sbgp_bench::Cli;
-use sbgp_core::{AttackStrategy, Deployment, Policy, SecurityModel};
 use sbgp_sim::serve::{Planner, PlannerConfig};
-use sbgp_sim::{sample, scenario, Internet};
-
-/// Timed repetitions per side; the minimum is reported.
-const REPS: usize = 3;
-/// The committed acceptance gate: warm must beat cold by this factor.
-const GATE: f64 = 5.0;
 
 struct Args {
     cache: usize,
     prewarm: usize,
-    bench: bool,
-    out: PathBuf,
-    validate: Option<PathBuf>,
     cli: Cli,
 }
 
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut cache = 256usize;
     let mut prewarm = 0usize;
-    let mut bench = false;
-    let mut out = PathBuf::from("BENCH_planner.json");
-    let mut validate = None;
     let mut rest: Vec<String> = Vec::new();
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
@@ -65,9 +43,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--prewarm wants a number".to_string())?
             }
-            "--bench" => bench = true,
-            "--out" => out = PathBuf::from(take("--out")?),
-            "--validate" => validate = Some(PathBuf::from(take("--validate")?)),
             other => {
                 // Everything else is the shared experiment CLI
                 // (--asns/--seed/--file/--cps/--threads/...). Flags that
@@ -97,254 +72,8 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     Ok(Args {
         cache,
         prewarm,
-        bench,
-        out,
-        validate,
         cli,
     })
-}
-
-/// Schema check for an emitted JSON (the CI drift gate).
-fn validate(path: &std::path::Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    for key in [
-        "\"bench\": \"planner\"",
-        "\"schema\": \"planner-bench-v1\"",
-        "\"asns\"",
-        "\"seed\"",
-        "\"queries\"",
-        "\"destinations\"",
-        "\"attackers\"",
-        "\"cold_ms\"",
-        "\"warm_ms\"",
-        "\"speedup\"",
-        "\"cold_misses\"",
-        "\"warm_hits\"",
-        "\"solo_matches\"",
-        "\"gate\"",
-    ] {
-        if !text.contains(key) {
-            return Err(format!("{}: missing {key}", path.display()));
-        }
-    }
-    Ok(())
-}
-
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat)? + pat.len();
-    let rest = text[start..].trim_start();
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// The bench what-if stream: a large Sec-1st deployment (all non-stubs
-/// secure, so patches are cheap and base computations dominate the cold
-/// pass), content-provider destinations, sampled attackers. Returns the
-/// deployment, the query frames, and the `(attackers, destinations)`
-/// pools for the solo cross-check.
-#[allow(clippy::type_complexity)]
-fn bench_queries(net: &Internet) -> (Deployment, Vec<String>, Vec<u32>, Vec<u32>) {
-    // Destination-heavy, attacker-light: each destination costs the cold
-    // pass a full normal-conditions computation, while the warm pass pays
-    // only the patches. Secure destinations + insecure stub attackers
-    // under Sec 1st keep the contested regions (and thus the patches)
-    // tiny, so the measurement isolates the cache's value.
-    let mut dest_pool: Vec<sbgp_topology::AsId> = net.content_providers.clone();
-    for v in sample::sample_non_stubs(net, 64, 11) {
-        if !dest_pool.contains(&v) {
-            dest_pool.push(v);
-        }
-    }
-    let dests: Vec<u32> = dest_pool.iter().take(48).map(|v| v.0).collect();
-    let named = scenario::all_non_stubs(net);
-    let mut secure: Vec<u32> = named.deployment.full_set().iter().map(|v| v.0).collect();
-    for d in &dests {
-        if !secure.contains(d) {
-            secure.push(*d);
-        }
-    }
-    let stub_pool: Vec<u32> = sample::sample_tier(net, sbgp_topology::tier::Tier::Stub, 40, 7)
-        .into_iter()
-        .filter(|m| !dest_pool.contains(m))
-        .map(|v| v.0)
-        .collect();
-    let attackers: Vec<u32> = stub_pool[..2].to_vec();
-    let extras: Vec<u32> = stub_pool[2..4].to_vec();
-    let ids = |v: &[u32]| {
-        v.iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    // Three what-if deployments — the planner's actual workload: the
-    // operator probes S, then S plus one candidate stub, then S plus a
-    // different one. Each variant costs the cold pass a fresh base
-    // computation per destination; the warm pass adopts every one of them
-    // from the cache. One attacker per query keeps the patch work (paid
-    // by both passes) from diluting the measurement.
-    let mut secure_b = secure.clone();
-    secure_b.push(extras[0]);
-    let mut secure_c = secure.clone();
-    secure_c.push(extras[1]);
-    let queries = vec![
-        format!(
-            "{{\"op\":\"query\",\"id\":1,\"secure\":[{}],\"attackers\":[{}],\
-             \"destinations\":[{}],\"models\":[\"sec1\"],\"strategies\":[\"fakelink\"]}}",
-            ids(&secure),
-            ids(&attackers[..1]),
-            ids(&dests)
-        ),
-        format!(
-            "{{\"op\":\"query\",\"id\":2,\"secure\":[{}],\"attackers\":[{}],\
-             \"destinations\":[{}],\"models\":[\"sec1\"],\"strategies\":[\"fakelink\"]}}",
-            ids(&secure_b),
-            ids(&attackers[1..]),
-            ids(&dests)
-        ),
-        format!(
-            "{{\"op\":\"query\",\"id\":3,\"secure\":[{}],\"attackers\":[{}],\
-             \"destinations\":[{}],\"models\":[\"sec1\"],\"strategies\":[\"fakelink\"]}}",
-            ids(&secure_c),
-            ids(&attackers[..1]),
-            ids(&dests)
-        ),
-    ];
-    (named.deployment, queries, attackers, dests)
-}
-
-fn run_bench(args: &Args) -> Result<(), String> {
-    let net = args
-        .cli
-        .try_internet()
-        .map_err(|e| format!("cannot load snapshot: {e}"))?;
-    eprintln!(
-        "planner bench: {} ({} ASes), cache {}, {} reps",
-        net.name,
-        net.len(),
-        args.cache,
-        REPS
-    );
-    let (dep, queries, attackers, dests) = bench_queries(&net);
-    let cfg = PlannerConfig {
-        cache_capacity: args.cache,
-        prewarm: 0,
-        parallelism: args.cli.config.parallelism,
-    };
-
-    // Cold: a fresh planner per rep — every base outcome is computed.
-    let mut cold_ms = f64::INFINITY;
-    let mut cold_replies: Vec<String> = Vec::new();
-    let mut cold_misses = 0;
-    for _ in 0..REPS {
-        let mut planner = Planner::new(net.clone(), cfg);
-        let t = Instant::now();
-        let replies: Vec<String> = queries
-            .iter()
-            .map(|q| planner.handle(q).expect("reply"))
-            .collect();
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        if ms < cold_ms {
-            cold_ms = ms;
-        }
-        cold_misses = planner.cache_stats().misses;
-        cold_replies = replies;
-    }
-
-    // Warm: one planner, stream pre-run once, then timed repeats — every
-    // base outcome is adopted from the cache.
-    let mut planner = Planner::new(net.clone(), cfg);
-    for q in &queries {
-        planner.handle(q);
-    }
-    let before = planner.cache_stats();
-    let mut warm_ms = f64::INFINITY;
-    let mut warm_replies: Vec<String> = Vec::new();
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let replies: Vec<String> = queries
-            .iter()
-            .map(|q| planner.handle(q).expect("reply"))
-            .collect();
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        if ms < warm_ms {
-            warm_ms = ms;
-        }
-        warm_replies = replies;
-    }
-    let after = planner.cache_stats();
-    let warm_hits = after.hits - before.hits;
-    if after.misses != before.misses {
-        return Err("warm pass recomputed a base outcome".into());
-    }
-    if cold_replies != warm_replies {
-        return Err("cold and warm replies differ — determinism contract broken".into());
-    }
-
-    // Solo cross-check: one (m, d) pair from first principles must match
-    // the served fraction bit-for-bit.
-    let m = sbgp_topology::AsId(attackers[0]);
-    let d = sbgp_topology::AsId(dests[0]);
-    let solo_q = format!(
-        "{{\"op\":\"query\",\"id\":9,\"secure\":[{}],\"attackers\":[{}],\
-         \"destinations\":[{}],\"models\":[\"sec1\"],\"strategies\":[\"fakelink\"]}}",
-        dep.full_set()
-            .iter()
-            .map(|v| v.0.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        m.0,
-        d.0
-    );
-    let reply = planner.handle(&solo_q).expect("reply");
-    let mut delta = sbgp_core::AttackDeltaEngine::new(&net.graph);
-    delta.begin(d, &dep, Policy::new(SecurityModel::Security1st));
-    delta.attack(m, AttackStrategy::FakeLink);
-    let (lo, hi) = delta.count_happy();
-    let sources = (net.len() - 2) as f64;
-    let want_lo = lo as f64 / sources;
-    let want_hi = hi as f64 / sources;
-    let got_lo = json_f64(&reply, "lower").ok_or("no lower in reply")?;
-    let got_hi = json_f64(&reply, "upper").ok_or("no upper in reply")?;
-    let solo_matches = got_lo == want_lo && got_hi == want_hi;
-    if !solo_matches {
-        return Err(format!(
-            "solo cross-check failed: served ({got_lo}, {got_hi}) vs solo ({want_lo}, {want_hi})"
-        ));
-    }
-
-    let speedup = cold_ms / warm_ms;
-    let json = format!(
-        "{{\n  \"bench\": \"planner\",\n  \"schema\": \"planner-bench-v1\",\n  \
-         \"asns\": {},\n  \"seed\": {},\n  \"graph\": \"{}\",\n  \"queries\": {},\n  \
-         \"destinations\": {},\n  \"attackers\": {},\n  \"cells\": 1,\n  \
-         \"cold_ms\": {:.3},\n  \"warm_ms\": {:.3},\n  \"speedup\": {:.2},\n  \
-         \"cold_misses\": {},\n  \"warm_hits\": {},\n  \"solo_matches\": {},\n  \
-         \"gate\": {:.1}\n}}\n",
-        net.len(),
-        args.cli.seed,
-        net.name,
-        queries.len(),
-        dests.len(),
-        attackers.len(),
-        cold_ms,
-        warm_ms,
-        speedup,
-        cold_misses,
-        warm_hits,
-        solo_matches,
-        GATE
-    );
-    std::fs::write(&args.out, &json).map_err(|e| format!("{}: {e}", args.out.display()))?;
-    validate(&args.out)?;
-    eprintln!(
-        "cold {cold_ms:.1} ms, warm {warm_ms:.1} ms, speedup {speedup:.2}x (gate {GATE}x) -> {}",
-        args.out.display()
-    );
-    if speedup < GATE {
-        return Err(format!("speedup {speedup:.2}x below the {GATE}x gate"));
-    }
-    Ok(())
 }
 
 fn main() {
@@ -353,32 +82,12 @@ fn main() {
         Err(msg) => {
             eprintln!("{msg}");
             eprintln!(
-                "usage: planner [--cache N] [--prewarm N] [--bench] [--out FILE] \
-                 [--validate FILE] [shared flags: --asns N --seed S --file AS-REL \
-                 --cps ASN,... --threads T ...]"
+                "usage: planner [--cache N] [--prewarm N] [shared flags: --asns N \
+                 --seed S --file AS-REL --cps ASN,... --threads T ...]"
             );
             std::process::exit(2);
         }
     };
-    if let Some(path) = &args.validate {
-        match validate(path) {
-            Ok(()) => {
-                println!("{}: planner-bench-v1 schema OK", path.display());
-                return;
-            }
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if args.bench {
-        if let Err(msg) = run_bench(&args) {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
-        return;
-    }
     let net = match args.cli.try_internet() {
         Ok(net) => net,
         Err(e) => {

@@ -38,11 +38,6 @@ use sbgp_core::{AttackStrategy, LpVariant};
 use sbgp_sim::experiments::ExperimentConfig;
 use sbgp_sim::{Internet, Parallelism};
 
-/// The sweep-benchmark / campaign rollout workload — re-exported from
-/// [`sbgp_sim::scenario`], where it moved so supervised campaign worker
-/// processes can rebuild the coordinator's exact deployments.
-pub use sbgp_sim::scenario::sweep_rollout_steps;
-
 /// Parsed command-line options for the figure binaries.
 #[derive(Clone, Debug)]
 pub struct Cli {

@@ -4,7 +4,8 @@
 //! campaign by deleting the assembled JSON plus one cell checkpoint and
 //! re-running: the second run must resume every surviving cell, recompute
 //! only the missing one, and assemble byte-identical *estimates* (wall
-//! clock may of course differ).
+//! clock may of course differ). The `--file` axis (a parsed snapshot next
+//! to its synthetic twin) must resume the same way.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -143,6 +144,63 @@ fn campaign_smoke_checkpoints_and_resumes() {
         .status()
         .expect("spawn validate");
     assert!(!status.success(), "validation accepted schema drift");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The parsed-snapshot axis end to end: a serialized 2,000-AS graph runs
+/// next to its synthetic twin (two figures × one model each), and a second
+/// invocation resumes all four cells from their checkpoints.
+#[test]
+fn campaign_file_axis_checkpoints_and_resumes() {
+    use bgp_juice::sim::Internet;
+    use bgp_juice::topology::io;
+
+    let dir = std::env::temp_dir().join(format!("sbgp_campaign_file_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let snapshot = dir.join("snapshot.as-rel");
+    std::fs::write(
+        &snapshot,
+        io::write_relationships(&Internet::synthetic(2000, 11).graph),
+    )
+    .expect("write snapshot");
+
+    let run = || {
+        let out = Command::new(campaign_bin())
+            .current_dir(&dir)
+            .arg("--file")
+            .arg(&snapshot)
+            .args([
+                "--seeds",
+                "11",
+                "--models",
+                "sec2",
+                "--pairs",
+                "200",
+                "--threads",
+                "2",
+            ])
+            .output()
+            .expect("spawn campaign");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "campaign --file failed:\nstdout:\n{stdout}\nstderr:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout
+    };
+    let first = run();
+    assert!(
+        first.contains("4 computed, 0 resumed"),
+        "unexpected first-run summary:\n{first}"
+    );
+    let second = run();
+    assert!(
+        second.contains("0 computed, 4 resumed"),
+        "the second run did not resume every cell:\n{second}"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

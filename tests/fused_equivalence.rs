@@ -723,6 +723,52 @@ impl Drop for Tallied<'_, '_> {
     }
 }
 
+/// Model collapse, pinned by its counters. With no validators the
+/// 3-model × 3-variant grid runs one computation per LP variant, so every
+/// begin collapses the other 6 lanes onto them; with Tier-1 validators
+/// nothing collapses. Attacks leave the count alone.
+#[test]
+fn model_collapse_counters_are_exact() {
+    let net = Internet::synthetic(300, 9);
+    let attackers = sample::sample_non_stubs(&net, 3, 21);
+    let dests: Vec<AsId> = sample::sample_all(&net, 5, 22)
+        .into_iter()
+        .filter(|d| !attackers.contains(d))
+        .collect();
+    let policies: Vec<Policy> = SecurityModel::ALL
+        .iter()
+        .flat_map(|&m| {
+            [LpVariant::Standard, LpVariant::LpK(2), LpVariant::LpInf]
+                .map(|v| Policy::with_variant(m, v))
+        })
+        .collect();
+    let cells = CellSet::per_policy(&policies, AttackStrategy::FakeLink);
+    let lanes = cells.lanes().len();
+    assert_eq!(lanes, 9);
+    let validators = Deployment::full_from_iter(net.len(), net.tiers.tier1().iter().copied());
+    for (dep, computations, collapsed_per_begin) in
+        [(Deployment::empty(net.len()), 3, 6), (validators, 9, 0)]
+    {
+        let mut fused = FusedDeltaEngine::new(&net.graph, cells.clone());
+        for &d in &dests {
+            fused.begin(d, &dep);
+            assert_eq!(fused.computations(), computations);
+            for &m in &attackers {
+                fused.attack(m);
+            }
+        }
+        let stats = fused.stats();
+        assert_eq!(stats.begins, dests.len());
+        assert_eq!(
+            stats.collapsed_lanes,
+            stats.begins * (lanes - fused.computations()),
+            "{} validators",
+            dep.full_count()
+        );
+        assert_eq!(stats.collapsed_lanes, stats.begins * collapsed_per_begin);
+    }
+}
+
 /// The traffic assumption the deferred base rests on, pinned by counters.
 /// One attacker against many destinations makes every destination group
 /// of an estimator cell a singleton: no base is ever built, and each pair

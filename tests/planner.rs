@@ -6,10 +6,12 @@
 //!   **bit-identical** for the same query stream — including a query that
 //!   mixes cached and uncached destinations — at every [`Parallelism`];
 //! * a malformed frame draws a clean error reply and the server keeps
-//!   answering (checked in-process *and* over a real subprocess pipe);
-//! * (`--ignored`, CI's `planner-smoke` job) the warm cache beats a cold
-//!   one by ≥5× on a 4 000-AS snapshot — the `planner --bench` gate that
-//!   produced the committed `BENCH_planner.json`.
+//!   answering (checked in-process *and* over a real subprocess pipe).
+//!
+//! The cache's speed gate (warm ≥5× cold on a 4,000-AS snapshot) is in
+//! `tests/speed_gates.rs`.
+
+mod support;
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -18,6 +20,7 @@ use bgp_juice::prelude::*;
 use bgp_juice::sim::serve::{Planner, PlannerConfig};
 use bgp_juice::sim::supervise::{read_frame, write_frame};
 use bgp_juice::sim::Internet;
+use support::json_f64;
 
 fn planner_config(threads: usize) -> PlannerConfig {
     PlannerConfig {
@@ -60,15 +63,6 @@ fn run_stream(planner: &mut Planner, stream: &[String]) -> Vec<String> {
         .iter()
         .map(|q| planner.handle(q).expect("reply"))
         .collect()
-}
-
-fn json_f64(text: &str, key: &str) -> f64 {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat).expect("key present") + pat.len();
-    let end = text[start..]
-        .find([',', '}', ']'])
-        .expect("value terminated");
-    text[start..start + end].parse().expect("f64 value")
 }
 
 /// Cold replies, warm replies (same planner, stream pre-run once) and a
@@ -162,9 +156,8 @@ fn malformed_messages_do_not_poison_the_stream() {
 // ---------------------------------------------------------------------------
 
 /// Build (cached by the shared target dir) and locate the planner binary.
-fn planner_bin_profile(release: bool) -> PathBuf {
-    let mut build = Command::new(env!("CARGO"));
-    build
+fn planner_bin() -> PathBuf {
+    let out = Command::new(env!("CARGO"))
         .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")))
         .args([
             "build",
@@ -174,11 +167,9 @@ fn planner_bin_profile(release: bool) -> PathBuf {
             "sbgp_bench",
             "--bin",
             "planner",
-        ]);
-    if release {
-        build.arg("--release");
-    }
-    let out = build.output().expect("spawn cargo build");
+        ])
+        .output()
+        .expect("spawn cargo build");
     assert!(
         out.status.success(),
         "planner failed to build:\n{}",
@@ -186,12 +177,8 @@ fn planner_bin_profile(release: bool) -> PathBuf {
     );
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("target")
-        .join(if release { "release" } else { "debug" })
+        .join("debug")
         .join("planner")
-}
-
-fn planner_bin() -> PathBuf {
-    planner_bin_profile(false)
 }
 
 /// Full duplex conversation with the served binary: queries answered,
@@ -258,30 +245,4 @@ fn undecodable_frames_end_the_session_cleanly() {
     let err = read_frame(&mut from).expect("io").expect("final error");
     assert!(err.contains("\"op\":\"error\""), "got {err}");
     assert!(child.wait().expect("wait").success(), "server crashed");
-}
-
-/// The committed `BENCH_planner.json` gate, re-run from scratch: on a
-/// 4 000-AS snapshot the warm cache must beat a cold one by ≥5×. Slow —
-/// run explicitly (CI: `cargo test --release --test planner -- --ignored`).
-#[test]
-#[ignore = "latency measurement; run via --ignored (CI planner-smoke)"]
-fn warm_cache_beats_cold_by_5x_on_a_4k_snapshot() {
-    let out = tempdir_path("planner_bench.json");
-    let status = Command::new(planner_bin_profile(true))
-        .args(["--bench", "--asns", "4000"])
-        .arg("--out")
-        .arg(&out)
-        .status()
-        .expect("run planner --bench");
-    assert!(status.success(), "planner --bench failed its 5x gate");
-    let json = std::fs::read_to_string(&out).expect("bench artifact");
-    assert!(json.contains("\"schema\": \"planner-bench-v1\""));
-    assert!(json.contains("\"solo_matches\": true"));
-    let _ = std::fs::remove_file(&out);
-}
-
-fn tempdir_path(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("bgp_juice_{}_{name}", std::process::id()));
-    p
 }

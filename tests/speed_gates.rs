@@ -1,0 +1,414 @@
+//! Release speed gates: the four speedups that justify a design decision,
+//! each re-measured in process at its acceptance scale and held to its
+//! threshold. Every gate times both sides min-of-3 on the same inputs and
+//! first checks that both sides computed the same answers, so a gate can
+//! fail on a wrong answer as well as on a slow one:
+//!
+//! | gate | fast path vs reference | scale | cross-check | threshold |
+//! |---|---|---|---|---|
+//! | churn | `SweepEngine` retraction steps vs one `Engine::compute` per step | 4,000 ASes, seed 42, peak 10 | identical happy counts | ≥2× |
+//! | fused | `FusedDeltaEngine` at S=∅ on the 3-model × 3-variant grid vs one `AttackDeltaEngine` loop per cell | 4,000 ASes, seed 42 | identical happy counts | ≥2× |
+//! | ingest | `GraphBuilder::from_edges` vs the incremental `GraphBuilder` | 100,000 ASes, seed 42 | identical graphs, segment by segment | ≥2× |
+//! | planner | warm vs cold `Planner` on one 3-query Sec-1st stream | 4,000 ASes, seed 42, cache 256 | cold ≡ warm ≡ solo replies, zero warm misses | ≥5× |
+//!
+//! Debug-build timings mean nothing, so every gate is `#[ignore]`d in
+//! tier-1. Run them in release:
+//!
+//! ```text
+//! cargo test --release --test speed_gates -- --ignored --nocapture
+//! ```
+//!
+//! The gates time wall clock, so they never overlap: each one holds
+//! [`SERIAL`] for its whole run. Each gate prints its measured ratio. End-to-end throughput and latency
+//! numbers come from the benchmark (`python3 perfbench/run.py`), not from
+//! here.
+
+mod support;
+
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
+use bgp_juice::prelude::*;
+use bgp_juice::sim::serve::{Planner, PlannerConfig};
+use bgp_juice::topology::tier::Tier;
+use bgp_juice::topology::{io, Relationship};
+use support::json_f64;
+
+/// Timed repetitions per side; the fastest one is compared.
+const REPS: usize = 3;
+
+/// Held by each gate for its whole run, so no two gates share the CPU.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Take [`SERIAL`], even if a failed gate poisoned it.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run `rep` [`REPS`] times. Each repetition returns the time of the work
+/// it gates and its result; this returns the fastest time and the last
+/// result.
+fn fastest<T>(mut rep: impl FnMut() -> (Duration, T)) -> (Duration, T) {
+    let mut best = Duration::MAX;
+    let mut last = None;
+    for _ in 0..REPS {
+        let (t, out) = rep();
+        best = best.min(t);
+        last = Some(out);
+    }
+    (best, last.expect("REPS > 0"))
+}
+
+/// Time one call.
+fn timed<T>(f: impl FnOnce() -> T) -> (Duration, T) {
+    let t = Instant::now();
+    let out = f();
+    (t.elapsed(), out)
+}
+
+/// Print the measured ratio and hold it to the gate.
+fn assert_speedup(gate: &str, reference: Duration, fast: Duration, threshold: f64) {
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let speedup = ms(reference) / ms(fast).max(1e-9);
+    println!(
+        "{gate}: {speedup:.2}x (reference {:.1} ms, fast {:.1} ms; gate {threshold}x)",
+        ms(reference),
+        ms(fast)
+    );
+    assert!(
+        speedup >= threshold,
+        "{gate}: measured {speedup:.2}x, below the {threshold}x gate"
+    );
+}
+
+/// The wane half of a wax-and-wane churn trajectory is pure retractions.
+/// Served by the sweep engine, those steps must be ≥2× faster than the
+/// full recompute a sweep without a retraction path would run per step.
+#[test]
+#[ignore = "speed gate; run in release with --ignored"]
+fn churn_retraction_steps_beat_full_recomputes_by_2x() {
+    let _serial = serial();
+    let (asns, seed, peak) = (4_000, 42, 10);
+    let net = Internet::synthetic(asns, seed);
+    let traj = scenario::churn_trajectory(&net, peak);
+    let attackers = sample::sample_non_stubs(&net, 3, seed);
+    let dests: Vec<AsId> = sample::sample_all(&net, 2, seed ^ 0xD)
+        .into_iter()
+        .filter(|d| !attackers.contains(d))
+        .collect();
+    let pairs = sample::pairs(&attackers, &dests);
+    assert!(!pairs.is_empty(), "no (m, d) pairs sampled");
+
+    // Each repetition times only the wane steps (indices peak..), and
+    // counts happy sources over every step.
+    let (mut scratch_wane, mut sweep_wane) = (Duration::ZERO, Duration::ZERO);
+    for model in SecurityModel::ALL {
+        let policy = Policy::new(model);
+        let mut engine = Engine::new(&net.graph);
+        let (scratch, scratch_counts) = fastest(|| {
+            let (mut wane, mut counts) = (Duration::ZERO, 0);
+            for &(m, d) in &pairs {
+                for (k, dep) in traj.iter().enumerate() {
+                    let (t, happy) = timed(|| {
+                        engine
+                            .compute(AttackScenario::attack(m, d), dep, policy)
+                            .count_happy()
+                            .0
+                    });
+                    counts += happy;
+                    if k >= peak {
+                        wane += t;
+                    }
+                }
+            }
+            (wane, counts)
+        });
+        let mut sweep = SweepEngine::new(&net.graph);
+        let (swept, sweep_counts) = fastest(|| {
+            let (mut wane, mut counts) = (Duration::ZERO, 0);
+            for &(m, d) in &pairs {
+                sweep.begin(AttackScenario::attack(m, d), policy);
+                for (k, dep) in traj.iter().enumerate() {
+                    let (t, happy) = timed(|| {
+                        sweep.advance(dep);
+                        sweep.count_happy().0
+                    });
+                    counts += happy;
+                    if k >= peak {
+                        wane += t;
+                    }
+                }
+            }
+            (wane, counts)
+        });
+        assert_eq!(
+            scratch_counts, sweep_counts,
+            "{model}: the churn sweep diverged from from-scratch outcomes"
+        );
+        scratch_wane += scratch;
+        sweep_wane += swept;
+    }
+    assert_speedup(
+        "churn retraction steps vs full recompute",
+        scratch_wane,
+        sweep_wane,
+        2.0,
+    );
+}
+
+/// With no validators the three security models collapse onto one lane
+/// per LP variant, so the fused engine runs 3 computations where one
+/// `AttackDeltaEngine` loop per policy cell runs 9. It must be ≥2× faster.
+#[test]
+#[ignore = "speed gate; run in release with --ignored"]
+fn fused_model_collapse_beats_per_cell_delta_loops_by_2x() {
+    let _serial = serial();
+    let (asns, seed) = (4_000, 42);
+    let net = Internet::synthetic(asns, seed);
+    let attackers = sample::sample_non_stubs(&net, 25, seed);
+    let dests: Vec<AsId> = sample::sample_all(&net, 4, seed ^ 0xD)
+        .into_iter()
+        .filter(|d| !attackers.contains(d))
+        .collect();
+    assert!(!attackers.is_empty() && !dests.is_empty(), "empty samples");
+    let dep = Deployment::empty(net.len());
+    let policies: Vec<Policy> = SecurityModel::ALL
+        .iter()
+        .flat_map(|&m| {
+            [LpVariant::Standard, LpVariant::LpK(2), LpVariant::LpInf]
+                .map(|v| Policy::with_variant(m, v))
+        })
+        .collect();
+
+    let mut delta = AttackDeltaEngine::new(&net.graph);
+    let (composed, composed_counts) = fastest(|| {
+        timed(|| {
+            let mut counts = 0;
+            for &policy in &policies {
+                for &d in &dests {
+                    delta.begin(d, &dep, policy);
+                    for &m in &attackers {
+                        delta.attack(m, AttackStrategy::FakeLink);
+                        counts += delta.count_happy().0;
+                    }
+                }
+            }
+            counts
+        })
+    });
+
+    // A fresh engine per repetition, built outside the timer (the
+    // composed side reuses its engine).
+    let cells = CellSet::per_policy(&policies, AttackStrategy::FakeLink);
+    let (fused_time, (fused_counts, computations)) = fastest(|| {
+        let mut fused = FusedDeltaEngine::new(&net.graph, cells.clone());
+        timed(|| {
+            let mut counts = 0;
+            for &d in &dests {
+                fused.begin(d, &dep);
+                for &m in &attackers {
+                    fused.attack(m);
+                    counts += (0..policies.len())
+                        .map(|c| fused.count_happy(c).0)
+                        .sum::<usize>();
+                }
+            }
+            (counts, fused.computations())
+        })
+    });
+    assert_eq!(
+        composed_counts, fused_counts,
+        "the fused grid diverged from per-cell delta outcomes"
+    );
+    assert_eq!(computations, 3, "the models did not collapse at S=∅");
+    assert_speedup(
+        "fused S=∅ 3-model x 3-variant grid vs per-cell delta loops",
+        composed,
+        fused_time,
+        2.0,
+    );
+}
+
+/// The bulk sorted-edge CSR build must be ≥2× faster than adding the same
+/// edges one by one to a `GraphBuilder`, on the edges of a 100k-AS
+/// snapshot parsed back from its serial-1 text, and must build the same
+/// graph.
+#[test]
+#[ignore = "speed gate; run in release with --ignored"]
+fn bulk_csr_build_beats_the_incremental_builder_by_2x() {
+    let _serial = serial();
+    let (asns, seed) = (100_000, 42);
+    let net = Internet::synthetic(asns, seed);
+    let text = io::write_relationships(&net.graph);
+    let parsed = io::parse_relationships(text.as_bytes()).expect("round trip parses");
+    assert_eq!(parsed.len(), asns, "round trip dropped ASes");
+    let labels: Vec<u32> = parsed.ases().map(|v| parsed.asn_label(v)).collect();
+    let edges: Vec<(AsId, AsId, Relationship)> = parsed.edges().collect();
+
+    let (bulk, bulk_graph) = fastest(|| {
+        timed(|| {
+            GraphBuilder::from_edges(asns, labels.clone(), edges.iter().copied())
+                .expect("bulk build")
+        })
+    });
+    let (incremental, incremental_graph) = fastest(|| {
+        timed(|| {
+            let mut b = GraphBuilder::new(asns);
+            b.set_asn_labels(labels.clone()).expect("label count");
+            for &(x, y, rel) in &edges {
+                b.add_edge(x, y, rel).expect("incremental add");
+            }
+            b.build()
+        })
+    });
+    assert_same_graph(&bulk_graph, &incremental_graph);
+    assert_same_graph(&bulk_graph, &parsed);
+    assert_speedup(
+        "100k bulk CSR build vs incremental builder",
+        incremental,
+        bulk,
+        2.0,
+    );
+}
+
+/// Same labels and the same customer, peer and provider segments for
+/// every AS.
+fn assert_same_graph(a: &AsGraph, b: &AsGraph) {
+    assert_eq!(a.len(), b.len());
+    for v in a.ases() {
+        assert_eq!(a.asn_label(v), b.asn_label(v), "{v} label");
+        assert_eq!(a.customers(v), b.customers(v), "{v} customers");
+        assert_eq!(a.peers(v), b.peers(v), "{v} peers");
+        assert_eq!(a.providers(v), b.providers(v), "{v} providers");
+    }
+}
+
+/// A warm planner cache must answer the what-if stream ≥5× faster than a
+/// cold one. Cold, warm and a solo first-principles compute must agree
+/// bit for bit, and the warm pass must never recompute a base outcome.
+#[test]
+#[ignore = "speed gate; run in release with --ignored"]
+fn warm_planner_cache_beats_cold_by_5x() {
+    let _serial = serial();
+    let net = Internet::synthetic(4_000, 42);
+    let stream = what_if_stream(&net);
+    let cfg = PlannerConfig {
+        cache_capacity: 256,
+        prewarm: 0,
+        parallelism: Parallelism::auto(),
+    };
+    let answer = |planner: &mut Planner| -> Vec<String> {
+        stream
+            .queries
+            .iter()
+            .map(|q| planner.handle(q).expect("reply"))
+            .collect()
+    };
+
+    // Cold: a fresh planner per repetition computes every base outcome.
+    let (cold, cold_replies) = fastest(|| {
+        let mut planner = Planner::new(net.clone(), cfg);
+        timed(|| answer(&mut planner))
+    });
+
+    // Warm: one planner that has seen the stream adopts every base.
+    let mut planner = Planner::new(net.clone(), cfg);
+    answer(&mut planner);
+    let before = planner.cache_stats();
+    let (warm, warm_replies) = fastest(|| timed(|| answer(&mut planner)));
+    let after = planner.cache_stats();
+    assert_eq!(
+        after.misses, before.misses,
+        "the warm pass recomputed a base outcome"
+    );
+    assert!(
+        after.hits > before.hits,
+        "the warm pass never hit the cache"
+    );
+    assert_eq!(cold_replies, warm_replies, "cold and warm replies differ");
+
+    // Solo cross-check: one (m, d) pair from first principles must match
+    // the served fraction bit for bit.
+    let (m, d) = (stream.attacker, stream.destination);
+    let reply = planner.handle(&stream.solo).expect("reply");
+    let mut delta = AttackDeltaEngine::new(&net.graph);
+    delta.begin(
+        d,
+        &stream.deployment,
+        Policy::new(SecurityModel::Security1st),
+    );
+    delta.attack(m, AttackStrategy::FakeLink);
+    let (lo, hi) = delta.count_happy();
+    let sources = (net.len() - 2) as f64;
+    assert_eq!(json_f64(&reply, "lower"), lo as f64 / sources, "{reply}");
+    assert_eq!(json_f64(&reply, "upper"), hi as f64 / sources, "{reply}");
+
+    assert_speedup("planner warm vs cold cache", cold, warm, 5.0);
+}
+
+/// The planner gate's what-if stream, and the one-pair query its solo
+/// cross-check recomputes from first principles.
+struct WhatIfStream {
+    queries: Vec<String>,
+    solo: String,
+    /// The solo query's secure set: every non-stub.
+    deployment: Deployment,
+    attacker: AsId,
+    destination: AsId,
+}
+
+/// Three what-if queries, the planner's actual workload: the operator
+/// probes S (every non-stub plus the destinations), then S plus one
+/// candidate stub, then S plus a different one. Each costs a cold planner
+/// one base computation per destination and a warm one none.
+/// Destination-heavy and attacker-light (48 destinations, one insecure
+/// stub attacker per query, Sec 1st) so patches stay tiny and the base
+/// computations dominate the cold pass.
+fn what_if_stream(net: &Internet) -> WhatIfStream {
+    let mut dest_pool: Vec<AsId> = net.content_providers.clone();
+    for v in sample::sample_non_stubs(net, 64, 11) {
+        if !dest_pool.contains(&v) {
+            dest_pool.push(v);
+        }
+    }
+    let dests: Vec<u32> = dest_pool.iter().take(48).map(|v| v.0).collect();
+    let deployment = scenario::all_non_stubs(net).deployment;
+    let non_stubs: Vec<u32> = deployment.full_set().iter().map(|v| v.0).collect();
+    let mut secure = non_stubs.clone();
+    for d in &dests {
+        if !secure.contains(d) {
+            secure.push(*d);
+        }
+    }
+    let stubs: Vec<u32> = sample::sample_tier(net, Tier::Stub, 40, 7)
+        .into_iter()
+        .filter(|m| !dest_pool.contains(m))
+        .map(|v| v.0)
+        .collect();
+    let ids = |v: &[u32]| {
+        v.iter()
+            .map(|x| x.to_string())
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let query = |id: usize, secure: &[u32], attacker: u32, dests: &[u32]| {
+        format!(
+            "{{\"op\":\"query\",\"id\":{id},\"secure\":[{}],\"attackers\":[{attacker}],\
+             \"destinations\":[{}],\"models\":[\"sec1\"],\"strategies\":[\"fakelink\"]}}",
+            ids(secure),
+            ids(dests)
+        )
+    };
+    let with = |extra: u32| [secure.as_slice(), &[extra]].concat();
+    WhatIfStream {
+        queries: vec![
+            query(1, &secure, stubs[0], &dests),
+            query(2, &with(stubs[2]), stubs[1], &dests),
+            query(3, &with(stubs[3]), stubs[0], &dests),
+        ],
+        solo: query(9, &non_stubs, stubs[0], &dests[..1]),
+        deployment,
+        attacker: AsId(stubs[0]),
+        destination: AsId(dests[0]),
+    }
+}
