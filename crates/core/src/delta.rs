@@ -14,8 +14,11 @@
 //! is `k = 1`) can actually tie or beat under the model's preference
 //! order. The region is seeded at `m`'s root and grown with the same
 //! [`crate::policy::preference_key`] affected-neighbor filter and
-//! bucket-queue stage schedule the deployment-axis [`crate::SweepEngine`]
-//! uses (shared in `region`); exactness rests on the same Theorem 2.1
+//! stub-folded region solve the deployment-axis [`crate::SweepEngine`]
+//! uses (shared in `region` and the engine): only the region's core ASes
+//! run through the bucket queues, its non-root stubs are resolved in one
+//! pass afterwards, and stubs the verify step absorbs are resolved in
+//! place without another solve. Exactness rests on the same Theorem 2.1
 //! local-consistency argument.
 //!
 //! **Colluding announcers.** [`AttackDeltaEngine::attack_set`] serves a
@@ -81,9 +84,9 @@ use sbgp_topology::{AsGraph, AsId, AsSet};
 use crate::attack::{AttackScenario, AttackStrategy};
 use crate::deployment::Deployment;
 use crate::engine::Engine;
-use crate::outcome::{Outcome, RootFlags};
+use crate::outcome::Outcome;
 use crate::policy::{preference_key, Policy};
-use crate::region;
+use crate::region::{self, Growth};
 
 /// Contested-ball scan state: the AS already propagated the bogus offer to
 /// every neighbor (customer-class receipt exports everywhere)...
@@ -109,9 +112,12 @@ pub struct DeltaStats {
     /// Attacks served by a direct compute before their cell's base existed
     /// (a subset of `full_recomputes`).
     pub direct_attacks: usize,
-    /// Total ASes re-fixed across all delta-served attacks.
+    /// Total ASes re-fixed across all delta-served attacks (final region
+    /// sizes, stubs included).
     pub refixed_ases: usize,
-    /// Extra verify-and-grow rounds beyond the first attempt.
+    /// Extra region solves beyond the first attempt: verify steps that
+    /// absorbed a core AS (stub-only absorption is resolved in place and
+    /// costs no round).
     pub grow_rounds: usize,
 }
 
@@ -570,9 +576,11 @@ impl<'g> AttackDeltaEngine<'g> {
 
         // Entries whose degree is already folded into `region_mass` (the
         // scan counts its own marks; grow/absorb additions are folded in
-        // at each loop top).
+        // at each loop top, so the budget is checked on every region an
+        // answer could be served from, including one grown by stubs only).
         let graph = self.graph();
         let mut mass_counted = self.region_list.len();
+        let mut stubs_from = None;
         loop {
             for &v in &self.region_list[mass_counted..] {
                 self.region_mass += graph.degree(v);
@@ -582,9 +590,19 @@ impl<'g> AttackDeltaEngine<'g> {
                 // The verify step grew the region past the cap after all.
                 return self.fallback(scenario, deployment);
             }
-            self.solve_region(scenario, &deployment);
-            self.absorb_fix_log();
-            let escaped = region::grow_affected(
+            if let Some(from) = stubs_from {
+                self.engine
+                    .resolve_stubs(&self.region_list[from..], self.policy, &deployment);
+                break;
+            }
+            self.engine.solve_region(
+                scenario,
+                &deployment,
+                self.policy,
+                &mut self.region,
+                &mut self.region_list,
+            );
+            match region::grow_affected(
                 self.engine.graph(),
                 self.engine.outcome(),
                 &self.snapshot,
@@ -593,11 +611,11 @@ impl<'g> AttackDeltaEngine<'g> {
                 self.policy,
                 &mut self.region,
                 &mut self.region_list,
-            );
-            if !escaped {
-                break;
+            ) {
+                Growth::Settled => break,
+                Growth::Stubs(from) => stubs_from = Some(from),
+                Growth::Core => self.stats.grow_rounds += 1,
             }
-            self.stats.grow_rounds += 1;
         }
 
         // Patch the happy bounds: remove every region member's normal
@@ -625,7 +643,6 @@ impl<'g> AttackDeltaEngine<'g> {
         // differs from the snapshot: it becomes the next undo list.
         std::mem::swap(&mut self.touched, &mut self.region_list);
         self.restore = Restore::Touched;
-        self.engine.outcome_mut().attackers = scenario.attacker_array();
         self.deployment = Some(deployment);
         self.engine.outcome()
     }
@@ -746,49 +763,6 @@ impl<'g> AttackDeltaEngine<'g> {
             self.scan_state[x as usize] = 0;
         }
         self.scan_touched.clear();
-    }
-
-    /// One attempt: re-fix exactly the current contested region on top of
-    /// the normal-conditions snapshot, treating everything outside it as
-    /// fixed boundary. Mirrors [`crate::SweepEngine`]'s solve, with the
-    /// announcer roots replacing the deployment seeds.
-    fn solve_region(&mut self, scenario: AttackScenario, deployment: &Deployment) {
-        self.engine.begin(scenario, deployment, self.policy);
-        self.engine.enable_fix_log();
-        self.engine.outcome_mut().attackers = scenario.attacker_array();
-        for &v in &self.region_list {
-            self.engine.outcome_mut().unfix(v);
-        }
-        // Every announcer roots the (multi-root) bogus tree; the
-        // destination's root entry is never contested (it stays fixed at
-        // depth 0 outside the region), so no other root needs re-fixing.
-        for m in scenario.attackers() {
-            self.engine.fix_root(
-                m,
-                scenario.strategy.root_depth(),
-                false,
-                RootFlags::TO_M,
-                deployment,
-            );
-        }
-        for &v in &self.region_list {
-            if scenario.is_attacker(v) {
-                continue;
-            }
-            self.engine.seed_from_boundary(v, &self.region, deployment);
-        }
-        self.engine.run_schedule(self.policy, deployment);
-    }
-
-    /// Here an out-of-region fix means an AS unreachable under normal
-    /// conditions that the bogus announcement reaches — e.g. an island
-    /// behind the attacker.
-    fn absorb_fix_log(&mut self) {
-        region::absorb_fix_log(
-            self.engine.fix_log(),
-            &mut self.region,
-            &mut self.region_list,
-        );
     }
 }
 
@@ -955,6 +929,53 @@ mod tests {
             let got = delta.attack(AsId(5), AttackStrategy::FakeLink);
             let want = fresh.compute(AttackScenario::attack(AsId(5), AsId(0)), &dep, policy);
             assert_outcomes_match(got, want, &g, &format!("{policy} after collusion"));
+        }
+    }
+
+    #[test]
+    fn stub_only_growth_costs_no_grow_round() {
+        // d(0) is the provider of c(1); the attacker m(2) and s(3) are c's
+        // customers. c swaps its 1-hop provider route for m's customer
+        // route, which the contested-ball scan finds; s, whose provider
+        // route through c is now longer, is not in the ball, so the
+        // verify step absorbs it. As a stub, s is resolved in place with
+        // no second solve; once s has a customer x(4), it is core and
+        // costs exactly one grow round. ASes from 5 on form a filler
+        // chain that keeps the patch under the mass budget.
+        for (core, rounds, refixed) in [(false, 0, 3), (true, 1, 4)] {
+            let mut b = GraphBuilder::new(24);
+            b.add_provider(AsId(1), AsId(0)).unwrap();
+            b.add_provider(AsId(2), AsId(1)).unwrap();
+            b.add_provider(AsId(3), AsId(1)).unwrap();
+            if core {
+                b.add_provider(AsId(4), AsId(3)).unwrap();
+            }
+            for i in 6..24u32 {
+                b.add_provider(AsId(i), AsId(i - 1)).unwrap();
+            }
+            let g = b.build();
+            let dep = Deployment::empty(24);
+            for model in SecurityModel::ALL {
+                let policy = Policy::new(model);
+                let ctx = format!("{policy} core={core}");
+                let mut delta = AttackDeltaEngine::new(&g);
+                let mut fresh = Engine::new(&g);
+                delta.begin(AsId(0), &dep, policy);
+                delta.normal_outcome();
+                let got = delta.attack(AsId(2), AttackStrategy::FakeLink);
+                let want = fresh.compute(AttackScenario::attack(AsId(2), AsId(0)), &dep, policy);
+                assert_outcomes_match(got, want, &g, &ctx);
+                assert!(got.flags(AsId(3)).surely_unhappy(), "{ctx}");
+                assert_eq!(delta.count_happy(), want.count_happy(), "{ctx}");
+                let stats = delta.stats();
+                assert_eq!(
+                    (stats.delta_attacks, stats.full_recomputes),
+                    (1, 0),
+                    "{ctx}"
+                );
+                assert_eq!(stats.grow_rounds, rounds, "{ctx}");
+                assert_eq!(stats.refixed_ases, refixed, "{ctx}");
+            }
         }
     }
 

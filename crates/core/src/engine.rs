@@ -51,11 +51,16 @@
 //! Every other engine in this crate — [`crate::SweepEngine`],
 //! [`crate::AttackDeltaEngine`] and the per-computation engines of
 //! [`crate::FusedDeltaEngine`] — either calls [`Engine::compute`] or
-//! re-runs its stage schedule over a sub-region of a previous outcome.
-//! Region solves start from a complete outcome and keep the queue path:
-//! a stub inside a region is enqueued and fixed like any other AS.
+//! re-runs its stage schedule over a sub-region of a previous outcome
+//! (`Engine::solve_region`). Region solves fold stubs the same way: every
+//! non-root stub in the region is marked with the sentinel instead of
+//! unfixed, only the core members are seeded and scheduled, and the same
+//! per-stub pass resolves the region's stubs once the schedule has
+//! drained. A stub that a region solve's verify step absorbs afterwards
+//! is resolved in place by that pass too (`Engine::resolve_stubs`): it
+//! cannot change any core route, so it needs no further solve.
 
-use sbgp_topology::{AsGraph, AsId};
+use sbgp_topology::{AsGraph, AsId, AsSet};
 
 use crate::attack::AttackScenario;
 use crate::deployment::Deployment;
@@ -64,13 +69,13 @@ use crate::outcome::{
     KIND_PEER, KIND_PROVIDER, KIND_UNFIXED,
 };
 use crate::policy::{Policy, SecurityModel};
-use crate::region::offer_key;
+use crate::region::{self, offer_key};
 
 /// Sentinel for an empty per-length chain in [`BucketQueue`].
 const NO_ENTRY: u32 = u32::MAX;
 
-/// Outcome `kind` of a stub that [`Engine::compute`] has folded out of its
-/// BFS and not yet resolved. It never leaves `compute`.
+/// Outcome `kind` of a stub that a solve has folded out of its BFS and not
+/// yet resolved. It never leaves [`Engine::compute`] or a region solve.
 const KIND_FOLDED: u8 = u8::MAX;
 
 /// Monotone bucket queue of fix candidates keyed by route length.
@@ -264,7 +269,13 @@ impl<'g> Engine<'g> {
         }
 
         self.run_schedule(policy, deployment);
-        self.resolve_folded_stubs(policy, deployment);
+        // Every folded stub, in one pass once the transit core is final.
+        let o = &mut self.outcome;
+        for i in 0..o.kind.len() {
+            if o.kind[i] == KIND_FOLDED {
+                resolve_folded_stub(graph, o, self.mark, i, policy, deployment);
+            }
+        }
         debug_assert!(
             !self.outcome.kind.contains(&KIND_FOLDED),
             "a folded stub escaped compute"
@@ -272,76 +283,106 @@ impl<'g> Engine<'g> {
         &self.outcome
     }
 
-    /// Fix every stub `compute` folded out of the BFS, in one pass over the
-    /// outcome once the transit core is final.
+    /// Re-fix the region `members` (listed once each; `region` holds the
+    /// same set) on top of the current outcome, treating every AS outside
+    /// it as fixed boundary, then absorb into the region any AS the solve
+    /// fixed outside it (possible only for ASes unreachable in the previous
+    /// outcome; see `region::absorb_fix_log`).
     ///
-    /// A folded stub exports no route (Ex), so nothing else depends on it
-    /// and its route is simply the best its neighbours offer: the routes of
-    /// peers holding an origin or customer route, and of providers holding
-    /// any route. One scan of the two sets keeps the candidates with the
-    /// least offer key (`region::offer_key`, the export rule plus
-    /// [`crate::policy::preference_key`]) — the stub's `BPR` set — and
-    /// writes the same fields `try_fix` would: the union of their root and
-    /// mark bits, the lowest-id next hop, and the key's class, length and
-    /// security.
-    fn resolve_folded_stubs(&mut self, policy: Policy, deployment: &Deployment) {
-        let graph = self.graph;
-        let o = &mut self.outcome;
-        for i in 0..o.kind.len() {
-            if o.kind[i] != KIND_FOLDED {
-                continue;
-            }
-            let v = AsId(i as u32);
-            let validating = deployment.validates(v);
-            let mut best: Option<(u32, u32, u32)> = None;
-            let (mut kind, mut len, mut secure) = (KIND_UNFIXED, u32::MAX, false);
-            let (mut flags, mut via, mut hop) = (0u8, false, u32::MAX);
-            let peers = graph.peers(v).iter().map(|&u| (u, 1));
-            let providers = graph.providers(v).iter().map(|&u| (u, 2));
-            for (u, rank) in peers.chain(providers) {
-                // `offer_key` applies Ex: a peer offers only an origin or
-                // customer route (never a folded stub's), a provider any.
-                let Some(key) = offer_key(o, u, rank, policy, validating) else {
-                    continue;
-                };
-                let ui = u.index();
-                let packed = o.packed_flags(ui);
-                if best.is_some_and(|b| key > b) {
-                    continue;
-                }
-                if best != Some(key) {
-                    best = Some(key);
-                    kind = if rank == 1 { KIND_PEER } else { KIND_PROVIDER };
-                    (len, secure) = (o.len[ui] + 1, packed & FLAG_SECURE != 0 && validating);
-                    (flags, via, hop) = (0, false, u32::MAX);
-                }
-                flags |= packed & FLAG_ROOTS;
-                via |= packed & FLAG_VIA_MARK != 0;
-                hop = hop.min(u.0);
-            }
-            if best.is_none() {
-                o.kind[i] = KIND_UNFIXED;
-                continue;
-            }
-            o.set_fixed(i, kind, len, secure, flags, via || self.mark == Some(v));
-            o.next_hop[i] = hop;
-            debug_assert!(
-                !secure || flags == RootFlags::TO_D.0,
-                "secure routes cannot reach the attacker"
-            );
-        }
-    }
-
-    /// Validate inputs and reset the per-run machinery (queues, secure-queue
-    /// gating, mark) *without* touching the outcome buffers. `compute` calls
-    /// this before resetting the outcome; [`crate::SweepEngine`] calls it
-    /// before re-fixing only a dirty sub-region of a previous outcome.
-    pub(crate) fn begin(
+    /// Stubs are folded exactly as in [`Engine::compute`]: a non-root stub
+    /// member is marked folded instead of unfixed and is neither seeded nor
+    /// scheduled; only the core members are, and the roots inside the
+    /// region are re-fixed as `compute` fixes them. Once the schedule has
+    /// drained, one pass resolves the region's folded stubs.
+    pub(crate) fn solve_region(
         &mut self,
         scenario: AttackScenario,
         deployment: &Deployment,
         policy: Policy,
+        region: &mut AsSet,
+        members: &mut Vec<AsId>,
     ) {
+        self.begin(scenario, deployment, policy);
+        self.log_fixes = true;
+        self.outcome.attackers = scenario.attacker_array();
+        let d = scenario.destination;
+        for &v in members.iter() {
+            self.outcome.unfix(v);
+            if v != d && !scenario.is_attacker(v) && self.graph.customers(v).is_empty() {
+                self.outcome.kind[v.index()] = KIND_FOLDED;
+            }
+        }
+        if region.contains(d) {
+            self.fix_root(
+                d,
+                0,
+                deployment.signs_origin(d),
+                RootFlags::TO_D,
+                deployment,
+            );
+        }
+        for m in scenario.attackers() {
+            if region.contains(m) {
+                self.fix_root(
+                    m,
+                    scenario.strategy.root_depth(),
+                    false,
+                    RootFlags::TO_M,
+                    deployment,
+                );
+            }
+        }
+        // Roots are fixed and stubs folded by now, so exactly the core
+        // members are still unfixed.
+        for &v in members.iter() {
+            if self.outcome.kind[v.index()] == KIND_UNFIXED {
+                self.seed_from_boundary(v, region, deployment);
+            }
+        }
+        self.run_schedule(policy, deployment);
+        self.resolve_folded_members(members, policy, deployment);
+        region::absorb_fix_log(&self.fix_log, region, members);
+    }
+
+    /// Resolve `stubs` — non-root stubs absorbed into a solved region after
+    /// its solve — in place, by the same pass that resolves folded stubs.
+    /// A non-root stub exports no route (Ex), so the solved core does not
+    /// depend on it and no further solve is needed.
+    pub(crate) fn resolve_stubs(
+        &mut self,
+        stubs: &[AsId],
+        policy: Policy,
+        deployment: &Deployment,
+    ) {
+        for &v in stubs {
+            debug_assert!(self.graph.customers(v).is_empty(), "{v} is not a stub");
+            self.outcome.unfix(v);
+            self.outcome.kind[v.index()] = KIND_FOLDED;
+        }
+        self.resolve_folded_members(stubs, policy, deployment);
+    }
+
+    /// Resolve every folded stub among `members` (a region solve's
+    /// members), once the core is final.
+    fn resolve_folded_members(
+        &mut self,
+        members: &[AsId],
+        policy: Policy,
+        deployment: &Deployment,
+    ) {
+        let o = &mut self.outcome;
+        for &v in members {
+            if o.kind[v.index()] == KIND_FOLDED {
+                resolve_folded_stub(self.graph, o, self.mark, v.index(), policy, deployment);
+            }
+        }
+    }
+
+    /// Validate inputs and reset the per-run machinery (queues, secure-queue
+    /// gating, mark, fix log) *without* touching the outcome buffers.
+    /// `compute` calls this before resetting the outcome, `solve_region`
+    /// before re-fixing only a sub-region of a previous outcome.
+    fn begin(&mut self, scenario: AttackScenario, deployment: &Deployment, policy: Policy) {
         let n = self.graph.len();
         assert_eq!(
             deployment.universe(),
@@ -369,23 +410,10 @@ impl<'g> Engine<'g> {
         self.fix_log.clear();
     }
 
-    /// Record every subsequently fixed AS in the fix log (cleared by
-    /// [`Engine::begin`]). Region solvers use the log to detect fixes that
-    /// landed outside their seeded region.
-    pub(crate) fn enable_fix_log(&mut self) {
-        self.log_fixes = true;
-    }
-
-    /// The ASes fixed since the last [`Engine::begin`], in fix order (only
-    /// populated after [`Engine::enable_fix_log`]).
-    pub(crate) fn fix_log(&self) -> &[u32] {
-        &self.fix_log
-    }
-
     /// Drain every queue in the model's stage order (Appendix B). All fix
     /// candidates must already be enqueued — by the root fixes in `compute`,
-    /// or by boundary seeding in an incremental sweep step.
-    pub(crate) fn run_schedule(&mut self, policy: Policy, deployment: &Deployment) {
+    /// or by boundary seeding in a region solve.
+    fn run_schedule(&mut self, policy: Policy, deployment: &Deployment) {
         let k = policy.variant.interleave_depth();
         match policy.model {
             SecurityModel::Security1st => {
@@ -456,7 +484,7 @@ impl<'g> Engine<'g> {
         &mut self.outcome
     }
 
-    pub(crate) fn fix_root(
+    fn fix_root(
         &mut self,
         v: AsId,
         len: u32,
@@ -517,12 +545,7 @@ impl<'g> Engine<'g> {
     /// [`Engine::push_from_fixed`]. Neighbors inside `region` are skipped:
     /// either they are re-fixed roots (whose own `push_from_fixed` already
     /// ran) or they will push to `v` when the schedule fixes them.
-    pub(crate) fn seed_from_boundary(
-        &mut self,
-        v: AsId,
-        region: &sbgp_topology::AsSet,
-        deployment: &Deployment,
-    ) {
+    fn seed_from_boundary(&mut self, v: AsId, region: &AsSet, deployment: &Deployment) {
         let validating = deployment.validates(v);
         // Customer- and peer-class routes may only extend what the neighbor
         // exports upward/sideways: its origin announcement or a customer
@@ -704,6 +727,69 @@ impl<'g> Engine<'g> {
         }
         self.push_from_fixed(v, deployment);
     }
+}
+
+/// Fix the folded stub at index `i` of `o` once the transit core is final
+/// — the one per-stub body behind [`Engine::compute`]'s whole-graph pass
+/// and the region solves' member passes. Always inlined, so `compute`'s
+/// pass stays one tight loop with no call per stub.
+///
+/// A folded stub exports no route (Ex), so nothing else depends on it and
+/// its route is simply the best its neighbours offer: the routes of peers
+/// holding an origin or customer route, and of providers holding any
+/// route. One scan of the two sets keeps the candidates with the least
+/// offer key (`region::offer_key`, the export rule plus
+/// [`crate::policy::preference_key`]) — the stub's `BPR` set — and writes
+/// the same fields `try_fix` would: the union of their root and mark bits
+/// (plus `mark`'s own bit), the lowest-id next hop, and the key's class,
+/// length and security. A stub with no candidate becomes unrouted.
+#[inline(always)]
+fn resolve_folded_stub(
+    graph: &AsGraph,
+    o: &mut Outcome,
+    mark: Option<AsId>,
+    i: usize,
+    policy: Policy,
+    deployment: &Deployment,
+) {
+    let v = AsId(i as u32);
+    let validating = deployment.validates(v);
+    let mut best: Option<(u32, u32, u32)> = None;
+    let (mut kind, mut len, mut secure) = (KIND_UNFIXED, u32::MAX, false);
+    let (mut flags, mut via, mut hop) = (0u8, false, u32::MAX);
+    let peers = graph.peers(v).iter().map(|&u| (u, 1));
+    let providers = graph.providers(v).iter().map(|&u| (u, 2));
+    for (u, rank) in peers.chain(providers) {
+        // `offer_key` applies Ex: a peer offers only an origin or customer
+        // route (never a folded stub's), a provider any.
+        let Some(key) = offer_key(o, u, rank, policy, validating) else {
+            continue;
+        };
+        let ui = u.index();
+        let packed = o.packed_flags(ui);
+        if best.is_some_and(|b| key > b) {
+            continue;
+        }
+        if best != Some(key) {
+            best = Some(key);
+            kind = if rank == 1 { KIND_PEER } else { KIND_PROVIDER };
+            (len, secure) = (o.len[ui] + 1, packed & FLAG_SECURE != 0 && validating);
+            (flags, via, hop) = (0, false, u32::MAX);
+        }
+        flags |= packed & FLAG_ROOTS;
+        via |= packed & FLAG_VIA_MARK != 0;
+        hop = hop.min(u.0);
+    }
+    if best.is_none() {
+        o.kind[i] = KIND_UNFIXED;
+        return;
+    }
+    o.set_fixed(i, kind, len, secure, flags, via || mark == Some(v));
+    o.next_hop[i] = hop;
+    debug_assert!(
+        !secure || flags == RootFlags::TO_D.0,
+        "secure routes cannot reach the attacker"
+    );
 }
 
 #[cfg(test)]

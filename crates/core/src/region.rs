@@ -26,6 +26,11 @@
 //! whose short customer route dwarfs the offer) cannot change `u`'s
 //! selection, so high-degree ASes stay out of the region unless truly
 //! implicated.
+//!
+//! Only core growth costs another solve. A non-root stub exports no route
+//! (Ex), so a stub absorbed into the region can change no other AS's
+//! route, and a re-solve would reproduce every core route unchanged: the
+//! callers resolve such stubs in place and stop ([`Growth::Stubs`]).
 
 use sbgp_topology::{AsGraph, AsId, AsSet};
 
@@ -34,13 +39,28 @@ use crate::deployment::Deployment;
 use crate::outcome::{Outcome, KIND_CUSTOMER, KIND_ORIGIN, KIND_PEER, KIND_PROVIDER, KIND_UNFIXED};
 use crate::policy::{preference_key, Policy};
 
+/// What a verify step ([`grow_affected`]) absorbed into the region.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Growth {
+    /// Nothing: the patched outcome is exact.
+    Settled,
+    /// Only non-root stubs, listed in the region list from this index on.
+    /// They cannot affect any other AS, so the solved core stands: the
+    /// caller resolves them in place and is done (no solve, no grow
+    /// round).
+    Stubs(usize),
+    /// At least one core AS: the region needs another solve.
+    Core,
+}
+
 /// Compare `new` against `old` at every region member and absorb the
 /// genuinely affected out-of-region neighbors into `region`/`region_list`.
-/// Returns `true` when the region grew — i.e. some change escaped and
-/// another solve round is needed. Returns `false` when the patched outcome
-/// is locally consistent everywhere — inside the region by construction,
+/// Returns [`Growth::Settled`] when nothing escaped: the patched outcome is
+/// then locally consistent everywhere — inside the region by construction,
 /// outside it because no input changed — which by Theorem 2.1 uniqueness
-/// makes it exact.
+/// makes it exact. A change that escaped only to non-root stubs (ASes
+/// without customers) returns [`Growth::Stubs`]; one that reached a core
+/// AS returns [`Growth::Core`].
 ///
 /// The destination and the announcers never join the region: their entries
 /// are roots, re-fixed explicitly by the caller when needed (with colluding
@@ -55,7 +75,7 @@ pub(crate) fn grow_affected(
     policy: Policy,
     region: &mut AsSet,
     region_list: &mut Vec<AsId>,
-) -> bool {
+) -> Growth {
     let d = scenario.destination;
     let mut frontier: Vec<AsId> = Vec::new();
     for &v in region_list.iter() {
@@ -90,19 +110,27 @@ pub(crate) fn grow_affected(
             }
         }
     }
-    let mut escaped = false;
+    let start = region_list.len();
+    let mut core = false;
     for u in frontier {
         if region.insert(u) {
             region_list.push(u);
-            escaped = true;
+            core |= !graph.customers(u).is_empty();
         }
     }
-    escaped
+    if core {
+        Growth::Core
+    } else if region_list.len() > start {
+        Growth::Stubs(start)
+    } else {
+        Growth::Settled
+    }
 }
 
 /// Fold any AS a region solve fixed *outside* its seeded region into the
-/// region (see [`crate::engine::Engine::fix_log`]: possible only for ASes
-/// that were unreachable in the base outcome), keeping the touched list an
+/// region (the engine logs every fix of a region solve; a fix outside the
+/// region is possible only for an AS that was unreachable in the base
+/// outcome), keeping the touched list an
 /// exact superset of the solve's writes — the invariant both engines'
 /// snapshot/undo bookkeeping rests on.
 pub(crate) fn absorb_fix_log(fix_log: &[u32], region: &mut AsSet, region_list: &mut Vec<AsId>) {

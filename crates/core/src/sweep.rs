@@ -20,18 +20,26 @@
 //!    sets ([`Deployment::newly_validating`] ∪
 //!    [`Deployment::newly_retired`]), plus the destination when its
 //!    signing status flipped either way;
-//! 2. unfix the region on top of the previous outcome, re-enqueue boundary
-//!    offers from fixed neighbors, and re-run the ordinary bucket-queue
-//!    stage schedule restricted to the region;
+//! 2. unfix the region's core members on top of the previous outcome and
+//!    fold its non-root stubs out of the BFS (as [`Engine::compute`]
+//!    does), re-enqueue boundary offers from fixed neighbors to the core
+//!    members, re-run the ordinary bucket-queue stage schedule restricted
+//!    to them, then resolve the folded stubs in one pass from their final
+//!    neighbors;
 //! 3. compare the re-fixed region against the previous outcome; for every
 //!    changed AS, absorb the neighbors its old or new offer could actually
 //!    tie or beat under [`crate::policy::preference_key`] (hubs whose
-//!    short routes dwarf the offer stay out) and retry. The condition is
+//!    short routes dwarf the offer stay out). The condition is
 //!    deliberately two-sided: a *withdrawn or worsened* offer (the old one
 //!    tied or beat the neighbor's current route) can strictly worsen that
 //!    neighbor's best route just as an improved offer can better it, which
 //!    is exactly what makes retraction steps sound (see the crate-private
-//!    `region::grow_affected`);
+//!    `region::grow_affected`). When a core AS was absorbed, retry from
+//!    step 2 (a grow round). When only non-root stubs were absorbed, the
+//!    core solve stands — a non-root stub exports no route, so it changes
+//!    nobody else's — and those stubs are resolved in place by the same
+//!    per-stub pass, with no further solve. Either way the grown region
+//!    must still fit the region budget before it is served;
 //! 4. when no change escapes the region, the patched state is locally
 //!    consistent at every AS — inside the region by construction, outside
 //!    it because no input changed — and uniqueness makes it exact.
@@ -71,9 +79,9 @@ use sbgp_topology::{AsGraph, AsId, AsSet};
 use crate::attack::AttackScenario;
 use crate::deployment::Deployment;
 use crate::engine::Engine;
-use crate::outcome::{Outcome, RootFlags};
+use crate::outcome::Outcome;
 use crate::policy::Policy;
-use crate::region;
+use crate::region::{self, Growth};
 
 /// How the steps of a sweep were served (all counters cumulative since
 /// [`SweepEngine::begin`]).
@@ -98,9 +106,12 @@ pub struct SweepStats {
     /// Steps that *attempted* the incremental path but blew the region
     /// budget mid-loop and fell back (a subset of `full_recomputes`).
     pub fallback_steps: usize,
-    /// Total ASes re-fixed across all incremental steps.
+    /// Total ASes re-fixed across all incremental steps (final region
+    /// sizes, stubs included).
     pub refixed_ases: usize,
-    /// Extra verify-and-grow rounds beyond the first attempt.
+    /// Extra region solves beyond the first attempt: verify steps that
+    /// absorbed a core AS (stub-only absorption is resolved in place and
+    /// costs no round).
     pub grow_rounds: usize,
 }
 
@@ -328,15 +339,28 @@ impl<'g> SweepEngine<'g> {
             return &self.snapshot;
         }
 
+        // The region budget is checked on every region an answer could be
+        // served from, including one grown by stubs only.
         let max_region = self.graph().len() / 2;
+        let mut stubs_from = None;
         loop {
             if self.region_list.len() > max_region {
                 self.stats.fallback_steps += 1;
                 return self.full_recompute(scenario, deployment);
             }
-            self.solve_region(scenario, deployment);
-            self.absorb_fix_log();
-            let escaped = region::grow_affected(
+            if let Some(from) = stubs_from {
+                self.engine
+                    .resolve_stubs(&self.region_list[from..], self.policy, deployment);
+                break;
+            }
+            self.engine.solve_region(
+                scenario,
+                deployment,
+                self.policy,
+                &mut self.region,
+                &mut self.region_list,
+            );
+            match region::grow_affected(
                 self.engine.graph(),
                 self.engine.outcome(),
                 &self.snapshot,
@@ -345,11 +369,11 @@ impl<'g> SweepEngine<'g> {
                 self.policy,
                 &mut self.region,
                 &mut self.region_list,
-            );
-            if !escaped {
-                break;
+            ) {
+                Growth::Settled => break,
+                Growth::Stubs(from) => stubs_from = Some(from),
+                Growth::Core => self.stats.grow_rounds += 1,
             }
-            self.stats.grow_rounds += 1;
         }
         // Patch the happy bounds by the region's delta, then fold the
         // region back into the snapshot entry by entry — everything outside
@@ -406,56 +430,6 @@ impl<'g> SweepEngine<'g> {
         self.happy = self.snapshot.count_happy();
         self.prev = Some(deployment.clone());
         &self.snapshot
-    }
-
-    /// One attempt: re-fix exactly the current region on top of the
-    /// previous outcome, treating everything outside it as fixed boundary.
-    /// The engine's working outcome equals the snapshot at entry (either
-    /// verbatim, or modified only at region members by an earlier attempt),
-    /// so unfixing the region is all the preparation needed.
-    fn solve_region(&mut self, scenario: AttackScenario, deployment: &Deployment) {
-        self.engine.begin(scenario, deployment, self.policy);
-        self.engine.enable_fix_log();
-        for &v in &self.region_list {
-            self.engine.outcome_mut().unfix(v);
-        }
-        // Roots inside the region are re-fixed exactly as `compute` would.
-        let d = scenario.destination;
-        if self.region.contains(d) {
-            self.engine.fix_root(
-                d,
-                0,
-                deployment.signs_origin(d),
-                RootFlags::TO_D,
-                deployment,
-            );
-        }
-        for m in scenario.attackers() {
-            if self.region.contains(m) {
-                self.engine.fix_root(
-                    m,
-                    scenario.strategy.root_depth(),
-                    false,
-                    RootFlags::TO_M,
-                    deployment,
-                );
-            }
-        }
-        for &v in &self.region_list {
-            if v == d || scenario.is_attacker(v) {
-                continue;
-            }
-            self.engine.seed_from_boundary(v, &self.region, deployment);
-        }
-        self.engine.run_schedule(self.policy, deployment);
-    }
-
-    fn absorb_fix_log(&mut self) {
-        region::absorb_fix_log(
-            self.engine.fix_log(),
-            &mut self.region,
-            &mut self.region_list,
-        );
     }
 }
 
@@ -753,6 +727,53 @@ mod tests {
                     assert_outcomes_match(got, want, &g, &format!("{policy} step {k}"));
                     assert_eq!(sweep.count_happy(), want.count_happy(), "{policy} step {k}");
                 }
+            }
+        }
+    }
+
+    /// d(0) buys from p(1), which also serves stubs 2 and 3; with
+    /// `transit`, p buys from t(4), which serves stub 5. ASes up to 11
+    /// are isolated filler that keeps the region under the fallback cap.
+    fn provider_with_stubs(transit: bool) -> AsGraph {
+        let mut b = GraphBuilder::new(12);
+        b.add_provider(AsId(0), AsId(1)).unwrap();
+        b.add_provider(AsId(2), AsId(1)).unwrap();
+        b.add_provider(AsId(3), AsId(1)).unwrap();
+        if transit {
+            b.add_provider(AsId(1), AsId(4)).unwrap();
+            b.add_provider(AsId(5), AsId(4)).unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn stub_only_growth_costs_no_grow_round() {
+        // p joining S secures its route; the change reaches only p's stub
+        // customers (stub 2 validates, so its route turns secure too).
+        // They are resolved in place: no second solve. With a transit
+        // provider t above p, t is implicated as well, and that core
+        // growth costs exactly one round.
+        let scenario = AttackScenario::normal(AsId(0));
+        let s0 = Deployment::full_from_iter(12, [AsId(0), AsId(2)]);
+        let s1 = Deployment::full_from_iter(12, [AsId(0), AsId(1), AsId(2)]);
+        for (transit, rounds, refixed) in [(false, 0, 3), (true, 1, 4)] {
+            let g = provider_with_stubs(transit);
+            for model in SecurityModel::ALL {
+                let policy = Policy::new(model);
+                let ctx = format!("{policy} transit={transit}");
+                let mut sweep = SweepEngine::new(&g);
+                let mut fresh = Engine::new(&g);
+                sweep.begin(scenario, policy);
+                sweep.advance(&s0);
+                let got = sweep.advance(&s1);
+                assert!(got.uses_secure_route(AsId(2)), "{ctx}");
+                let want = fresh.compute(scenario, &s1, policy);
+                assert_outcomes_match(got, want, &g, &ctx);
+                assert_eq!(sweep.count_happy(), want.count_happy(), "{ctx}");
+                let stats = sweep.stats();
+                assert_eq!(stats.incremental_steps, 1, "{ctx}");
+                assert_eq!(stats.grow_rounds, rounds, "{ctx}");
+                assert_eq!(stats.refixed_ases, refixed, "{ctx}");
             }
         }
     }

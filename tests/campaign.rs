@@ -7,38 +7,15 @@
 //! clock may of course differ). The `--file` axis (a parsed snapshot next
 //! to its synthetic twin) must resume the same way.
 
+mod support;
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Build (cached by the shared target dir) and locate the binary via
-/// cargo.
-fn campaign_bin() -> PathBuf {
-    let mut build = Command::new(env!("CARGO"));
-    build
-        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")))
-        .args([
-            "build",
-            "--offline",
-            "-q",
-            "-p",
-            "sbgp_bench",
-            "--bin",
-            "campaign",
-        ]);
-    let out = build.output().expect("spawn cargo build");
-    assert!(
-        out.status.success(),
-        "campaign failed to build:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("debug")
-        .join("campaign")
-}
+use support::bench_bin;
 
 fn campaign_cmd(dir: &Path) -> Command {
-    let mut cmd = Command::new(campaign_bin());
+    let mut cmd = Command::new(bench_bin("campaign"));
     cmd.current_dir(dir);
     cmd.args(["--smoke", "--threads", "2"]);
     cmd
@@ -167,7 +144,7 @@ fn campaign_file_axis_checkpoints_and_resumes() {
     .expect("write snapshot");
 
     let run = || {
-        let out = Command::new(campaign_bin())
+        let out = Command::new(bench_bin("campaign"))
             .current_dir(&dir)
             .arg("--file")
             .arg(&snapshot)
@@ -214,7 +191,7 @@ fn campaign_workers_bit_identical() {
     let dir = std::env::temp_dir().join(format!("sbgp_campaign_workers_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let bin = campaign_bin();
+    let bin = bench_bin("campaign");
 
     let run = |workers: usize| -> String {
         let out_name = format!("out{workers}.json");
@@ -315,7 +292,10 @@ fn supervised_estimator_is_bit_identical_at_full_precision() {
     );
     let mut sup = Supervisor::new(SupervisorConfig {
         workers: 2,
-        argv: vec![campaign_bin().display().to_string(), "--worker".to_string()],
+        argv: vec![
+            bench_bin("campaign").display().to_string(),
+            "--worker".to_string(),
+        ],
         watchdog: Duration::from_secs(300),
         strikes: 3,
         backoff: Duration::from_millis(10),

@@ -12,15 +12,19 @@
 //! **byte-identical** to the fault-free in-process reference. Crashes
 //! cost retries, never bits.
 
+mod support;
+
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Build the fault-injection campaign binary into `target/fault-injection`.
+use support::{bench_bin, target_dir};
+
+/// Build the fault-injection campaign binary into `fault-injection/`
+/// under the tests' target dir.
 fn campaign_bin() -> PathBuf {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let target = root.join("target").join("fault-injection");
+    let target = target_dir().join("fault-injection");
     let mut build = Command::new(env!("CARGO"));
-    build.current_dir(&root).args([
+    build.current_dir(env!("CARGO_MANIFEST_DIR")).args([
         "build",
         "--offline",
         "-q",
@@ -326,18 +330,7 @@ fn fault_matrix_heals_to_bit_identical_estimates() {
 /// silently running clean.
 #[test]
 fn fault_plan_refused_without_feature() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let mut build = Command::new(env!("CARGO"));
-    build.current_dir(&root).args([
-        "build",
-        "--offline",
-        "-q",
-        "-p",
-        "sbgp_bench",
-        "--bin",
-        "campaign",
-    ]);
-    assert!(build.status().expect("spawn cargo build").success());
+    let bin = bench_bin("campaign");
     let dir = std::env::temp_dir().join(format!("sbgp_fault_nofeat_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
@@ -346,7 +339,7 @@ fn fault_plan_refused_without_feature() {
         "point=worker.eval proc=worker0 hit=1 action=abort\n",
     )
     .unwrap();
-    let out = Command::new(root.join("target/debug/campaign"))
+    let out = Command::new(bin)
         .current_dir(&dir)
         .args(["--smoke", "--fault-plan", "plan"])
         .output()

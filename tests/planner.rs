@@ -13,14 +13,13 @@
 
 mod support;
 
-use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 use bgp_juice::prelude::*;
 use bgp_juice::sim::serve::{Planner, PlannerConfig};
 use bgp_juice::sim::supervise::{read_frame, write_frame};
 use bgp_juice::sim::Internet;
-use support::json_f64;
+use support::{bench_bin, json_f64};
 
 fn planner_config(threads: usize) -> PlannerConfig {
     PlannerConfig {
@@ -155,37 +154,11 @@ fn malformed_messages_do_not_poison_the_stream() {
 // Subprocess end-to-end (the real binary over real pipes)
 // ---------------------------------------------------------------------------
 
-/// Build (cached by the shared target dir) and locate the planner binary.
-fn planner_bin() -> PathBuf {
-    let out = Command::new(env!("CARGO"))
-        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")))
-        .args([
-            "build",
-            "--offline",
-            "-q",
-            "-p",
-            "sbgp_bench",
-            "--bin",
-            "planner",
-        ])
-        .output()
-        .expect("spawn cargo build");
-    assert!(
-        out.status.success(),
-        "planner failed to build:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("debug")
-        .join("planner")
-}
-
 /// Full duplex conversation with the served binary: queries answered,
 /// a garbage frame rejected with the server still alive, clean shutdown.
 #[test]
 fn served_binary_answers_over_pipes_and_survives_garbage() {
-    let mut child = Command::new(planner_bin())
+    let mut child = Command::new(bench_bin("planner"))
         .args(["--asns", "200", "--seed", "7"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -228,7 +201,7 @@ fn served_binary_answers_over_pipes_and_survives_garbage() {
 #[test]
 fn undecodable_frames_end_the_session_cleanly() {
     use std::io::Write as _;
-    let mut child = Command::new(planner_bin())
+    let mut child = Command::new(bench_bin("planner"))
         .args(["--asns", "200", "--seed", "7"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())

@@ -410,6 +410,53 @@ proptest! {
     }
 }
 
+/// Sweep `scenario` over `steps` under every security model and compare every
+/// AS's whole entry — route, representative next hop and mark bit, the
+/// fields a stub resolution writes — and the happy bounds with a fresh
+/// [`Engine::compute`] at every step. Returns the sweeps' summed stats.
+fn check_generated(
+    net: &Internet,
+    steps: &[Deployment],
+    scenario: AttackScenario,
+    ctx: &str,
+) -> SweepStats {
+    let mut total = SweepStats::default();
+    for model in SecurityModel::ALL {
+        let policy = Policy::new(model);
+        let mut sweep = SweepEngine::new(&net.graph);
+        let mut fresh = Engine::new(&net.graph);
+        sweep.begin(scenario, policy);
+        for (k, dep) in steps.iter().enumerate() {
+            let got = sweep.advance(dep);
+            let want = fresh.compute(scenario, dep, policy);
+            for v in net.graph.ases() {
+                assert_eq!(
+                    got.route(v),
+                    want.route(v),
+                    "{ctx} {model} step {k}: route at {v}"
+                );
+                assert_eq!(
+                    got.next_hop(v),
+                    want.next_hop(v),
+                    "{ctx} {model} step {k}: next hop at {v}"
+                );
+                assert_eq!(
+                    got.may_traverse_mark(v),
+                    want.may_traverse_mark(v),
+                    "{ctx} {model} step {k}: mark at {v}"
+                );
+            }
+            assert_eq!(
+                sweep.count_happy(),
+                want.count_happy(),
+                "{ctx} {model} step {k}: happy bounds"
+            );
+        }
+        total.merge(&sweep.stats());
+    }
+    total
+}
+
 /// The same equivalence on a structured (generated) topology with a real
 /// rollout, where the incremental path is actually exercised (proptest's
 /// tiny graphs often fall back to full recomputes via the region cap).
@@ -426,23 +473,11 @@ fn sweep_matches_fresh_engine_on_generated_internet() {
     let m = net.tiers.tier2()[1];
     let d = net.content_providers[0];
     let attack = AttackScenario::attack(m, d);
-    let mut incremental_seen = false;
-    for model in SecurityModel::ALL {
-        let policy = Policy::new(model);
-        let mut sweep = SweepEngine::new(&net.graph);
-        let mut fresh = Engine::new(&net.graph);
-        sweep.begin(attack, policy);
-        for (k, dep) in steps.iter().enumerate() {
-            let got = sweep.advance(dep);
-            let want = fresh.compute(attack, dep, policy);
-            for v in net.graph.ases() {
-                assert_eq!(got.route(v), want.route(v), "{model} step {k} at {v}");
-            }
-            assert_eq!(sweep.count_happy(), want.count_happy(), "{model} step {k}");
-        }
-        incremental_seen |= sweep.stats().incremental_steps > 0;
-    }
-    assert!(incremental_seen, "rollout never took the incremental path");
+    let stats = check_generated(&net, &steps, attack, "rollout");
+    assert!(
+        stats.incremental_steps > 0,
+        "rollout never took the incremental path"
+    );
 }
 
 /// The same equivalence on a generated topology over a full wax-and-wane
@@ -456,24 +491,95 @@ fn sweep_matches_fresh_engine_on_generated_internet_churn() {
     let m = net.tiers.tier2()[1];
     let d = net.content_providers[0];
     let attack = AttackScenario::attack(m, d);
-    let mut retraction_seen = false;
-    for model in SecurityModel::ALL {
-        let policy = Policy::new(model);
-        let mut sweep = SweepEngine::new(&net.graph);
-        let mut fresh = Engine::new(&net.graph);
-        sweep.begin(attack, policy);
-        for (k, dep) in steps.iter().enumerate() {
-            let got = sweep.advance(dep);
-            let want = fresh.compute(attack, dep, policy);
-            for v in net.graph.ases() {
-                assert_eq!(got.route(v), want.route(v), "{model} step {k} at {v}");
-            }
-            assert_eq!(sweep.count_happy(), want.count_happy(), "{model} step {k}");
-        }
-        retraction_seen |= sweep.stats().retracting_steps > 0;
-    }
+    let stats = check_generated(&net, &steps, attack, "churn");
     assert!(
-        retraction_seen,
+        stats.retracting_steps > 0,
         "churn trajectory never took the incremental retraction path"
     );
+}
+
+/// Stubs (ASes without customers) of `net` whose `validates` bit flips
+/// along `steps`, and those whose bit never does, each in id order.
+fn flipping_and_steady_stubs(net: &Internet, steps: &[Deployment]) -> (Vec<AsId>, Vec<AsId>) {
+    let g = &net.graph;
+    g.ases()
+        .filter(|&v| g.customer_degree(v) == 0 && g.provider_degree(v) > 0)
+        .partition(|&v| {
+            steps
+                .iter()
+                .any(|s| s.validates(v) != steps[0].validates(v))
+        })
+}
+
+/// Churn over a 2 000-AS synthetic Internet with stubs in every root role.
+/// Each churn step secures or retires Tier 2s together with all their
+/// stubs, so region solves fold and resolve thousands of stubs, and roots
+/// that are stubs whose own deployment flips land inside the region: a
+/// stub destination (re-fixed as the origin), a stub attacker, a colluding
+/// stub pair flooding 2-hop forged paths, and a stub mark.
+#[test]
+fn sweep_matches_fresh_engine_with_stub_roots_under_churn() {
+    let net = Internet::synthetic(2000, 7);
+    let steps = scenario::churn_trajectory(&net, 4);
+    let (flipping, steady) = flipping_and_steady_stubs(&net, &steps);
+    assert!(
+        flipping.len() >= 4,
+        "too few stubs flip along the trajectory"
+    );
+    assert!(!steady.is_empty(), "every stub flips");
+    let cp = net.content_providers[0];
+    let t2 = net.tiers.tier2()[2];
+    let pick = |k: usize| flipping[k * flipping.len() / 4];
+    let scenarios = [
+        ("stub destination", AttackScenario::attack(t2, pick(0))),
+        ("stub attacker", AttackScenario::attack(pick(1), cp)),
+        (
+            "colluding stubs",
+            AttackScenario::colluding(&[pick(2), steady[steady.len() / 2]], cp)
+                .with_strategy(AttackStrategy::FakePath { hops: 2 }),
+        ),
+        ("stub mark", {
+            let mut marked = AttackScenario::attack(t2, cp);
+            marked.mark = Some(pick(3));
+            marked
+        }),
+    ];
+    for (ctx, scenario) in scenarios {
+        let stats = check_generated(&net, &steps, scenario, ctx);
+        assert!(
+            stats.incremental_steps > 0,
+            "{ctx}: churn never took the incremental path"
+        );
+    }
+}
+
+/// Churn at the scale of the benchmark's churn workload: a `SweepEngine`
+/// over the 19-step wax-and-wane trajectory on the 40 000-AS synthetic
+/// Internet, for stub and non-stub destinations, matches a fresh compute
+/// at every AS and every step. `#[ignore]`d (a few seconds in release);
+/// CI's bench-smoke job runs it with
+/// `cargo test --release --test sweep_equivalence -- --ignored`.
+#[test]
+#[ignore = "40k-AS churn; run by CI bench-smoke with --ignored"]
+fn sweep_matches_fresh_engine_on_40k_churn() {
+    let net = Internet::synthetic(40_000, 42);
+    let steps = scenario::churn_trajectory(&net, 10);
+    assert_eq!(steps.len(), 19, "wax-and-wane at peak 10");
+    let (flipping, steady) = flipping_and_steady_stubs(&net, &steps);
+    let cp = net.content_providers[0];
+    let t2 = net.tiers.tier2();
+    let attacker = steady[steady.len() / 3];
+    let scenarios = [
+        AttackScenario::attack(attacker, cp),
+        AttackScenario::attack(attacker, t2[5]),
+        AttackScenario::attack(t2[1], flipping[flipping.len() / 2]),
+        AttackScenario::attack(t2[1], steady[2 * steady.len() / 3]),
+    ];
+    let mut total = SweepStats::default();
+    for scenario in scenarios {
+        let ctx = format!("40k d={}", scenario.destination);
+        total.merge(&check_generated(&net, &steps, scenario, &ctx));
+    }
+    assert!(total.retracting_steps > 0, "no incremental retraction");
+    assert!(total.monotone_steps > 0, "no incremental growth");
 }
