@@ -56,10 +56,12 @@
 //! cheap forward scan of the snapshot (no solving); when its *adjacency
 //! mass* — the quantity every patch pass is proportional to, since the
 //! balls are hub-heavy — exceeds the budget at which a patch can still
-//! beat a compute, the engine serves that attacker with a full
-//! [`Engine::compute`] instead (flagging the next restore as full), so
-//! every answer stays exact no matter how pathological the topology and a
-//! hopeless patch costs barely more than the compute it falls back to.
+//! beat a compute (shared with [`crate::SweepEngine`], and re-checked as
+//! the verify step grows the region), the engine serves that attacker
+//! with a full [`Engine::compute`] instead (flagging the next restore as
+//! full), so every answer stays exact no matter how pathological the
+//! topology and a hopeless patch costs barely more than the compute it
+//! falls back to.
 //! `tests/delta_equivalence.rs` pins outcome-for-outcome agreement with
 //! fresh computes across all three security models, the `LP2`/`LPinf`
 //! variants and both attack kinds.
@@ -86,7 +88,7 @@ use crate::deployment::Deployment;
 use crate::engine::Engine;
 use crate::outcome::Outcome;
 use crate::policy::{preference_key, Policy};
-use crate::region::{self, Growth};
+use crate::region::{self, pack_key};
 
 /// Contested-ball scan state: the AS already propagated the bogus offer to
 /// every neighbor (customer-class receipt exports everywhere)...
@@ -219,13 +221,6 @@ pub struct AttackDeltaEngine<'g> {
     /// Contested region of the current attack.
     region: AsSet,
     region_list: Vec<AsId>,
-    /// Sum of the region members' degrees — the adjacency mass every
-    /// patch pass (seed, rescan, verify) is proportional to.
-    region_mass: usize,
-    /// Adjacency-mass budget above which a patch can no longer beat a
-    /// from-scratch compute (the regions are hub-heavy, so node counts
-    /// track cost poorly; edge mass is what the solve actually scans).
-    mass_budget: usize,
     /// The last patch's region — exactly the entries where the working
     /// outcome differs from the snapshot, i.e. the undo list.
     touched: Vec<AsId>,
@@ -243,8 +238,6 @@ pub struct AttackDeltaEngine<'g> {
     stats: DeltaStats,
 }
 
-use crate::region::pack_key;
-
 impl<'g> AttackDeltaEngine<'g> {
     /// Create a delta engine for `graph`.
     pub fn new(graph: &'g AsGraph) -> AttackDeltaEngine<'g> {
@@ -260,13 +253,6 @@ impl<'g> AttackDeltaEngine<'g> {
             happy: (0, 0),
             region: AsSet::new(n),
             region_list: Vec::new(),
-            region_mass: 0,
-            // A patch pays roughly three passes over the region's
-            // adjacency where a compute pays one pass over the whole
-            // graph (plus two O(V) scans); beyond ~a sixth of the total
-            // mass the patch stops winning. Calibrated on the 4000-AS
-            // benchmark workload.
-            mass_budget: (n + 2 * graph.num_edges()) / 6,
             touched: Vec::new(),
             restore: Restore::Clean,
             cell_keys: Vec::new(),
@@ -511,7 +497,6 @@ impl<'g> AttackDeltaEngine<'g> {
             Base::Built => {}
         }
         let deployment = self.take_deployment();
-        self.init_roots(scenario);
 
         // Discover the contested ball in one cheap forward scan over the
         // *snapshot* (the working outcome is not consulted, so no restore
@@ -521,11 +506,11 @@ impl<'g> AttackDeltaEngine<'g> {
         // ball falls back *before* any restore or solve work is spent on
         // it, so a hopeless attacker costs barely more than the compute
         // it falls back to.
-        self.seed_contested_region(scenario, &deployment);
-        if self.region_mass > self.mass_budget {
+        let mass = self.seed_contested_region(scenario, &deployment);
+        if mass > region::mass_budget(self.graph()) {
             return self.fallback(scenario, deployment);
         }
-        self.serve(scenario, deployment)
+        self.serve(scenario, deployment, mass)
     }
 
     /// The attack scenario of `attackers` against the current cell.
@@ -545,23 +530,11 @@ impl<'g> AttackDeltaEngine<'g> {
             .expect("AttackDeltaEngine::begin not called")
     }
 
-    /// Reset the region to exactly the announcer roots.
-    fn init_roots(&mut self, scenario: AttackScenario) {
-        self.region.clear();
-        self.region_list.clear();
-        self.region_mass = 0;
-        let graph = self.graph();
-        for m in scenario.attackers() {
-            self.region.insert(m);
-            self.region_list.push(m);
-            self.region_mass += graph.degree(m);
-        }
-    }
-
     /// The patch tail of [`AttackDeltaEngine::attack_set`]: undo, solve the
     /// region to local consistency (growing it as needed), patch the happy
-    /// bounds, and flip the snapshot/undo bookkeeping.
-    fn serve(&mut self, scenario: AttackScenario, deployment: Deployment) -> &Outcome {
+    /// bounds, and flip the snapshot/undo bookkeeping. `mass` is the
+    /// seeded region's adjacency mass.
+    fn serve(&mut self, scenario: AttackScenario, deployment: Deployment, mass: usize) -> &Outcome {
         // Undo the previous attack's writes; afterwards the working outcome
         // equals the snapshot again and the patch can solve against it.
         match self.restore {
@@ -574,69 +547,30 @@ impl<'g> AttackDeltaEngine<'g> {
             Restore::Full => self.engine.outcome_mut().copy_from(&self.snapshot),
         }
 
-        // Entries whose degree is already folded into `region_mass` (the
-        // scan counts its own marks; grow/absorb additions are folded in
-        // at each loop top, so the budget is checked on every region an
-        // answer could be served from, including one grown by stubs only).
-        let graph = self.graph();
-        let mut mass_counted = self.region_list.len();
-        let mut stubs_from = None;
-        loop {
-            for &v in &self.region_list[mass_counted..] {
-                self.region_mass += graph.degree(v);
-            }
-            mass_counted = self.region_list.len();
-            if self.region_mass > self.mass_budget {
-                // The verify step grew the region past the cap after all.
-                return self.fallback(scenario, deployment);
-            }
-            if let Some(from) = stubs_from {
-                self.engine
-                    .resolve_stubs(&self.region_list[from..], self.policy, &deployment);
-                break;
-            }
-            self.engine.solve_region(
-                scenario,
-                &deployment,
-                self.policy,
-                &mut self.region,
-                &mut self.region_list,
-            );
-            match region::grow_affected(
-                self.engine.graph(),
-                self.engine.outcome(),
-                &self.snapshot,
-                scenario,
-                &deployment,
-                self.policy,
-                &mut self.region,
-                &mut self.region_list,
-            ) {
-                Growth::Settled => break,
-                Growth::Stubs(from) => stubs_from = Some(from),
-                Growth::Core => self.stats.grow_rounds += 1,
-            }
+        let (within_budget, grow_rounds) = region::solve_within_budget(
+            &mut self.engine,
+            &self.snapshot,
+            scenario,
+            &deployment,
+            self.policy,
+            &mut self.region,
+            &mut self.region_list,
+            mass,
+        );
+        self.stats.grow_rounds += grow_rounds;
+        if !within_budget {
+            // The verify step grew the region past the budget after all.
+            return self.fallback(scenario, deployment);
         }
 
-        // Patch the happy bounds: remove every region member's normal
-        // contribution (announcers stop being sources entirely) and add
-        // back the non-root members' contested contributions.
-        let mut happy = self.normal_happy;
-        {
-            let outcome = self.engine.outcome();
-            for &v in &self.region_list {
-                let old = self.snapshot.flags(v);
-                happy.0 -= usize::from(old.surely_happy());
-                happy.1 -= usize::from(old.may_reach_destination());
-                if scenario.is_attacker(v) {
-                    continue;
-                }
-                let new = outcome.flags(v);
-                happy.0 += usize::from(new.surely_happy());
-                happy.1 += usize::from(new.may_reach_destination());
-            }
-        }
-        self.happy = happy;
+        // Patch the happy bounds (announcers stop being sources entirely).
+        self.happy = self.normal_happy;
+        region::patch_happy(
+            &mut self.happy,
+            &self.snapshot,
+            self.engine.outcome(),
+            &self.region_list,
+        );
         self.stats.delta_attacks += 1;
         self.stats.refixed_ases += self.region_list.len();
         // The final region is exactly where the working outcome now
@@ -648,7 +582,7 @@ impl<'g> AttackDeltaEngine<'g> {
     }
 
     /// Serve the current attack with a full [`Engine::compute`] (contested
-    /// ball past the cap, or no base yet). The compute rewrites the working outcome
+    /// region past the budget, or no base yet). The compute rewrites the working outcome
     /// wholesale, so whatever restore was pending is moot and the next one
     /// must be a full copy.
     fn fallback(&mut self, scenario: AttackScenario, deployment: Deployment) -> &Outcome {
@@ -660,10 +594,11 @@ impl<'g> AttackDeltaEngine<'g> {
         self.engine.outcome()
     }
 
-    /// Seed the region with the *contested ball*: every AS the bogus
-    /// announcement can reach along export-legal paths while tying or
-    /// beating the current route at each hop, found by a breadth-first
-    /// scan of the snapshot in bogus-path-length order. An AS whose route
+    /// Reset the region to the announcer roots and seed it with the
+    /// *contested ball*: every AS the bogus announcement can reach along
+    /// export-legal paths while tying or beating the current route at each
+    /// hop, found by a breadth-first scan of the snapshot in
+    /// bogus-path-length order. An AS whose route
     /// strictly beats the offer neither adopts nor re-exports it, so the
     /// scan prunes there; customer-class receipt re-exports everywhere,
     /// peer/provider-class receipt only to customers (Ex). With colluding
@@ -672,16 +607,27 @@ impl<'g> AttackDeltaEngine<'g> {
     /// aligned) and the scan discovers the union ball in one pass. This is
     /// purely a performance seeding — the verify-and-grow loop would find
     /// the same ASes one hop per round — so its filter does not need to be
-    /// tight in either direction. The scan stops early once the region's
-    /// adjacency mass exceeds the budget (the caller then falls back
-    /// without solving).
-    fn seed_contested_region(&mut self, scenario: AttackScenario, deployment: &Deployment) {
+    /// tight in either direction. Returns the region's adjacency mass (the
+    /// sum of its members' degrees); the scan stops early once that exceeds
+    /// the budget (the caller then falls back without solving).
+    fn seed_contested_region(
+        &mut self,
+        scenario: AttackScenario,
+        deployment: &Deployment,
+    ) -> usize {
         let graph = self.engine.graph();
+        let budget = region::mass_budget(graph);
         let policy = self.policy;
         let d = scenario.destination;
+        self.region.clear();
+        self.region_list.clear();
+        let mut mass = 0;
 
         // Each announcer's origin announcement exports to every neighbor.
         for m in scenario.attackers() {
+            self.region.insert(m);
+            self.region_list.push(m);
+            mass += graph.degree(m);
             for &u in graph.providers(m) {
                 self.scan_next.push((u.0, 0));
             }
@@ -710,7 +656,7 @@ impl<'g> AttackDeltaEngine<'g> {
                 }
             }
             for k in 0..self.scan_cur.len() {
-                if self.region_mass > self.mass_budget {
+                if mass > budget {
                     // Over budget mid-level: the caller will fall back, so
                     // every further mark is wasted work.
                     break 'scan;
@@ -727,7 +673,7 @@ impl<'g> AttackDeltaEngine<'g> {
                 }
                 if self.region.insert(u) {
                     self.region_list.push(u);
-                    self.region_mass += graph.degree(u);
+                    mass += graph.degree(u);
                 }
                 let st = self.scan_state[u.index()];
                 if st == 0 {
@@ -763,6 +709,7 @@ impl<'g> AttackDeltaEngine<'g> {
             self.scan_state[x as usize] = 0;
         }
         self.scan_touched.clear();
+        mass
     }
 }
 

@@ -69,7 +69,7 @@ use crate::outcome::{
     KIND_PEER, KIND_PROVIDER, KIND_UNFIXED,
 };
 use crate::policy::{Policy, SecurityModel};
-use crate::region::{self, offer_key};
+use crate::region::offer_key;
 
 /// Sentinel for an empty per-length chain in [`BucketQueue`].
 const NO_ENTRY: u32 = u32::MAX;
@@ -287,7 +287,7 @@ impl<'g> Engine<'g> {
     /// same set) on top of the current outcome, treating every AS outside
     /// it as fixed boundary, then absorb into the region any AS the solve
     /// fixed outside it (possible only for ASes unreachable in the previous
-    /// outcome; see `region::absorb_fix_log`).
+    /// outcome; the fix log records every fix of a region solve).
     ///
     /// Stubs are folded exactly as in [`Engine::compute`]: a non-root stub
     /// member is marked folded instead of unfixed and is neither seeded nor
@@ -341,7 +341,13 @@ impl<'g> Engine<'g> {
         }
         self.run_schedule(policy, deployment);
         self.resolve_folded_members(members, policy, deployment);
-        region::absorb_fix_log(&self.fix_log, region, members);
+        // Keep the members an exact superset of the solve's writes, the
+        // invariant both engines' snapshot/undo bookkeeping rests on.
+        for &x in &self.fix_log {
+            if region.insert(AsId(x)) {
+                members.push(AsId(x));
+            }
+        }
     }
 
     /// Resolve `stubs` — non-root stubs absorbed into a solved region after

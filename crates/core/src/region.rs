@@ -29,44 +29,126 @@
 //!
 //! Only core growth costs another solve. A non-root stub exports no route
 //! (Ex), so a stub absorbed into the region can change no other AS's
-//! route, and a re-solve would reproduce every core route unchanged: the
-//! callers resolve such stubs in place and stop ([`Growth::Stubs`]).
+//! route, and a re-solve would reproduce every core route unchanged: such
+//! stubs are resolved in place and the loop stops.
+//!
+//! The whole solve → verify → grow loop is shared ([`solve_within_budget`]),
+//! and so is its give-up rule ([`mass_budget`]).
 
 use sbgp_topology::{AsGraph, AsId, AsSet};
 
 use crate::attack::AttackScenario;
 use crate::deployment::Deployment;
+use crate::engine::Engine;
 use crate::outcome::{Outcome, KIND_CUSTOMER, KIND_ORIGIN, KIND_PEER, KIND_PROVIDER, KIND_UNFIXED};
 use crate::policy::{preference_key, Policy};
 
-/// What a verify step ([`grow_affected`]) absorbed into the region.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Growth {
-    /// Nothing: the patched outcome is exact.
-    Settled,
-    /// Only non-root stubs, listed in the region list from this index on.
-    /// They cannot affect any other AS, so the solved core stands: the
-    /// caller resolves them in place and is done (no solve, no grow
-    /// round).
-    Stubs(usize),
-    /// At least one core AS: the region needs another solve.
-    Core,
+/// The region mass (sum of member degrees) above which a patch stops
+/// beating a fresh [`Engine::compute`]: a patch pays about three passes
+/// over the region's adjacency where a compute pays one over the whole
+/// graph's mass `n + 2·E`. Regions are hub-heavy, so node counts would
+/// track cost poorly.
+pub(crate) fn mass_budget(graph: &AsGraph) -> usize {
+    (graph.len() + 2 * graph.num_edges()) / 6
+}
+
+/// Solve the region to local consistency on top of `snapshot`: solve,
+/// verify ([`grow_affected`]), re-solve after core growth, resolve
+/// stub-only growth in place. `mass` is the adjacency mass of
+/// `region_list` on entry; absorbed members add theirs, and every loop
+/// top (so also a stub-grown region before it is served) checks it
+/// against [`mass_budget`]. Returns whether the region stayed within the
+/// budget — if so the working outcome is exact, else partial and the
+/// caller computes — and the grow rounds (core absorptions) spent.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve_within_budget(
+    engine: &mut Engine,
+    snapshot: &Outcome,
+    scenario: AttackScenario,
+    deployment: &Deployment,
+    policy: Policy,
+    region: &mut AsSet,
+    region_list: &mut Vec<AsId>,
+    mut mass: usize,
+) -> (bool, usize) {
+    let graph = engine.graph();
+    let budget = mass_budget(graph);
+    let mut counted = region_list.len();
+    let mut grow_rounds = 0;
+    let mut stubs_from = None;
+    loop {
+        for &v in &region_list[counted..] {
+            mass += graph.degree(v);
+        }
+        counted = region_list.len();
+        if mass > budget {
+            return (false, grow_rounds);
+        }
+        if let Some(from) = stubs_from {
+            engine.resolve_stubs(&region_list[from..], policy, deployment);
+            break;
+        }
+        engine.solve_region(scenario, deployment, policy, region, region_list);
+        // Core growth costs a re-solve (a grow round); stub-only growth is
+        // resolved in place once the grown region passed the budget check.
+        let solved = region_list.len();
+        if grow_affected(
+            graph,
+            engine.outcome(),
+            snapshot,
+            scenario,
+            deployment,
+            policy,
+            region,
+            region_list,
+        ) {
+            grow_rounds += 1;
+        } else if region_list.len() > solved {
+            stubs_from = Some(solved);
+        } else {
+            break;
+        }
+    }
+    (true, grow_rounds)
+}
+
+/// Move the happy-source bounds `happy` ([`Outcome::count_happy`]) from
+/// `old` to `new`, two outcomes that differ only at `members`. Each
+/// outcome's own destination and announcers are not its sources.
+pub(crate) fn patch_happy(
+    happy: &mut (usize, usize),
+    old: &Outcome,
+    new: &Outcome,
+    members: &[AsId],
+) {
+    let source = |o: &Outcome, v: AsId| v != o.destination() && o.attackers().all(|m| m != v);
+    for &v in members {
+        if source(old, v) {
+            let f = old.flags(v);
+            happy.0 -= usize::from(f.surely_happy());
+            happy.1 -= usize::from(f.may_reach_destination());
+        }
+        if source(new, v) {
+            let f = new.flags(v);
+            happy.0 += usize::from(f.surely_happy());
+            happy.1 += usize::from(f.may_reach_destination());
+        }
+    }
 }
 
 /// Compare `new` against `old` at every region member and absorb the
 /// genuinely affected out-of-region neighbors into `region`/`region_list`.
-/// Returns [`Growth::Settled`] when nothing escaped: the patched outcome is
-/// then locally consistent everywhere — inside the region by construction,
-/// outside it because no input changed — which by Theorem 2.1 uniqueness
-/// makes it exact. A change that escaped only to non-root stubs (ASes
-/// without customers) returns [`Growth::Stubs`]; one that reached a core
-/// AS returns [`Growth::Core`].
+/// When nothing escaped, the patched outcome is locally consistent
+/// everywhere — inside the region by construction, outside it because no
+/// input changed — which by Theorem 2.1 uniqueness makes it exact. Returns
+/// whether a core AS (one with customers) was absorbed; if only non-root
+/// stubs were, the solved core stands.
 ///
 /// The destination and the announcers never join the region: their entries
 /// are roots, re-fixed explicitly by the caller when needed (with colluding
 /// attackers, *every* member of the announcer set is excluded).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn grow_affected(
+fn grow_affected(
     graph: &AsGraph,
     new: &Outcome,
     old: &Outcome,
@@ -75,7 +157,7 @@ pub(crate) fn grow_affected(
     policy: Policy,
     region: &mut AsSet,
     region_list: &mut Vec<AsId>,
-) -> Growth {
+) -> bool {
     let d = scenario.destination;
     let mut frontier: Vec<AsId> = Vec::new();
     for &v in region_list.iter() {
@@ -110,7 +192,6 @@ pub(crate) fn grow_affected(
             }
         }
     }
-    let start = region_list.len();
     let mut core = false;
     for u in frontier {
         if region.insert(u) {
@@ -118,28 +199,7 @@ pub(crate) fn grow_affected(
             core |= !graph.customers(u).is_empty();
         }
     }
-    if core {
-        Growth::Core
-    } else if region_list.len() > start {
-        Growth::Stubs(start)
-    } else {
-        Growth::Settled
-    }
-}
-
-/// Fold any AS a region solve fixed *outside* its seeded region into the
-/// region (the engine logs every fix of a region solve; a fix outside the
-/// region is possible only for an AS that was unreachable in the base
-/// outcome), keeping the touched list an
-/// exact superset of the solve's writes — the invariant both engines'
-/// snapshot/undo bookkeeping rests on.
-pub(crate) fn absorb_fix_log(fix_log: &[u32], region: &mut AsSet, region_list: &mut Vec<AsId>) {
-    for &x in fix_log {
-        let v = AsId(x);
-        if region.insert(v) {
-            region_list.push(v);
-        }
-    }
+    core
 }
 
 /// `u`'s current position in the preference order, or `None` when it has no

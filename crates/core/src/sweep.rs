@@ -38,8 +38,10 @@
 //!    step 2 (a grow round). When only non-root stubs were absorbed, the
 //!    core solve stands — a non-root stub exports no route, so it changes
 //!    nobody else's — and those stubs are resolved in place by the same
-//!    per-stub pass, with no further solve. Either way the grown region
-//!    must still fit the region budget before it is served;
+//!    per-stub pass, with no further solve. Before every solve, and before
+//!    a stub-grown region is served, its adjacency mass (sum of member
+//!    degrees) must fit the budget of one compute, the attacker-delta
+//!    engine's too, so no advance costs much more than a fallback;
 //! 4. when no change escapes the region, the patched state is locally
 //!    consistent at every AS — inside the region by construction, outside
 //!    it because no input changed — and uniqueness makes it exact.
@@ -67,7 +69,7 @@
 //! boundary under the *new* deployment — the region members never trust
 //! stale secure bits — while everything outside the region kept all of its
 //! route inputs unchanged. Only the first call, a universe mismatch, or a
-//! region that balloons past half the graph falls back to a fresh
+//! region whose adjacency mass passes the budget falls back to a fresh
 //! [`Engine::compute`], so `advance` is *always* exact; incrementality is
 //! purely an optimization. The equivalence is enforced outcome-for-outcome
 //! by `tests/sweep_equivalence.rs` against fresh computes — over monotone
@@ -81,14 +83,14 @@ use crate::deployment::Deployment;
 use crate::engine::Engine;
 use crate::outcome::Outcome;
 use crate::policy::Policy;
-use crate::region::{self, Growth};
+use crate::region;
 
 /// How the steps of a sweep were served (all counters cumulative since
 /// [`SweepEngine::begin`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Steps served by a fresh [`Engine::compute`] (first step, universe
-    /// mismatch, or dirty-region blow-up).
+    /// mismatch, or a dirty region past the adjacency-mass budget).
     pub full_recomputes: usize,
     /// Steps served by dirty-region re-fixing (any direction).
     pub incremental_steps: usize,
@@ -103,8 +105,9 @@ pub struct SweepStats {
     pub retracting_steps: usize,
     /// Incremental steps with flips in both directions.
     pub mixed_steps: usize,
-    /// Steps that *attempted* the incremental path but blew the region
-    /// budget mid-loop and fell back (a subset of `full_recomputes`).
+    /// Steps that *attempted* the incremental path but fell back because
+    /// the region's adjacency mass passed the budget, whether at its seeds
+    /// or after a verify step grew it (a subset of `full_recomputes`).
     pub fallback_steps: usize,
     /// Total ASes re-fixed across all incremental steps (final region
     /// sizes, stubs included).
@@ -150,31 +153,40 @@ impl SweepStats {
     /// copy of this engine's stats. Lets a runner attribute counters to one
     /// unit of work on a long-lived engine whose totals span many sweeps.
     pub fn delta_since(&self, earlier: &SweepStats) -> SweepStats {
-        SweepStats {
-            full_recomputes: self.full_recomputes - earlier.full_recomputes,
-            incremental_steps: self.incremental_steps - earlier.incremental_steps,
-            noop_steps: self.noop_steps - earlier.noop_steps,
-            monotone_steps: self.monotone_steps - earlier.monotone_steps,
-            retracting_steps: self.retracting_steps - earlier.retracting_steps,
-            mixed_steps: self.mixed_steps - earlier.mixed_steps,
-            fallback_steps: self.fallback_steps - earlier.fallback_steps,
-            refixed_ases: self.refixed_ases - earlier.refixed_ases,
-            grow_rounds: self.grow_rounds - earlier.grow_rounds,
-        }
+        self.zip(earlier, |now, then| now - then)
     }
 
     /// Accumulate another run's counters into this one (for merging
     /// per-worker stats into a per-run total).
     pub fn merge(&mut self, other: &SweepStats) {
-        self.full_recomputes += other.full_recomputes;
-        self.incremental_steps += other.incremental_steps;
-        self.noop_steps += other.noop_steps;
-        self.monotone_steps += other.monotone_steps;
-        self.retracting_steps += other.retracting_steps;
-        self.mixed_steps += other.mixed_steps;
-        self.fallback_steps += other.fallback_steps;
-        self.refixed_ases += other.refixed_ases;
-        self.grow_rounds += other.grow_rounds;
+        *self = self.zip(other, |a, b| a + b);
+    }
+
+    /// Combine two stats counter by counter.
+    fn zip(&self, other: &SweepStats, f: impl Fn(usize, usize) -> usize) -> SweepStats {
+        // Destructured so that a new counter cannot be left out.
+        let SweepStats {
+            full_recomputes,
+            incremental_steps,
+            noop_steps,
+            monotone_steps,
+            retracting_steps,
+            mixed_steps,
+            fallback_steps,
+            refixed_ases,
+            grow_rounds,
+        } = *other;
+        SweepStats {
+            full_recomputes: f(self.full_recomputes, full_recomputes),
+            incremental_steps: f(self.incremental_steps, incremental_steps),
+            noop_steps: f(self.noop_steps, noop_steps),
+            monotone_steps: f(self.monotone_steps, monotone_steps),
+            retracting_steps: f(self.retracting_steps, retracting_steps),
+            mixed_steps: f(self.mixed_steps, mixed_steps),
+            fallback_steps: f(self.fallback_steps, fallback_steps),
+            refixed_ases: f(self.refixed_ases, refixed_ases),
+            grow_rounds: f(self.grow_rounds, grow_rounds),
+        }
     }
 }
 
@@ -313,17 +325,16 @@ impl<'g> SweepEngine<'g> {
         self.region_list.clear();
         let mut grew = false;
         let mut shrank = false;
+        // The two differences are disjoint sets: each seed is listed once.
         for v in deployment.newly_validating(&prev) {
             grew = true;
-            if self.region.insert(v) {
-                self.region_list.push(v);
-            }
+            self.region.insert(v);
+            self.region_list.push(v);
         }
         for v in deployment.newly_retired(&prev) {
             shrank = true;
-            if self.region.insert(v) {
-                self.region_list.push(v);
-            }
+            self.region.insert(v);
+            self.region_list.push(v);
         }
         let signs_now = deployment.signs_origin(d);
         if signs_now != prev.signs_origin(d) {
@@ -339,58 +350,33 @@ impl<'g> SweepEngine<'g> {
             return &self.snapshot;
         }
 
-        // The region budget is checked on every region an answer could be
-        // served from, including one grown by stubs only.
-        let max_region = self.graph().len() / 2;
-        let mut stubs_from = None;
-        loop {
-            if self.region_list.len() > max_region {
-                self.stats.fallback_steps += 1;
-                return self.full_recompute(scenario, deployment);
-            }
-            if let Some(from) = stubs_from {
-                self.engine
-                    .resolve_stubs(&self.region_list[from..], self.policy, deployment);
-                break;
-            }
-            self.engine.solve_region(
-                scenario,
-                deployment,
-                self.policy,
-                &mut self.region,
-                &mut self.region_list,
-            );
-            match region::grow_affected(
-                self.engine.graph(),
-                self.engine.outcome(),
-                &self.snapshot,
-                scenario,
-                deployment,
-                self.policy,
-                &mut self.region,
-                &mut self.region_list,
-            ) {
-                Growth::Settled => break,
-                Growth::Stubs(from) => stubs_from = Some(from),
-                Growth::Core => self.stats.grow_rounds += 1,
-            }
+        // The seeds' mass starts the region's, checked before every solve.
+        let graph = self.graph();
+        let mass = self.region_list.iter().map(|&v| graph.degree(v)).sum();
+        let (within_budget, grow_rounds) = region::solve_within_budget(
+            &mut self.engine,
+            &self.snapshot,
+            scenario,
+            deployment,
+            self.policy,
+            &mut self.region,
+            &mut self.region_list,
+            mass,
+        );
+        self.stats.grow_rounds += grow_rounds;
+        if !within_budget {
+            self.stats.fallback_steps += 1;
+            return self.full_recompute(scenario, deployment);
         }
         // Patch the happy bounds by the region's delta, then fold the
         // region back into the snapshot entry by entry — everything outside
         // the region is untouched by construction.
-        let outcome = self.engine.outcome();
-        for &v in &self.region_list {
-            if v == d || scenario.is_attacker(v) {
-                continue;
-            }
-            let old = self.snapshot.flags(v);
-            let new = outcome.flags(v);
-            self.happy.0 += usize::from(new.surely_happy());
-            self.happy.0 -= usize::from(old.surely_happy());
-            self.happy.1 += usize::from(new.may_reach_destination());
-            self.happy.1 -= usize::from(old.may_reach_destination());
-        }
-
+        region::patch_happy(
+            &mut self.happy,
+            &self.snapshot,
+            self.engine.outcome(),
+            &self.region_list,
+        );
         self.stats.incremental_steps += 1;
         match (grew, shrank) {
             (true, false) => self.stats.monotone_steps += 1,
@@ -440,10 +426,27 @@ mod tests {
     use crate::policy::{LpVariant, SecurityModel};
     use sbgp_topology::GraphBuilder;
 
+    /// AS count of the test graphs that carry a filler chain.
+    const N: usize = 64;
+
+    /// A graph builder for `N` ASes whose ids from `from` on are linked
+    /// into a provider chain detached from the gadget below `from`. The
+    /// chain never joins a region, but its adjacency lifts
+    /// `region::mass_budget` past the gadget's whole mass: on a bare
+    /// 8–16-AS gadget a fresh compute is cheaper than any patch, so every
+    /// advance would fall back.
+    fn with_filler_chain(from: u32) -> GraphBuilder {
+        let mut b = GraphBuilder::new(N);
+        for i in from + 1..N as u32 {
+            b.add_provider(AsId(i), AsId(i - 1)).unwrap();
+        }
+        b
+    }
+
     /// The Figure 2 downgrade gadget plus a second provider chain, so the
-    /// sweep has something interesting to re-fix.
+    /// sweep has something interesting to re-fix (and a filler chain).
     fn gadget() -> AsGraph {
-        let mut b = GraphBuilder::new(8);
+        let mut b = with_filler_chain(8);
         b.add_provider(AsId(1), AsId(0)).unwrap();
         b.add_peering(AsId(1), AsId(2)).unwrap();
         b.add_peering(AsId(0), AsId(2)).unwrap();
@@ -476,10 +479,10 @@ mod tests {
         let g = gadget();
         let scenario = AttackScenario::attack(AsId(4), AsId(0));
         let steps: Vec<Deployment> = vec![
-            Deployment::empty(8),
-            Deployment::full_from_iter(8, [AsId(0)]),
-            Deployment::full_from_iter(8, [AsId(0), AsId(1), AsId(2)]),
-            Deployment::full_from_iter(8, [AsId(0), AsId(1), AsId(2), AsId(5), AsId(6)]),
+            Deployment::empty(N),
+            Deployment::full_from_iter(N, [AsId(0)]),
+            Deployment::full_from_iter(N, [AsId(0), AsId(1), AsId(2)]),
+            Deployment::full_from_iter(N, [AsId(0), AsId(1), AsId(2), AsId(5), AsId(6)]),
         ];
         for model in SecurityModel::ALL {
             for variant in [LpVariant::Standard, LpVariant::LpK(2), LpVariant::LpInf] {
@@ -506,8 +509,8 @@ mod tests {
     fn destination_signing_flip_is_propagated() {
         // The destination joining S flips secure bits along whole chains —
         // the seed-the-destination path. The graph carries a long insecure
-        // tail so the dirty region stays well under the fallback cap.
-        let mut b = GraphBuilder::new(16);
+        // tail, and a filler chain keeps the dirty region under the budget.
+        let mut b = with_filler_chain(16);
         b.add_provider(AsId(1), AsId(0)).unwrap();
         b.add_provider(AsId(5), AsId(0)).unwrap();
         b.add_provider(AsId(6), AsId(5)).unwrap();
@@ -521,7 +524,7 @@ mod tests {
         let mut sweep = SweepEngine::new(&g);
         let mut fresh = Engine::new(&g);
         sweep.begin(scenario, policy);
-        let s0 = Deployment::full_from_iter(16, [AsId(1), AsId(5), AsId(6)]);
+        let s0 = Deployment::full_from_iter(N, [AsId(1), AsId(5), AsId(6)]);
         let mut s1 = s0.clone();
         s1.insert_simplex(AsId(0)); // d signs (simplex) but never validates
         for dep in [&s0, &s1] {
@@ -542,7 +545,7 @@ mod tests {
         let policy = Policy::new(SecurityModel::Security1st);
         let mut sweep = SweepEngine::new(&g);
         sweep.begin(scenario, policy);
-        let s0 = Deployment::full_from_iter(8, [AsId(0), AsId(1)]);
+        let s0 = Deployment::full_from_iter(N, [AsId(0), AsId(1)]);
         let mut s1 = s0.clone();
         s1.insert_simplex(AsId(7));
         sweep.advance(&s0);
@@ -564,9 +567,9 @@ mod tests {
             sweep.begin(scenario, policy);
             // Wax and wane: grow to four members, then shrink back down.
             let steps = [
-                Deployment::full_from_iter(8, [AsId(0), AsId(1), AsId(2), AsId(5)]),
-                Deployment::full_from_iter(8, [AsId(0), AsId(1)]),
-                Deployment::full_from_iter(8, [AsId(0)]),
+                Deployment::full_from_iter(N, [AsId(0), AsId(1), AsId(2), AsId(5)]),
+                Deployment::full_from_iter(N, [AsId(0), AsId(1)]),
+                Deployment::full_from_iter(N, [AsId(0)]),
             ];
             for (k, dep) in steps.iter().enumerate() {
                 let got = sweep.advance(dep);
@@ -591,8 +594,8 @@ mod tests {
         sweep.begin(scenario, policy);
         // Step 2 drops {2, 5} while adding {6}: both directions at once.
         let steps = [
-            Deployment::full_from_iter(8, [AsId(0), AsId(1), AsId(2), AsId(5)]),
-            Deployment::full_from_iter(8, [AsId(0), AsId(1), AsId(6)]),
+            Deployment::full_from_iter(N, [AsId(0), AsId(1), AsId(2), AsId(5)]),
+            Deployment::full_from_iter(N, [AsId(0), AsId(1), AsId(6)]),
         ];
         for (k, dep) in steps.iter().enumerate() {
             let got = sweep.advance(dep);
@@ -611,7 +614,7 @@ mod tests {
         // The inverse of `destination_signing_flip_is_propagated`: d leaves
         // S entirely, so every secure route in the chain must flip back to
         // insecure — the retraction seed is the destination itself.
-        let mut b = GraphBuilder::new(16);
+        let mut b = with_filler_chain(16);
         b.add_provider(AsId(1), AsId(0)).unwrap();
         b.add_provider(AsId(5), AsId(0)).unwrap();
         b.add_provider(AsId(6), AsId(5)).unwrap();
@@ -625,9 +628,9 @@ mod tests {
         let mut sweep = SweepEngine::new(&g);
         let mut fresh = Engine::new(&g);
         sweep.begin(scenario, policy);
-        let mut s0 = Deployment::full_from_iter(16, [AsId(1), AsId(5), AsId(6)]);
+        let mut s0 = Deployment::full_from_iter(N, [AsId(1), AsId(5), AsId(6)]);
         s0.insert_simplex(AsId(0));
-        let s1 = Deployment::full_from_iter(16, [AsId(1), AsId(5), AsId(6)]);
+        let s1 = Deployment::full_from_iter(N, [AsId(1), AsId(5), AsId(6)]);
         for dep in [&s0, &s1] {
             let got = sweep.advance(dep);
             let want = fresh.compute(scenario, dep, policy);
@@ -644,9 +647,9 @@ mod tests {
         let policy = Policy::new(SecurityModel::Security1st);
         let mut sweep = SweepEngine::new(&g);
         sweep.begin(scenario, policy);
-        let mut s0 = Deployment::full_from_iter(8, [AsId(0), AsId(1)]);
+        let mut s0 = Deployment::full_from_iter(N, [AsId(0), AsId(1)]);
         s0.insert_simplex(AsId(7));
-        let s1 = Deployment::full_from_iter(8, [AsId(0), AsId(1)]);
+        let s1 = Deployment::full_from_iter(N, [AsId(0), AsId(1)]);
         sweep.advance(&s0);
         sweep.advance(&s1);
         assert_eq!(sweep.stats().noop_steps, 1);
@@ -701,12 +704,56 @@ mod tests {
     }
 
     #[test]
+    fn mass_budget_fires_before_a_re_solve() {
+        // d(0) buys from v(1), which buys from the hub h(2); h also serves
+        // the stubs 3..12. v joining S secures its route, and h, whose
+        // customer route runs through v, is implicated by the verify step.
+        // The seed region {v} fits the mass budget, so the first solve
+        // runs; absorbing the core hub takes the region past it, so the
+        // advance falls back before it would re-solve.
+        let mut b = GraphBuilder::new(12);
+        b.add_provider(AsId(0), AsId(1)).unwrap();
+        b.add_provider(AsId(1), AsId(2)).unwrap();
+        for stub in 3..12u32 {
+            b.add_provider(AsId(stub), AsId(2)).unwrap();
+        }
+        let g = b.build();
+        let budget = region::mass_budget(&g);
+        assert!(g.degree(AsId(1)) <= budget, "seed must fit the budget");
+        assert!(
+            g.degree(AsId(1)) + g.degree(AsId(2)) > budget,
+            "the hub must break the budget"
+        );
+        let scenario = AttackScenario::normal(AsId(0));
+        let s0 = Deployment::full_from_iter(12, [AsId(0)]);
+        let s1 = Deployment::full_from_iter(12, [AsId(0), AsId(1)]);
+        for model in SecurityModel::ALL {
+            let policy = Policy::new(model);
+            let mut sweep = SweepEngine::new(&g);
+            let mut fresh = Engine::new(&g);
+            sweep.begin(scenario, policy);
+            for (k, dep) in [&s0, &s1].into_iter().enumerate() {
+                let got = sweep.advance(dep);
+                let want = fresh.compute(scenario, dep, policy);
+                assert_outcomes_match(got, want, &g, &format!("{policy} step {k}"));
+                assert_eq!(sweep.count_happy(), want.count_happy(), "{policy} step {k}");
+            }
+            assert!(sweep.outcome().uses_secure_route(AsId(1)), "{policy}");
+            let stats = sweep.stats();
+            assert_eq!(stats.full_recomputes, 2, "{policy}");
+            assert_eq!(stats.fallback_steps, 1, "{policy}");
+            assert_eq!(stats.grow_rounds, 1, "{policy}: the hub's absorption only");
+            assert_eq!(stats.incremental_steps, 0, "{policy}");
+        }
+    }
+
+    #[test]
     fn colluding_and_forged_scenarios_sweep_exactly() {
         let g = gadget();
         let steps: Vec<Deployment> = vec![
-            Deployment::empty(8),
-            Deployment::full_from_iter(8, [AsId(0), AsId(1)]),
-            Deployment::full_from_iter(8, [AsId(0), AsId(1), AsId(2), AsId(5)]),
+            Deployment::empty(N),
+            Deployment::full_from_iter(N, [AsId(0), AsId(1)]),
+            Deployment::full_from_iter(N, [AsId(0), AsId(1), AsId(2), AsId(5)]),
         ];
         let scenarios = [
             AttackScenario::colluding(&[AsId(4), AsId(7)], AsId(0)),
@@ -732,10 +779,10 @@ mod tests {
     }
 
     /// d(0) buys from p(1), which also serves stubs 2 and 3; with
-    /// `transit`, p buys from t(4), which serves stub 5. ASes up to 11
-    /// are isolated filler that keeps the region under the fallback cap.
+    /// `transit`, p buys from t(4), which serves stub 5. ASes from 6 on
+    /// form a filler chain that keeps the region under the mass budget.
     fn provider_with_stubs(transit: bool) -> AsGraph {
-        let mut b = GraphBuilder::new(12);
+        let mut b = with_filler_chain(6);
         b.add_provider(AsId(0), AsId(1)).unwrap();
         b.add_provider(AsId(2), AsId(1)).unwrap();
         b.add_provider(AsId(3), AsId(1)).unwrap();
@@ -754,8 +801,8 @@ mod tests {
         // provider t above p, t is implicated as well, and that core
         // growth costs exactly one round.
         let scenario = AttackScenario::normal(AsId(0));
-        let s0 = Deployment::full_from_iter(12, [AsId(0), AsId(2)]);
-        let s1 = Deployment::full_from_iter(12, [AsId(0), AsId(1), AsId(2)]);
+        let s0 = Deployment::full_from_iter(N, [AsId(0), AsId(2)]);
+        let s1 = Deployment::full_from_iter(N, [AsId(0), AsId(1), AsId(2)]);
         for (transit, rounds, refixed) in [(false, 0, 3), (true, 1, 4)] {
             let g = provider_with_stubs(transit);
             for model in SecurityModel::ALL {
@@ -783,7 +830,7 @@ mod tests {
         // The §6.1 collateral-damage gadget: securing {d, r, q, p2, a}
         // *lengthens* a's route and flips s to unhappy — the change must
         // propagate beyond the seeds themselves.
-        let mut b = GraphBuilder::new(10);
+        let mut b = with_filler_chain(10);
         b.add_provider(AsId(0), AsId(1)).unwrap();
         b.add_provider(AsId(1), AsId(2)).unwrap();
         b.add_provider(AsId(2), AsId(3)).unwrap();
@@ -801,9 +848,9 @@ mod tests {
         let mut fresh = Engine::new(&g);
         sweep.begin(scenario, policy);
         let steps = [
-            Deployment::empty(10),
-            Deployment::full_from_iter(10, [AsId(0), AsId(1), AsId(2)]),
-            Deployment::full_from_iter(10, [AsId(0), AsId(1), AsId(2), AsId(3), AsId(5)]),
+            Deployment::empty(N),
+            Deployment::full_from_iter(N, [AsId(0), AsId(1), AsId(2)]),
+            Deployment::full_from_iter(N, [AsId(0), AsId(1), AsId(2), AsId(3), AsId(5)]),
         ];
         for (k, dep) in steps.iter().enumerate() {
             let got = sweep.advance(dep);

@@ -490,7 +490,8 @@ proptest! {
 
 /// The same equivalence on a structured (generated) topology with a real
 /// rollout, where the incremental paths are actually exercised (proptest's
-/// tiny graphs often fall back to full recomputes via the region cap).
+/// tiny graphs often fall back to full recomputes: on them a compute is
+/// cheaper than any patch, so the adjacency-mass budget is tiny).
 #[test]
 fn delta_matches_fresh_engine_on_generated_internet() {
     let net = Internet::synthetic(400, 17);
