@@ -296,15 +296,31 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
 }
 
 /// Minimal field extraction from our own cell JSON (numbers only; the
-/// files are machine-written, never hand-edited).
-fn json_u64(text: &str, key: &str) -> Option<u64> {
+/// files are machine-written, never hand-edited): the number token after
+/// the first `"key": `.
+fn json_number<'t>(text: &'t str, key: &str) -> Option<&'t str> {
     let pat = format!("\"{key}\": ");
     let start = text.find(&pat)? + pat.len();
     let rest = &text[start..];
     let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
         .unwrap_or(rest.len());
-    rest[..end].split('.').next()?.parse().ok()
+    Some(&rest[..end])
+}
+
+/// A count field: strict digits, so a fractional or signed value is absent
+/// rather than truncated.
+fn json_u64(text: &str, key: &str) -> Option<u64> {
+    let token = json_number(text, key)?;
+    if token.is_empty() || !token.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    token.parse().ok()
+}
+
+/// A real-valued field such as `wall_ms`.
+fn json_f64(text: &str, key: &str) -> Option<f64> {
+    json_number(text, key)?.parse().ok()
 }
 
 struct CellOutcome {
@@ -526,7 +542,7 @@ fn try_resume(
         println!("cell {cell_id}: checkpoint has different estimation parameters, recomputing");
         return None;
     }
-    let wall_ms = json_u64(&text, "wall_ms").unwrap_or(0) as f64;
+    let wall_ms = json_f64(&text, "wall_ms").unwrap_or(0.0);
     let pairs = json_u64(&text, "pairs").unwrap_or(0);
     println!("cell {cell_id}: resumed from checkpoint");
     Some(CellOutcome {
@@ -1361,5 +1377,21 @@ fn worker_main(args: &Args) -> ! {
         if next_init.is_none() {
             std::process::exit(0);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn checkpoint_fields_keep_their_fractions() {
+        let cell = "{\n      \"pairs\": 400,\n      \"wall_ms\": 12.345,\n      \"pairs_per_sec\": 32401.782,\n}";
+        assert_eq!(json_f64(cell, "wall_ms"), Some(12.345));
+        assert_eq!(json_u64(cell, "pairs"), Some(400));
+        // A count is strict digits: a fraction is not silently truncated.
+        assert_eq!(json_u64(cell, "wall_ms"), None);
+        assert_eq!(json_u64("\"pairs\": -3,", "pairs"), None);
+        assert_eq!(json_u64(cell, "missing"), None);
     }
 }

@@ -6,8 +6,7 @@
 //! `O(V + E)` per pair — even though, for a fixed destination, deployment
 //! and policy, the destination-rooted side is byte-identical across all
 //! attackers in `M`. [`AttackDeltaEngine`] computes the **normal-conditions
-//! outcome once** (no attacker; deferred until needed, see below),
-//! snapshots it, and then evaluates each
+//! outcome once** (no attacker), snapshots it, and then evaluates each
 //! attacker `m` by re-fixing only the *contested region*: the ASes whose
 //! fixed route the forged announcement (a `k`-hop
 //! [`AttackStrategy::FakePath`], of which the paper's `"m, d"` fake link
@@ -29,21 +28,13 @@
 //! solve, and the same touched-list undo restores the snapshot exactly —
 //! a colluding patch costs one region solve, not one per member.
 //!
-//! **Deferred base.** [`AttackDeltaEngine::begin`] only records the cell;
-//! it computes nothing. The cell's first attack is served by one direct
-//! [`Engine::compute`] — exactly what a fallback runs — because a cell with
-//! a single attacker (the common case under random `(m, d)` sampling) has
-//! no attacker axis to amortize a base over. The base (normal-conditions
-//! outcome, its happy bounds and the per-AS preference keys) is built the
-//! first time something needs it: the cell's **second** attack, which then
-//! takes the scan → patch / fallback path below unchanged, or a read of
-//! [`AttackDeltaEngine::normal_outcome`] / [`AttackDeltaEngine::normal_happy`]
-//! / [`AttackDeltaEngine::export_base`]. Building it never disturbs the last
-//! served outcome. [`AttackDeltaEngine::begin_from_normal`] and
-//! [`AttackDeltaEngine::begin_from_base`] stay eager: their base is adopted,
-//! not computed. The price of deferral is one extra `compute − patch` per
-//! cell with k ≥ 2 attackers whose first attack would have patched — per
-//! cell, not per pair.
+//! **Where it pays.** The base costs one compute, so the engine wins only
+//! when a cell serves several attackers whose contested regions stay small
+//! — or when the base is adopted rather than computed
+//! ([`AttackDeltaEngine::begin_from_base`], the planner's cache). A cell
+//! with a single attacker (the common case under random `(m, d)`
+//! sampling) is cheaper as one plain [`Engine::compute`], which is what
+//! the estimators run.
 //!
 //! **Snapshot/undo invariant:** each [`AttackDeltaEngine::attack`] records
 //! the set of ASes it touched (the final region, which the engine's fix
@@ -74,12 +65,12 @@
 //! contamination flowing down intact subtrees), while attacks against
 //! destinations the deployment actually protects contest far less.
 //! `sbgp-sim` therefore composes the axes destination-major with the
-//! *deployment* axis innermost — `for d → for m (delta-patch the first
-//! step off d's shared normal outcome) → for S_k (sweep the remaining
-//! steps)` — because between adjacent `S` steps the bogus spread is shared
-//! state ([`crate::SweepEngine::begin_from`] adopts a patched outcome),
-//! whereas re-patching each attacker into every step would pay the
-//! contested ball `|S|` times.
+//! *deployment* axis innermost — `for d → for m (the first step: a plain
+//! compute, or a patch off an attached base) → for S_k (sweep the
+//! remaining steps)` — because between adjacent `S` steps the bogus
+//! spread is shared state ([`crate::SweepEngine::begin_from`] adopts the
+//! first step's outcome), whereas re-patching each attacker into every
+//! step would pay the contested ball `|S|` times.
 
 use sbgp_topology::{AsGraph, AsId, AsSet};
 
@@ -100,20 +91,16 @@ const SCAN_DOWN: u8 = 2;
 /// [`AttackDeltaEngine::begin`] calls).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Normal-conditions base outcomes computed. A deferred base (see the
-    /// module docs) counts only once it is actually built.
+    /// Normal-conditions base outcomes computed.
     pub base_computes: usize,
     /// Base outcomes adopted from an external computation (the
     /// deployment-sweep composition path).
     pub adopted_bases: usize,
     /// Attacks served by contested-region re-fixing.
     pub delta_attacks: usize,
-    /// Attacks served by a full [`Engine::compute`]: after a region
-    /// blow-up, or directly while the cell's base was deferred.
+    /// Attacks served by a full [`Engine::compute`] after a region
+    /// blow-up.
     pub full_recomputes: usize,
-    /// Attacks served by a direct compute before their cell's base existed
-    /// (a subset of `full_recomputes`).
-    pub direct_attacks: usize,
     /// Total ASes re-fixed across all delta-served attacks (final region
     /// sizes, stubs included).
     pub refixed_ases: usize,
@@ -137,7 +124,6 @@ impl DeltaStats {
             adopted_bases,
             delta_attacks,
             full_recomputes,
-            direct_attacks,
             refixed_ases,
             grow_rounds,
         } = *other;
@@ -145,7 +131,6 @@ impl DeltaStats {
         self.adopted_bases += adopted_bases;
         self.delta_attacks += delta_attacks;
         self.full_recomputes += full_recomputes;
-        self.direct_attacks += direct_attacks;
         self.refixed_ases += refixed_ases;
         self.grow_rounds += grow_rounds;
     }
@@ -169,20 +154,6 @@ impl CachedBase {
     }
 }
 
-/// Whether the current cell's base (snapshot, happy bounds, cell keys)
-/// exists yet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Base {
-    /// Built or adopted: attacks take the scan → patch / fallback path.
-    Built,
-    /// Recorded by [`AttackDeltaEngine::begin`]; the next attack is served
-    /// by a direct compute.
-    Deferred,
-    /// Still deferred, with one attack served directly: the next attack
-    /// builds the base first.
-    DeferredServed,
-}
-
 /// How the engine's working outcome differs from the snapshot, i.e. what
 /// the next attack must undo before patching.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -203,14 +174,12 @@ enum Restore {
 /// [`AttackDeltaEngine::begin_from_normal`], when a [`crate::SweepEngine`]
 /// already holds the normal-conditions outcome) fixes the cell, then each
 /// [`AttackDeltaEngine::attack`] returns the exact stable outcome for one
-/// attacker. `begin` defers the base until the cell's second attack (see
-/// the module docs).
+/// attacker.
 #[derive(Debug)]
 pub struct AttackDeltaEngine<'g> {
     engine: Engine<'g>,
-    /// Normal-conditions outcome of the current cell (once built).
+    /// Normal-conditions outcome of the current cell.
     snapshot: Outcome,
-    base: Base,
     destination: AsId,
     deployment: Option<Deployment>,
     policy: Policy,
@@ -245,7 +214,6 @@ impl<'g> AttackDeltaEngine<'g> {
         AttackDeltaEngine {
             engine: Engine::new(graph),
             snapshot: Outcome::new_empty(),
-            base: Base::Built,
             destination: AsId(0),
             deployment: None,
             policy: Policy::new(crate::policy::SecurityModel::Security3rd),
@@ -269,21 +237,20 @@ impl<'g> AttackDeltaEngine<'g> {
         self.engine.graph()
     }
 
-    /// Fix the `(destination, deployment, policy)` cell. Nothing is
-    /// computed here: the first attack is served by a direct compute and
-    /// the normal-conditions base is built when first needed (see the
-    /// module docs). Statistics keep accumulating across cells.
+    /// Fix the `(destination, deployment, policy)` cell: compute its
+    /// normal-conditions outcome, the base every attack is served against.
+    /// Statistics keep accumulating across cells.
     pub fn begin(&mut self, destination: AsId, deployment: &Deployment, policy: Policy) {
-        self.destination = destination;
-        self.policy = policy;
-        self.deployment = Some(deployment.clone());
-        self.base = Base::Deferred;
+        self.stats.base_computes += 1;
+        self.engine
+            .compute(AttackScenario::normal(destination), deployment, policy);
+        self.snapshot.copy_from(self.engine.outcome());
+        self.adopt_snapshot(deployment, policy);
     }
 
     /// Fix the cell from an externally computed normal-conditions outcome —
     /// typically a [`crate::SweepEngine`] mid-rollout, which is what lets
-    /// the deployment and attacker amortization axes compose. The base is
-    /// adopted eagerly.
+    /// the deployment and attacker amortization axes compose.
     ///
     /// # Panics
     ///
@@ -294,46 +261,16 @@ impl<'g> AttackDeltaEngine<'g> {
             "base outcome must be normal conditions"
         );
         assert_eq!(normal.len(), self.graph().len(), "outcome/graph mismatch");
-        self.begin(normal.destination(), deployment, policy);
-        self.build_base(Some(normal));
+        self.stats.adopted_bases += 1;
+        self.snapshot.copy_from(normal);
+        self.engine.outcome_mut().copy_from(normal);
+        self.adopt_snapshot(deployment, policy);
     }
 
-    /// Build the current cell's base if it is still deferred: compute the
-    /// normal-conditions outcome, or copy `normal` when a sibling engine of
-    /// the same cell already holds it, then derive the happy bounds and
-    /// packed preference keys the scan filters with. The last served
-    /// outcome is left as it was; before the cell's first attack the
-    /// working outcome starts from the base, as after an eager begin.
-    pub(crate) fn build_base(&mut self, normal: Option<&Outcome>) {
-        if self.base == Base::Built {
-            return;
-        }
-        let deployment = self
-            .deployment
-            .as_ref()
-            .expect("AttackDeltaEngine::begin not called");
-        match normal {
-            Some(normal) => {
-                self.stats.adopted_bases += 1;
-                self.snapshot.copy_from(normal);
-            }
-            None => {
-                self.stats.base_computes += 1;
-                // Compute into the snapshot's buffer so a directly served
-                // attack's outcome survives in the working buffer.
-                std::mem::swap(self.engine.outcome_mut(), &mut self.snapshot);
-                self.engine.compute(
-                    AttackScenario::normal(self.destination),
-                    deployment,
-                    self.policy,
-                );
-                std::mem::swap(self.engine.outcome_mut(), &mut self.snapshot);
-            }
-        }
-        self.normal_happy = self.snapshot.count_happy();
-        self.region_list.clear();
-        self.region.clear();
-        self.touched.clear();
+    /// Make the snapshot — already equal to the working outcome — the
+    /// cell's base: derive its happy bounds and the packed preference keys
+    /// the scan filters with.
+    fn adopt_snapshot(&mut self, deployment: &Deployment, policy: Policy) {
         // Precompute every AS's packed snapshot key once per cell: the
         // contested-ball scan then filters each offer with one compare.
         let n = self.snapshot.len();
@@ -341,20 +278,26 @@ impl<'g> AttackDeltaEngine<'g> {
         self.cell_keys.resize(n, u128::MAX);
         for i in 0..n {
             let v = AsId(i as u32);
-            if let Some(k) =
-                region::current_key(&self.snapshot, v, self.policy, deployment.validates(v))
+            if let Some(k) = region::current_key(&self.snapshot, v, policy, deployment.validates(v))
             {
                 self.cell_keys[i] = pack_key(k);
             }
         }
-        if self.base == Base::Deferred {
-            self.engine.outcome_mut().copy_from(&self.snapshot);
-            self.happy = self.normal_happy;
-            self.restore = Restore::Clean;
-        } else {
-            self.restore = Restore::Full;
-        }
-        self.base = Base::Built;
+        self.fix_cell(deployment, policy, self.snapshot.count_happy());
+    }
+
+    /// Reset the per-cell state around a base already in place (snapshot,
+    /// working outcome and cell keys).
+    fn fix_cell(&mut self, deployment: &Deployment, policy: Policy, normal_happy: (usize, usize)) {
+        self.destination = self.snapshot.destination();
+        self.policy = policy;
+        self.normal_happy = normal_happy;
+        self.happy = normal_happy;
+        self.restore = Restore::Clean;
+        self.region_list.clear();
+        self.region.clear();
+        self.touched.clear();
+        self.deployment = Some(deployment.clone());
     }
 
     /// Export the current cell's base state for external caching: the
@@ -368,10 +311,7 @@ impl<'g> AttackDeltaEngine<'g> {
     /// engine cannot verify that from the outcome alone, so callers key
     /// their caches on the full cell identity (the planner service
     /// compares the deployment's member lists).
-    ///
-    /// Builds a deferred base first.
-    pub fn export_base(&mut self) -> CachedBase {
-        self.build_base(None);
+    pub fn export_base(&self) -> CachedBase {
         CachedBase {
             outcome: self.snapshot.clone(),
             cell_keys: self.cell_keys.clone(),
@@ -409,40 +349,25 @@ impl<'g> AttackDeltaEngine<'g> {
         self.stats.adopted_bases += 1;
         self.snapshot.copy_from(&base.outcome);
         self.engine.outcome_mut().copy_from(&base.outcome);
-        self.base = Base::Built;
-        self.restore = Restore::Clean;
-        self.destination = base.outcome.destination();
-        self.policy = policy;
-        self.normal_happy = base.normal_happy;
-        self.happy = base.normal_happy;
-        self.region_list.clear();
-        self.region.clear();
-        self.touched.clear();
         self.cell_keys.clear();
         self.cell_keys.extend_from_slice(&base.cell_keys);
-        self.deployment = Some(deployment.clone());
+        self.fix_cell(deployment, policy, base.normal_happy);
     }
 
     /// The outcome of the last served attack, identical to what
     /// [`AttackDeltaEngine::attack`] returned, re-borrowable immutably.
-    /// Before a cell's first attack it is the normal-conditions outcome
-    /// once the base is built; after a bare [`AttackDeltaEngine::begin`]
-    /// it is unspecified until then.
+    /// Before a cell's first attack it is the normal-conditions outcome.
     pub fn last_outcome(&self) -> &Outcome {
         self.engine.outcome()
     }
 
-    /// The normal-conditions outcome of the current cell, building a
-    /// deferred base first.
-    pub fn normal_outcome(&mut self) -> &Outcome {
-        self.build_base(None);
+    /// The normal-conditions outcome of the current cell.
+    pub fn normal_outcome(&self) -> &Outcome {
         &self.snapshot
     }
 
-    /// Happy bounds of the normal-conditions outcome, building a deferred
-    /// base first.
-    pub fn normal_happy(&mut self) -> (usize, usize) {
-        self.build_base(None);
+    /// Happy bounds of the normal-conditions outcome.
+    pub fn normal_happy(&self) -> (usize, usize) {
         self.normal_happy
     }
 
@@ -460,8 +385,7 @@ impl<'g> AttackDeltaEngine<'g> {
 
     /// Compute the exact stable outcome for `attacker` announcing
     /// `strategy` against the cell's destination. The returned outcome is
-    /// valid until the next `attack`/`begin*` call (or the build of a
-    /// deferred base, which leaves it intact).
+    /// valid until the next `attack`/`begin*` call.
     ///
     /// # Panics
     ///
@@ -485,17 +409,6 @@ impl<'g> AttackDeltaEngine<'g> {
     /// destination).
     pub fn attack_set(&mut self, attackers: &[AsId], strategy: AttackStrategy) -> &Outcome {
         let scenario = self.scenario(attackers, strategy);
-        match self.base {
-            Base::Deferred => {
-                // The cell's first attack: no base to patch against yet.
-                self.stats.direct_attacks += 1;
-                self.base = Base::DeferredServed;
-                let deployment = self.take_deployment();
-                return self.fallback(scenario, deployment);
-            }
-            Base::DeferredServed => self.build_base(None),
-            Base::Built => {}
-        }
         let deployment = self.take_deployment();
 
         // Discover the contested ball in one cheap forward scan over the
@@ -582,7 +495,7 @@ impl<'g> AttackDeltaEngine<'g> {
     }
 
     /// Serve the current attack with a full [`Engine::compute`] (contested
-    /// region past the budget, or no base yet). The compute rewrites the working outcome
+    /// region past the budget). The compute rewrites the working outcome
     /// wholesale, so whatever restore was pending is moot and the next one
     /// must be a full copy.
     fn fallback(&mut self, scenario: AttackScenario, deployment: Deployment) -> &Outcome {
@@ -908,7 +821,6 @@ mod tests {
                 let mut delta = AttackDeltaEngine::new(&g);
                 let mut fresh = Engine::new(&g);
                 delta.begin(AsId(0), &dep, policy);
-                delta.normal_outcome();
                 let got = delta.attack(AsId(2), AttackStrategy::FakeLink);
                 let want = fresh.compute(AttackScenario::attack(AsId(2), AsId(0)), &dep, policy);
                 assert_outcomes_match(got, want, &g, &ctx);

@@ -26,25 +26,19 @@
 //! attack is served by that engine's own [`AttackDeltaEngine::attack_set`]
 //! (private contested-ball scan → patch, or fallback to a full compute).
 //! Fused results are therefore `≡` per-cell results by construction: the
-//! fused pass only decides *which* engines run, never *how*.
+//! fused pass only decides *which* engines run, never *how*. The grouping
+//! itself is [`CellSet::computations`], which the plain-compute path shares.
 //!
-//! **Deferred bases.** [`FusedDeltaEngine::begin`] defers every
-//! computation's normal-conditions base exactly as
-//! [`AttackDeltaEngine::begin`] does: the pair's first attack is served by
-//! one direct [`crate::Engine::compute`] per distinct computation (after
-//! model collapse, so an S=∅ pair runs one compute for all three models).
-//! The bases — each policy group's computed once and adopted by its
-//! strategy-only siblings — are built together at the pair's second
-//! attack, or when [`FusedDeltaEngine::normal_outcome`],
-//! [`FusedDeltaEngine::normal_happy`] or [`FusedDeltaEngine::export_bases`]
-//! needs them. [`FusedDeltaEngine::begin_with_bases`] stays eager, since
-//! its callers harvest the bases right away. A pair with k ≥ 2 attackers
-//! pays one extra `compute − patch` per computation, not per attack.
+//! Every begin builds its bases at once: each policy group's head computes
+//! its normal-conditions outcome (or adopts a cached one through
+//! [`FusedDeltaEngine::begin_with_bases`]) and its strategy-only siblings
+//! adopt the head's. The engine pays off where a pair's bases are reused —
+//! many attackers per destination, or bases cached across queries.
 
 use sbgp_topology::{AsGraph, AsId};
 
 use crate::attack::AttackStrategy;
-use crate::delta::{AttackDeltaEngine, Base, CachedBase, DeltaStats};
+use crate::delta::{AttackDeltaEngine, CachedBase, DeltaStats};
 use crate::deployment::Deployment;
 use crate::outcome::Outcome;
 use crate::policy::Policy;
@@ -135,11 +129,51 @@ impl CellSet {
     pub fn lane_of(&self, i: usize) -> usize {
         self.lane_of[i]
     }
+
+    /// Group the lanes into the distinct computations they need at
+    /// `deployment`: lanes share a computation when they share their
+    /// strategy and their policy — or, at a deployment with no validating
+    /// AS, just their LP variant (model collapse, see the module docs).
+    /// Returns the computations in first-seen lane order and each lane's
+    /// computation index.
+    pub fn computations(&self, deployment: &Deployment) -> (Vec<Computation>, Vec<usize>) {
+        let collapse = deployment.full_count() == 0;
+        let same_policy = |a: Policy, b: Policy| a == b || (collapse && a.variant == b.variant);
+        let mut comps: Vec<Computation> = Vec::new();
+        let mut comp_of = Vec::with_capacity(self.lanes.len());
+        for &cell in &self.lanes {
+            let found = comps.iter().position(|c| {
+                same_policy(c.cell.policy, cell.policy) && c.cell.strategy == cell.strategy
+            });
+            comp_of.push(found.unwrap_or_else(|| {
+                let base = comps
+                    .iter()
+                    .position(|c| same_policy(c.cell.policy, cell.policy))
+                    .unwrap_or(comps.len());
+                comps.push(Computation { cell, base });
+                comps.len() - 1
+            }));
+        }
+        (comps, comp_of)
+    }
+}
+
+/// One distinct computation of a [`CellSet`] at a deployment (see
+/// [`CellSet::computations`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Computation {
+    /// The cell it runs: the first lane of its group, whose policy
+    /// represents a collapsed model group.
+    pub cell: PolicyCell,
+    /// The computation whose normal-conditions outcome this one shares —
+    /// the first of its policy group (itself when it is that head): the
+    /// outcome without an attacker does not depend on the strategy.
+    pub base: usize,
 }
 
 /// How a fused engine's lanes were served (cumulative across begins).
-/// `direct_attacks` and `forced_fallbacks` are read from the
-/// per-computation engines' [`DeltaStats`].
+/// `forced_fallbacks` is read from the per-computation engines'
+/// [`DeltaStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FusedStats {
     /// Cells fixed ([`FusedDeltaEngine::begin`] calls).
@@ -147,29 +181,15 @@ pub struct FusedStats {
     /// Lanes that shared a sibling computation outright (model collapse).
     pub collapsed_lanes: usize,
     /// Base outcomes adopted from a sibling computation of the same
-    /// policy group instead of being recomputed (strategy-only siblings;
-    /// counted when the base is actually built).
+    /// policy group instead of being recomputed (strategy-only siblings).
     pub shared_bases: usize,
-    /// Per-computation attacks served by a direct compute before the
-    /// pair's bases were built (the first attack after a deferred begin).
-    pub direct_attacks: usize,
-    /// Per-computation attacks that fell back to a full compute after the
-    /// bases were built: the contested ball blew its budget, either in the
-    /// scan or while verify-and-grow enlarged the region.
+    /// Per-computation attacks that fell back to a full compute: the
+    /// contested ball blew its budget, either in the scan or while
+    /// verify-and-grow enlarged the region.
     pub forced_fallbacks: usize,
     /// Base outcomes adopted from an *external* cache
     /// ([`FusedDeltaEngine::begin_with_bases`]) instead of being computed.
     pub cached_bases: usize,
-}
-
-/// One distinct computation of the current cell: the policy it actually
-/// runs (the representative of its collapsed model group), its strategy,
-/// and the computation whose normal-conditions base it shares.
-#[derive(Clone, Copy, Debug)]
-struct Comp {
-    policy: Policy,
-    strategy: AttackStrategy,
-    base: usize,
 }
 
 /// The fused multi-cell attacker-delta engine: an [`AttackDeltaEngine`]
@@ -188,13 +208,13 @@ pub struct FusedDeltaEngine<'g> {
     /// One engine per computation, grown lazily; `engines[..comps.len()]`
     /// are live for the current cell.
     engines: Vec<AttackDeltaEngine<'g>>,
-    comps: Vec<Comp>,
+    comps: Vec<Computation>,
     /// Lane index → computation index, rebuilt per begin (model collapse
     /// depends on the deployment).
     comp_of: Vec<usize>,
-    /// Whether the current pair's bases exist yet; every live engine is in
-    /// the same state.
-    base: Base,
+    /// The computations whose base the last begin computed rather than
+    /// adopted from a supplied cache.
+    computed: Vec<usize>,
     stats: FusedStats,
 }
 
@@ -207,7 +227,7 @@ impl<'g> FusedDeltaEngine<'g> {
             engines: Vec::new(),
             comps: Vec::new(),
             comp_of: Vec::new(),
-            base: Base::Built,
+            computed: Vec::new(),
             stats: FusedStats::default(),
         }
     }
@@ -230,10 +250,8 @@ impl<'g> FusedDeltaEngine<'g> {
 
     /// Cumulative fused-pass statistics.
     pub fn stats(&self) -> FusedStats {
-        let delta = self.delta_stats();
         FusedStats {
-            direct_attacks: delta.direct_attacks,
-            forced_fallbacks: delta.full_recomputes - delta.direct_attacks,
+            forced_fallbacks: self.delta_stats().full_recomputes,
             ..self.stats
         }
     }
@@ -249,11 +267,10 @@ impl<'g> FusedDeltaEngine<'g> {
 
     /// Fix the `(destination, deployment)` pair for every cell: group the
     /// lanes into distinct computations (collapsing models when the
-    /// deployment has no validators). Each policy group's
-    /// normal-conditions base is deferred, then computed once and shared
-    /// across the group (see the module docs).
+    /// deployment has no validators), compute each policy group's
+    /// normal-conditions base once and share it across the group.
     pub fn begin(&mut self, destination: AsId, deployment: &Deployment) {
-        self.fix_pair(destination, deployment, |_| None);
+        self.begin_with_bases(destination, deployment, |_| None);
     }
 
     /// As [`FusedDeltaEngine::begin`], adopting externally cached base
@@ -261,110 +278,56 @@ impl<'g> FusedDeltaEngine<'g> {
     /// `base(policy)` may supply a [`CachedBase`] exported earlier from
     /// the **same** `(destination, deployment, policy)` cell, which is
     /// then re-adopted through [`AttackDeltaEngine::begin_from_base`]
-    /// instead of recomputed. Unlike [`FusedDeltaEngine::begin`], every
-    /// base is built here.
+    /// instead of recomputed.
     ///
     /// This is the planner service's cache-adoption hook. Exactness is the
     /// caller's contract: a supplied base must be bit-identical to what a
     /// fresh computation of that cell would produce (which holds
     /// trivially when it *was* produced by one — the engines are
     /// deterministic), so results are bit-identical at any cache state.
-    /// Freshly computed bases can be harvested afterwards via
+    /// The bases computed here instead can be harvested afterwards via
     /// [`FusedDeltaEngine::export_bases`].
     ///
     /// # Panics
     ///
     /// Panics when a supplied base carries an attacker, covers a
     /// different graph size, or names a different destination.
-    pub fn begin_with_bases<'b, F>(&mut self, destination: AsId, deployment: &Deployment, base: F)
-    where
-        F: FnMut(Policy) -> Option<&'b CachedBase>,
-    {
-        self.fix_pair(destination, deployment, base);
-        self.ensure_bases();
-    }
-
-    /// Group the lanes into computations, adopt the supplied cached bases
-    /// and defer every other base.
-    fn fix_pair<'b, F>(&mut self, destination: AsId, deployment: &Deployment, mut lookup: F)
-    where
+    pub fn begin_with_bases<'b, F>(
+        &mut self,
+        destination: AsId,
+        deployment: &Deployment,
+        mut base: F,
+    ) where
         F: FnMut(Policy) -> Option<&'b CachedBase>,
     {
         self.stats.begins += 1;
-        let collapse = deployment.full_count() == 0;
-        let same_policy = |a: Policy, b: Policy| a == b || (collapse && a.variant == b.variant);
-        let lane_cells: Vec<PolicyCell> = self.cells.lanes().to_vec();
-        self.comps.clear();
-        self.comp_of.clear();
-        for cell in lane_cells {
-            match self
-                .comps
-                .iter()
-                .position(|c| same_policy(c.policy, cell.policy) && c.strategy == cell.strategy)
-            {
-                Some(ci) => {
-                    // A behaviorally identical computation already exists:
-                    // this lane rides it outright.
-                    self.comp_of.push(ci);
-                    self.stats.collapsed_lanes += 1;
-                }
-                None => {
-                    let base = self
-                        .comps
-                        .iter()
-                        .position(|c| same_policy(c.policy, cell.policy))
-                        .unwrap_or(self.comps.len());
-                    self.comps.push(Comp {
-                        policy: cell.policy,
-                        strategy: cell.strategy,
-                        base,
-                    });
-                    self.comp_of.push(self.comps.len() - 1);
-                }
-            }
-        }
+        (self.comps, self.comp_of) = self.cells.computations(deployment);
+        self.stats.collapsed_lanes += self.cells.lane_count() - self.comps.len();
+        self.computed.clear();
         while self.engines.len() < self.comps.len() {
             self.engines.push(AttackDeltaEngine::new(self.graph));
         }
-        for ci in 0..self.comps.len() {
-            let Comp { policy, base, .. } = self.comps[ci];
-            let cached = if base == ci { lookup(policy) } else { None };
-            match cached {
-                Some(cached) => {
-                    assert_eq!(
-                        cached.outcome().destination(),
-                        destination,
-                        "cached base outcome names a different destination"
-                    );
-                    self.engines[ci].begin_from_base(cached, deployment, policy);
-                    self.stats.cached_bases += 1;
-                }
-                None => self.engines[ci].begin(destination, deployment, policy),
-            }
-        }
-        self.base = Base::Deferred;
-    }
-
-    /// Build every deferred base of the current pair: each policy group's
-    /// head computes its own (or already adopted a cached one), and its
-    /// strategy-only siblings adopt it — the normal-conditions outcome does
-    /// not depend on the strategy.
-    fn ensure_bases(&mut self) {
-        if self.base == Base::Built {
-            return;
-        }
-        for ci in 0..self.comps.len() {
-            let base = self.comps[ci].base;
-            if base == ci {
-                self.engines[ci].build_base(None);
-            } else {
-                debug_assert!(base < ci);
+        for (ci, comp) in self.comps.iter().enumerate() {
+            let policy = comp.cell.policy;
+            if comp.base != ci {
+                // A strategy-only sibling of an earlier head: the
+                // normal-conditions outcome does not depend on the strategy.
                 let (head, tail) = self.engines.split_at_mut(ci);
-                tail[0].build_base(Some(head[base].normal_outcome()));
+                tail[0].begin_from_normal(head[comp.base].normal_outcome(), deployment, policy);
                 self.stats.shared_bases += 1;
+            } else if let Some(cached) = base(policy) {
+                assert_eq!(
+                    cached.outcome().destination(),
+                    destination,
+                    "cached base outcome names a different destination"
+                );
+                self.engines[ci].begin_from_base(cached, deployment, policy);
+                self.stats.cached_bases += 1;
+            } else {
+                self.engines[ci].begin(destination, deployment, policy);
+                self.computed.push(ci);
             }
         }
-        self.base = Base::Built;
     }
 
     /// Serve `attacker` for every cell (see
@@ -374,8 +337,8 @@ impl<'g> FusedDeltaEngine<'g> {
     }
 
     /// Serve a colluding announcer set for every cell: each distinct
-    /// computation's engine serves it (a direct compute on the pair's first
-    /// attack, then scan → patch or fallback against the shared bases).
+    /// computation's engine serves it (scan → patch, or fallback to a full
+    /// compute, against the shared bases).
     ///
     /// # Panics
     ///
@@ -383,25 +346,13 @@ impl<'g> FusedDeltaEngine<'g> {
     /// violates [`crate::AttackScenario::colluding`]'s preconditions.
     pub fn attack_set(&mut self, attackers: &[AsId]) {
         assert!(!self.comps.is_empty(), "FusedDeltaEngine::begin not called");
-        match self.base {
-            // The pair's first attack: every engine serves it directly.
-            Base::Deferred => self.base = Base::DeferredServed,
-            Base::DeferredServed => self.ensure_bases(),
-            Base::Built => {}
-        }
         for (comp, engine) in self.comps.iter().zip(&mut self.engines) {
-            engine.attack_set(attackers, comp.strategy);
+            engine.attack_set(attackers, comp.cell.strategy);
         }
     }
 
     fn engine_for(&self, cell: usize) -> &AttackDeltaEngine<'g> {
         &self.engines[self.comp_of[self.cells.lane_of(cell)]]
-    }
-
-    /// Input cell `cell`'s engine with the pair's bases built.
-    fn built_engine_for(&mut self, cell: usize) -> &mut AttackDeltaEngine<'g> {
-        self.ensure_bases();
-        &mut self.engines[self.comp_of[self.cells.lane_of(cell)]]
     }
 
     /// The last served outcome of input cell `cell` — bit-identical to
@@ -416,16 +367,14 @@ impl<'g> FusedDeltaEngine<'g> {
         self.engine_for(cell).count_happy()
     }
 
-    /// The normal-conditions outcome of input cell `cell`, building the
-    /// pair's deferred bases first.
-    pub fn normal_outcome(&mut self, cell: usize) -> &Outcome {
-        self.built_engine_for(cell).normal_outcome()
+    /// The normal-conditions outcome of input cell `cell`.
+    pub fn normal_outcome(&self, cell: usize) -> &Outcome {
+        self.engine_for(cell).normal_outcome()
     }
 
-    /// Happy bounds of input cell `cell`'s normal-conditions outcome,
-    /// building the pair's deferred bases first.
-    pub fn normal_happy(&mut self, cell: usize) -> (usize, usize) {
-        self.built_engine_for(cell).normal_happy()
+    /// Happy bounds of input cell `cell`'s normal-conditions outcome.
+    pub fn normal_happy(&self, cell: usize) -> (usize, usize) {
+        self.engine_for(cell).normal_happy()
     }
 
     /// As [`FusedDeltaEngine::outcome`], indexed by *lane* (unique cell)
@@ -441,22 +390,15 @@ impl<'g> FusedDeltaEngine<'g> {
         self.engines[self.comp_of[lane]].count_happy()
     }
 
-    /// The current cell's distinct base computations as
-    /// `(policy, exported base)` pairs — one per computation that owns its
-    /// own base (model collapse reports the group's representative
-    /// policy). This is the harvest side of
-    /// [`FusedDeltaEngine::begin_with_bases`]: a caching layer keeps the
-    /// bases it did not supply and re-adopts them on later queries.
-    /// Builds deferred bases first.
-    pub fn export_bases(&mut self) -> impl Iterator<Item = (Policy, CachedBase)> {
-        self.ensure_bases();
-        let mut bases = Vec::new();
-        for (ci, c) in self.comps.iter().enumerate() {
-            if c.base == ci {
-                bases.push((c.policy, self.engines[ci].export_base()));
-            }
-        }
-        bases.into_iter()
+    /// The bases the last begin computed, as `(policy, exported base)`
+    /// pairs — one per policy-group head it did not adopt from a supplied
+    /// cache (model collapse reports the group's representative policy).
+    /// This is the harvest side of [`FusedDeltaEngine::begin_with_bases`]:
+    /// a caching layer keeps these and re-adopts them on later queries.
+    pub fn export_bases(&self) -> impl Iterator<Item = (Policy, CachedBase)> + '_ {
+        self.computed
+            .iter()
+            .map(|&ci| (self.comps[ci].cell.policy, self.engines[ci].export_base()))
     }
 }
 
@@ -561,20 +503,47 @@ mod tests {
 
     #[test]
     fn models_collapse_without_validators() {
-        let g = gadget();
-        let policies: Vec<Policy> = SecurityModel::ALL.map(Policy::new).to_vec();
-        let cells = CellSet::per_policy(&policies, AttackStrategy::FakeLink);
-        let mut fused = FusedDeltaEngine::new(&g, cells);
-        fused.begin(AsId(0), &Deployment::empty(8));
-        assert_eq!(fused.computations(), 1, "three models, one computation");
+        let sec = Policy::new;
+        let lp2 = |m| Policy::with_variant(m, LpVariant::LpK(2));
+        let policies: Vec<Policy> = SecurityModel::ALL
+            .iter()
+            .flat_map(|&m| [sec(m), lp2(m)])
+            .collect();
+        let hop2 = AttackStrategy::FakePath { hops: 2 };
+        let cells = CellSet::grid(&policies, &[AttackStrategy::FakeLink, hop2]);
+        assert_eq!(cells.lane_count(), 12);
+        let comp = |cell: PolicyCell, base| Computation { cell, base };
+        let fake_link = |p| PolicyCell::new(p, AttackStrategy::FakeLink);
+        let path2 = |p| PolicyCell::new(p, hop2);
+        // Three models, one computation per (LP variant, strategy); each
+        // variant's hop-2 computation shares its fake-link head's base.
+        let collapsed = |dep: &Deployment| {
+            let (comps, comp_of) = cells.computations(dep);
+            assert_eq!(
+                comps,
+                [
+                    comp(fake_link(sec(SecurityModel::Security1st)), 0),
+                    comp(path2(sec(SecurityModel::Security1st)), 0),
+                    comp(fake_link(lp2(SecurityModel::Security1st)), 2),
+                    comp(path2(lp2(SecurityModel::Security1st)), 2),
+                ]
+            );
+            // Lanes run model-major: every model repeats the same four.
+            assert_eq!(comp_of, [0, 1, 2, 3].repeat(3));
+        };
+        collapsed(&Deployment::empty(8));
         // Simplex-only deployments still collapse: signing without
         // validation never assembles a secure route.
         let mut dep = Deployment::empty(8);
         dep.insert_simplex(AsId(0));
-        fused.begin(AsId(0), &dep);
-        assert_eq!(fused.computations(), 1);
-        // A single validator splits the models apart again.
-        fused.begin(AsId(0), &Deployment::full_from_iter(8, [AsId(1)]));
-        assert_eq!(fused.computations(), 3);
+        collapsed(&dep);
+        // A single validator splits the models apart again: every lane is
+        // its own computation, and only strategy siblings share a base.
+        let (comps, comp_of) = cells.computations(&Deployment::full_from_iter(8, [AsId(1)]));
+        assert_eq!(comp_of, (0..12).collect::<Vec<_>>());
+        for (ci, c) in comps.iter().enumerate() {
+            assert_eq!(c.cell, cells.lanes()[ci]);
+            assert_eq!(c.base, ci - ci % 2, "{c:?}");
+        }
     }
 }

@@ -32,25 +32,24 @@
 //!   secure set by re-fixing only a dirty region (rollout curves cost a
 //!   fraction of from-scratch recomputation).
 //! * [`delta`] — the attacker-delta engine: for a fixed `(d, S, policy)`,
-//!   compute the normal-conditions outcome at most once (deferred until
-//!   the cell's second attacker, since a lone attacker is one direct
-//!   compute either way) and serve every attacker
-//!   `m ∈ M` by re-fixing only the contested region around its bogus
-//!   announcement, with a touched-list snapshot restore between attackers.
+//!   compute (or adopt) the normal-conditions outcome once and serve every
+//!   attacker `m ∈ M` by re-fixing only the contested region around its
+//!   bogus announcement, with a touched-list snapshot restore between
+//!   attackers.
 //! * [`fused`] — the fused multi-cell pass: one call serves every policy
 //!   cell (model × LP variant × strategy rung) of a
 //!   `(destination, deployment)` pair at once, running one plain
 //!   [`AttackDeltaEngine`] per distinct computation after collapsing
-//!   behaviorally identical cells, so fused results are bit-identical to
-//!   per-cell computes by construction.
+//!   behaviorally identical cells ([`CellSet::computations`]), so fused
+//!   results are bit-identical to per-cell computes by construction.
 //!
 //! [`sweep`] and [`delta`] are the two axes of one amortization hierarchy
 //! (deployment × attacker); `sbgp-sim` composes them destination-major —
-//! the delta engine anchors each `(m, d)` pair's first step off the
-//! destination's shared normal outcome, and a sweep adopted from that
-//! patch ([`SweepEngine::begin_from`]) carries the remaining deployment
-//! steps — so a whole rollout costs at most one base fix per destination
-//! plus one anchor patch and `|S|−1` small sweep patches per pair.
+//! each `(m, d)` pair's first step is one [`Engine::compute`] per
+//! distinct computation (or, where a normal-conditions base is attached,
+//! a delta patch off it), and a sweep adopted from that outcome
+//! ([`SweepEngine::begin_from`]) carries the remaining deployment steps
+//! as `|S|−1` small sweep patches per pair.
 //!
 //! The crate is single-threaded by design; [`Engine`], [`SweepEngine`] and
 //! [`AttackDeltaEngine`] instances hold reusable scratch and the
@@ -78,7 +77,7 @@ pub use attack::{AttackScenario, AttackStrategy, MAX_ATTACKERS};
 pub use delta::{AttackDeltaEngine, CachedBase, DeltaStats};
 pub use deployment::Deployment;
 pub use engine::Engine;
-pub use fused::{CellSet, FusedDeltaEngine, FusedStats, PolicyCell};
+pub use fused::{CellSet, Computation, FusedDeltaEngine, FusedStats, PolicyCell};
 pub use metric::{Bounds, HappyCount};
 pub use outcome::{Outcome, RootFlags, RouteClass, RouteInfo};
 pub use partition::{Fate, PartitionComputer, PartitionCounts};

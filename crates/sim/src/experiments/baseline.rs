@@ -25,9 +25,7 @@ pub struct BaselineResult {
 /// Estimate `H_{V,V}(∅)`.
 ///
 /// A one-cell, one-step run of the destination-major pair-sample runner
-/// ([`crate::sweep::metric_sweep_cells`]): each sampled destination's
-/// no-attacker outcome is computed once and every attacker against it is
-/// a contested-region patch.
+/// ([`crate::sweep::metric_sweep_cells`]): one compute per sampled pair.
 pub fn baseline_metric(net: &Internet, cfg: &ExperimentConfig) -> BaselineResult {
     let attackers = sample::sample_all(net, cfg.attackers, cfg.seed);
     let destinations = sample::sample_all(net, cfg.destinations, cfg.seed ^ 0xD);

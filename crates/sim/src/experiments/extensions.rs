@@ -42,8 +42,7 @@ pub struct SecurityLadderRow {
 /// differ only in the growing deployment, so they are served by a single
 /// `[∅, S]` sweep (both amortization axes composed); the remaining rows
 /// change the attack strategy or the model and are one-step runs of their
-/// own cell through [`sweep::metric_sweep_cells`], which still shares each
-/// destination's base computation across its attackers.
+/// own cell through [`sweep::metric_sweep_cells`], one compute per pair.
 pub fn rpki_value(net: &Internet, cfg: &ExperimentConfig) -> Vec<SecurityLadderRow> {
     let attackers = sample::sample_non_stubs(net, cfg.attackers, cfg.seed);
     let dests = sample::sample_all(net, cfg.destinations, cfg.seed ^ 0xD);

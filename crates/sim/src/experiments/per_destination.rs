@@ -55,11 +55,9 @@ pub struct PerDestinationResult {
 }
 
 /// Evaluate the sorted per-destination series for `step`. Each
-/// `(d, model)` pair is one incremental `[∅, S]` sweep of the
-/// normal-conditions outcome — the `∅` entry is the baseline (identical
-/// for every model: no secure routes exist) — and every attacker is a
-/// contested-region patch of whichever entry is current, so the whole
-/// series costs one base fix plus `2|M'| + 1` patches per destination.
+/// `(m, d, model)` triple is one `[∅, S]` sweep: one compute of the `∅`
+/// baseline (identical for every model: no secure routes exist), then one
+/// incremental sweep advance to `S`.
 pub fn per_destination(
     net: &Internet,
     cfg: &ExperimentConfig,

@@ -16,10 +16,10 @@
 //!   bit-identical at any thread count (optionally panic-isolated);
 //! * [`sweep`] — the pair-sample runners, one cell grid along one
 //!   deployment sequence (a single policy is a one-cell grid, a single
-//!   deployment a one-step sweep), composing both amortization axes: per
-//!   destination, a fused delta engine anchors each pair's first step for
-//!   every cell and a [`sbgp_core::SweepEngine`] per lane, adopted from
-//!   that patch, carries the remaining deployments incrementally — in any
+//!   deployment a one-step sweep): per destination, each pair's first step
+//!   is one compute per distinct computation of the cell grid, and a
+//!   [`sbgp_core::SweepEngine`] per lane, adopted from that outcome,
+//!   carries the remaining deployments incrementally — in any
 //!   direction: the `metric_churn` variants serve wax-and-wane
 //!   trajectories through the engine's retraction path and surface the
 //!   merged per-run [`sbgp_core::SweepStats`];

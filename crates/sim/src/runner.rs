@@ -49,8 +49,8 @@ impl Parallelism {
 }
 
 /// Chunk size for *light* items (single pairs): amortizes the atomic
-/// claim. Heavy items — a destination group, which costs a base fix plus
-/// all of its attackers — go one per chunk, or a 16-item chunk would cap
+/// claim. Heavy items — a destination group, which costs a compute per
+/// attacker — go one per chunk, or a 16-item chunk would cap
 /// the worker count at `⌈groups/16⌉`.
 pub const PAIR_CHUNK: usize = 16;
 
@@ -205,10 +205,7 @@ where
 /// attack: one cell, one deployment of [`crate::sweep::metric_sweep_cells`].
 ///
 /// Evaluated destination-major: the pair list is grouped by destination
-/// ([`crate::sample::group_by_destination`]) and each group shares one
-/// normal-conditions base computation, so a group of `k` attackers costs
-/// one full fix plus `k` contested-region patches instead of `k` full
-/// fixes.
+/// ([`crate::sample::group_by_destination`]), one compute per pair.
 pub fn metric(
     net: &Internet,
     pairs: &[(AsId, AsId)],

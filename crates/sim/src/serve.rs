@@ -28,7 +28,9 @@
 //!   query opts into the stratified estimator (`"budget"`): tier-strata,
 //!   Feistel without-replacement sampling, Welford accumulators and
 //!   population-weighted recombination with confidence intervals, all
-//!   from [`crate::stats`].
+//!   from [`crate::stats`]. A sampled destination whose base is cached is
+//!   patched off it; the others run plain computes, as every estimator
+//!   does.
 //!
 //! # Protocol
 //!
@@ -801,11 +803,8 @@ impl Planner {
                         return;
                     }
                 }
-                eval.begin(w, d);
-                for (p, base) in w.0.export_bases() {
-                    if !eval.has_base(d, p) {
-                        acc.harvest.push((d, p, Arc::new(base)));
-                    }
+                for (p, base) in eval.begin_exporting(w, d) {
+                    acc.harvest.push((d, p, Arc::new(base)));
                 }
                 for &m in q.attackers.iter().filter(|&&m| m != d) {
                     eval.serve_pair(w, m, d, &mut |c, _, (lower, upper)| {

@@ -49,12 +49,13 @@
 //!   accumulator, which then merges into the persistent state.
 //! * Every estimator is multi-cell ([`estimate_metric_cells`],
 //!   [`estimate_metric_sweep_cells`], [`estimate_strategy_ladder_cells`]);
-//!   a single policy is a one-cell run. They run *every policy* of a
-//!   figure through one [`sbgp_core::FusedDeltaEngine`] per worker,
-//!   sharing the sample stream and the normal-conditions bases across
-//!   cells. Because the sampling schedule depends only on the universe and
-//!   the seed — never on the policy — each cell can stop at its own round
-//!   and still reproduce its one-cell run **bit for bit**.
+//!   a single policy is a one-cell run. They serve *every policy* of a
+//!   figure from one worker, sharing the sample stream, and run one plain
+//!   compute per pair and distinct computation — at zero validators the
+//!   three security models collapse onto one. Because the sampling
+//!   schedule depends only on the universe and the seed — never on the
+//!   policy — each cell can stop at its own round and still reproduce its
+//!   one-cell run **bit for bit**.
 //! * [`SweepCellsEval`] is the one kernel that serves a destination group
 //!   along a deployment sequence; the pair-sample runners of
 //!   [`crate::sweep`] fold its raw happy counts.
@@ -63,8 +64,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use sbgp_core::{
-    AttackScenario, AttackStrategy, Bounds, CachedBase, CellSet, Deployment, FusedDeltaEngine,
-    Policy, SweepEngine, SweepStats,
+    AttackScenario, AttackStrategy, Bounds, CachedBase, CellSet, Computation, Deployment, Engine,
+    FusedDeltaEngine, Policy, SweepEngine, SweepStats,
 };
 use sbgp_topology::tier::{Tier, FIGURE_TIER_ORDER};
 use sbgp_topology::AsId;
@@ -795,9 +796,9 @@ pub(crate) fn adaptive_rounds(
 /// multi-cell rounds. Each cell's accumulators, sample list and trajectory
 /// freeze at exactly the round where its own run would stop, so every
 /// returned [`AdaptiveRun`] is bit-identical to the one-cell run of that
-/// cell. Evaluation for already-stopped cells still happens (the fused
-/// engine serves all lanes in one call; the marginal cost is the point) —
-/// its emissions are simply not folded. Every round's groups are evaluated
+/// cell. Evaluation for already-stopped cells still happens (one worker
+/// serves all lanes per pair; the marginal cost is the point) — its
+/// emissions are simply not folded. Every round's groups are evaluated
 /// through [`map_reduce_isolated`] with group-order merging, so the whole
 /// run is bit-identical at any thread count.
 ///
@@ -849,7 +850,7 @@ pub fn estimate_adaptive_cells<W>(
 /// its group spec and replays destination groups through it, which is
 /// what makes an N-worker run bit-identical to the single-process run.
 pub trait CellEval: Sync {
-    /// Per-thread scratch (typically one fused engine, plus sweep engines).
+    /// Per-thread scratch (typically engines).
     type Worker;
 
     /// Statistics tracked per cell (`cell_stats()[c]` for cell `c`).
@@ -891,23 +892,50 @@ pub fn estimate_adaptive_cells_eval<E: CellEval>(
 }
 
 /// The one kernel that serves a destination group along a deployment
-/// sequence, for every cell of a [`CellSet`]: one fused patch per pair
-/// serves every policy lane's first step, and a per-lane [`SweepEngine`]
-/// adopted from the fused outcome carries the remaining deployments.
+/// sequence, for every cell of a [`CellSet`]: each pair's first step is one
+/// [`Engine::compute`] per distinct computation of the cell set (model
+/// collapse, [`CellSet::computations`]), and a per-lane [`SweepEngine`]
+/// adopted from that outcome carries the remaining deployments.
+///
+/// Where `SweepCellsEval::with_bases` attached a destination's
+/// normal-conditions bases (the planner's cache), the group's first steps
+/// are patched off them by the worker's [`FusedDeltaEngine`] instead — the
+/// only place this kernel runs a delta engine. Sampled destination groups
+/// mostly hold a single attacker, and a computed base would cost as much
+/// as the compute it replaces. Both paths give bit-identical counts.
 ///
 /// It drives [`estimate_metric_sweep_cells`] (and, with a single
-/// deployment, [`estimate_metric_cells`]) as a [`CellEval`], the
-/// supervised campaign workers, the planner's estimate path (which also
-/// adopts cached normal-conditions bases), and every pair-sample runner of
+/// deployment, [`estimate_metric_cells`]) as a [`CellEval`], the strategy
+/// ladder ([`LadderCellsEval`]), the supervised campaign workers, the
+/// planner's query paths, and every pair-sample runner of
 /// [`crate::sweep`], which fold its raw per-pair happy counts instead of
 /// fractions.
 pub struct SweepCellsEval<'a> {
     net: &'a Internet,
     deployments: &'a [Deployment],
     cells: CellSet,
+    /// The distinct computations at the first deployment, and each lane's
+    /// computation (the plain path).
+    comps: Vec<Computation>,
+    comp_of: Vec<usize>,
     /// Cached first-step bases per destination, adopted at `begin`.
     bases: HashMap<AsId, Vec<(Policy, Arc<CachedBase>)>>,
     sources: f64,
+}
+
+/// A [`SweepCellsEval`] worker's scratch.
+pub struct SweepWorker<'a> {
+    /// Serves the first step of groups with attached bases.
+    fused: FusedDeltaEngine<'a>,
+    /// Serves the first step of every other group; allocated by the first
+    /// such group.
+    plain: Option<Engine<'a>>,
+    /// Whether the anchored group runs through `fused`.
+    fused_group: bool,
+    /// Per-lane happy counts of the current pair's first step.
+    happy: Vec<(usize, usize)>,
+    /// One per lane; none for a one-step sequence, which never advances.
+    sweeps: Vec<SweepEngine<'a>>,
 }
 
 impl<'a> SweepCellsEval<'a> {
@@ -927,18 +955,24 @@ impl<'a> SweepCellsEval<'a> {
         deployments: &'a [Deployment],
         cells: CellSet,
     ) -> SweepCellsEval<'a> {
+        let (comps, comp_of) = match deployments.first() {
+            Some(first) => cells.computations(first),
+            None => (Vec::new(), Vec::new()),
+        };
         SweepCellsEval {
             net,
             deployments,
             cells,
+            comps,
+            comp_of,
             bases: HashMap::new(),
             sources: (net.graph.len() - 2).max(1) as f64,
         }
     }
 
-    /// Adopt `bases[d]` — bases exported earlier from the same
-    /// `(d, first deployment, policy)` cells — when anchoring on `d`,
-    /// instead of computing them (see
+    /// Attach `bases[d]` — bases exported earlier from the same
+    /// `(d, first deployment, policy)` cells: the groups of those
+    /// destinations are patched off them (see
     /// [`FusedDeltaEngine::begin_with_bases`]; results are unchanged).
     pub(crate) fn with_bases(
         mut self,
@@ -948,12 +982,29 @@ impl<'a> SweepCellsEval<'a> {
         self
     }
 
-    /// Whether [`SweepCellsEval::with_bases`] supplied destination `d`'s
-    /// base for `policy`.
-    pub(crate) fn has_base(&self, d: AsId, policy: Policy) -> bool {
-        self.bases
-            .get(&d)
-            .is_some_and(|bases| bases.iter().any(|(p, _)| *p == policy))
+    /// Anchor the worker's fused engine on `d` whether or not bases are
+    /// attached for it, and return the bases it computed — the planner's
+    /// exact path, which harvests them into its cache.
+    pub(crate) fn begin_exporting(
+        &self,
+        w: &mut SweepWorker<'a>,
+        d: AsId,
+    ) -> Vec<(Policy, CachedBase)> {
+        let Some(first) = self.deployments.first() else {
+            return Vec::new();
+        };
+        self.begin_fused(w, d, first);
+        w.fused.export_bases().collect()
+    }
+
+    /// Anchor the worker's fused engine on `d` at `first`, adopting the
+    /// bases attached for `d` and computing the rest.
+    fn begin_fused(&self, w: &mut SweepWorker<'a>, d: AsId, first: &Deployment) {
+        let bases = self.bases.get(&d);
+        w.fused.begin_with_bases(d, first, |p| {
+            bases?.iter().find(|(q, _)| *q == p).map(|(_, b)| &**b)
+        });
+        w.fused_group = true;
     }
 
     /// Serve pair `(m, d)` — the worker anchored on `d` by
@@ -962,7 +1013,7 @@ impl<'a> SweepCellsEval<'a> {
     /// emits nothing.
     pub(crate) fn serve_pair(
         &self,
-        (fused, sweeps): &mut (FusedDeltaEngine<'a>, Vec<SweepEngine<'a>>),
+        w: &mut SweepWorker<'a>,
         m: AsId,
         d: AsId,
         emit: &mut impl FnMut(usize, usize, (usize, usize)),
@@ -970,38 +1021,56 @@ impl<'a> SweepCellsEval<'a> {
         let Some(first) = self.deployments.first() else {
             return;
         };
-        fused.attack(m);
-        for c in 0..self.cells.input_len() {
-            emit(c, 0, fused.count_happy(c));
-        }
-        if self.deployments.len() > 1 {
-            for (j, (lane, sweep)) in self.cells.lanes().iter().zip(sweeps.iter_mut()).enumerate() {
-                let scenario = AttackScenario::attack(m, d).with_strategy(lane.strategy);
-                sweep.begin_from(
-                    scenario,
-                    lane.policy,
-                    first,
-                    fused.lane_outcome(j),
-                    fused.lane_happy(j),
-                );
+        let lanes = self.cells.lanes();
+        if w.fused_group {
+            w.fused.attack(m);
+            for (j, lane) in lanes.iter().enumerate() {
+                w.happy[j] = w.fused.lane_happy(j);
+                if let Some(sweep) = w.sweeps.get_mut(j) {
+                    let scenario = AttackScenario::attack(m, d).with_strategy(lane.strategy);
+                    sweep.begin_from(
+                        scenario,
+                        lane.policy,
+                        first,
+                        w.fused.lane_outcome(j),
+                        w.happy[j],
+                    );
+                }
             }
-            for (k, dep) in self.deployments.iter().enumerate().skip(1) {
-                for sweep in sweeps.iter_mut() {
-                    sweep.advance(dep);
+        } else {
+            let engine = w.plain.get_or_insert_with(|| Engine::new(&self.net.graph));
+            for (ci, comp) in self.comps.iter().enumerate() {
+                let scenario = AttackScenario::attack(m, d).with_strategy(comp.cell.strategy);
+                let outcome = engine.compute(scenario, first, comp.cell.policy);
+                let happy = outcome.count_happy();
+                for (j, lane) in lanes.iter().enumerate() {
+                    if self.comp_of[j] != ci {
+                        continue;
+                    }
+                    w.happy[j] = happy;
+                    if let Some(sweep) = w.sweeps.get_mut(j) {
+                        sweep.begin_from(scenario, lane.policy, first, outcome, happy);
+                    }
                 }
-                for c in 0..self.cells.input_len() {
-                    emit(c, k, sweeps[self.cells.lane_of(c)].count_happy());
-                }
+            }
+        }
+        for c in 0..self.cells.input_len() {
+            emit(c, 0, w.happy[self.cells.lane_of(c)]);
+        }
+        for (k, dep) in self.deployments.iter().enumerate().skip(1) {
+            for sweep in w.sweeps.iter_mut() {
+                sweep.advance(dep);
+            }
+            for c in 0..self.cells.input_len() {
+                emit(c, k, w.sweeps[self.cells.lane_of(c)].count_happy());
             }
         }
     }
 
     /// The summed counters of a worker's lane sweep engines.
-    pub(crate) fn sweep_stats(
-        (_, sweeps): &(FusedDeltaEngine<'a>, Vec<SweepEngine<'a>>),
-    ) -> SweepStats {
+    pub(crate) fn sweep_stats(w: &SweepWorker<'a>) -> SweepStats {
         let mut stats = SweepStats::default();
-        for sweep in sweeps {
+        for sweep in &w.sweeps {
             stats.merge(&sweep.stats());
         }
         stats
@@ -1009,37 +1078,30 @@ impl<'a> SweepCellsEval<'a> {
 }
 
 impl<'a> CellEval for SweepCellsEval<'a> {
-    type Worker = (FusedDeltaEngine<'a>, Vec<SweepEngine<'a>>);
+    type Worker = SweepWorker<'a>;
 
     fn cell_stats(&self) -> Vec<usize> {
         vec![self.deployments.len(); self.cells.input_len()]
     }
 
     fn make_worker(&self) -> Self::Worker {
-        // A one-step sequence never advances, so it needs no sweep engine.
-        let lanes = if self.deployments.len() > 1 {
-            self.cells.lane_count()
-        } else {
-            0
-        };
-        let sweeps = (0..lanes)
-            .map(|_| SweepEngine::new(&self.net.graph))
-            .collect();
-        (
-            FusedDeltaEngine::new(&self.net.graph, self.cells.clone()),
-            sweeps,
-        )
+        let lanes = self.cells.lane_count();
+        let sweeps = if self.deployments.len() > 1 { lanes } else { 0 };
+        SweepWorker {
+            fused: FusedDeltaEngine::new(&self.net.graph, self.cells.clone()),
+            plain: None,
+            fused_group: false,
+            happy: vec![(0, 0); lanes],
+            sweeps: (0..sweeps)
+                .map(|_| SweepEngine::new(&self.net.graph))
+                .collect(),
+        }
     }
 
-    fn begin(&self, (fused, _): &mut Self::Worker, d: AsId) {
-        let Some(first) = self.deployments.first() else {
-            return;
-        };
-        match self.bases.get(&d) {
-            Some(bases) => fused.begin_with_bases(d, first, |p| {
-                bases.iter().find(|(q, _)| *q == p).map(|(_, b)| &**b)
-            }),
-            None => fused.begin(d, first),
+    fn begin(&self, w: &mut Self::Worker, d: AsId) {
+        match self.deployments.first() {
+            Some(first) if self.bases.contains_key(&d) => self.begin_fused(w, d, first),
+            _ => w.fused_group = false,
         }
     }
 
@@ -1065,16 +1127,13 @@ fn fraction((lower, upper): (usize, usize), sources: f64) -> Bounds {
 }
 
 /// The strategy-ladder kernel behind [`estimate_strategy_ladder_cells`]
-/// and [`crate::strategy::metric_strategy_ladder`]: the (policy × rung)
-/// grid is one [`CellSet`], and statistic `nr` of each policy cell is the
-/// per-pair damage-maximizing rung.
+/// and [`crate::strategy::metric_strategy_ladder`]: a one-step
+/// [`SweepCellsEval`] over the (policy × rung) grid, plus statistic `nr`
+/// of each policy cell — the per-pair damage-maximizing rung.
 pub struct LadderCellsEval<'a> {
-    net: &'a Internet,
-    deployment: &'a Deployment,
-    cells: CellSet,
+    sweep: SweepCellsEval<'a>,
     nr: usize,
     npolicies: usize,
-    sources: f64,
 }
 
 impl<'a> LadderCellsEval<'a> {
@@ -1087,76 +1146,74 @@ impl<'a> LadderCellsEval<'a> {
     ) -> LadderCellsEval<'a> {
         assert!(!rungs.is_empty(), "the ladder needs at least one rung");
         LadderCellsEval {
-            net,
-            deployment,
-            cells: CellSet::grid(policies, rungs),
+            sweep: SweepCellsEval::from_cells(
+                net,
+                std::slice::from_ref(deployment),
+                CellSet::grid(policies, rungs),
+            ),
             nr: rungs.len(),
             npolicies: policies.len(),
-            sources: (net.graph.len() - 2).max(1) as f64,
         }
     }
-}
 
-impl<'a> LadderCellsEval<'a> {
-    /// Serve attacker `m` — the engine anchored by [`CellEval::begin`] —
-    /// on every policy's whole ladder, emitting raw happy counts as
-    /// `(policy, statistic, (lower, upper))`: statistic `r` is rung `r`,
-    /// statistic `rungs.len()` the per-pair damage-maximizing rung (the
-    /// lexicographic minimum of the rungs' counts).
+    /// Serve pair `(m, d)` — the worker anchored on `d` by
+    /// [`CellEval::begin`] — on every policy's whole ladder, emitting raw
+    /// happy counts as `(policy, statistic, (lower, upper))`: statistic `r`
+    /// is rung `r`, statistic `rungs.len()` the per-pair damage-maximizing
+    /// rung (the lexicographic minimum of the rungs' counts).
     pub(crate) fn serve_pair(
         &self,
-        fused: &mut FusedDeltaEngine<'a>,
+        w: &mut SweepWorker<'a>,
         m: AsId,
+        d: AsId,
         emit: &mut impl FnMut(usize, usize, (usize, usize)),
     ) {
-        fused.attack(m);
-        for p in 0..self.npolicies {
-            let mut best = (usize::MAX, usize::MAX);
-            for r in 0..self.nr {
-                let counts = fused.count_happy(p * self.nr + r);
-                emit(p, r, counts);
-                best = best.min(counts);
+        let mut counts = vec![(0, 0); self.npolicies * self.nr];
+        self.sweep
+            .serve_pair(w, m, d, &mut |c, _, happy| counts[c] = happy);
+        for (p, rungs) in counts.chunks(self.nr).enumerate() {
+            for (r, &happy) in rungs.iter().enumerate() {
+                emit(p, r, happy);
             }
-            emit(p, self.nr, best);
+            emit(p, self.nr, *rungs.iter().min().expect("rungs is nonempty"));
         }
     }
 }
 
 impl<'a> CellEval for LadderCellsEval<'a> {
-    type Worker = FusedDeltaEngine<'a>;
+    type Worker = SweepWorker<'a>;
 
     fn cell_stats(&self) -> Vec<usize> {
         vec![self.nr + 1; self.npolicies]
     }
 
     fn make_worker(&self) -> Self::Worker {
-        FusedDeltaEngine::new(&self.net.graph, self.cells.clone())
+        self.sweep.make_worker()
     }
 
-    fn begin(&self, fused: &mut Self::Worker, d: AsId) {
-        fused.begin(d, self.deployment);
+    fn begin(&self, w: &mut Self::Worker, d: AsId) {
+        self.sweep.begin(w, d);
     }
 
     fn eval_pair(
         &self,
-        fused: &mut Self::Worker,
+        w: &mut Self::Worker,
         m: AsId,
-        _d: AsId,
+        d: AsId,
         emit: &mut dyn FnMut(usize, usize, Bounds),
     ) {
-        self.serve_pair(fused, m, &mut |p, k, counts| {
-            emit(p, k, fraction(counts, self.sources));
+        self.serve_pair(w, m, d, &mut |p, k, counts| {
+            emit(p, k, fraction(counts, self.sweep.sources));
         });
     }
 }
 
 /// Estimate `H_{M,D}(S)` with a confidence interval for a whole set of
 /// policies at once (a one-step [`estimate_metric_sweep_cells`]);
-/// `runs[i].estimates[0]` is policy `i`'s metric. One fused engine per
-/// worker serves every policy cell from one snapshot traversal (and one
-/// computation per *distinct* lane — at zero validators the three security
-/// models collapse onto a single lane). Each run is bit-identical to a
-/// one-policy run of that policy.
+/// `runs[i].estimates[0]` is policy `i`'s metric. Each pair runs one
+/// compute per *distinct* computation of the policy cells — at zero
+/// validators the three security models collapse onto one. Each run is
+/// bit-identical to a one-policy run of that policy.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_metric_cells(
     net: &Internet,
@@ -1224,8 +1281,9 @@ pub struct LadderEstimate {
 /// Estimate every rung of a strategy ladder and the per-pair optimum, with
 /// confidence intervals, under one deployment, for a whole set of policies
 /// at once: the (policy × rung) grid becomes one [`CellSet`] (rungs deduped
-/// through [`AttackStrategy::canonical`]), so every attack serves all
-/// policies' whole ladders from one shared traversal. Returns one ladder
+/// through [`AttackStrategy::canonical`], models collapsed at zero
+/// validators), so each pair runs every distinct computation of all
+/// policies' whole ladders once. Returns one ladder
 /// per input policy, each bit-identical to a one-policy run of that policy.
 ///
 /// # Panics
@@ -1269,7 +1327,7 @@ pub fn estimate_strategy_ladder_cells(
 mod tests {
     use super::*;
     use crate::sample;
-    use sbgp_core::SecurityModel;
+    use sbgp_core::{DeltaStats, LpVariant, SecurityModel};
     use std::collections::HashSet;
 
     #[test]
@@ -1657,5 +1715,113 @@ mod tests {
         assert_eq!(r.len(), 1);
         assert!(r[0].estimates.is_empty());
         assert!(r[0].sampled.is_empty());
+    }
+
+    /// The grid of `tests/fused_equivalence.rs`: three models plus the
+    /// `LP2`/`LPinf` variants, over the forged-path ladder plus the
+    /// duplicate fake-link and hijack spellings.
+    fn grid() -> (Vec<Policy>, Vec<AttackStrategy>) {
+        let mut policies: Vec<Policy> = SecurityModel::ALL.map(Policy::new).to_vec();
+        policies.push(Policy::with_variant(
+            SecurityModel::Security2nd,
+            LpVariant::LpK(2),
+        ));
+        policies.push(Policy::with_variant(
+            SecurityModel::Security3rd,
+            LpVariant::LpInf,
+        ));
+        let mut rungs = AttackStrategy::LADDER.to_vec();
+        rungs.push(AttackStrategy::FakeLink);
+        rungs.push(AttackStrategy::OriginHijack);
+        (policies, rungs)
+    }
+
+    /// Serve `ms` against `d` through `eval`, checking every emitted count
+    /// against a fresh compute of its cell of the `grid`.
+    fn serve_checked<'a>(
+        eval: &SweepCellsEval<'a>,
+        w: &mut SweepWorker<'a>,
+        fresh: &mut Engine,
+        (policies, rungs): (&[Policy], &[AttackStrategy]),
+        d: AsId,
+        ms: &[AsId],
+    ) {
+        let dep = &eval.deployments[0];
+        for &m in ms {
+            let mut seen = vec![false; eval.cells.input_len()];
+            eval.serve_pair(w, m, d, &mut |c, k, counts| {
+                let (policy, rung) = (policies[c / rungs.len()], rungs[c % rungs.len()]);
+                let scenario = AttackScenario::attack(m, d).with_strategy(rung);
+                let want = fresh.compute(scenario, dep, policy).count_happy();
+                assert_eq!((k, counts), (0, want), "cell {c}, m={m}, d={d}");
+                seen[c] = true;
+            });
+            assert!(seen.iter().all(|&s| s), "every cell emits");
+        }
+    }
+
+    /// Which engine serves a group's first step is decided by the attached
+    /// bases alone: without them the worker's fused engine never begins;
+    /// the planner's exact entry point computes one base per destination
+    /// and base group and harvests exactly those; and every emitted count
+    /// equals a fresh compute of its cell either way.
+    #[test]
+    fn plain_groups_leave_the_fused_engine_idle() {
+        let net = net();
+        let (policies, rungs) = grid();
+        let cells = CellSet::grid(&policies, &rungs);
+        let dests = sample::sample_all(&net, 6, 41);
+        let attackers = sample::sample_non_stubs(&net, 5, 42);
+        // Three singleton groups, then two groups of four attackers.
+        let mut groups: Vec<(AsId, Vec<AsId>)> = Vec::new();
+        for (i, &d) in dests[..5].iter().enumerate() {
+            let ms: Vec<AsId> = attackers.iter().copied().filter(|&m| m != d).collect();
+            groups.push((d, if i < 3 { vec![ms[i]] } else { ms[..4].to_vec() }));
+        }
+        let validators = Deployment::full_from_iter(net.len(), net.tiers.tier1().iter().copied());
+        // Base groups: one per LP variant without validators, one per
+        // policy with them.
+        for (dep, base_groups) in [(Deployment::empty(net.len()), 3), (validators, 5)] {
+            let deps = std::slice::from_ref(&dep);
+            let mut fresh = Engine::new(&net.graph);
+            let grid = (&policies[..], &rungs[..]);
+            let eval = SweepCellsEval::from_cells(&net, deps, cells.clone());
+            let mut w = eval.make_worker();
+            for (d, ms) in &groups {
+                eval.begin(&mut w, *d);
+                serve_checked(&eval, &mut w, &mut fresh, grid, *d, ms);
+            }
+            assert_eq!(w.fused.stats().begins, 0);
+            assert_eq!(w.fused.delta_stats(), DeltaStats::default());
+
+            let mut w = eval.make_worker();
+            let mut harvest = HashMap::new();
+            for (d, ms) in &groups {
+                let bases = eval.begin_exporting(&mut w, *d);
+                assert_eq!(bases.len(), base_groups);
+                let bases = bases.into_iter().map(|(p, b)| (p, Arc::new(b))).collect();
+                harvest.insert(*d, bases);
+                serve_checked(&eval, &mut w, &mut fresh, grid, *d, ms);
+            }
+            let stats = w.fused.delta_stats();
+            assert_eq!(stats.base_computes, groups.len() * base_groups);
+
+            // Attached bases are adopted, never recomputed or re-harvested:
+            // `begin` takes the fused path for exactly those destinations.
+            let eval = SweepCellsEval::from_cells(&net, deps, cells.clone()).with_bases(harvest);
+            let mut w = eval.make_worker();
+            for (d, ms) in &groups {
+                assert!(eval.begin_exporting(&mut w, *d).is_empty());
+                serve_checked(&eval, &mut w, &mut fresh, grid, *d, ms);
+            }
+            let (d, m) = (dests[5], attackers[0]);
+            assert_ne!(d, m);
+            eval.begin(&mut w, d);
+            serve_checked(&eval, &mut w, &mut fresh, grid, d, &[m]);
+            let stats = w.fused.stats();
+            assert_eq!(stats.begins, groups.len());
+            assert_eq!(stats.cached_bases, groups.len() * base_groups);
+            assert_eq!(w.fused.delta_stats().base_computes, 0);
+        }
     }
 }

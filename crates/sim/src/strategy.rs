@@ -18,15 +18,14 @@
 //!
 //! Both run destination-major and reduce in chunk order, so results are
 //! bit-identical at any thread count. The ladder rides the ladder
-//! estimator's kernel, [`crate::stats::LadderCellsEval`], with one
-//! [`sbgp_core::FusedDeltaEngine`] per worker: the rungs form a
+//! estimator's kernel, [`crate::stats::LadderCellsEval`]: the rungs form a
 //! [`sbgp_core::CellSet`] deduped through [`AttackStrategy::canonical`]
 //! (so the `path1`/fake-link and `path0`/hijack spellings can never run
-//! the same cell twice), every attack serves all remaining rungs from one
-//! shared contested-region traversal, and duplicate rungs report their
-//! shared lane's value — with ties still going to the earlier input rung,
-//! win attribution is unchanged. [`metric_collusion`] keeps a plain
-//! [`AttackDeltaEngine`] (one cell per call).
+//! the same cell twice), each pair runs one compute per distinct rung, and
+//! duplicate rungs report their shared lane's value — with ties still
+//! going to the earlier input rung, win attribution is unchanged.
+//! [`metric_collusion`] keeps a plain [`AttackDeltaEngine`] (one cell per
+//! call), whose base every set and member of a destination shares.
 
 use sbgp_core::metric::MetricAccumulator;
 use sbgp_core::{AttackDeltaEngine, AttackStrategy, Bounds, Deployment, HappyCount, Policy};
@@ -94,12 +93,12 @@ pub fn metric_strategy_ladder(
             optimal: MetricAccumulator::default(),
             wins: vec![0; nr],
         },
-        |fused, acc, (d, attackers)| {
-            eval.begin(fused, *d);
+        |w, acc, (d, attackers)| {
+            eval.begin(w, *d);
             for &m in attackers.iter().filter(|&m| m != d) {
                 // Ties go to the earlier (shorter) rung.
                 let mut best = ((usize::MAX, usize::MAX), 0);
-                eval.serve_pair(fused, m, &mut |_, r, (lower, upper)| {
+                eval.serve_pair(w, m, *d, &mut |_, r, (lower, upper)| {
                     let count = HappyCount {
                         lower,
                         upper,

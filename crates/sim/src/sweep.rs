@@ -6,15 +6,15 @@
 //! Every destination group is served by the one kernel,
 //! [`crate::stats::SweepCellsEval`], which the adaptive estimators and the
 //! supervised campaign workers also run. For each claimed destination
-//! group a worker iterates `for m (fused contested-region patch of the
-//! first step) → for S_k (per-lane sweep of the remaining steps)`:
+//! group a worker iterates `for m (a compute of the first step) → for S_k
+//! (per-lane sweep of the remaining steps)`:
 //!
-//! * one [`sbgp_core::FusedDeltaEngine`] serves each pair's **first
-//!   step** for every cell from the destination's shared normal outcome
-//!   (or falls back to a fresh compute when the contested region is large
-//!   — measured on the synthetic 4000-AS graph, a fake-link attack changes
-//!   ~40% of all ASes once the downstream flag contamination is counted,
-//!   so large regions are common at small `S`);
+//! * each pair's **first step** is one [`sbgp_core::Engine::compute`] per
+//!   distinct computation of the cell set (at zero validators the three
+//!   models collapse onto one). A contested-region patch off the
+//!   destination's normal outcome rarely beats it: measured on the
+//!   synthetic 4000-AS graph, a fake-link attack changes ~40% of all ASes
+//!   once the downstream flag contamination is counted;
 //! * each lane's [`sbgp_core::SweepEngine`] adopts that outcome through
 //!   `begin_from`, and the remaining steps ride the deployment axis, whose
 //!   dirty regions are tiny (~4% of AS-steps) because the bogus
@@ -35,8 +35,7 @@
 //! runner sums integer [`HappyCount`]s, one row per destination, collected
 //! in destination order. Both ride [`crate::runner::map_reduce`], so results
 //! are bit-identical at any [`Parallelism`], and each cell of an N-cell run
-//! is bit-identical to a one-cell run of that cell (the fused engine is
-//! exact per cell). Every step equals a fresh per-step evaluation, bit for
+//! is bit-identical to a one-cell run of that cell. Every step equals a fresh per-step evaluation, bit for
 //! bit (the sweep- and delta-equivalence property suites enforce the
 //! per-outcome version of this claim).
 
@@ -45,7 +44,7 @@ use sbgp_core::{AttackStrategy, Bounds, CellSet, Deployment, HappyCount, Policy,
 use sbgp_topology::AsId;
 
 use crate::runner::{map_reduce, Parallelism};
-use crate::stats::{CellEval, SweepCellsEval};
+use crate::stats::{CellEval, SweepCellsEval, SweepWorker};
 use crate::{sample, Internet};
 
 /// Serve destination `d` against `attackers` (self-attacks skipped, as the
@@ -53,7 +52,7 @@ use crate::{sample, Internet};
 /// `emit`. Returns the lane sweep engines' counter deltas.
 fn serve_group<'a>(
     eval: &SweepCellsEval<'a>,
-    w: &mut <SweepCellsEval<'a> as CellEval>::Worker,
+    w: &mut SweepWorker<'a>,
     d: AsId,
     attackers: &[AsId],
     mut emit: impl FnMut(usize, usize, (usize, usize)),
@@ -116,15 +115,14 @@ pub(crate) fn pooled(
 /// The metric `H_{M,D}(S_k)` for **every policy cell** of a [`CellSet`]
 /// along a deployment sequence, over explicit pairs: `result[i][k]` is
 /// input cell `i` under `deployments[k]` (duplicate spellings report their
-/// shared lane's value). One fused engine pass per pair serves every cell's
-/// first step (all cells share whole computations at validator-free
+/// shared lane's value). Each pair's first step runs once per distinct
+/// computation (all cells of one strategy share it at validator-free
 /// steps), and each *lane* then rides its own sweep engine along the
 /// remaining steps.
 ///
-/// Each cell's row is bit-identical to a one-cell run of that cell: the
-/// fused engine returns per-cell outcomes identical to a dedicated engine,
-/// and every cell's accumulators fold the same fractions in the same
-/// (group, attacker, step) order.
+/// Each cell's row is bit-identical to a one-cell run of that cell: every
+/// cell's outcomes are exact, and its accumulators fold the same fractions
+/// in the same (group, attacker, step) order.
 pub fn metric_sweep_cells(
     net: &Internet,
     pairs: &[(AsId, AsId)],

@@ -225,149 +225,8 @@ fn check_collusion_instance(inst: &Instance, policy: Policy, hops: u8) {
     }
 }
 
-/// A normal-outcome read (`normal_outcome`, `normal_happy`, `export_base`)
-/// on a cell whose base may still be deferred: all three match the fresh
-/// normal compute, and building the base leaves the last served attack's
-/// outcome and happy bounds in place.
-fn check_normal_read(
-    delta: &mut AttackDeltaEngine,
-    normal: &Outcome,
-    last: Option<&(Outcome, (usize, usize))>,
-    graph: &AsGraph,
-    ctx: &str,
-) {
-    assert_outcomes_match(
-        delta.normal_outcome(),
-        normal,
-        graph,
-        &format!("normal_outcome, {ctx}"),
-    );
-    assert_eq!(
-        delta.normal_happy(),
-        normal.count_happy(),
-        "normal_happy, {ctx}"
-    );
-    let base = delta.export_base();
-    assert_outcomes_match(
-        base.outcome(),
-        normal,
-        graph,
-        &format!("export_base, {ctx}"),
-    );
-    if let Some((outcome, happy)) = last {
-        assert_outcomes_match(
-            delta.last_outcome(),
-            outcome,
-            graph,
-            &format!("last outcome after a normal read, {ctx}"),
-        );
-        assert_eq!(
-            delta.count_happy(),
-            *happy,
-            "last happy after a normal read, {ctx}"
-        );
-    }
-}
-
-/// The deferred-base contract of [`AttackDeltaEngine::begin`]. Deployment
-/// step `k` is one cell serving 0, 1, 2 or every attacker (single and
-/// colluding announcements alternate), and the bits of `reads` pick where
-/// the cell's normal outcome is read: before, between or after the
-/// attacks. Every answer matches a fresh compute, and the counters show
-/// exactly when the base was built: the first attack is direct unless a
-/// read came before it, and the base is computed once, only if it was read
-/// or a second attack came. Cells that never build their base run back to
-/// back on the same engine.
-fn check_deferred_instance(inst: &Instance, policy: Policy, reads: u8) {
-    let graph = graph_from_codes(inst.n, &inst.codes);
-    let steps = deployment_sequence(inst.n, &inst.join_codes);
-    let d = AsId(inst.destination as u32);
-    let n = inst.n as u32;
-    let strategy = if inst.hijack {
-        AttackStrategy::OriginHijack
-    } else {
-        AttackStrategy::FakeLink
-    };
-    let attackers: Vec<AsId> = graph.ases().filter(|&m| m != d).collect();
-    let mut delta = AttackDeltaEngine::new(&graph);
-    let mut fresh = Engine::new(&graph);
-    for (k, dep) in steps.iter().enumerate() {
-        let ctx = format!("step {k}: {inst:?} {policy} reads={reads:#010b}");
-        let normal = fresh
-            .compute(AttackScenario::normal(d), dep, policy)
-            .clone();
-        let count = [0, 1, 2, attackers.len()][k].min(attackers.len());
-        let read_at = |j: usize| reads >> ((j + 2 * k) % 8) & 1 == 1;
-        let before = delta.stats();
-        delta.begin(d, dep, policy);
-        let mut last: Option<(Outcome, (usize, usize))> = None;
-        // The last position is the read after the final attack.
-        let positions = attackers[..count].iter().map(Some).chain([None]);
-        for (j, next) in positions.enumerate() {
-            if read_at(j) {
-                check_normal_read(&mut delta, &normal, last.as_ref(), &graph, &ctx);
-            }
-            let Some(&m) = next else {
-                break;
-            };
-            let partner = AsId((m.0 + 1) % n);
-            let set = if j % 2 == 1 && partner != d {
-                vec![m, partner]
-            } else {
-                vec![m]
-            };
-            let got = delta.attack_set(&set, strategy).clone();
-            let scenario = AttackScenario::colluding(&set, d).with_strategy(strategy);
-            let want = fresh.compute(scenario, dep, policy);
-            assert_outcomes_match(&got, want, &graph, &format!("set={set:?}, {ctx}"));
-            assert_eq!(
-                delta.count_happy(),
-                want.count_happy(),
-                "happy-bound mismatch for set={set:?}, {ctx}"
-            );
-            last = Some((got, delta.count_happy()));
-        }
-        let after = delta.stats();
-        let direct = count >= 1 && !read_at(0);
-        let built = count >= 2 || (0..=count).any(read_at);
-        assert_eq!(
-            after.direct_attacks - before.direct_attacks,
-            usize::from(direct),
-            "direct attacks, {ctx}"
-        );
-        assert_eq!(
-            after.base_computes - before.base_computes,
-            usize::from(built),
-            "base computes, {ctx}"
-        );
-        assert_eq!(after.attacks() - before.attacks(), count, "attacks, {ctx}");
-        assert!(
-            after.full_recomputes - before.full_recomputes >= usize::from(direct),
-            "direct attacks count as full recomputes, {ctx}"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The deferred base: 0, 1, 2 and k attacks per `begin`, with normal
-    /// reads before, between and after them (the random read pattern
-    /// plus never and always), under every model and an `LP2` variant.
-    #[test]
-    fn deferred_base_matches_fresh_engine(args in (arb_instance(), any::<u8>())) {
-        let (inst, reads) = args;
-        for reads in [reads, 0, u8::MAX] {
-            for model in SecurityModel::ALL {
-                check_deferred_instance(&inst, Policy::new(model), reads);
-            }
-            check_deferred_instance(
-                &inst,
-                Policy::with_variant(SecurityModel::Security2nd, LpVariant::LpK(2)),
-                reads,
-            );
-        }
-    }
 
     #[test]
     fn delta_matches_fresh_engine_standard_lp(inst in arb_instance()) {
@@ -538,8 +397,6 @@ fn delta_matches_fresh_engine_on_generated_internet() {
     let mut delta = AttackDeltaEngine::new(&net.graph);
     let mut fresh = Engine::new(&net.graph);
     delta.begin(d, &everyone, sec1);
-    // Build the deferred base up front, so that every attacker (the first
-    // one included) is served against it.
     assert_outcomes_match(
         delta.normal_outcome(),
         fresh.compute(AttackScenario::normal(d), &everyone, sec1),
@@ -577,7 +434,7 @@ fn attack_before_begin_panics() {
 
 #[test]
 #[should_panic(expected = "attacker cannot be the destination")]
-fn attacking_the_destination_panics_while_the_base_is_deferred() {
+fn attacking_the_destination_panics() {
     let graph = chain();
     let mut delta = AttackDeltaEngine::new(&graph);
     delta.begin(
@@ -585,19 +442,5 @@ fn attacking_the_destination_panics_while_the_base_is_deferred() {
         &Deployment::empty(4),
         Policy::new(SecurityModel::Security3rd),
     );
-    delta.attack(AsId(0), AttackStrategy::FakeLink);
-}
-
-#[test]
-#[should_panic(expected = "attacker cannot be the destination")]
-fn attacking_the_destination_panics_after_a_direct_attack() {
-    let graph = chain();
-    let mut delta = AttackDeltaEngine::new(&graph);
-    delta.begin(
-        AsId(0),
-        &Deployment::empty(4),
-        Policy::new(SecurityModel::Security3rd),
-    );
-    delta.attack(AsId(3), AttackStrategy::FakeLink);
     delta.attack(AsId(0), AttackStrategy::FakeLink);
 }

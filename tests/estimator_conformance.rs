@@ -20,9 +20,9 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
+use bgp_juice::core::metric::MetricAccumulator;
 use bgp_juice::prelude::*;
 use bgp_juice::sim::stats::{self, EstimatorConfig};
-use bgp_juice::sim::sweep;
 
 /// Strategy / model / variant combinations that jointly cover all three
 /// models, both LP variants, and FakePath k ∈ {0, 1, 2}.
@@ -36,8 +36,8 @@ const COMBOS: [(SecurityModel, LpVariant, u8); 6] = [
 ];
 
 /// The exhaustive-oracle metric: a plain mean of per-pair happy fractions
-/// over the full `m ≠ d` grid, through a one-cell, one-step run of the
-/// pair-sample runner.
+/// over the full `m ≠ d` grid, one [`Engine::compute`] per pair folded
+/// through [`MetricAccumulator`] — independent of the runners' kernel.
 fn oracle(
     net: &Internet,
     attackers: &[AsId],
@@ -46,15 +46,18 @@ fn oracle(
     policy: Policy,
     strategy: AttackStrategy,
 ) -> Bounds {
-    let pairs = sample::pairs_exhaustive(attackers, dests);
-    let cell = CellSet::per_policy(&[policy], strategy);
-    sweep::metric_sweep_cells(
-        net,
-        &pairs,
-        std::slice::from_ref(dep),
-        &cell,
-        Parallelism(2),
-    )[0][0]
+    let mut engine = Engine::new(&net.graph);
+    let mut acc = MetricAccumulator::default();
+    for (m, d) in sample::pairs_exhaustive(attackers, dests) {
+        let scenario = AttackScenario::attack(m, d).with_strategy(strategy);
+        let (lower, upper) = engine.compute(scenario, dep, policy).count_happy();
+        acc.add(HappyCount {
+            lower,
+            upper,
+            sources: net.len() - 2,
+        });
+    }
+    acc.value()
 }
 
 /// Full-budget estimation: sampled set ≡ exhaustive grid, half-width ≡ 0,

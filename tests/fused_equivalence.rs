@@ -6,9 +6,8 @@
 //! security models, the `LP2`/`LPinf` variants, the full `FakePath` ladder
 //! plus the duplicate `FakeLink`/`OriginHijack` spellings, and colluding
 //! announcer sets via [`FusedDeltaEngine::attack_set`]. It must also take
-//! the same serving path (patch, fallback, direct compute, base build) as
-//! one solo [`AttackDeltaEngine`] per distinct computation, counter for
-//! counter. `tests/delta_equivalence.rs` pins the solo
+//! the same serving path (patch, fallback, base build) as one solo
+//! [`AttackDeltaEngine`] per distinct computation, counter for counter. `tests/delta_equivalence.rs` pins the solo
 //! [`AttackDeltaEngine`] against fresh computes, so checking the fused
 //! engine against the solo delta closes the chain fused ≡ delta ≡ engine ≡
 //! simulated S*BGP. A fixed-seed determinism test additionally pins the
@@ -170,12 +169,6 @@ impl<'g> Mirror<'g> {
         }
     }
 
-    fn build_bases(&mut self) {
-        for e in &mut self.engines[..self.comps.len()] {
-            e.normal_outcome();
-        }
-    }
-
     fn attack_set(&mut self, set: &[AsId]) {
         for (c, e) in self.comps.iter().zip(&mut self.engines) {
             e.attack_set(set, c.strategy);
@@ -198,7 +191,6 @@ impl<'g> Mirror<'g> {
             [
                 s.delta_attacks,
                 s.full_recomputes,
-                s.direct_attacks,
                 s.refixed_ases,
                 s.grow_rounds,
                 s.base_computes + s.adopted_bases,
@@ -207,7 +199,7 @@ impl<'g> Mirror<'g> {
         assert_eq!(
             fields(&got),
             fields(&want),
-            "[delta, full, direct, refixed, grow, bases] counters, {ctx}"
+            "[delta, full, refixed, grow, bases] counters, {ctx}"
         );
     }
 }
@@ -251,7 +243,6 @@ fn check_fused_delta(inst: &Instance) {
     for (k, dep) in steps.iter().enumerate() {
         fused.begin(d, dep);
         mirror.begin(&cells, d, dep);
-        mirror.build_bases();
         for (p, solo) in solos.iter_mut().enumerate() {
             solo.begin(d, dep, policies[p]);
             for r in 0..rungs.len() {
@@ -354,170 +345,8 @@ fn check_fused_collusion(inst: &Instance) {
     }
 }
 
-/// Policy groups the grid's bases are computed for: one per policy, or
-/// one per LP variant when the deployment has no validators (model
-/// collapse).
-fn base_groups(policies: &[Policy], dep: &Deployment) -> usize {
-    let mut groups: Vec<Policy> = Vec::new();
-    for &p in policies {
-        let same = |q: &Policy| *q == p || (dep.full_count() == 0 && q.variant == p.variant);
-        if !groups.iter().any(same) {
-            groups.push(p);
-        }
-    }
-    groups.len()
-}
-
-/// The deferred-base contract of [`FusedDeltaEngine::begin`], against a
-/// fresh [`Engine::compute`] per input cell. Deployment step `k` serves 0,
-/// 1, 2 or every attacker (single and colluding announcements alternate);
-/// the bits of `reads` pick where `normal_outcome`, `normal_happy` and
-/// `export_bases` are read — before, between or after the attacks. A read
-/// never disturbs the last served outcomes, and the counters show when the
-/// bases were built: the first attack is one direct compute per
-/// computation unless a read came first, and each policy group's base is
-/// computed once (its strategy siblings adopt it), only if it was read or
-/// a second attack came.
-fn check_fused_deferred(inst: &Instance, reads: u8) {
-    let graph = graph_from_codes(inst.n, &inst.codes);
-    let steps = deployment_sequence(inst.n, &inst.join_codes);
-    let d = AsId(inst.destination as u32);
-    let n = inst.n as u32;
-    let (policies, rungs) = (grid_policies(), grid_rungs());
-    let cells = CellSet::grid(&policies, &rungs);
-    let cell = |i: usize| (policies[i / rungs.len()], rungs[i % rungs.len()]);
-    let attackers: Vec<AsId> = graph.ases().filter(|&m| m != d).collect();
-    let mut fused = FusedDeltaEngine::new(&graph, cells.clone());
-    let mut fresh = Engine::new(&graph);
-    for (k, dep) in steps.iter().enumerate() {
-        let ctx = format!("step {k}: {inst:?} reads={reads:#010b}");
-        let normals: Vec<Outcome> = policies
-            .iter()
-            .map(|&p| fresh.compute(AttackScenario::normal(d), dep, p).clone())
-            .collect();
-        let count = [0, 1, 2, attackers.len()][k].min(attackers.len());
-        let read_at = |j: usize| reads >> ((j + 2 * k) % 8) & 1 == 1;
-        let (before, fbefore) = (fused.delta_stats(), fused.stats());
-        fused.begin(d, dep);
-        let computations = fused.computations();
-        let mut last: Vec<(Outcome, (usize, usize))> = Vec::new();
-        // The last position is the read after the final attack.
-        let positions = attackers[..count].iter().map(Some).chain([None]);
-        for (j, next) in positions.enumerate() {
-            if read_at(j) {
-                for i in 0..cells.input_len() {
-                    let want = &normals[i / rungs.len()];
-                    assert_outcomes_match(
-                        fused.normal_outcome(i),
-                        want,
-                        &graph,
-                        &format!("normal_outcome, cell {i}, {ctx}"),
-                    );
-                    assert_eq!(
-                        fused.normal_happy(i),
-                        want.count_happy(),
-                        "normal_happy, cell {i}, {ctx}"
-                    );
-                }
-                let bases: Vec<(Policy, _)> = fused.export_bases().collect();
-                assert_eq!(
-                    bases.len(),
-                    base_groups(&policies, dep),
-                    "exported bases, {ctx}"
-                );
-                for (p, base) in &bases {
-                    let want = fresh.compute(AttackScenario::normal(d), dep, *p);
-                    assert_outcomes_match(
-                        base.outcome(),
-                        want,
-                        &graph,
-                        &format!("export_bases {p}, {ctx}"),
-                    );
-                }
-                for (i, (outcome, happy)) in last.iter().enumerate() {
-                    assert_outcomes_match(
-                        fused.outcome(i),
-                        outcome,
-                        &graph,
-                        &format!("cell {i} after a normal read, {ctx}"),
-                    );
-                    assert_eq!(fused.count_happy(i), *happy, "cell {i} happy, {ctx}");
-                }
-            }
-            let Some(&m) = next else {
-                break;
-            };
-            let partner = AsId((m.0 + 1) % n);
-            let set = if j % 2 == 1 && partner != d {
-                vec![m, partner]
-            } else {
-                vec![m]
-            };
-            fused.attack_set(&set);
-            last.clear();
-            for i in 0..cells.input_len() {
-                let (policy, rung) = cell(i);
-                let scenario = AttackScenario::colluding(&set, d).with_strategy(rung);
-                let want = fresh.compute(scenario, dep, policy);
-                assert_outcomes_match(
-                    fused.outcome(i),
-                    want,
-                    &graph,
-                    &format!("cell {i} ({policy}, {rung}), set={set:?}, {ctx}"),
-                );
-                assert_eq!(
-                    fused.count_happy(i),
-                    want.count_happy(),
-                    "happy mismatch at cell {i}, set={set:?}, {ctx}"
-                );
-                last.push((fused.outcome(i).clone(), fused.count_happy(i)));
-            }
-        }
-        let (after, fafter) = (fused.delta_stats(), fused.stats());
-        let direct = count >= 1 && !read_at(0);
-        let built = count >= 2 || (0..=count).any(read_at);
-        let groups = base_groups(&policies, dep);
-        assert_eq!(
-            fafter.direct_attacks - fbefore.direct_attacks,
-            usize::from(direct) * computations,
-            "fused direct attacks, {ctx}"
-        );
-        assert_eq!(
-            after.direct_attacks - before.direct_attacks,
-            usize::from(direct) * computations,
-            "per-computation direct attacks, {ctx}"
-        );
-        assert_eq!(
-            after.base_computes - before.base_computes,
-            usize::from(built) * groups,
-            "base computes, {ctx}"
-        );
-        assert_eq!(
-            fafter.shared_bases - fbefore.shared_bases,
-            usize::from(built) * (computations - groups),
-            "shared bases, {ctx}"
-        );
-        assert_eq!(
-            after.attacks() - before.attacks(),
-            count * computations,
-            "attacks, {ctx}"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The deferred bases of the fused engine: 0, 1, 2 and k attacks per
-    /// `begin`, with normal reads before, between and after them (the
-    /// random read pattern plus never and always).
-    #[test]
-    fn fused_deferred_bases_match_fresh_engine(args in (arb_instance(), any::<u8>())) {
-        let (inst, reads) = args;
-        for reads in [reads, 0, u8::MAX] {
-            check_fused_deferred(&inst, reads);
-        }
-    }
 
     /// The incremental fused engine reproduces a solo delta engine per
     /// policy cell, every attacker from one shared snapshot.
@@ -684,43 +513,11 @@ fn fused_attack_before_begin_panics() {
 
 #[test]
 #[should_panic(expected = "attacker cannot be the destination")]
-fn fused_attacking_the_destination_panics_while_the_bases_are_deferred() {
+fn fused_attacking_the_destination_panics() {
     let graph = chain();
     let mut fused = chain_engine(&graph);
     fused.begin(AsId(0), &Deployment::empty(4));
     fused.attack(AsId(0));
-}
-
-#[test]
-#[should_panic(expected = "attacker cannot be the destination")]
-fn fused_attacking_the_destination_panics_after_a_direct_attack() {
-    let graph = chain();
-    let mut fused = chain_engine(&graph);
-    fused.begin(AsId(0), &Deployment::empty(4));
-    fused.attack(AsId(3));
-    fused.attack(AsId(0));
-}
-
-/// A fused estimator worker that adds its engine's cumulative counters to
-/// a shared tally when the estimator drops it.
-struct Tallied<'g, 't> {
-    fused: FusedDeltaEngine<'g>,
-    tally: &'t std::sync::Mutex<(DeltaStats, FusedStats)>,
-}
-
-impl Drop for Tallied<'_, '_> {
-    fn drop(&mut self) {
-        // A poisoned tally is left alone (a panic in `drop` would abort);
-        // the counter assertions then fail on their own.
-        let Ok(mut tally) = self.tally.lock() else {
-            return;
-        };
-        tally.0.merge(&self.fused.delta_stats());
-        let s = self.fused.stats();
-        tally.1.begins += s.begins;
-        tally.1.direct_attacks += s.direct_attacks;
-        tally.1.shared_bases += s.shared_bases;
-    }
 }
 
 /// Model collapse, pinned by its counters. With no validators the
@@ -766,135 +563,5 @@ fn model_collapse_counters_are_exact() {
             dep.full_count()
         );
         assert_eq!(stats.collapsed_lanes, stats.begins * collapsed_per_begin);
-    }
-}
-
-/// The traffic assumption the deferred base rests on, pinned by counters.
-/// One attacker against many destinations makes every destination group
-/// of an estimator cell a singleton: no base is ever built, and each pair
-/// costs one direct compute per computation. The estimates are
-/// bit-identical to an eager-base run of the same cell, which computes
-/// one base per group and policy group.
-#[test]
-fn singleton_estimator_groups_never_build_a_base() {
-    let net = Internet::synthetic(300, 9);
-    let m = sample::sample_non_stubs(&net, 1, 5)[0];
-    let dests: Vec<AsId> = net.graph.ases().filter(|&d| d != m).collect();
-    let universe = stats::PairUniverse::new(&net, &[m], &dests);
-    let policies: Vec<Policy> = SecurityModel::ALL.map(Policy::new).to_vec();
-    let cells = CellSet::per_policy(&policies, AttackStrategy::FakeLink);
-    let sources = (net.len() - 2) as f64;
-    let validators = Deployment::full_from_iter(net.len(), net.tiers.tier1().iter().copied());
-    for (dep, computations) in [(Deployment::empty(net.len()), 1), (validators, 3)] {
-        let mut results = Vec::new();
-        for eager in [false, true] {
-            let tally = std::sync::Mutex::new((DeltaStats::default(), FusedStats::default()));
-            let runs = stats::estimate_adaptive_cells(
-                &universe,
-                &stats::EstimatorConfig::with_budget(96, 7),
-                &[1; 3],
-                Parallelism(2),
-                || Tallied {
-                    fused: FusedDeltaEngine::new(&net.graph, cells.clone()),
-                    tally: &tally,
-                },
-                |w, d| {
-                    if eager {
-                        w.fused.begin_with_bases(d, &dep, |_| None);
-                    } else {
-                        w.fused.begin(d, &dep);
-                    }
-                },
-                |w, m, _d, emit| {
-                    w.fused.attack(m);
-                    for c in 0..3 {
-                        let (lower, upper) = w.fused.count_happy(c);
-                        emit(
-                            c,
-                            0,
-                            Bounds {
-                                lower: lower as f64 / sources,
-                                upper: upper as f64 / sources,
-                            },
-                        );
-                    }
-                },
-            );
-            let (delta, fstats) = tally.into_inner().expect("tally lock");
-            let pairs = runs[0].sampled.len();
-            assert_eq!(pairs, 96);
-            assert_eq!(fstats.begins, pairs, "every group is a singleton");
-            if eager {
-                assert_eq!(
-                    delta.base_computes,
-                    pairs * computations,
-                    "eager, {} validators",
-                    dep.full_count()
-                );
-                assert_eq!(delta.direct_attacks, 0);
-            } else {
-                assert_eq!(delta.base_computes, 0, "deferred: no base is ever built");
-                assert_eq!(fstats.shared_bases, 0);
-                assert_eq!(delta.direct_attacks, pairs * computations);
-                assert_eq!(fstats.direct_attacks, pairs * computations);
-                assert_eq!(delta.full_recomputes, delta.direct_attacks);
-                assert_eq!(delta.attacks(), pairs * computations);
-            }
-            results.push(runs);
-        }
-        for (c, (deferred, eager)) in results[0].iter().zip(&results[1]).enumerate() {
-            let (a, b) = (&deferred.estimates[0].value, &eager.estimates[0].value);
-            assert_eq!(a.lower.to_bits(), b.lower.to_bits(), "cell {c} lower");
-            assert_eq!(a.upper.to_bits(), b.upper.to_bits(), "cell {c} upper");
-        }
-    }
-}
-
-/// The planner's exact path (`begin_with_bases`, then `export_bases`
-/// before any attack) keeps its eager cost: with two attackers per
-/// destination it computes one base per destination and policy group and
-/// serves no attack directly, and a plain deferred `begin` builds the
-/// same number of bases on the second attacker.
-#[test]
-fn planner_exact_path_keeps_its_base_computes() {
-    let net = Internet::synthetic(300, 9);
-    let attackers = sample::sample_non_stubs(&net, 2, 31);
-    let dests: Vec<AsId> = sample::sample_all(&net, 6, 32)
-        .into_iter()
-        .filter(|d| !attackers.contains(d))
-        .collect();
-    let (policies, rungs) = (grid_policies(), grid_rungs());
-    let cells = CellSet::grid(&policies, &rungs);
-    let validators = Deployment::full_from_iter(net.len(), net.tiers.tier1().iter().copied());
-    for dep in [Deployment::empty(net.len()), validators] {
-        let groups = base_groups(&policies, &dep);
-        let mut exact = FusedDeltaEngine::new(&net.graph, cells.clone());
-        let mut deferred = FusedDeltaEngine::new(&net.graph, cells.clone());
-        for &d in &dests {
-            exact.begin_with_bases(d, &dep, |_| None);
-            assert_eq!(exact.export_bases().count(), groups);
-            deferred.begin(d, &dep);
-            for &m in &attackers {
-                exact.attack(m);
-                deferred.attack(m);
-                for i in 0..cells.input_len() {
-                    assert_eq!(exact.count_happy(i), deferred.count_happy(i), "cell {i}");
-                }
-            }
-        }
-        let (e, f) = (exact.delta_stats(), deferred.delta_stats());
-        assert_eq!(
-            e.base_computes,
-            dests.len() * groups,
-            "{} validators",
-            dep.full_count()
-        );
-        assert_eq!(e.direct_attacks, 0);
-        assert_eq!(f.base_computes, e.base_computes);
-        assert_eq!(
-            f.direct_attacks,
-            dests.len() * exact.computations(),
-            "one direct attack per destination and computation"
-        );
     }
 }
