@@ -6,53 +6,34 @@
 //! `O(V + E)` per pair — even though, for a fixed destination, deployment
 //! and policy, the destination-rooted side is byte-identical across all
 //! attackers in `M`. [`AttackDeltaEngine`] computes the **normal-conditions
-//! outcome once** (no attacker), snapshots it, and then evaluates each
+//! outcome once** (no attacker) as its base, and then evaluates each
 //! attacker `m` by re-fixing only the *contested region*: the ASes whose
 //! fixed route the forged announcement (a `k`-hop
 //! [`AttackStrategy::FakePath`], of which the paper's `"m, d"` fake link
 //! is `k = 1`) can actually tie or beat under the model's preference
-//! order. The region is seeded at `m`'s root and grown with the same
-//! [`crate::policy::preference_key`] affected-neighbor filter and
-//! stub-folded region solve the deployment-axis [`crate::SweepEngine`]
-//! uses (shared in `region` and the engine): only the region's core ASes
-//! run through the bucket queues, its non-root stubs are resolved in one
-//! pass afterwards, and stubs the verify step absorbs are resolved in
-//! place without another solve. Exactness rests on the same Theorem 2.1
-//! local-consistency argument.
+//! order. The region is seeded by a cheap forward scan of the base (no
+//! solving) and then served by the patch core the deployment-axis
+//! [`crate::SweepEngine`] shares (crate-private `region`, which documents
+//! the local-consistency argument, the undo invariant and the
+//! adjacency-mass budget past which an attack is computed fresh). Served
+//! attacks never become the base: the next attack undoes the last one's
+//! region.
 //!
 //! **Colluding announcers.** [`AttackDeltaEngine::attack_set`] serves a
 //! whole announcer set at once: the contested region is seeded as the
 //! *multi-root* union of every colluder's ball (the forward scan starts
 //! from all roots simultaneously, so an AS is marked the first time any
-//! root's offer can reach it competitively), all roots are re-fixed in the
-//! solve, and the same touched-list undo restores the snapshot exactly —
-//! a colluding patch costs one region solve, not one per member.
+//! root's offer can reach it competitively), and all roots are re-fixed in
+//! the solve — a colluding patch costs one region solve, not one per
+//! member.
 //!
 //! **Where it pays.** The base costs one compute, so the engine wins only
 //! when a cell serves several attackers whose contested regions stay small
 //! — or when the base is adopted rather than computed
 //! ([`AttackDeltaEngine::begin_from_base`], the planner's cache). A cell
 //! with a single attacker (the common case under random `(m, d)`
-//! sampling) is cheaper as one plain [`Engine::compute`], which is what
-//! the estimators run.
-//!
-//! **Snapshot/undo invariant:** each [`AttackDeltaEngine::attack`] records
-//! the set of ASes it touched (the final region, which the engine's fix
-//! log keeps an exact superset of the writes) and the next call *undoes*
-//! exactly those entries from the normal-conditions snapshot — an
-//! `O(touched)` restore, never an `O(V)` memcpy per attacker. Happy-source
-//! bounds are patched the same way.
-//!
-//! **Exactness fallback:** the contested ball is first discovered by a
-//! cheap forward scan of the snapshot (no solving); when its *adjacency
-//! mass* — the quantity every patch pass is proportional to, since the
-//! balls are hub-heavy — exceeds the budget at which a patch can still
-//! beat a compute (shared with [`crate::SweepEngine`], and re-checked as
-//! the verify step grows the region), the engine serves that attacker
-//! with a full [`Engine::compute`] instead (flagging the next restore as
-//! full), so every answer stays exact no matter how pathological the
-//! topology and a hopeless patch costs barely more than the compute it
-//! falls back to.
+//! sampling) is cheaper as one plain [`crate::Engine::compute`], which is
+//! what the estimators run.
 //! `tests/delta_equivalence.rs` pins outcome-for-outcome agreement with
 //! fresh computes across all three security models, the `LP2`/`LPinf`
 //! variants and both attack kinds.
@@ -72,14 +53,13 @@
 //! first step's outcome), whereas re-patching each attacker into every
 //! step would pay the contested ball `|S|` times.
 
-use sbgp_topology::{AsGraph, AsId, AsSet};
+use sbgp_topology::{AsGraph, AsId};
 
 use crate::attack::{AttackScenario, AttackStrategy};
 use crate::deployment::Deployment;
-use crate::engine::Engine;
 use crate::outcome::Outcome;
 use crate::policy::{preference_key, Policy};
-use crate::region::{self, pack_key};
+use crate::region::{self, PatchCore, Region};
 
 /// Contested-ball scan state: the AS already propagated the bogus offer to
 /// every neighbor (customer-class receipt exports everywhere)...
@@ -98,7 +78,7 @@ pub struct DeltaStats {
     pub adopted_bases: usize,
     /// Attacks served by contested-region re-fixing.
     pub delta_attacks: usize,
-    /// Attacks served by a full [`Engine::compute`] after a region
+    /// Attacks served by a full [`crate::Engine::compute`] after a region
     /// blow-up.
     pub full_recomputes: usize,
     /// Total ASes re-fixed across all delta-served attacks (final region
@@ -136,14 +116,13 @@ impl DeltaStats {
     }
 }
 
-/// One cell's adopted base state, exported by
-/// [`AttackDeltaEngine::export_base`] for external caching (the planner
-/// service's normal-outcome cache) and re-adopted by
-/// [`AttackDeltaEngine::begin_from_base`] without recomputing anything.
+/// One cell's base state, exported by [`AttackDeltaEngine::export_base`]
+/// for external caching (the planner service's normal-outcome cache) and
+/// re-adopted by [`AttackDeltaEngine::begin_from_base`] without
+/// recomputing anything.
 #[derive(Clone, Debug)]
 pub struct CachedBase {
     outcome: Outcome,
-    cell_keys: Vec<u128>,
     normal_happy: (usize, usize),
 }
 
@@ -152,18 +131,6 @@ impl CachedBase {
     pub fn outcome(&self) -> &Outcome {
         &self.outcome
     }
-}
-
-/// How the engine's working outcome differs from the snapshot, i.e. what
-/// the next attack must undo before patching.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Restore {
-    /// Working outcome equals the snapshot.
-    Clean,
-    /// Only the entries in `region_list` differ (last attack was a patch).
-    Touched,
-    /// Arbitrary divergence (last attack fell back to a full compute).
-    Full,
 }
 
 /// Incremental routing-outcome computer for all attackers of one
@@ -177,64 +144,31 @@ enum Restore {
 /// attacker.
 #[derive(Debug)]
 pub struct AttackDeltaEngine<'g> {
-    engine: Engine<'g>,
-    /// Normal-conditions outcome of the current cell.
-    snapshot: Outcome,
-    destination: AsId,
-    deployment: Option<Deployment>,
-    policy: Policy,
-    /// Happy bounds of the snapshot (sources exclude only `d`).
-    normal_happy: (usize, usize),
-    /// Happy bounds of the last served attack (sources exclude `d`, `m`).
-    happy: (usize, usize),
-    /// Contested region of the current attack.
-    region: AsSet,
-    region_list: Vec<AsId>,
-    /// The last patch's region — exactly the entries where the working
-    /// outcome differs from the snapshot, i.e. the undo list.
-    touched: Vec<AsId>,
-    restore: Restore,
-    /// Per-cell cache of every AS's snapshot preference key, packed into
-    /// one `u128` for a single-compare scan filter (`u128::MAX` = no
-    /// route). Built once per cell, amortized over its attackers.
-    cell_keys: Vec<u128>,
-    /// Contested-ball scan scratch (per-AS export bits + its undo list and
-    /// the two BFS frontiers), reused across attacks.
-    scan_state: Vec<u8>,
-    scan_touched: Vec<u32>,
-    scan_cur: Vec<(u32, u8)>,
-    scan_next: Vec<(u32, u8)>,
+    /// Its base is the normal-conditions outcome of the current cell.
+    core: PatchCore<'g>,
+    /// The current cell's deployment and policy.
+    cell: Option<(Deployment, Policy)>,
+    scan: Scan,
     stats: DeltaStats,
 }
 
 impl<'g> AttackDeltaEngine<'g> {
     /// Create a delta engine for `graph`.
     pub fn new(graph: &'g AsGraph) -> AttackDeltaEngine<'g> {
-        let n = graph.len();
         AttackDeltaEngine {
-            engine: Engine::new(graph),
-            snapshot: Outcome::new_empty(),
-            destination: AsId(0),
-            deployment: None,
-            policy: Policy::new(crate::policy::SecurityModel::Security3rd),
-            normal_happy: (0, 0),
-            happy: (0, 0),
-            region: AsSet::new(n),
-            region_list: Vec::new(),
-            touched: Vec::new(),
-            restore: Restore::Clean,
-            cell_keys: Vec::new(),
-            scan_state: vec![0; n],
-            scan_touched: Vec::new(),
-            scan_cur: Vec::new(),
-            scan_next: Vec::new(),
+            core: PatchCore::new(graph),
+            cell: None,
+            scan: Scan {
+                state: vec![0; graph.len()],
+                ..Scan::default()
+            },
             stats: DeltaStats::default(),
         }
     }
 
     /// The topology this engine runs on.
     pub fn graph(&self) -> &'g AsGraph {
-        self.engine.graph()
+        self.core.graph()
     }
 
     /// Fix the `(destination, deployment, policy)` cell: compute its
@@ -242,10 +176,10 @@ impl<'g> AttackDeltaEngine<'g> {
     /// Statistics keep accumulating across cells.
     pub fn begin(&mut self, destination: AsId, deployment: &Deployment, policy: Policy) {
         self.stats.base_computes += 1;
-        self.engine
+        self.core
             .compute(AttackScenario::normal(destination), deployment, policy);
-        self.snapshot.copy_from(self.engine.outcome());
-        self.adopt_snapshot(deployment, policy);
+        self.core.commit();
+        self.cell = Some((deployment.clone(), policy));
     }
 
     /// Fix the cell from an externally computed normal-conditions outcome —
@@ -256,55 +190,13 @@ impl<'g> AttackDeltaEngine<'g> {
     ///
     /// Panics when `normal` has an attacker, or doesn't cover the graph.
     pub fn begin_from_normal(&mut self, normal: &Outcome, deployment: &Deployment, policy: Policy) {
-        assert!(
-            normal.attacker().is_none(),
-            "base outcome must be normal conditions"
-        );
-        assert_eq!(normal.len(), self.graph().len(), "outcome/graph mismatch");
-        self.stats.adopted_bases += 1;
-        self.snapshot.copy_from(normal);
-        self.engine.outcome_mut().copy_from(normal);
-        self.adopt_snapshot(deployment, policy);
-    }
-
-    /// Make the snapshot — already equal to the working outcome — the
-    /// cell's base: derive its happy bounds and the packed preference keys
-    /// the scan filters with.
-    fn adopt_snapshot(&mut self, deployment: &Deployment, policy: Policy) {
-        // Precompute every AS's packed snapshot key once per cell: the
-        // contested-ball scan then filters each offer with one compare.
-        let n = self.snapshot.len();
-        self.cell_keys.clear();
-        self.cell_keys.resize(n, u128::MAX);
-        for i in 0..n {
-            let v = AsId(i as u32);
-            if let Some(k) = region::current_key(&self.snapshot, v, policy, deployment.validates(v))
-            {
-                self.cell_keys[i] = pack_key(k);
-            }
-        }
-        self.fix_cell(deployment, policy, self.snapshot.count_happy());
-    }
-
-    /// Reset the per-cell state around a base already in place (snapshot,
-    /// working outcome and cell keys).
-    fn fix_cell(&mut self, deployment: &Deployment, policy: Policy, normal_happy: (usize, usize)) {
-        self.destination = self.snapshot.destination();
-        self.policy = policy;
-        self.normal_happy = normal_happy;
-        self.happy = normal_happy;
-        self.restore = Restore::Clean;
-        self.region_list.clear();
-        self.region.clear();
-        self.touched.clear();
-        self.deployment = Some(deployment.clone());
+        self.adopt(normal, normal.count_happy(), deployment, policy);
     }
 
     /// Export the current cell's base state for external caching: the
-    /// normal-conditions outcome plus the packed preference keys and
-    /// happy bounds the adoption scans derive from it. Re-anchoring
-    /// through [`AttackDeltaEngine::begin_from_base`] then skips the
-    /// route computation *and* the O(V) adoption scans.
+    /// normal-conditions outcome and its happy bounds. Re-anchoring
+    /// through [`AttackDeltaEngine::begin_from_base`] then skips the route
+    /// computation and the happy-bound count.
     ///
     /// The export is only valid for the exact
     /// `(destination, deployment, policy)` cell it was taken from; the
@@ -313,17 +205,15 @@ impl<'g> AttackDeltaEngine<'g> {
     /// compares the deployment's member lists).
     pub fn export_base(&self) -> CachedBase {
         CachedBase {
-            outcome: self.snapshot.clone(),
-            cell_keys: self.cell_keys.clone(),
-            normal_happy: self.normal_happy,
+            outcome: self.core.base().clone(),
+            normal_happy: self.core.base_happy(),
         }
     }
 
     /// Fix the cell from a [`CachedBase`] exported earlier for the same
     /// `(destination, deployment, policy)` cell. Unlike
-    /// [`AttackDeltaEngine::begin_from_normal`] this skips the per-AS
-    /// preference-key scan, so a cache hit costs only three buffer
-    /// copies.
+    /// [`AttackDeltaEngine::begin_from_normal`] this skips the `O(V)`
+    /// happy-bound count, so a cache hit costs two outcome copies.
     ///
     /// # Panics
     ///
@@ -332,50 +222,49 @@ impl<'g> AttackDeltaEngine<'g> {
     /// undetectable here and would corrupt results — the cell-identity
     /// contract is the caller's (see [`AttackDeltaEngine::export_base`]).
     pub fn begin_from_base(&mut self, base: &CachedBase, deployment: &Deployment, policy: Policy) {
+        self.adopt(&base.outcome, base.normal_happy, deployment, policy);
+    }
+
+    /// Adopt `normal`, whose happy bounds are `happy`, as the cell's base.
+    fn adopt(
+        &mut self,
+        normal: &Outcome,
+        happy: (usize, usize),
+        deployment: &Deployment,
+        policy: Policy,
+    ) {
         assert!(
-            base.outcome.attacker().is_none(),
+            normal.attacker().is_none(),
             "base outcome must be normal conditions"
         );
-        assert_eq!(
-            base.outcome.len(),
-            self.graph().len(),
-            "outcome/graph mismatch"
-        );
-        assert_eq!(
-            base.cell_keys.len(),
-            self.graph().len(),
-            "key/graph mismatch"
-        );
+        assert_eq!(normal.len(), self.graph().len(), "outcome/graph mismatch");
         self.stats.adopted_bases += 1;
-        self.snapshot.copy_from(&base.outcome);
-        self.engine.outcome_mut().copy_from(&base.outcome);
-        self.cell_keys.clear();
-        self.cell_keys.extend_from_slice(&base.cell_keys);
-        self.fix_cell(deployment, policy, base.normal_happy);
+        self.core.adopt(normal, happy);
+        self.cell = Some((deployment.clone(), policy));
     }
 
     /// The outcome of the last served attack, identical to what
     /// [`AttackDeltaEngine::attack`] returned, re-borrowable immutably.
     /// Before a cell's first attack it is the normal-conditions outcome.
     pub fn last_outcome(&self) -> &Outcome {
-        self.engine.outcome()
+        self.core.outcome()
     }
 
     /// The normal-conditions outcome of the current cell.
     pub fn normal_outcome(&self) -> &Outcome {
-        &self.snapshot
+        self.core.base()
     }
 
     /// Happy bounds of the normal-conditions outcome.
     pub fn normal_happy(&self) -> (usize, usize) {
-        self.normal_happy
+        self.core.base_happy()
     }
 
     /// Happy-source tie-break bounds of the last served attack, identical
     /// to [`Outcome::count_happy`] but patched incrementally (same
     /// before-the-first-attack rule as [`AttackDeltaEngine::last_outcome`]).
     pub fn count_happy(&self) -> (usize, usize) {
-        self.happy
+        self.core.happy()
     }
 
     /// Cumulative statistics.
@@ -398,8 +287,7 @@ impl<'g> AttackDeltaEngine<'g> {
 
     /// As [`AttackDeltaEngine::attack`], for a set of colluding announcers
     /// flooding the same-shaped forged announcement simultaneously. The
-    /// contested region is seeded from **all** roots and solved once; the
-    /// touched-list undo is identical to the single-attacker case.
+    /// contested region is seeded from **all** roots and solved once.
     ///
     /// # Panics
     ///
@@ -408,220 +296,153 @@ impl<'g> AttackDeltaEngine<'g> {
     /// [`crate::MAX_ATTACKERS`], duplicates, or containing the
     /// destination).
     pub fn attack_set(&mut self, attackers: &[AsId], strategy: AttackStrategy) -> &Outcome {
-        let scenario = self.scenario(attackers, strategy);
-        let deployment = self.take_deployment();
-
-        // Discover the contested ball in one cheap forward scan over the
-        // *snapshot* (the working outcome is not consulted, so no restore
-        // has happened yet), so the first solve already covers it: growing
-        // it hop by hop through the verify step would cost one full region
-        // re-solve per hop of the bogus announcement's reach. An over-cap
-        // ball falls back *before* any restore or solve work is spent on
-        // it, so a hopeless attacker costs barely more than the compute
-        // it falls back to.
-        let mass = self.seed_contested_region(scenario, &deployment);
-        if mass > region::mass_budget(self.graph()) {
-            return self.fallback(scenario, deployment);
-        }
-        self.serve(scenario, deployment, mass)
-    }
-
-    /// The attack scenario of `attackers` against the current cell.
-    fn scenario(&self, attackers: &[AsId], strategy: AttackStrategy) -> AttackScenario {
-        assert!(
-            self.deployment.is_some(),
-            "AttackDeltaEngine::begin not called"
-        );
-        AttackScenario::colluding(attackers, self.destination).with_strategy(strategy)
-    }
-
-    /// Move the cell's deployment out for the duration of one attack (every
-    /// serving path puts it back).
-    fn take_deployment(&mut self) -> Deployment {
-        self.deployment
-            .take()
-            .expect("AttackDeltaEngine::begin not called")
-    }
-
-    /// The patch tail of [`AttackDeltaEngine::attack_set`]: undo, solve the
-    /// region to local consistency (growing it as needed), patch the happy
-    /// bounds, and flip the snapshot/undo bookkeeping. `mass` is the
-    /// seeded region's adjacency mass.
-    fn serve(&mut self, scenario: AttackScenario, deployment: Deployment, mass: usize) -> &Outcome {
-        // Undo the previous attack's writes; afterwards the working outcome
-        // equals the snapshot again and the patch can solve against it.
-        match self.restore {
-            Restore::Clean => {}
-            Restore::Touched => {
-                for &v in &self.touched {
-                    self.engine.outcome_mut().copy_entry_from(&self.snapshot, v);
-                }
+        let (deployment, policy) = self
+            .cell
+            .as_ref()
+            .expect("AttackDeltaEngine::begin not called");
+        let scenario = AttackScenario::colluding(attackers, self.core.base().destination())
+            .with_strategy(strategy);
+        // Discover the contested ball in one cheap forward scan of the
+        // base, so the first solve already covers it: growing it hop by hop
+        // through the verify step would cost one full region re-solve per
+        // hop of the bogus announcement's reach. An over-budget ball is
+        // computed fresh before any undo or solve work is spent on it.
+        let graph = self.core.graph();
+        let (base, region) = self.core.seed();
+        let mass = self
+            .scan
+            .seed(graph, base, scenario, deployment, *policy, region);
+        let served = self.core.serve(scenario, deployment, *policy, mass);
+        self.stats.grow_rounds += served.grow_rounds;
+        match served.refixed {
+            Some(refixed) => {
+                self.stats.delta_attacks += 1;
+                self.stats.refixed_ases += refixed;
             }
-            Restore::Full => self.engine.outcome_mut().copy_from(&self.snapshot),
+            None => self.stats.full_recomputes += 1,
         }
-
-        let (within_budget, grow_rounds) = region::solve_within_budget(
-            &mut self.engine,
-            &self.snapshot,
-            scenario,
-            &deployment,
-            self.policy,
-            &mut self.region,
-            &mut self.region_list,
-            mass,
-        );
-        self.stats.grow_rounds += grow_rounds;
-        if !within_budget {
-            // The verify step grew the region past the budget after all.
-            return self.fallback(scenario, deployment);
-        }
-
-        // Patch the happy bounds (announcers stop being sources entirely).
-        self.happy = self.normal_happy;
-        region::patch_happy(
-            &mut self.happy,
-            &self.snapshot,
-            self.engine.outcome(),
-            &self.region_list,
-        );
-        self.stats.delta_attacks += 1;
-        self.stats.refixed_ases += self.region_list.len();
-        // The final region is exactly where the working outcome now
-        // differs from the snapshot: it becomes the next undo list.
-        std::mem::swap(&mut self.touched, &mut self.region_list);
-        self.restore = Restore::Touched;
-        self.deployment = Some(deployment);
-        self.engine.outcome()
+        self.core.outcome()
     }
+}
 
-    /// Serve the current attack with a full [`Engine::compute`] (contested
-    /// region past the budget). The compute rewrites the working outcome
-    /// wholesale, so whatever restore was pending is moot and the next one
-    /// must be a full copy.
-    fn fallback(&mut self, scenario: AttackScenario, deployment: Deployment) -> &Outcome {
-        self.stats.full_recomputes += 1;
-        self.engine.compute(scenario, &deployment, self.policy);
-        self.happy = self.engine.outcome().count_happy();
-        self.restore = Restore::Full;
-        self.deployment = Some(deployment);
-        self.engine.outcome()
-    }
+/// Contested-ball scan scratch, reused across attacks: per-AS export bits
+/// (`SCAN_WIDE`/`SCAN_DOWN`), their undo list and the two BFS frontiers.
+#[derive(Debug, Default)]
+struct Scan {
+    state: Vec<u8>,
+    touched: Vec<u32>,
+    cur: Vec<(u32, u8)>,
+    next: Vec<(u32, u8)>,
+}
 
-    /// Reset the region to the announcer roots and seed it with the
+impl Scan {
+    /// Seed the cleared `region` with the announcer roots and the
     /// *contested ball*: every AS the bogus announcement can reach along
-    /// export-legal paths while tying or beating the current route at each
-    /// hop, found by a breadth-first scan of the snapshot in
-    /// bogus-path-length order. An AS whose route
-    /// strictly beats the offer neither adopts nor re-exports it, so the
-    /// scan prunes there; customer-class receipt re-exports everywhere,
-    /// peer/provider-class receipt only to customers (Ex). With colluding
-    /// announcers, every root contributes its neighbors to the initial
-    /// frontier (the announcers share one claimed depth, so the levels stay
-    /// aligned) and the scan discovers the union ball in one pass. This is
-    /// purely a performance seeding — the verify-and-grow loop would find
-    /// the same ASes one hop per round — so its filter does not need to be
-    /// tight in either direction. Returns the region's adjacency mass (the
-    /// sum of its members' degrees); the scan stops early once that exceeds
-    /// the budget (the caller then falls back without solving).
-    fn seed_contested_region(
+    /// export-legal paths while tying or beating its route in `base` at
+    /// each hop, found by a breadth-first scan in bogus-path-length order.
+    /// An AS whose route strictly beats the offer neither adopts nor
+    /// re-exports it, so the scan prunes there; an AS without a route never
+    /// prunes. Customer-class receipt re-exports everywhere, peer/provider-
+    /// class receipt only to customers (Ex). With colluding announcers,
+    /// every root contributes its neighbors to the initial frontier (the
+    /// announcers share one claimed depth, so the levels stay aligned) and
+    /// the scan discovers the union ball in one pass. This is purely a
+    /// performance seeding — the verify-and-grow loop would find the same
+    /// ASes one hop per round — so its filter does not need to be tight in
+    /// either direction. Returns the region's adjacency mass (the sum of
+    /// its members' degrees); the scan stops early once that exceeds the
+    /// budget (the attack is then computed fresh).
+    fn seed(
         &mut self,
+        graph: &AsGraph,
+        base: &Outcome,
         scenario: AttackScenario,
         deployment: &Deployment,
+        policy: Policy,
+        region: &mut Region,
     ) -> usize {
-        let graph = self.engine.graph();
         let budget = region::mass_budget(graph);
-        let policy = self.policy;
         let d = scenario.destination;
-        self.region.clear();
-        self.region_list.clear();
         let mut mass = 0;
 
         // Each announcer's origin announcement exports to every neighbor.
         for m in scenario.attackers() {
-            self.region.insert(m);
-            self.region_list.push(m);
+            region.insert(m);
             mass += graph.degree(m);
             for &u in graph.providers(m) {
-                self.scan_next.push((u.0, 0));
+                self.next.push((u.0, 0));
             }
             for &u in graph.peers(m) {
-                self.scan_next.push((u.0, 1));
+                self.next.push((u.0, 1));
             }
             for &u in graph.customers(m) {
-                self.scan_next.push((u.0, 2));
+                self.next.push((u.0, 2));
             }
         }
         let mut len = scenario.strategy.root_depth() + 1;
-        'scan: while !self.scan_next.is_empty() {
-            std::mem::swap(&mut self.scan_cur, &mut self.scan_next);
+        'scan: while !self.next.is_empty() {
+            std::mem::swap(&mut self.cur, &mut self.next);
             // All offers of a level share the same bogus-path length, so
             // only six distinct offer keys exist per level.
-            let mut level_keys = [[0u128; 3]; 2];
+            let mut level_keys = [[(0, 0, 0); 3]; 2];
             for (validating, keys) in level_keys.iter_mut().enumerate() {
                 for (rank, key) in keys.iter_mut().enumerate() {
-                    *key = pack_key(preference_key(
-                        policy,
-                        validating == 1,
-                        rank as u8,
-                        len,
-                        false,
-                    ));
+                    *key = preference_key(policy, validating == 1, rank as u8, len, false);
                 }
             }
-            for k in 0..self.scan_cur.len() {
+            for k in 0..self.cur.len() {
                 if mass > budget {
-                    // Over budget mid-level: the caller will fall back, so
-                    // every further mark is wasted work.
+                    // Over budget mid-level: the attack will be computed
+                    // fresh, so every further mark is wasted work.
                     break 'scan;
                 }
-                let (ui, rank) = self.scan_cur[k];
+                let (ui, rank) = self.cur[k];
                 let u = AsId(ui);
                 if u == d || scenario.is_attacker(u) {
                     continue;
                 }
                 let validating = deployment.validates(u);
                 let offer = level_keys[usize::from(validating)][rank as usize];
-                if offer > self.cell_keys[u.index()] {
+                if region::current_key(base, u, policy, validating).is_some_and(|key| offer > key) {
                     continue;
                 }
-                if self.region.insert(u) {
-                    self.region_list.push(u);
+                if region.insert(u) {
                     mass += graph.degree(u);
                 }
-                let st = self.scan_state[u.index()];
+                let st = self.state[u.index()];
                 if st == 0 {
-                    self.scan_touched.push(ui);
+                    self.touched.push(ui);
                 }
                 if rank == 0 && st & SCAN_WIDE == 0 {
-                    self.scan_state[u.index()] |= SCAN_WIDE | SCAN_DOWN;
+                    self.state[u.index()] |= SCAN_WIDE | SCAN_DOWN;
                     for &p in graph.providers(u) {
-                        self.scan_next.push((p.0, 0));
+                        self.next.push((p.0, 0));
                     }
                     for &q in graph.peers(u) {
-                        self.scan_next.push((q.0, 1));
+                        self.next.push((q.0, 1));
                     }
                     if st & SCAN_DOWN == 0 {
                         for &c in graph.customers(u) {
-                            self.scan_next.push((c.0, 2));
+                            self.next.push((c.0, 2));
                         }
                     }
                 } else if rank != 0 && st & SCAN_DOWN == 0 {
-                    self.scan_state[u.index()] |= SCAN_DOWN;
+                    self.state[u.index()] |= SCAN_DOWN;
                     for &c in graph.customers(u) {
-                        self.scan_next.push((c.0, 2));
+                        self.next.push((c.0, 2));
                     }
                 }
             }
-            self.scan_cur.clear();
+            self.cur.clear();
             len += 1;
         }
-        // An over-cap break can leave entries in either frontier.
-        self.scan_cur.clear();
-        self.scan_next.clear();
-        for &x in &self.scan_touched {
-            self.scan_state[x as usize] = 0;
+        // An over-budget break can leave entries in either frontier.
+        self.cur.clear();
+        self.next.clear();
+        for &x in &self.touched {
+            self.state[x as usize] = 0;
         }
-        self.scan_touched.clear();
+        self.touched.clear();
         mass
     }
 }
@@ -629,6 +450,7 @@ impl<'g> AttackDeltaEngine<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::policy::SecurityModel;
     use sbgp_topology::GraphBuilder;
 

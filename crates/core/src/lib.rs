@@ -34,8 +34,7 @@
 //! * [`delta`] — the attacker-delta engine: for a fixed `(d, S, policy)`,
 //!   compute (or adopt) the normal-conditions outcome once and serve every
 //!   attacker `m ∈ M` by re-fixing only the contested region around its
-//!   bogus announcement, with a touched-list snapshot restore between
-//!   attackers.
+//!   bogus announcement, undone before the next attacker.
 //! * [`fused`] — the fused multi-cell pass: one call serves every policy
 //!   cell (model × LP variant × strategy rung) of a
 //!   `(destination, deployment)` pair at once, running one plain
@@ -44,7 +43,10 @@
 //!   results are bit-identical to per-cell computes by construction.
 //!
 //! [`sweep`] and [`delta`] are the two axes of one amortization hierarchy
-//! (deployment × attacker); `sbgp-sim` composes them destination-major —
+//! (deployment × attacker), served from one crate-private patch core that
+//! differs between them only in how a region is seeded and whether a
+//! served outcome becomes the next base; `sbgp-sim` composes them
+//! destination-major —
 //! each `(m, d)` pair's first step is one [`Engine::compute`] per
 //! distinct computation (or, where a normal-conditions base is attached,
 //! a delta patch off it), and a sweep adopted from that outcome

@@ -161,6 +161,7 @@ impl Outcome {
         }
     }
 
+    #[cfg(test)]
     pub(crate) fn reset(
         &mut self,
         n: usize,
@@ -170,9 +171,9 @@ impl Outcome {
         self.reset_with_kinds(n, destination, attackers, |_| KIND_UNFIXED);
     }
 
-    /// [`Outcome::reset`], except that index `i` starts with kind
-    /// `initial_kind(i)` rather than unfixed — the engine marks the stubs
-    /// it folds out of its BFS in the same pass.
+    /// Reset to `n` ASes with no route, except that index `i` starts with
+    /// kind `initial_kind(i)` — the engine marks the stubs it folds out of
+    /// its BFS in the same pass.
     pub(crate) fn reset_with_kinds(
         &mut self,
         n: usize,
@@ -202,9 +203,8 @@ impl Outcome {
         self.attackers = other.attackers;
     }
 
-    /// Copy only `v`'s entry from `other` — the touched-list undo primitive
-    /// used by [`crate::SweepEngine`] and [`crate::AttackDeltaEngine`] to
-    /// patch or restore a snapshot in `O(touched)` instead of `O(V)`.
+    /// Copy only `v`'s entry from `other` — the incremental engines' undo
+    /// and commit primitive, `O(touched)` instead of `O(V)`.
     #[inline]
     pub(crate) fn copy_entry_from(&mut self, other: &Outcome, v: AsId) {
         let i = v.index();

@@ -1,14 +1,32 @@
-//! Shared dirty-region machinery for the incremental engines.
+//! The patch core both incremental engines serve from, and the dirty-region
+//! machinery it runs.
 //!
-//! Both [`crate::SweepEngine`] (deployment axis) and
-//! [`crate::AttackDeltaEngine`] (attacker axis) patch a previously computed
-//! outcome by re-fixing only a *region* of ASes and then verifying local
-//! consistency at the region border. The verify-and-grow step is identical
-//! on both axes and lives here: a neighbor `u` of a changed AS `v` is
-//! *affected* only when `v`'s old or new offer would tie or beat `u`'s
-//! current route under the reference [`preference_key`] order. The
-//! condition is deliberately **two-sided**, which is what makes retraction
-//! steps sound:
+//! [`crate::SweepEngine`] (deployment axis) and [`crate::AttackDeltaEngine`]
+//! (attacker axis) answer a query by patching an exact *base* outcome: they
+//! seed a *region* of ASes whose route may change, re-solve only the region
+//! on top of the base, and verify local consistency at its border. When no
+//! change escapes the region, the patched state is locally consistent at
+//! every AS — inside the region by construction, outside it because no
+//! input changed — and Theorem 2.1 uniqueness makes it the exact stable
+//! state. The engines differ only in how they seed the region (the
+//! contested-ball scan versus the symmetric difference of the secure sets)
+//! and in whether a served outcome becomes the next base (the sweep commits
+//! every step; the delta engine keeps its normal-conditions base). The
+//! rest — undo, solve, budget fallback, happy-bound patching and commit —
+//! is [`PatchCore`].
+//!
+//! **Snapshot/undo invariant.** The working outcome differs from the base
+//! only where the last serve wrote: nowhere (after an adopt or a commit),
+//! at the last patch's final region, or anywhere (the last serve computed
+//! fresh). A region solve confines its writes to the region; the engine's
+//! fix log catches the one exception — an AS unreachable in the base
+//! getting fixed — and absorbs it into the region. The next serve undoes
+//! exactly that difference and a commit copies exactly it into the base, so
+//! no patch pays an `O(V)` copy.
+//!
+//! **Verify and grow.** A neighbor `u` of a changed AS `v` is *affected*
+//! only when `v`'s old or new offer would tie or beat `u`'s current route
+//! under the reference [`preference_key`] order. The condition is
 //!
 //! * the **new** offer ties or beats `u`'s current route — `v` now joins
 //!   `u`'s `BPR` set (a tie) or `u` switches to it (a win): the
@@ -32,8 +50,8 @@
 //! route, and a re-solve would reproduce every core route unchanged: such
 //! stubs are resolved in place and the loop stops.
 //!
-//! The whole solve → verify → grow loop is shared ([`solve_within_budget`]),
-//! and so is its give-up rule ([`mass_budget`]).
+//! The whole solve → verify → grow loop and its give-up rule
+//! ([`mass_budget`]) are shared.
 
 use sbgp_topology::{AsGraph, AsId, AsSet};
 
@@ -52,58 +70,265 @@ pub(crate) fn mass_budget(graph: &AsGraph) -> usize {
     (graph.len() + 2 * graph.num_edges()) / 6
 }
 
-/// Solve the region to local consistency on top of `snapshot`: solve,
-/// verify ([`grow_affected`]), re-solve after core growth, resolve
-/// stub-only growth in place. `mass` is the adjacency mass of
-/// `region_list` on entry; absorbed members add theirs, and every loop
-/// top (so also a stub-grown region before it is served) checks it
-/// against [`mass_budget`]. Returns whether the region stayed within the
-/// budget — if so the working outcome is exact, else partial and the
-/// caller computes — and the grow rounds (core absorptions) spent.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_within_budget(
+/// A set of ASes, also listed in insertion order.
+#[derive(Debug)]
+pub(crate) struct Region {
+    pub(crate) set: AsSet,
+    pub(crate) list: Vec<AsId>,
+}
+
+impl Region {
+    /// Add `v`; returns whether it was not a member yet.
+    pub(crate) fn insert(&mut self, v: AsId) -> bool {
+        let new = self.set.insert(v);
+        if new {
+            self.list.push(v);
+        }
+        new
+    }
+}
+
+/// Where the working outcome may differ from the base.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Restore {
+    /// Nowhere.
+    Clean,
+    /// At the entries of the last patch's final region.
+    Touched,
+    /// Anywhere (the last serve computed fresh).
+    Full,
+}
+
+/// How a [`PatchCore::serve`] went.
+pub(crate) struct Served {
+    /// Verify steps that absorbed a core AS, each paid with a re-solve.
+    pub(crate) grow_rounds: usize,
+    /// The final region's size when the patch held; `None` when the region
+    /// passed the budget and the outcome was computed fresh.
+    pub(crate) refixed: Option<usize>,
+}
+
+/// An exact base outcome, the working outcome served off it, and the
+/// bookkeeping between the two (see the module docs).
+#[derive(Debug)]
+pub(crate) struct PatchCore<'g> {
+    engine: Engine<'g>,
+    base: Outcome,
+    /// Happy-source bounds ([`Outcome::count_happy`]) of the base and of
+    /// the served outcome.
+    base_happy: (usize, usize),
+    happy: (usize, usize),
+    region: Region,
+    /// The last patch's final region, valid while `restore` is `Touched`.
+    touched: Vec<AsId>,
+    restore: Restore,
+}
+
+impl<'g> PatchCore<'g> {
+    pub(crate) fn new(graph: &'g AsGraph) -> PatchCore<'g> {
+        PatchCore {
+            engine: Engine::new(graph),
+            base: Outcome::new_empty(),
+            base_happy: (0, 0),
+            happy: (0, 0),
+            region: Region {
+                set: AsSet::new(graph.len()),
+                list: Vec::new(),
+            },
+            touched: Vec::new(),
+            restore: Restore::Clean,
+        }
+    }
+
+    pub(crate) fn graph(&self) -> &'g AsGraph {
+        self.engine.graph()
+    }
+
+    pub(crate) fn base(&self) -> &Outcome {
+        &self.base
+    }
+
+    pub(crate) fn base_happy(&self) -> (usize, usize) {
+        self.base_happy
+    }
+
+    /// The served outcome: the base itself after an adopt or a commit.
+    pub(crate) fn outcome(&self) -> &Outcome {
+        self.engine.outcome()
+    }
+
+    pub(crate) fn happy(&self) -> (usize, usize) {
+        self.happy
+    }
+
+    /// Make `outcome`, whose happy bounds are `happy`, the base and the
+    /// served outcome.
+    pub(crate) fn adopt(&mut self, outcome: &Outcome, happy: (usize, usize)) {
+        self.base.copy_from(outcome);
+        self.engine.outcome_mut().copy_from(outcome);
+        self.base_happy = happy;
+        self.happy = happy;
+        self.restore = Restore::Clean;
+    }
+
+    /// Serve a fresh [`Engine::compute`].
+    pub(crate) fn compute(
+        &mut self,
+        scenario: AttackScenario,
+        deployment: &Deployment,
+        policy: Policy,
+    ) {
+        self.engine.compute(scenario, deployment, policy);
+        self.happy = self.engine.outcome().count_happy();
+        self.restore = Restore::Full;
+    }
+
+    /// Make the served outcome the base.
+    pub(crate) fn commit(&mut self) {
+        sync(
+            self.restore,
+            &self.touched,
+            &mut self.base,
+            self.engine.outcome(),
+        );
+        self.base_happy = self.happy;
+        self.restore = Restore::Clean;
+    }
+
+    /// Clear the region for seeding; returns it with the base the seeds
+    /// are read from.
+    pub(crate) fn seed(&mut self) -> (&Outcome, &mut Region) {
+        self.region.set.clear();
+        self.region.list.clear();
+        (&self.base, &mut self.region)
+    }
+
+    /// Serve `scenario` by patching the base over the seeded region, whose
+    /// adjacency mass is `mass`: undo the last serve, solve the region to
+    /// local consistency (growing it as needed) and patch the happy bounds.
+    /// A region past [`mass_budget`] is served by a fresh compute instead;
+    /// seeds already past it cost no undo and no solve.
+    pub(crate) fn serve(
+        &mut self,
+        scenario: AttackScenario,
+        deployment: &Deployment,
+        policy: Policy,
+        mass: usize,
+    ) -> Served {
+        if mass > mass_budget(self.graph()) {
+            self.compute(scenario, deployment, policy);
+            return Served {
+                grow_rounds: 0,
+                refixed: None,
+            };
+        }
+        sync(
+            self.restore,
+            &self.touched,
+            self.engine.outcome_mut(),
+            &self.base,
+        );
+        let (within_budget, grow_rounds) = solve_within_budget(
+            &mut self.engine,
+            &self.base,
+            scenario,
+            deployment,
+            policy,
+            &mut self.region,
+            mass,
+        );
+        if !within_budget {
+            self.compute(scenario, deployment, policy);
+            return Served {
+                grow_rounds,
+                refixed: None,
+            };
+        }
+        self.happy = self.base_happy;
+        patch_happy(
+            &mut self.happy,
+            &self.base,
+            self.engine.outcome(),
+            &self.region.list,
+        );
+        // The final region is exactly where the working outcome now
+        // differs from the base.
+        std::mem::swap(&mut self.touched, &mut self.region.list);
+        self.restore = Restore::Touched;
+        Served {
+            grow_rounds,
+            refixed: Some(self.touched.len()),
+        }
+    }
+}
+
+/// Copy `from` into `to` wherever `restore` says they may differ.
+fn sync(restore: Restore, touched: &[AsId], to: &mut Outcome, from: &Outcome) {
+    match restore {
+        Restore::Clean => {}
+        Restore::Touched => {
+            for &v in touched {
+                to.copy_entry_from(from, v);
+            }
+        }
+        Restore::Full => to.copy_from(from),
+    }
+}
+
+/// Solve the region to local consistency on top of `base`: solve, verify
+/// ([`grow_affected`]), re-solve after core growth, resolve stub-only
+/// growth in place. `mass` is the adjacency mass of the region on entry;
+/// absorbed members add theirs, and every loop top (so also a stub-grown
+/// region before it is served) checks it against [`mass_budget`]. Returns
+/// whether the region stayed within the budget — if so the working outcome
+/// is exact, else partial — and the grow rounds (core absorptions) spent.
+fn solve_within_budget(
     engine: &mut Engine,
-    snapshot: &Outcome,
+    base: &Outcome,
     scenario: AttackScenario,
     deployment: &Deployment,
     policy: Policy,
-    region: &mut AsSet,
-    region_list: &mut Vec<AsId>,
+    region: &mut Region,
     mut mass: usize,
 ) -> (bool, usize) {
     let graph = engine.graph();
     let budget = mass_budget(graph);
-    let mut counted = region_list.len();
+    let mut counted = region.list.len();
     let mut grow_rounds = 0;
     let mut stubs_from = None;
     loop {
-        for &v in &region_list[counted..] {
+        for &v in &region.list[counted..] {
             mass += graph.degree(v);
         }
-        counted = region_list.len();
+        counted = region.list.len();
         if mass > budget {
             return (false, grow_rounds);
         }
         if let Some(from) = stubs_from {
-            engine.resolve_stubs(&region_list[from..], policy, deployment);
+            engine.resolve_stubs(&region.list[from..], policy, deployment);
             break;
         }
-        engine.solve_region(scenario, deployment, policy, region, region_list);
+        engine.solve_region(
+            scenario,
+            deployment,
+            policy,
+            &mut region.set,
+            &mut region.list,
+        );
         // Core growth costs a re-solve (a grow round); stub-only growth is
         // resolved in place once the grown region passed the budget check.
-        let solved = region_list.len();
+        let solved = region.list.len();
         if grow_affected(
             graph,
             engine.outcome(),
-            snapshot,
+            base,
             scenario,
             deployment,
             policy,
             region,
-            region_list,
         ) {
             grow_rounds += 1;
-        } else if region_list.len() > solved {
+        } else if region.list.len() > solved {
             stubs_from = Some(solved);
         } else {
             break;
@@ -115,12 +340,7 @@ pub(crate) fn solve_within_budget(
 /// Move the happy-source bounds `happy` ([`Outcome::count_happy`]) from
 /// `old` to `new`, two outcomes that differ only at `members`. Each
 /// outcome's own destination and announcers are not its sources.
-pub(crate) fn patch_happy(
-    happy: &mut (usize, usize),
-    old: &Outcome,
-    new: &Outcome,
-    members: &[AsId],
-) {
+fn patch_happy(happy: &mut (usize, usize), old: &Outcome, new: &Outcome, members: &[AsId]) {
     let source = |o: &Outcome, v: AsId| v != o.destination() && o.attackers().all(|m| m != v);
     for &v in members {
         if source(old, v) {
@@ -137,17 +357,14 @@ pub(crate) fn patch_happy(
 }
 
 /// Compare `new` against `old` at every region member and absorb the
-/// genuinely affected out-of-region neighbors into `region`/`region_list`.
-/// When nothing escaped, the patched outcome is locally consistent
-/// everywhere — inside the region by construction, outside it because no
-/// input changed — which by Theorem 2.1 uniqueness makes it exact. Returns
-/// whether a core AS (one with customers) was absorbed; if only non-root
-/// stubs were, the solved core stands.
+/// genuinely affected out-of-region neighbors into `region`. When nothing
+/// escaped, the patch is exact (see the module docs). Returns whether a
+/// core AS (one with customers) was absorbed; if only non-root stubs were,
+/// the solved core stands.
 ///
 /// The destination and the announcers never join the region: their entries
 /// are roots, re-fixed explicitly by the caller when needed (with colluding
 /// attackers, *every* member of the announcer set is excluded).
-#[allow(clippy::too_many_arguments)]
 fn grow_affected(
     graph: &AsGraph,
     new: &Outcome,
@@ -155,12 +372,11 @@ fn grow_affected(
     scenario: AttackScenario,
     deployment: &Deployment,
     policy: Policy,
-    region: &mut AsSet,
-    region_list: &mut Vec<AsId>,
+    region: &mut Region,
 ) -> bool {
     let d = scenario.destination;
     let mut frontier: Vec<AsId> = Vec::new();
-    for &v in region_list.iter() {
+    for &v in region.list.iter() {
         if new.same_for_neighbors(old, v) {
             continue;
         }
@@ -173,7 +389,7 @@ fn grow_affected(
         ];
         for (neighbors, rank) in classes {
             for &u in neighbors {
-                if region.contains(u) || u == d || scenario.is_attacker(u) {
+                if region.set.contains(u) || u == d || scenario.is_attacker(u) {
                     continue;
                 }
                 let validating = deployment.validates(u);
@@ -195,7 +411,6 @@ fn grow_affected(
     let mut core = false;
     for u in frontier {
         if region.insert(u) {
-            region_list.push(u);
             core |= !graph.customers(u).is_empty();
         }
     }
@@ -225,13 +440,6 @@ pub(crate) fn current_key(
         outcome.len[i],
         outcome.secure_at(i),
     ))
-}
-
-/// Pack a lexicographic `(u32, u32, u32)` preference key into one `u128`
-/// (strictly order-preserving, and always below `u128::MAX`).
-#[inline]
-pub(crate) fn pack_key(k: (u32, u32, u32)) -> u128 {
-    ((k.0 as u128) << 64) | ((k.1 as u128) << 32) | (k.2 as u128)
 }
 
 /// The position of the route `u` would learn from `v` at class `rank`, or

@@ -12,47 +12,16 @@
 //! route is the best export-legal extension of its neighbors' routes under
 //! [`crate::policy::preference_key`]), so a state that is locally
 //! consistent everywhere *is* the answer. Between any two same-universe
-//! deployments, the engine therefore only has to re-fix a **dirty region**
-//! around the ASes whose `validates` bit flipped — in *either* direction —
-//! and verify consistency at its border:
-//!
-//! 1. seed the region with the symmetric difference of the `validates`
-//!    sets ([`Deployment::newly_validating`] ∪
-//!    [`Deployment::newly_retired`]), plus the destination when its
-//!    signing status flipped either way;
-//! 2. unfix the region's core members on top of the previous outcome and
-//!    fold its non-root stubs out of the BFS (as [`Engine::compute`]
-//!    does), re-enqueue boundary offers from fixed neighbors to the core
-//!    members, re-run the ordinary bucket-queue stage schedule restricted
-//!    to them, then resolve the folded stubs in one pass from their final
-//!    neighbors;
-//! 3. compare the re-fixed region against the previous outcome; for every
-//!    changed AS, absorb the neighbors its old or new offer could actually
-//!    tie or beat under [`crate::policy::preference_key`] (hubs whose
-//!    short routes dwarf the offer stay out). The condition is
-//!    deliberately two-sided: a *withdrawn or worsened* offer (the old one
-//!    tied or beat the neighbor's current route) can strictly worsen that
-//!    neighbor's best route just as an improved offer can better it, which
-//!    is exactly what makes retraction steps sound (see the crate-private
-//!    `region::grow_affected`). When a core AS was absorbed, retry from
-//!    step 2 (a grow round). When only non-root stubs were absorbed, the
-//!    core solve stands — a non-root stub exports no route, so it changes
-//!    nobody else's — and those stubs are resolved in place by the same
-//!    per-stub pass, with no further solve. Before every solve, and before
-//!    a stub-grown region is served, its adjacency mass (sum of member
-//!    degrees) must fit the budget of one compute, the attacker-delta
-//!    engine's too, so no advance costs much more than a fallback;
-//! 4. when no change escapes the region, the patched state is locally
-//!    consistent at every AS — inside the region by construction, outside
-//!    it because no input changed — and uniqueness makes it exact.
-//!
-//! **Snapshot/undo invariant:** between steps, the engine's working outcome
-//! is byte-identical to the snapshot of the last served step, and every
-//! solve attempt confines its writes to the region (the engine's fix log
-//! catches the one exception — an AS unreachable in the snapshot getting
-//! fixed — and absorbs it into the region). Advancing a step therefore
-//! patches the snapshot at the touched entries only: no `O(V)` memcpy per
-//! step anywhere on the incremental path.
+//! deployments, the engine therefore only re-fixes a **dirty region**
+//! seeded with the ASes whose `validates` bit flipped — in *either*
+//! direction ([`Deployment::newly_validating`] ∪
+//! [`Deployment::newly_retired`]) — plus the destination when its signing
+//! status flipped either way. The region is solved, verified at its
+//! border and grown by the patch core [`crate::AttackDeltaEngine`] shares
+//! (crate-private `region`, which documents the local-consistency
+//! argument, the two-sided verify filter that makes retraction steps
+//! sound, the undo invariant and the adjacency-mass budget), and every
+//! served step is committed as the next step's base.
 //!
 //! The scenario may carry any [`crate::AttackStrategy`] (forged paths of
 //! any claimed depth) and any announcer set — colluding roots are re-fixed
@@ -70,26 +39,25 @@
 //! stale secure bits — while everything outside the region kept all of its
 //! route inputs unchanged. Only the first call, a universe mismatch, or a
 //! region whose adjacency mass passes the budget falls back to a fresh
-//! [`Engine::compute`], so `advance` is *always* exact; incrementality is
+//! [`crate::Engine::compute`], so `advance` is *always* exact; incrementality is
 //! purely an optimization. The equivalence is enforced outcome-for-outcome
 //! by `tests/sweep_equivalence.rs` against fresh computes — over monotone
 //! *and* arbitrary grow/shrink/simplex-flip sequences — and, transitively,
 //! by the message-level simulator oracle in `tests/equivalence.rs`.
 
-use sbgp_topology::{AsGraph, AsId, AsSet};
+use sbgp_topology::AsGraph;
 
 use crate::attack::AttackScenario;
 use crate::deployment::Deployment;
-use crate::engine::Engine;
 use crate::outcome::Outcome;
 use crate::policy::Policy;
-use crate::region;
+use crate::region::PatchCore;
 
 /// How the steps of a sweep were served (all counters cumulative since
 /// [`SweepEngine::begin`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SweepStats {
-    /// Steps served by a fresh [`Engine::compute`] (first step, universe
+    /// Steps served by a fresh [`crate::Engine::compute`] (first step, universe
     /// mismatch, or a dirty region past the adjacency-mass budget).
     pub full_recomputes: usize,
     /// Steps served by dirty-region re-fixing (any direction).
@@ -200,43 +168,29 @@ impl SweepStats {
 /// step — growth, retraction, or mixed churn alike.
 #[derive(Debug)]
 pub struct SweepEngine<'g> {
-    engine: Engine<'g>,
-    scenario: Option<AttackScenario>,
-    policy: Policy,
+    /// Its base is the outcome of the last served step.
+    core: PatchCore<'g>,
+    /// The sweep's fixed scenario and policy.
+    run: Option<(AttackScenario, Policy)>,
     /// Deployment of the last served step.
     prev: Option<Deployment>,
-    /// Final outcome of the last served step. Invariant: equal to the
-    /// engine's working outcome between [`SweepEngine::advance`] calls.
-    snapshot: Outcome,
-    /// The dirty region of the current incremental attempt.
-    region: AsSet,
-    region_list: Vec<AsId>,
-    /// Happy-source bounds of the current snapshot, maintained
-    /// incrementally (an `O(region)` patch instead of an `O(V)` rescan).
-    happy: (usize, usize),
     stats: SweepStats,
 }
 
 impl<'g> SweepEngine<'g> {
     /// Create a sweep engine for `graph`.
     pub fn new(graph: &'g AsGraph) -> SweepEngine<'g> {
-        let n = graph.len();
         SweepEngine {
-            engine: Engine::new(graph),
-            scenario: None,
-            policy: Policy::new(crate::policy::SecurityModel::Security3rd),
+            core: PatchCore::new(graph),
+            run: None,
             prev: None,
-            snapshot: Outcome::new_empty(),
-            region: AsSet::new(n),
-            region_list: Vec::new(),
-            happy: (0, 0),
             stats: SweepStats::default(),
         }
     }
 
     /// The topology this engine runs on.
     pub fn graph(&self) -> &'g AsGraph {
-        self.engine.graph()
+        self.core.graph()
     }
 
     /// Start a new sweep for a fixed `(scenario, policy)`, discarding any
@@ -245,12 +199,9 @@ impl<'g> SweepEngine<'g> {
     /// (rather than stale data from the previous sweep). Statistics keep
     /// accumulating across sweeps.
     pub fn begin(&mut self, scenario: AttackScenario, policy: Policy) {
-        self.scenario = Some(scenario);
-        self.policy = policy;
+        self.run = Some((scenario, policy));
         self.prev = None;
-        self.snapshot
-            .reset(0, scenario.destination, scenario.attacker_array());
-        self.happy = (0, 0);
+        self.core.adopt(&Outcome::new_empty(), (0, 0));
     }
 
     /// Start a sweep *mid-flight* from an externally computed outcome —
@@ -283,13 +234,8 @@ impl<'g> SweepEngine<'g> {
             "outcome/scenario mismatch"
         );
         debug_assert_eq!(outcome.count_happy(), happy, "stale happy bounds");
-        self.scenario = Some(scenario);
-        self.policy = policy;
-        self.snapshot.copy_from(outcome);
-        // Re-establish the invariant that the working outcome equals the
-        // snapshot between steps.
-        self.engine.outcome_mut().copy_from(outcome);
-        self.happy = happy;
+        self.run = Some((scenario, policy));
+        self.core.adopt(outcome, happy);
         self.prev = Some(deployment.clone());
     }
 
@@ -305,78 +251,54 @@ impl<'g> SweepEngine<'g> {
     ///
     /// Panics when called before [`SweepEngine::begin`].
     pub fn advance(&mut self, deployment: &Deployment) -> &Outcome {
-        let scenario = self.scenario.expect("SweepEngine::begin not called");
-        let incremental = self
+        let (scenario, policy) = self.run.expect("SweepEngine::begin not called");
+        let Some(prev) = self
             .prev
             .as_ref()
-            .is_some_and(|prev| deployment.universe() == prev.universe());
-        if !incremental {
-            return self.full_recompute(scenario, deployment);
-        }
+            .filter(|prev| deployment.universe() == prev.universe())
+        else {
+            self.stats.full_recomputes += 1;
+            self.core.compute(scenario, deployment, policy);
+            return self.commit(deployment);
+        };
 
         // Dirty seeds: the symmetric difference of the `validates` sets,
         // plus the destination when its origin-signing status flipped in
         // either direction. Simplex flips elsewhere are invisible to the
         // engine (only the destination's signing is ever read) — a pure
         // no-op, whether the simplex member joined or left.
-        let prev = self.prev.take().expect("same universe implies prev");
         let d = scenario.destination;
-        self.region.clear();
-        self.region_list.clear();
+        let graph = self.core.graph();
+        let (_, region) = self.core.seed();
         let mut grew = false;
         let mut shrank = false;
-        // The two differences are disjoint sets: each seed is listed once.
-        for v in deployment.newly_validating(&prev) {
+        for v in deployment.newly_validating(prev) {
             grew = true;
-            self.region.insert(v);
-            self.region_list.push(v);
+            region.insert(v);
         }
-        for v in deployment.newly_retired(&prev) {
+        for v in deployment.newly_retired(prev) {
             shrank = true;
-            self.region.insert(v);
-            self.region_list.push(v);
+            region.insert(v);
         }
         let signs_now = deployment.signs_origin(d);
         if signs_now != prev.signs_origin(d) {
             grew |= signs_now;
             shrank |= !signs_now;
-            if self.region.insert(d) {
-                self.region_list.push(d);
-            }
+            region.insert(d);
         }
-        if self.region_list.is_empty() {
+        if region.list.is_empty() {
             self.stats.noop_steps += 1;
-            self.prev = Some(deployment.clone());
-            return &self.snapshot;
+            return self.commit(deployment);
         }
 
-        // The seeds' mass starts the region's, checked before every solve.
-        let graph = self.graph();
-        let mass = self.region_list.iter().map(|&v| graph.degree(v)).sum();
-        let (within_budget, grow_rounds) = region::solve_within_budget(
-            &mut self.engine,
-            &self.snapshot,
-            scenario,
-            deployment,
-            self.policy,
-            &mut self.region,
-            &mut self.region_list,
-            mass,
-        );
-        self.stats.grow_rounds += grow_rounds;
-        if !within_budget {
+        let mass = region.list.iter().map(|&v| graph.degree(v)).sum();
+        let served = self.core.serve(scenario, deployment, policy, mass);
+        self.stats.grow_rounds += served.grow_rounds;
+        let Some(refixed) = served.refixed else {
             self.stats.fallback_steps += 1;
-            return self.full_recompute(scenario, deployment);
-        }
-        // Patch the happy bounds by the region's delta, then fold the
-        // region back into the snapshot entry by entry — everything outside
-        // the region is untouched by construction.
-        region::patch_happy(
-            &mut self.happy,
-            &self.snapshot,
-            self.engine.outcome(),
-            &self.region_list,
-        );
+            self.stats.full_recomputes += 1;
+            return self.commit(deployment);
+        };
         self.stats.incremental_steps += 1;
         match (grew, shrank) {
             (true, false) => self.stats.monotone_steps += 1,
@@ -385,37 +307,31 @@ impl<'g> SweepEngine<'g> {
             // least one direction did).
             _ => self.stats.mixed_steps += 1,
         }
-        self.stats.refixed_ases += self.region_list.len();
-        for &v in &self.region_list {
-            self.snapshot.copy_entry_from(self.engine.outcome(), v);
-        }
+        self.stats.refixed_ases += refixed;
+        self.commit(deployment)
+    }
+
+    /// Make the served step the base of the next one.
+    fn commit(&mut self, deployment: &Deployment) -> &Outcome {
+        self.core.commit();
         self.prev = Some(deployment.clone());
-        &self.snapshot
+        self.core.outcome()
     }
 
     /// The outcome of the last served step.
     pub fn outcome(&self) -> &Outcome {
-        &self.snapshot
+        self.core.outcome()
     }
 
     /// Happy-source tie-break bounds of the current outcome, identical to
     /// [`Outcome::count_happy`] but maintained incrementally across steps.
     pub fn count_happy(&self) -> (usize, usize) {
-        self.happy
+        self.core.happy()
     }
 
     /// Cumulative sweep statistics.
     pub fn stats(&self) -> SweepStats {
         self.stats
-    }
-
-    fn full_recompute(&mut self, scenario: AttackScenario, deployment: &Deployment) -> &Outcome {
-        self.stats.full_recomputes += 1;
-        self.engine.compute(scenario, deployment, self.policy);
-        self.snapshot.copy_from(self.engine.outcome());
-        self.happy = self.snapshot.count_happy();
-        self.prev = Some(deployment.clone());
-        &self.snapshot
     }
 }
 
@@ -423,8 +339,10 @@ impl<'g> SweepEngine<'g> {
 mod tests {
     use super::*;
     use crate::attack::AttackStrategy;
+    use crate::engine::Engine;
     use crate::policy::{LpVariant, SecurityModel};
-    use sbgp_topology::GraphBuilder;
+    use crate::region;
+    use sbgp_topology::{AsId, GraphBuilder};
 
     /// AS count of the test graphs that carry a filler chain.
     const N: usize = 64;

@@ -18,7 +18,7 @@
 //!   hypergiant-skewed traffic model.
 
 use sbgp_core::{
-    AttackScenario, AttackStrategy, Bounds, CellSet, Deployment, Policy, SecurityModel,
+    AttackScenario, AttackStrategy, Bounds, CellSet, Deployment, Engine, Policy, SecurityModel,
 };
 use sbgp_proto::{Schedule, Simulator, SourceCensus};
 use sbgp_topology::AsId;
@@ -228,9 +228,10 @@ pub fn islands(net: &Internet, cfg: &ExperimentConfig, outside: SecurityModel) -
 }
 
 /// §4.5 caveat: the baseline metric under uniform vs traffic-skewed
-/// source weights. Destination-major like the unweighted runners: the
-/// weighted sum needs every AS's flags, so each attacker reads the delta
-/// engine's full patched outcome.
+/// source weights. The weighted sum needs every AS's flags, so each pair
+/// reads a full outcome: one plain [`Engine::compute`], as in the
+/// estimators (at `S = ∅` nearly every non-stub attack contests more
+/// than a patch can beat).
 pub fn weighted_baseline(net: &Internet, cfg: &ExperimentConfig) -> Vec<(String, Bounds)> {
     let attackers = sample::sample_non_stubs(net, cfg.attackers, cfg.seed);
     let dests = sample::sample_all(net, cfg.destinations, cfg.seed ^ 0xD);
@@ -243,12 +244,11 @@ pub fn weighted_baseline(net: &Internet, cfg: &ExperimentConfig) -> Vec<(String,
             cfg.parallelism,
             &groups,
             1,
-            || sbgp_core::AttackDeltaEngine::new(&net.graph),
+            || Engine::new(&net.graph),
             || (Bounds::default(), 0usize),
-            |delta, acc, (d, ms)| {
-                delta.begin(*d, &empty, policy);
+            |engine, acc, (d, ms)| {
                 for &m in ms {
-                    let o = delta.attack(m, AttackStrategy::FakeLink);
+                    let o = engine.compute(AttackScenario::attack(m, *d), &empty, policy);
                     let b = weights.weighted_happy(o);
                     acc.0.lower += b.lower;
                     acc.0.upper += b.upper;

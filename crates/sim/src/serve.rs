@@ -14,12 +14,13 @@
 //! Every query is served off the engines built in PRs 2–8:
 //!
 //! * each destination's normal-conditions base ([`CachedBase`]: outcome
-//!   plus packed preference keys) is fetched from the cache (keyed by
-//!   the exact `(destination, deployment, policy)` cell) and adopted via
-//!   [`sbgp_core::FusedDeltaEngine::begin_with_bases`] /
-//!   [`sbgp_core::AttackDeltaEngine::begin_from_base`], skipping both the
-//!   route computation and the adoption scans; misses are computed once
-//!   and harvested back into the cache;
+//!   plus happy bounds) is fetched from the cache (keyed by the exact
+//!   `(destination, deployment, policy)` cell, one key for all security
+//!   models at a deployment without a full member, where they collapse)
+//!   and adopted via [`sbgp_core::FusedDeltaEngine::begin_with_bases`] /
+//!   [`sbgp_core::AttackDeltaEngine::begin_from_base`], skipping the route
+//!   computation; misses are computed once and harvested back into the
+//!   cache;
 //! * each suspected attacker is then a contested-region **patch**, and
 //!   one fused pass serves every `(model, strategy)` cell of the query at
 //!   once — through [`crate::stats::SweepCellsEval`], the one-step case
@@ -220,9 +221,10 @@ pub struct PlannerConfig {
     /// LRU capacity of the normal-outcome cache (entries; each holds one
     /// per-AS outcome, so memory is `O(capacity × n)`).
     pub cache_capacity: usize,
-    /// Destinations to pre-warm at boot: baseline (`S = ∅`) Sec-3rd/LP
-    /// normal outcomes for the content providers first, then the lowest
-    /// ids — the cells baseline what-if queries hit first.
+    /// Destinations to pre-warm at boot: baseline (`S = ∅`) LP normal
+    /// outcomes, which every security model shares there, for the content
+    /// providers first, then the lowest ids — the cells baseline what-if
+    /// queries hit first.
     pub prewarm: usize,
     /// Worker threads for query evaluation (replies are bit-identical at
     /// any value).
@@ -260,6 +262,26 @@ struct CacheKey {
     policy: Policy,
     full: Vec<AsId>,
     simplex: Vec<AsId>,
+}
+
+impl CacheKey {
+    /// The key of `dest`'s base under `policy` at the canonical deployment
+    /// `(full, simplex)`. Without a full member the security models
+    /// collapse onto one computation ([`CellSet::computations`]), so one
+    /// representative model, Sec 3rd, keys them all.
+    fn new(dest: AsId, policy: Policy, (full, simplex): &(Vec<AsId>, Vec<AsId>)) -> CacheKey {
+        let policy = if full.is_empty() {
+            Policy::with_variant(SecurityModel::Security3rd, policy.variant)
+        } else {
+            policy
+        };
+        CacheKey {
+            dest,
+            policy,
+            full: full.clone(),
+            simplex: simplex.clone(),
+        }
+    }
 }
 
 struct CacheEntry {
@@ -318,12 +340,6 @@ impl NormalCache {
                 self.stats.evictions += 1;
             }
         }
-    }
-
-    /// Probe without touching the counters or the LRU order (used when
-    /// pre-extracting bases for a parallel pass decided elsewhere).
-    fn peek(&self, key: &CacheKey) -> bool {
-        self.entries.contains_key(key)
     }
 }
 
@@ -621,12 +637,7 @@ impl Planner {
         for d in dests {
             delta.begin(d, &dep, policy);
             self.cache.insert(
-                CacheKey {
-                    dest: d,
-                    policy,
-                    full: Vec::new(),
-                    simplex: Vec::new(),
-                },
+                CacheKey::new(d, policy, &(Vec::new(), Vec::new())),
                 Arc::new(delta.export_base()),
             );
             self.prewarmed += 1;
@@ -733,30 +744,31 @@ impl Planner {
         }
     }
 
-    /// The cached normal-conditions bases of a query's cell grid, per
+    /// The cached normal-conditions bases of a query at `dep`, per
     /// destination (destinations with none are absent), cloned so the
-    /// parallel pass owns its inputs. Probing every lane policy covers the
-    /// model-collapse representatives too: a group's representative is
-    /// always some lane's policy.
+    /// parallel pass owns its inputs. The cache is probed once per
+    /// computation head — the only computations that look a base up — and
+    /// a found base is attached under the head's policy.
     fn cached_bases(
         &mut self,
         q: &Query,
+        dep: &Deployment,
         cells: &CellSet,
-        (full, simplex): &(Vec<AsId>, Vec<AsId>),
+        sets: &(Vec<AsId>, Vec<AsId>),
     ) -> HashMap<AsId, Vec<(Policy, Arc<CachedBase>)>> {
-        let mut lane_policies: Vec<Policy> = cells.lanes().iter().map(|c| c.policy).collect();
-        lane_policies.dedup();
+        let (comps, _) = cells.computations(dep);
+        let heads: Vec<Policy> = comps
+            .iter()
+            .enumerate()
+            .filter(|&(ci, comp)| comp.base == ci)
+            .map(|(_, comp)| comp.cell.policy)
+            .collect();
         let mut bases = HashMap::new();
         for &d in &q.destinations {
-            let found: Vec<(Policy, Arc<CachedBase>)> = lane_policies
+            let found: Vec<(Policy, Arc<CachedBase>)> = heads
                 .iter()
                 .filter_map(|&policy| {
-                    let key = CacheKey {
-                        dest: d,
-                        policy,
-                        full: full.clone(),
-                        simplex: simplex.clone(),
-                    };
+                    let key = CacheKey::new(d, policy, sets);
                     self.cache.get(&key).map(|base| (policy, base.clone()))
                 })
                 .collect();
@@ -779,13 +791,7 @@ impl Planner {
         let dep = q.deployment(n);
         let cells = q.cell_set();
         let sets = q.canonical_sets();
-        let key_of = |dest: AsId, policy: Policy| CacheKey {
-            dest,
-            policy,
-            full: sets.0.clone(),
-            simplex: sets.1.clone(),
-        };
-        let bases = self.cached_bases(q, &cells, &sets);
+        let bases = self.cached_bases(q, &dep, &cells, &sets);
         let eval = SweepCellsEval::from_cells(&self.net, std::slice::from_ref(&dep), cells.clone())
             .with_bases(bases);
         let sources = (n - 2) as f64;
@@ -822,15 +828,11 @@ impl Planner {
                 q.deadline_ms.unwrap_or(0)
             ));
         }
-        // Harvest misses into the cache, in item order. `peek` guards the
-        // rare case where two destinations... cannot collide (keys carry
-        // the destination), but re-inserting a prewarmed entry twice
-        // would double-count nothing either way.
+        // Harvest the computed bases into the cache, in item order. Each
+        // key missed this query's probe and destinations are distinct, so
+        // none repeats.
         for (d, p, base) in acc.harvest {
-            let key = key_of(d, p);
-            if !self.cache.peek(&key) {
-                self.cache.insert(key, base);
-            }
+            self.cache.insert(CacheKey::new(d, p, &sets), base);
         }
         let answers = (0..ncells)
             .map(|c| CellAnswer {
@@ -866,7 +868,7 @@ impl Planner {
         }
         let dep = q.deployment(self.net.len());
         let cells = q.cell_set();
-        let bases = self.cached_bases(q, &cells, &q.canonical_sets());
+        let bases = self.cached_bases(q, &dep, &cells, &q.canonical_sets());
         let universe = PairUniverse::new(&self.net, &q.attackers, &q.destinations);
         if universe.population() == 0 {
             return Err("no valid pairs in the estimation universe".into());
@@ -1171,5 +1173,44 @@ mod tests {
         let s = planner.cache_stats();
         assert_eq!(s.misses, 0, "prewarmed destination missed");
         assert!(s.hits > 0);
+    }
+
+    #[test]
+    fn collapsed_models_share_one_cache_entry() {
+        // At S = ∅ the security models collapse onto one computation per
+        // LP variant, so one cached base per destination serves them all.
+        let query = |models: &str| {
+            format!(
+                "{{\"op\":\"query\",\"id\":1,\"models\":[{models}],\
+                 \"strategies\":[\"fakelink\",\"path2\"],\"attackers\":[5,6],\
+                 \"destinations\":[9,10]}}"
+            )
+        };
+        let all = query("\"sec1\",\"sec2\",\"sec3\"");
+        let mut cold = Planner::new(tiny(), PlannerConfig::default());
+        let reply = cold.handle(&all).unwrap();
+        let s = cold.cache_stats();
+        assert_eq!(s.misses, 2, "one base per destination");
+        assert_eq!(
+            s.misses as usize,
+            cold.cache.entries.len(),
+            "misses vs bases"
+        );
+        assert_eq!(cold.handle(&all).unwrap(), reply);
+        assert_eq!(cold.cache_stats().misses, s.misses, "a repeat missed");
+
+        // Prewarmed Sec-3rd bases serve a query whose group head is Sec 1st.
+        let mixed = query("\"sec1\",\"sec3\"");
+        let n = tiny().len();
+        let cfg = PlannerConfig {
+            prewarm: n,
+            ..PlannerConfig::default()
+        };
+        let mut warm = Planner::new(tiny(), cfg);
+        let reply = warm.handle(&mixed).unwrap();
+        assert_eq!(warm.cache_stats().misses, 0, "a prewarmed base missed");
+        assert_eq!(warm.cache.entries.len(), n, "a duplicate base was cached");
+        let mut fresh = Planner::new(tiny(), PlannerConfig::default());
+        assert_eq!(reply, fresh.handle(&mixed).unwrap());
     }
 }

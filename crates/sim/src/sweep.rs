@@ -35,9 +35,10 @@
 //! runner sums integer [`HappyCount`]s, one row per destination, collected
 //! in destination order. Both ride [`crate::runner::map_reduce`], so results
 //! are bit-identical at any [`Parallelism`], and each cell of an N-cell run
-//! is bit-identical to a one-cell run of that cell. Every step equals a fresh per-step evaluation, bit for
-//! bit (the sweep- and delta-equivalence property suites enforce the
-//! per-outcome version of this claim).
+//! is bit-identical to a one-cell run of that cell. Every step equals a
+//! fresh per-step evaluation, bit for bit (the sweep- and
+//! delta-equivalence property suites enforce the per-outcome version of
+//! this claim).
 
 use sbgp_core::metric::MetricAccumulator;
 use sbgp_core::{AttackStrategy, Bounds, CellSet, Deployment, HappyCount, Policy, SweepStats};

@@ -15,7 +15,10 @@
 //! interleaves many attackers — mixed forged-path depths and colluding
 //! sets — with sweep advances feeding
 //! [`AttackDeltaEngine::begin_from_normal`] on one engine pair, the exact
-//! composition the destination-major runners use.
+//! composition the destination-major runners use. Bases exported by
+//! [`AttackDeltaEngine::export_base`] and re-adopted through
+//! [`AttackDeltaEngine::begin_from_base`] (the planner cache's round trip)
+//! must serve and count every attack exactly as the exporting engine does.
 
 use proptest::prelude::*;
 
@@ -225,8 +228,68 @@ fn check_collusion_instance(inst: &Instance, policy: Policy, hops: u8) {
     }
 }
 
+/// Export each cell's base from one engine and adopt it on a second
+/// through `begin_from_base`, then serve every attacker across the forged-
+/// path ladder and the colluding pairs on both: the adopter must match the
+/// exporter and a fresh compute outcome for outcome, and count every
+/// attack the same way.
+fn check_round_trip_instance(inst: &Instance, policy: Policy) {
+    let graph = graph_from_codes(inst.n, &inst.codes);
+    let steps = deployment_sequence(inst.n, &inst.join_codes);
+    let d = AsId(inst.destination as u32);
+    let n = inst.n as u32;
+    let mut fresh = Engine::new(&graph);
+    for (k, dep) in steps.iter().enumerate() {
+        let mut exporter = AttackDeltaEngine::new(&graph);
+        let mut adopter = AttackDeltaEngine::new(&graph);
+        exporter.begin(d, dep, policy);
+        adopter.begin_from_base(&exporter.export_base(), dep, policy);
+        assert_eq!(adopter.normal_happy(), exporter.normal_happy());
+        for m in graph.ases().filter(|&m| m != d) {
+            let partner = AsId((m.0 + 1) % n);
+            let pair = [m, partner];
+            let sets: &[&[AsId]] = if partner == d || partner == m {
+                &[&pair[..1]]
+            } else {
+                &[&pair[..1], &pair]
+            };
+            for &set in sets {
+                for hops in 0..4u8 {
+                    let strategy = AttackStrategy::FakePath { hops };
+                    let ctx = format!("set={set:?} hops={hops}, step {k}: {inst:?} {policy}");
+                    let scenario = AttackScenario::colluding(set, d).with_strategy(strategy);
+                    let want = fresh.compute(scenario, dep, policy);
+                    let exported = exporter.attack_set(set, strategy);
+                    assert_outcomes_match(exported, want, &graph, &ctx);
+                    let adopted = adopter.attack_set(set, strategy);
+                    assert_outcomes_match(adopted, want, &graph, &ctx);
+                    assert_eq!(adopter.count_happy(), want.count_happy(), "{ctx}");
+                    assert_eq!(exporter.count_happy(), want.count_happy(), "{ctx}");
+                }
+            }
+        }
+        let (got, want) = (adopter.stats(), exporter.stats());
+        let ctx = format!("step {k}: {inst:?} {policy}");
+        assert_eq!(got.delta_attacks, want.delta_attacks, "{ctx}");
+        assert_eq!(got.full_recomputes, want.full_recomputes, "{ctx}");
+        assert_eq!(got.refixed_ases, want.refixed_ases, "{ctx}");
+        assert_eq!(got.grow_rounds, want.grow_rounds, "{ctx}");
+        assert_eq!(got.adopted_bases, 1, "{ctx}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Exported bases round-trip through `begin_from_base` for every
+    /// security model, and the `LP2` variant.
+    #[test]
+    fn exported_bases_round_trip(inst in arb_instance()) {
+        for model in SecurityModel::ALL {
+            check_round_trip_instance(&inst, Policy::new(model));
+        }
+        check_round_trip_instance(&inst, Policy::with_variant(SecurityModel::Security1st, LpVariant::LpK(2)));
+    }
 
     #[test]
     fn delta_matches_fresh_engine_standard_lp(inst in arb_instance()) {
