@@ -122,7 +122,7 @@ fn main() {
     let _ = writer.flush();
     let s = planner.cache_stats();
     eprintln!(
-        "planner: done — {} hits, {} misses, {} evictions",
-        s.hits, s.misses, s.evictions
+        "planner: done — {} hits, {} misses ({} derived), {} evictions",
+        s.hits, s.misses, s.derived, s.evictions
     );
 }

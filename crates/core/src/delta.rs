@@ -60,6 +60,7 @@ use crate::deployment::Deployment;
 use crate::outcome::Outcome;
 use crate::policy::{preference_key, Policy};
 use crate::region::{self, PatchCore, Region};
+use crate::sweep::SweepEngine;
 
 /// Contested-ball scan state: the AS already propagated the bogus offer to
 /// every neighbor (customer-class receipt exports everywhere)...
@@ -130,6 +131,28 @@ impl CachedBase {
     /// The cached normal-conditions outcome.
     pub fn outcome(&self) -> &Outcome {
         &self.outcome
+    }
+
+    /// The base of the same destination and `policy` at `to`, derived from
+    /// this one — exported at `from` — by one [`SweepEngine::advance`] on
+    /// `sweep`. Theorem 2.1 makes it the base
+    /// [`AttackDeltaEngine::export_base`] gives after a fresh `begin` at
+    /// `to`; its happy bounds are the sweep's incremental ones (no `O(V)`
+    /// recount). A near `from` costs a region patch; a far one, whose
+    /// region passes the advance's budget, costs one compute.
+    pub fn advanced(
+        &self,
+        sweep: &mut SweepEngine,
+        from: &Deployment,
+        to: &Deployment,
+        policy: Policy,
+    ) -> CachedBase {
+        let scenario = AttackScenario::normal(self.outcome.destination());
+        sweep.begin_from(scenario, policy, from, &self.outcome, self.normal_happy);
+        CachedBase {
+            outcome: sweep.advance(to).clone(),
+            normal_happy: sweep.count_happy(),
+        }
     }
 }
 

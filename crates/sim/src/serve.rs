@@ -19,8 +19,17 @@
 //!   models at a deployment without a full member, where they collapse)
 //!   and adopted via [`sbgp_core::FusedDeltaEngine::begin_with_bases`] /
 //!   [`sbgp_core::AttackDeltaEngine::begin_from_base`], skipping the route
-//!   computation; misses are computed once and harvested back into the
-//!   cache;
+//!   computation;
+//! * an exact-path miss is derived from the nearest cached base of the
+//!   same destination and keyed policy — the entry whose full and simplex
+//!   lists differ least from the query's, ties broken by those lists — by
+//!   one [`SweepEngine`] advance ([`CachedBase::advanced`]): Theorem 2.1
+//!   makes the advanced base exact, and the advance's own patch budget
+//!   decides between a region patch ("my deployment plus this AS") and a
+//!   compute. Derived bases are attached like hits and cached; a miss with
+//!   no same-cell entry is computed once in the pass and harvested back
+//!   into the cache. The probe still counts a derived base as a miss
+//!   ([`CacheStats::derived`] counts the subset);
 //! * each suspected attacker is then a contested-region **patch**, and
 //!   one fused pass serves every `(model, strategy)` cell of the query at
 //!   once — through [`crate::stats::SweepCellsEval`], the one-step case
@@ -31,7 +40,8 @@
 //!   population-weighted recombination with confidence intervals, all
 //!   from [`crate::stats`]. A sampled destination whose base is cached is
 //!   patched off it; the others run plain computes, as every estimator
-//!   does.
+//!   does (the estimate path never derives bases: most destinations it
+//!   would derive for are never sampled).
 //!
 //! # Protocol
 //!
@@ -47,7 +57,7 @@
 //!  "attackers":[4,5],"destinations":[0,6],// suspected pairs (m ≠ d)
 //!  "models":["sec1","sec3"],"variant":"lp","strategies":["fakelink","path2"],
 //!  "budget":0,"seed":42,"deadline_ms":0}  // budget>0 => stratified estimate
-//! {"op":"stats"}                          // cache hit/miss/eviction counters
+//! {"op":"stats"}                          // cache hit/miss/eviction/derived counters
 //! {"op":"shutdown"}
 //! ```
 //!
@@ -67,11 +77,13 @@
 //! # Determinism contract
 //!
 //! Same snapshot + same query ⇒ **bit-identical** reply, at any cache
-//! state and any [`Parallelism`]. Cache adoption is exact (an adopted
-//! normal outcome is bit-identical to a freshly computed one — the
-//! engines are deterministic and `tests/planner.rs` pins it), the exact
-//! path merges per-destination accumulators in item order, and the
-//! estimate path inherits the chunk-order reduction of [`crate::stats`].
+//! state and any [`Parallelism`]. Cache adoption is exact: an adopted
+//! normal outcome is bit-identical to a freshly computed one (the engines
+//! are deterministic), and so is a derived one (the stable state is
+//! unique, whichever cached base the advance starts from);
+//! `tests/planner.rs` pins both. The exact path merges per-destination
+//! accumulators in item order, and the estimate path inherits the
+//! chunk-order reduction of [`crate::stats`].
 //! Timing never appears in a reply (the `"stats"` op is the explicitly
 //! cache-state-dependent exception). A `"deadline_ms"` overrun turns the
 //! reply into an error frame instead of a partial answer, so successful
@@ -84,6 +96,7 @@ use std::time::{Duration, Instant};
 
 use sbgp_core::{
     AttackStrategy, CachedBase, CellSet, Deployment, LpVariant, Policy, PolicyCell, SecurityModel,
+    SweepEngine,
 };
 use sbgp_topology::AsId;
 
@@ -246,8 +259,13 @@ impl Default for PlannerConfig {
 pub struct CacheStats {
     /// Base computations served from the cache.
     pub hits: u64,
-    /// Base computations that had to run (and were then cached).
+    /// Base lookups whose exact key was not cached (the base was then
+    /// derived or computed, and cached).
     pub misses: u64,
+    /// Misses derived from the nearest cached base of the same destination
+    /// and policy by one deployment-sweep advance instead of a fresh
+    /// compute (a subset of `misses`).
+    pub derived: u64,
     /// Entries evicted by the LRU policy.
     pub evictions: u64,
 }
@@ -282,7 +300,49 @@ impl CacheKey {
             simplex: simplex.clone(),
         }
     }
+
+    /// How many members the two keys' deployments differ by: the size of
+    /// the symmetric difference of their full lists plus that of their
+    /// simplex lists.
+    fn distance(&self, other: &CacheKey) -> usize {
+        sorted_symmetric_difference(&self.full, &other.full)
+            + sorted_symmetric_difference(&self.simplex, &other.simplex)
+    }
 }
+
+/// The deployment over `n` ASes with full members `full` and simplex
+/// members `simplex` (full members win).
+fn deployment_of(n: usize, full: &[AsId], simplex: &[AsId]) -> Deployment {
+    let mut dep = Deployment::empty(n);
+    for &v in full {
+        dep.insert_full(v);
+    }
+    for &v in simplex {
+        dep.insert_simplex(v);
+    }
+    dep
+}
+
+/// The size of the symmetric difference of two sorted, deduplicated lists.
+fn sorted_symmetric_difference(a: &[AsId], b: &[AsId]) -> usize {
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    a.len() + b.len() - 2 * common
+}
+
+/// Bases attached to a query's pass, per destination, each under the
+/// policy of the computation head that looked it up.
+type Bases = HashMap<AsId, Vec<(Policy, Arc<CachedBase>)>>;
 
 struct CacheEntry {
     base: Arc<CachedBase>,
@@ -321,6 +381,18 @@ impl NormalCache {
                 None
             }
         }
+    }
+
+    /// The entry nearest `key` (`CacheKey::distance`) among those of the
+    /// same destination and keyed policy, ties broken by member lists, so
+    /// the pick never depends on the map's iteration order. Not a use: no
+    /// stamp moves and no counter.
+    fn nearest(&self, key: &CacheKey) -> Option<(&CacheKey, &Arc<CachedBase>)> {
+        self.entries
+            .iter()
+            .filter(|(k, _)| k.dest == key.dest && k.policy == key.policy)
+            .min_by_key(|(k, _)| (k.distance(key), &k.full, &k.simplex))
+            .map(|(k, e)| (k, &e.base))
     }
 
     /// Insert a freshly computed base, evicting the least recently used
@@ -483,14 +555,7 @@ impl Query {
 
     /// The query's deployment (full members win over simplex).
     pub fn deployment(&self, n: usize) -> Deployment {
-        let mut dep = Deployment::empty(n);
-        for &v in &self.secure {
-            dep.insert_full(v);
-        }
-        for &v in &self.simplex {
-            dep.insert_simplex(v);
-        }
-        dep
+        deployment_of(n, &self.secure, &self.simplex)
     }
 
     /// The query's policy grid, row-major `models × strategies`.
@@ -680,12 +745,13 @@ impl Planner {
                 let s = self.cache.stats;
                 Some(format!(
                     "{{\"op\":\"stats\",\"schema\":\"{PLANNER_SCHEMA}\",\"hits\":{},\"misses\":{},\
-                     \"evictions\":{},\"entries\":{},\"queries\":{}}}",
+                     \"evictions\":{},\"entries\":{},\"queries\":{},\"derived\":{}}}",
                     s.hits,
                     s.misses,
                     s.evictions,
                     self.cache.entries.len(),
-                    self.queries
+                    self.queries,
+                    s.derived
                 ))
             }
             "query" => {
@@ -746,7 +812,8 @@ impl Planner {
 
     /// The cached normal-conditions bases of a query at `dep`, per
     /// destination (destinations with none are absent), cloned so the
-    /// parallel pass owns its inputs. The cache is probed once per
+    /// parallel pass owns its inputs, and the `(destination, policy)` probes
+    /// that missed, in destination order. The cache is probed once per
     /// computation head — the only computations that look a base up — and
     /// a found base is attached under the head's policy.
     fn cached_bases(
@@ -755,7 +822,7 @@ impl Planner {
         dep: &Deployment,
         cells: &CellSet,
         sets: &(Vec<AsId>, Vec<AsId>),
-    ) -> HashMap<AsId, Vec<(Policy, Arc<CachedBase>)>> {
+    ) -> (Bases, Vec<(AsId, Policy)>) {
         let (comps, _) = cells.computations(dep);
         let heads: Vec<Policy> = comps
             .iter()
@@ -763,20 +830,54 @@ impl Planner {
             .filter(|&(ci, comp)| comp.base == ci)
             .map(|(_, comp)| comp.cell.policy)
             .collect();
-        let mut bases = HashMap::new();
+        let mut bases = Bases::new();
+        let mut missed = Vec::new();
         for &d in &q.destinations {
-            let found: Vec<(Policy, Arc<CachedBase>)> = heads
-                .iter()
-                .filter_map(|&policy| {
-                    let key = CacheKey::new(d, policy, sets);
-                    self.cache.get(&key).map(|base| (policy, base.clone()))
-                })
-                .collect();
-            if !found.is_empty() {
-                bases.insert(d, found);
+            for &policy in &heads {
+                match self.cache.get(&CacheKey::new(d, policy, sets)) {
+                    Some(base) => bases.entry(d).or_default().push((policy, base.clone())),
+                    None => missed.push((d, policy)),
+                }
             }
         }
-        bases
+        (bases, missed)
+    }
+
+    /// Derive the bases the exact probe `missed` from the nearest cached
+    /// base of the same destination and keyed policy (`NormalCache::nearest`),
+    /// one [`CachedBase::advanced`] each on a per-query [`SweepEngine`]:
+    /// exact by Theorem 2.1, a region patch when the deployments are close
+    /// and one compute when the advance's own budget says they are not.
+    /// Derived bases join `bases` like hits and are cached in destination
+    /// order; probes with no same-cell entry are left to the pass.
+    fn derive_bases(
+        &mut self,
+        dep: &Deployment,
+        sets: &(Vec<AsId>, Vec<AsId>),
+        missed: Vec<(AsId, Policy)>,
+        bases: &mut Bases,
+    ) {
+        let n = self.net.len();
+        let mut sweep = None;
+        let mut derived = Vec::new();
+        for (d, policy) in missed {
+            let key = CacheKey::new(d, policy, sets);
+            let Some((near, base)) = self.cache.nearest(&key) else {
+                continue;
+            };
+            let sweep = sweep.get_or_insert_with(|| SweepEngine::new(&self.net.graph));
+            // The advance runs under the keyed policy: a collapsed key's
+            // entry may hold a Sec-3rd base at a deployment with full
+            // members, which is no base for the head's own model there.
+            let from = deployment_of(n, &near.full, &near.simplex);
+            let base = Arc::new(base.advanced(sweep, &from, dep, key.policy));
+            bases.entry(d).or_default().push((policy, base.clone()));
+            derived.push((key, base));
+        }
+        self.cache.stats.derived += derived.len() as u64;
+        for (key, base) in derived {
+            self.cache.insert(key, base);
+        }
     }
 
     /// Exact path: enumerate every `m ≠ d` pair, one fused pass per
@@ -791,7 +892,8 @@ impl Planner {
         let dep = q.deployment(n);
         let cells = q.cell_set();
         let sets = q.canonical_sets();
-        let bases = self.cached_bases(q, &dep, &cells, &sets);
+        let (mut bases, missed) = self.cached_bases(q, &dep, &cells, &sets);
+        self.derive_bases(&dep, &sets, missed, &mut bases);
         let eval = SweepCellsEval::from_cells(&self.net, std::slice::from_ref(&dep), cells.clone())
             .with_bases(bases);
         let sources = (n - 2) as f64;
@@ -868,7 +970,7 @@ impl Planner {
         }
         let dep = q.deployment(self.net.len());
         let cells = q.cell_set();
-        let bases = self.cached_bases(q, &dep, &cells, &q.canonical_sets());
+        let (bases, _) = self.cached_bases(q, &dep, &cells, &q.canonical_sets());
         let universe = PairUniverse::new(&self.net, &q.attackers, &q.destinations);
         if universe.population() == 0 {
             return Err("no valid pairs in the estimation universe".into());
@@ -1173,6 +1275,40 @@ mod tests {
         let s = planner.cache_stats();
         assert_eq!(s.misses, 0, "prewarmed destination missed");
         assert!(s.hits > 0);
+    }
+
+    #[test]
+    fn nearest_entry_differs_least_then_comes_first() {
+        let net = tiny();
+        let policy = Policy::new(SecurityModel::Security1st);
+        let key = |d: u32, full: &[u32], simplex: &[u32]| {
+            let ids = |v: &[u32]| v.iter().map(|&x| AsId(x)).collect::<Vec<_>>();
+            CacheKey::new(AsId(d), policy, &(ids(full), ids(simplex)))
+        };
+        let mut delta = sbgp_core::AttackDeltaEngine::new(&net.graph);
+        delta.begin(AsId(9), &Deployment::empty(net.len()), policy);
+        let base = Arc::new(delta.export_base());
+        let mut cache = NormalCache::new(8);
+        for k in [
+            key(9, &[1, 2, 4], &[]),
+            key(9, &[1, 2, 3], &[]),
+            key(9, &[1], &[]),
+            key(9, &[1, 2], &[5, 6]),
+            key(10, &[1, 2], &[]),
+        ] {
+            cache.insert(k, base.clone());
+        }
+        // Three entries differ from {1, 2} by one member; the first by
+        // member lists wins, and another destination never qualifies.
+        let (near, _) = cache.nearest(&key(9, &[1, 2], &[])).unwrap();
+        assert_eq!(near, &key(9, &[1], &[]));
+        let (near, _) = cache.nearest(&key(9, &[1, 2], &[5])).unwrap();
+        assert_eq!(near, &key(9, &[1, 2], &[5, 6]));
+        assert!(cache.nearest(&key(11, &[1, 2], &[])).is_none());
+        // Without a full member the key collapses onto Sec 3rd: no Sec-1st
+        // entry qualifies.
+        assert!(cache.nearest(&key(9, &[], &[1, 2])).is_none());
+        assert_eq!(cache.stats, CacheStats::default(), "nearest counted a use");
     }
 
     #[test]

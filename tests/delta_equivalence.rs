@@ -18,7 +18,10 @@
 //! composition the destination-major runners use. Bases exported by
 //! [`AttackDeltaEngine::export_base`] and re-adopted through
 //! [`AttackDeltaEngine::begin_from_base`] (the planner cache's round trip)
-//! must serve and count every attack exactly as the exporting engine does.
+//! must serve and count every attack exactly as the exporting engine does,
+//! and a base exported at one deployment and carried to another by
+//! [`CachedBase::advanced`] (the planner's derived misses) must equal the
+//! base a fresh `begin` exports there.
 
 use proptest::prelude::*;
 
@@ -27,7 +30,19 @@ use bgp_juice::prelude::*;
 /// Build a random valley-free topology from pairwise edge codes.
 /// Providers always have smaller ids, so the hierarchy is acyclic.
 fn graph_from_codes(n: usize, codes: &[u8]) -> AsGraph {
-    let mut b = GraphBuilder::new(n);
+    graph_with_filler(n, codes, 0)
+}
+
+/// [`graph_from_codes`] plus `filler` ASes (ids from `n` on) linked into a
+/// provider chain detached from the coded graph. The chain never joins a
+/// region, but its adjacency lifts the patch budget, so sweep advances on
+/// these tiny graphs take the incremental path instead of always
+/// computing fresh.
+fn graph_with_filler(n: usize, codes: &[u8], filler: usize) -> AsGraph {
+    let mut b = GraphBuilder::new(n + filler);
+    for i in n + 1..n + filler {
+        b.add_provider(AsId(i as u32), AsId(i as u32 - 1)).unwrap();
+    }
     let mut k = 0;
     for i in 0..n {
         for j in (i + 1)..n {
@@ -278,8 +293,165 @@ fn check_round_trip_instance(inst: &Instance, policy: Policy) {
     }
 }
 
+/// The deployment with full members `full` and simplex members
+/// `simplex` (full wins) over a universe of `n` ASes.
+fn deployment_of(n: usize, full: &[AsId], simplex: &[AsId]) -> Deployment {
+    let mut dep = Deployment::empty(n);
+    for &v in simplex {
+        dep.insert_simplex(v);
+    }
+    for &v in full {
+        dep.insert_full(v);
+    }
+    dep
+}
+
+/// The `(label, A, B)` steps a base derivation is checked on, over a
+/// universe of `universe` ASes of which the first `inst.n` are coded. The
+/// instance's members — full and simplex, the destination excluded — come
+/// from its join codes; `v` and `w` are two non-destination ASes.
+fn derivation_steps(
+    inst: &Instance,
+    universe: usize,
+) -> Vec<(&'static str, Deployment, Deployment)> {
+    let n = inst.n;
+    let d = AsId(inst.destination as u32);
+    let v = AsId(((inst.destination + 1) % n) as u32);
+    let w = AsId(((inst.destination + 2) % n) as u32);
+    let member = |i: usize| inst.join_codes[i] & 3 != 3 && AsId(i as u32) != d;
+    let without = |list: &[AsId], x: &[AsId]| -> Vec<AsId> {
+        list.iter().copied().filter(|u| !x.contains(u)).collect()
+    };
+    let full: Vec<AsId> = (0..n)
+        .filter(|&i| member(i) && inst.join_codes[i] & 4 == 0)
+        .map(|i| AsId(i as u32))
+        .collect();
+    let simplex: Vec<AsId> = (0..n)
+        .filter(|&i| member(i) && inst.join_codes[i] & 4 != 0)
+        .map(|i| AsId(i as u32))
+        .collect();
+    let dep = |f: &[AsId], x: &[AsId]| deployment_of(universe, f, x);
+    let base_full = without(&full, &[v, w]);
+    let base_simplex = without(&simplex, &[v, w]);
+    let plus = |extra: &[AsId]| [base_full.as_slice(), extra].concat();
+    let signed = [base_simplex.as_slice(), &[d]].concat();
+    let everyone: Vec<AsId> = (0..n as u32).map(AsId).collect();
+    vec![
+        (
+            "grow",
+            dep(&base_full, &base_simplex),
+            dep(&plus(&[v]), &base_simplex),
+        ),
+        (
+            "retract",
+            dep(&plus(&[v, w]), &base_simplex),
+            dep(&plus(&[w]), &base_simplex),
+        ),
+        (
+            "simplex flip",
+            dep(&base_full, &[base_simplex.as_slice(), &[v]].concat()),
+            dep(&plus(&[v]), &base_simplex),
+        ),
+        (
+            "mixed",
+            dep(&plus(&[v]), &base_simplex),
+            dep(&plus(&[w]), &base_simplex),
+        ),
+        (
+            "destination signs",
+            dep(&base_full, &base_simplex),
+            dep(&base_full, &signed),
+        ),
+        (
+            "destination validates",
+            dep(&base_full, &signed),
+            dep(&plus(&[d]), &base_simplex),
+        ),
+        (
+            "destination leaves",
+            dep(&plus(&[d]), &base_simplex),
+            dep(&base_full, &base_simplex),
+        ),
+        ("over budget", dep(&[], &[]), dep(&everyone, &[])),
+    ]
+}
+
+/// Derive the base at B from a base exported at A
+/// ([`CachedBase::advanced`]) and check it against a fresh `begin` +
+/// `export_base` at B: every AS's route, next hop and mark bit, the happy
+/// bounds, and every attacker served off the adopted base. Returns the
+/// advance's sweep statistics.
+fn check_derived_base(
+    graph: &AsGraph,
+    n: usize,
+    d: AsId,
+    (a, b): (&Deployment, &Deployment),
+    policy: Policy,
+    ctx: &str,
+) -> SweepStats {
+    let mut exporter = AttackDeltaEngine::new(graph);
+    exporter.begin(d, a, policy);
+    let mut sweep = SweepEngine::new(graph);
+    let derived = exporter.export_base().advanced(&mut sweep, a, b, policy);
+    let mut fresh = AttackDeltaEngine::new(graph);
+    fresh.begin(d, b, policy);
+    let want = fresh.export_base();
+    assert_outcomes_match(derived.outcome(), want.outcome(), graph, ctx);
+    for v in graph.ases() {
+        assert_eq!(
+            derived.outcome().may_traverse_mark(v),
+            want.outcome().may_traverse_mark(v),
+            "mark mismatch at {v}, {ctx}"
+        );
+    }
+    let mut adopter = AttackDeltaEngine::new(graph);
+    adopter.begin_from_base(&derived, b, policy);
+    assert_eq!(adopter.normal_happy(), fresh.normal_happy(), "happy, {ctx}");
+    for m in (0..n as u32).map(AsId).filter(|&m| m != d) {
+        let got = adopter.attack(m, AttackStrategy::FakeLink);
+        let want = fresh.attack(m, AttackStrategy::FakeLink);
+        assert_outcomes_match(got, want, graph, &format!("m={m}, {ctx}"));
+        assert_eq!(adopter.count_happy(), fresh.count_happy(), "m={m}, {ctx}");
+    }
+    sweep.stats()
+}
+
+/// Every derivation step of an instance under `policy`, on the bare coded
+/// graph (a tiny patch budget: most advances compute fresh) and with a
+/// filler chain (a budget the coded graph fits under: advances patch).
+fn check_derivation_instance(inst: &Instance, policy: Policy) {
+    let d = AsId(inst.destination as u32);
+    for filler in [0, 24] {
+        let graph = graph_with_filler(inst.n, &inst.codes, filler);
+        for (label, a, b) in derivation_steps(inst, graph.len()) {
+            let ctx = format!("{label} (filler {filler}): {inst:?} {policy}");
+            let stats = check_derived_base(&graph, inst.n, d, (&a, &b), policy, &ctx);
+            if label == "over budget" && filler == 0 && graph.num_edges() > 0 {
+                // Every coded AS turns validating at once: the seeds'
+                // mass, 2·E, passes the budget (n + 2·E) / 6 before any
+                // solve, and the advance computes fresh.
+                assert_eq!(stats.fallback_steps, 1, "{ctx}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A base exported at deployment A and advanced to B is the base a
+    /// fresh `begin` at B exports — outcome and happy bounds — for every
+    /// security model and the `LP2`/`LPinf` variants, across grow,
+    /// retract, simplex-flip, mixed and destination-signing steps, and a
+    /// step past the patch budget (the fallback stays exact).
+    #[test]
+    fn derived_bases_match_fresh_bases(inst in arb_instance()) {
+        for model in SecurityModel::ALL {
+            for variant in [LpVariant::Standard, LpVariant::LpK(2), LpVariant::LpInf] {
+                check_derivation_instance(&inst, Policy::with_variant(model, variant));
+            }
+        }
+    }
 
     /// Exported bases round-trip through `begin_from_base` for every
     /// security model, and the `LP2` variant.

@@ -5,6 +5,9 @@
 //! * cold-cache, warm-cache and solo [`AttackDeltaEngine`] answers are
 //!   **bit-identical** for the same query stream — including a query that
 //!   mixes cached and uncached destinations — at every [`Parallelism`];
+//! * a miss derived from a nearby cached base (one sweep advance from
+//!   the nearest deployment) replies exactly as a cold planner does, at
+//!   100s and at 10,000 ASes (the latter `#[ignore]`d in tier-1);
 //! * a malformed frame draws a clean error reply and the server keeps
 //!   answering (checked in-process *and* over a real subprocess pipe).
 //!
@@ -120,6 +123,173 @@ fn cold_warm_and_solo_replies_are_bit_identical() {
     let sources = (net.len() - 2) as f64;
     assert_eq!(json_f64(&replies[3], "lower"), lo as f64 / sources);
     assert_eq!(json_f64(&replies[3], "upper"), hi as f64 / sources);
+}
+
+/// The policy grid of the near-miss queries: two models, two strategies.
+const TWO_BY_TWO: &str = "\"models\":[\"sec1\",\"sec3\"],\"strategies\":[\"fakelink\",\"hijack\"]";
+
+/// An exact what-if frame over the policy grid `grid`.
+fn what_if(
+    id: usize,
+    (secure, simplex): (&[AsId], &[AsId]),
+    attackers: &[AsId],
+    dests: &[AsId],
+    grid: &str,
+) -> String {
+    let ids = |v: &[AsId]| {
+        v.iter()
+            .map(|x| x.0.to_string())
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    format!(
+        "{{\"op\":\"query\",\"id\":{id},\"secure\":[{}],\"simplex\":[{}],\
+         \"attackers\":[{}],\"destinations\":[{}],{grid}}}",
+        ids(secure),
+        ids(simplex),
+        ids(attackers),
+        ids(dests)
+    )
+}
+
+/// The stubs of `net`, in id order.
+fn stubs(net: &Internet) -> Vec<AsId> {
+    net.graph.ases().filter(|&v| net.tiers.is_stub(v)).collect()
+}
+
+/// Near-miss what-if queries: each probes a deployment no earlier query
+/// used, so every base lookup misses the exact key, and most have a cached
+/// base of the same destination and policy nearby to derive from.
+fn near_miss_stream(net: &Internet) -> Vec<String> {
+    let stubs = stubs(net);
+    let (dests, attackers, extra, fresh_dest) = (&stubs[..3], &stubs[3..5], stubs[5], stubs[6]);
+    let non_stubs = net.tiers.non_stubs();
+    let base = [non_stubs.as_slice(), dests].concat();
+    let without = |x: AsId| -> Vec<AsId> { base.iter().copied().filter(|&v| v != x).collect() };
+    let everyone_even: Vec<AsId> = net.graph.ases().filter(|v| v.0 % 2 == 0).collect();
+    let q = |id, deployment, dests: &[AsId]| what_if(id, deployment, attackers, dests, TWO_BY_TWO);
+    vec![
+        // Cold: one Sec 1st and one Sec 3rd base per destination.
+        q(1, (&base, &[]), dests),
+        // +1 stub.
+        q(2, (&[base.as_slice(), &[extra]].concat(), &[]), dests),
+        // −1 destination: it stops signing, and its own bases flip.
+        q(3, (&without(dests[0]), &[]), dests),
+        // A simplex flip: a non-stub downgrades from full to simplex.
+        q(4, (&without(non_stubs[0]), &[non_stubs[0]]), dests),
+        // No full member: the models collapse onto the Sec-3rd key, derived
+        // from a Sec-3rd base that had full members...
+        q(5, (&[], &dests[..2]), dests),
+        // ...and then from that collapsed base.
+        q(6, (&[], dests), dests),
+        // A far deployment (the advance computes fresh), plus a
+        // destination nothing is cached for.
+        q(7, (&everyone_even, &[]), &[dests[0], fresh_dest]),
+    ]
+}
+
+/// Misses served from a nearby cached base reply byte for byte as a
+/// fresh one-query planner does, at 1, 2 and 5 threads; the counters say
+/// which misses were derived, and a repeat of the stream is all hits.
+#[test]
+fn derived_misses_match_fresh_planners() {
+    let net = Internet::synthetic(600, 7);
+    let stream = near_miss_stream(&net);
+    // Queries 1–4 look up 3 destinations × {Sec 1st, Sec 3rd}; 5 and 6 one
+    // collapsed key per destination; 7 two destinations × two models. Only
+    // query 1 and the fresh destination of query 7 find no same-cell base.
+    let (misses, derived) = (6 * 4 + 3 * 2 + 4, 6 * 3 + 3 * 2 + 2);
+    for threads in [1, 2, 5] {
+        let mut planner = Planner::new(net.clone(), planner_config(threads));
+        let replies = run_stream(&mut planner, &stream);
+        for (q, reply) in stream.iter().zip(&replies) {
+            let mut fresh = Planner::new(net.clone(), planner_config(threads));
+            assert_eq!(
+                reply,
+                &fresh.handle(q).expect("reply"),
+                "{threads} thread(s): {q}"
+            );
+            assert_eq!(fresh.cache_stats().derived, 0, "a cold planner derived");
+        }
+        let first = planner.cache_stats();
+        assert_eq!(
+            (first.misses, first.derived),
+            (misses, derived),
+            "{threads} thread(s)"
+        );
+        let stats = planner.handle("{\"op\":\"stats\"}").expect("stats");
+        assert!(
+            stats.ends_with(&format!(",\"derived\":{derived}}}")),
+            "{stats}"
+        );
+
+        assert_eq!(
+            run_stream(&mut planner, &stream),
+            replies,
+            "{threads} thread(s)"
+        );
+        let again = planner.cache_stats();
+        assert_eq!(
+            again.hits - first.hits,
+            misses,
+            "the repeat must be all hits"
+        );
+        assert_eq!(
+            (again.misses, again.derived),
+            (first.misses, first.derived),
+            "the repeat missed"
+        );
+    }
+}
+
+/// The `planner-10k` stream shape at 10,000 ASes: candidate deployments of
+/// every non-stub plus the operator's destinations, one stub added or one
+/// destination left out, and novel never-seen stubs now and then. Every
+/// reply must match a cold one-query planner's, and every miss but each
+/// destination's first must be derived.
+#[test]
+#[ignore = "10k-AS scale check; run in release with --ignored"]
+fn derived_misses_match_fresh_planners_at_10k() {
+    let net = Internet::synthetic(10_000, 1);
+    let stubs = stubs(&net);
+    let (dests, suspects) = (&stubs[..8], &stubs[8..12]);
+    let (extras, novel) = (&stubs[12..16], &stubs[16..20]);
+    let mut base = net.tiers.non_stubs();
+    base.extend_from_slice(dests);
+    let candidates: Vec<Vec<AsId>> = (0..8)
+        .map(|k| {
+            if k < 4 {
+                [base.as_slice(), &[extras[k]]].concat()
+            } else {
+                base.iter()
+                    .copied()
+                    .filter(|&v| v != dests[k - 4])
+                    .collect()
+            }
+        })
+        .collect();
+    // Sec 1st, fake link; the candidates cycle, so later rounds also hit.
+    let stream: Vec<String> = (0..24)
+        .map(|i| {
+            let mut secure = candidates[(i * 5) % 8].clone();
+            if i % 6 == 5 {
+                secure.push(novel[i / 6]);
+            }
+            let group = &dests[(i % 2) * 4..(i % 2) * 4 + 4];
+            let attackers = &suspects[i % 3..i % 3 + 2];
+            what_if(i, (&secure, &[]), attackers, group, "\"models\":[\"sec1\"]")
+        })
+        .collect();
+    let mut planner = Planner::new(net.clone(), planner_config(1));
+    for q in &stream {
+        let reply = planner.handle(q).expect("reply");
+        assert!(reply.contains("\"op\":\"reply\""), "{reply}");
+        let mut cold = Planner::new(net.clone(), planner_config(1));
+        assert_eq!(reply, cold.handle(q).expect("reply"), "{q}");
+    }
+    let stats = planner.cache_stats();
+    assert_eq!(stats.misses - stats.derived, 8, "{stats:?}");
+    assert!(stats.derived > 0, "{stats:?}");
 }
 
 /// A malformed message mid-stream draws a clean `{"op":"error",...}`

@@ -305,7 +305,9 @@ fn warm_planner_cache_beats_cold_by_5x() {
             .collect()
     };
 
-    // Cold: a fresh planner per repetition computes every base outcome.
+    // Cold: a fresh planner per repetition computes query 1's base
+    // outcomes and derives queries 2–3's from them (one sweep advance per
+    // destination: each adds one stub).
     let (cold, cold_replies) = fastest(|| {
         let mut planner = Planner::new(net.clone(), cfg);
         timed(|| answer(&mut planner))
@@ -359,8 +361,9 @@ struct WhatIfStream {
 
 /// Three what-if queries, the planner's actual workload: the operator
 /// probes S (every non-stub plus the destinations), then S plus one
-/// candidate stub, then S plus a different one. Each costs a cold planner
-/// one base computation per destination and a warm one none.
+/// candidate stub, then S plus a different one. A cold planner computes
+/// one base per destination for the first and derives the other two from
+/// it (one sweep advance each); a warm one adopts every base.
 /// Destination-heavy and attacker-light (48 destinations, one insecure
 /// stub attacker per query, Sec 1st) so patches stay tiny and the base
 /// computations dominate the cold pass.
