@@ -58,18 +58,16 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use sbgp_bench::campaign::{Cell, CAMPAIGN_SCHEMA, CELL_KEYS, CELL_SCHEMA};
 use sbgp_core::{AttackStrategy, Deployment, Policy, SecurityModel};
 use sbgp_sim::faultpoint;
+use sbgp_sim::json::{self, Reader};
 use sbgp_sim::scenario::sweep_rollout_steps;
+use sbgp_sim::serve::{model_token, parse_model};
 use sbgp_sim::stats::{self, AdaptiveRun, EstimatorConfig, PairUniverse};
 use sbgp_sim::supervise::{self, Supervisor, SupervisorConfig, WorkerMsg};
 use sbgp_sim::{Internet, Parallelism};
 use sbgp_topology::AsId;
-
-/// Cell-file schema marker; bump on any layout change.
-const CELL_SCHEMA: &str = "campaign-cell-v1";
-/// Top-level schema marker.
-const CAMPAIGN_SCHEMA: &str = "campaign-v1";
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Figure {
@@ -99,23 +97,6 @@ impl Figure {
             Figure::Rollout => "rollout",
             Figure::Ladder => "ladder",
         }
-    }
-}
-
-fn model_token(m: SecurityModel) -> &'static str {
-    match m {
-        SecurityModel::Security1st => "sec1",
-        SecurityModel::Security2nd => "sec2",
-        SecurityModel::Security3rd => "sec3",
-    }
-}
-
-fn parse_model(s: &str) -> Result<SecurityModel, String> {
-    match s {
-        "sec1" => Ok(SecurityModel::Security1st),
-        "sec2" => Ok(SecurityModel::Security2nd),
-        "sec3" => Ok(SecurityModel::Security3rd),
-        other => Err(format!("unknown model {other:?} (sec1|sec2|sec3)")),
     }
 }
 
@@ -295,34 +276,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     Ok(a)
 }
 
-/// Minimal field extraction from our own cell JSON (numbers only; the
-/// files are machine-written, never hand-edited): the number token after
-/// the first `"key": `.
-fn json_number<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let pat = format!("\"{key}\": ");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    Some(&rest[..end])
-}
-
-/// A count field: strict digits, so a fractional or signed value is absent
-/// rather than truncated.
-fn json_u64(text: &str, key: &str) -> Option<u64> {
-    let token = json_number(text, key)?;
-    if token.is_empty() || !token.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    token.parse().ok()
-}
-
-/// A real-valued field such as `wall_ms`.
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    json_number(text, key)?.parse().ok()
-}
-
 struct CellOutcome {
     id: String,
     json: String,
@@ -498,58 +451,56 @@ fn try_resume(
             return None;
         }
     };
-    let complete = text.contains(&format!("\"schema\": \"{CELL_SCHEMA}\"")) && text.ends_with('}');
-    let damage = if text.is_empty() {
-        Some("is zero bytes (torn write)")
-    } else if !complete {
-        Some("is torn or not a campaign cell")
-    } else {
-        match supervise::verify_checksum(&text) {
-            supervise::ChecksumStatus::Valid | supervise::ChecksumStatus::Missing => None,
-            supervise::ChecksumStatus::Mismatch => Some("fails its content checksum"),
+    if text.is_empty() {
+        quarantine(&path, &cell_id, "is zero bytes (torn write)");
+        return None;
+    }
+    let cell = match Cell::parse(&text) {
+        Ok(cell) => cell,
+        Err(e) => {
+            quarantine(
+                &path,
+                &cell_id,
+                &format!("is torn or not a campaign cell ({e})"),
+            );
+            return None;
         }
     };
-    if let Some(why) = damage {
-        quarantine(&path, &cell_id, why);
-        return None;
+    match supervise::verify_checksum(&text) {
+        supervise::ChecksumStatus::Valid => {}
+        supervise::ChecksumStatus::Mismatch => {
+            quarantine(&path, &cell_id, "fails its content checksum");
+            return None;
+        }
+        supervise::ChecksumStatus::Missing => {
+            // Healthy pre-hardening checkpoint: recompute (don't
+            // quarantine) so every trusted cell carries a checksum going
+            // forward.
+            println!("cell {cell_id}: checkpoint predates content checksums, recomputing");
+            return None;
+        }
     }
-    if matches!(
-        supervise::verify_checksum(&text),
-        supervise::ChecksumStatus::Missing
-    ) {
-        // Healthy pre-hardening checkpoint: recompute (don't quarantine)
-        // so every trusted cell carries a checksum going forward.
-        println!("cell {cell_id}: checkpoint predates content checksums, recomputing");
-        return None;
-    }
-    if text.contains("\"degraded\": true") {
+    if cell.degraded {
         println!("cell {cell_id}: checkpoint is degraded (lost groups), recomputing to repair");
         return None;
     }
     // A reusable checkpoint was also produced under the *same estimation
-    // parameters* — we write these lines ourselves, so exact string
-    // matches are a full check. A rerun with a different --pairs / --ci
-    // / --rollout-steps recomputes the cell instead of silently reusing
+    // parameters*: a rerun with a different --pairs / --ci /
+    // --rollout-steps recomputes the cell instead of silently reusing
     // stale estimates under a new grid header.
-    let ci_line = match args.ci {
-        Some(t) => format!("\"ci_target\": {t},"),
-        None => "\"ci_target\": null,".to_string(),
-    };
-    let same_params = text.contains(&format!("\"budget\": {},", args.pairs))
-        && text.contains(&ci_line)
-        && text.contains(&format!("\"steps\": {},", expected_steps(figure, args)));
+    let same_params = cell.budget == args.pairs
+        && cell.ci_target == args.ci
+        && cell.steps == expected_steps(figure, args) as u64;
     if !same_params {
         println!("cell {cell_id}: checkpoint has different estimation parameters, recomputing");
         return None;
     }
-    let wall_ms = json_f64(&text, "wall_ms").unwrap_or(0.0);
-    let pairs = json_u64(&text, "pairs").unwrap_or(0);
     println!("cell {cell_id}: resumed from checkpoint");
     Some(CellOutcome {
         id: cell_id,
         json: text,
-        wall_ms,
-        pairs,
+        wall_ms: cell.wall_ms,
+        pairs: cell.pairs,
         resumed: true,
         degraded: false,
     })
@@ -776,34 +727,12 @@ fn run_figure_group(
         .collect()
 }
 
-/// Schema check for an assembled campaign JSON (the CI drift gate).
+/// Schema check for an assembled campaign JSON (the CI drift gate): every
+/// top-level key and every key of every cell, then each cell's checksum.
 fn validate(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    for key in [
-        &format!("\"schema\": \"{CAMPAIGN_SCHEMA}\"") as &str,
-        &format!("\"schema\": \"{CELL_SCHEMA}\""),
-        "\"grid\"",
-        "\"cells\"",
-        "\"totals\"",
-        "\"figure\"",
-        "\"asns\"",
-        "\"seed\"",
-        "\"model\"",
-        "\"population\"",
-        "\"strata\"",
-        "\"pairs\"",
-        "\"wall_ms\"",
-        "\"pairs_per_sec\"",
-        "\"max_halfwidth\"",
-        "\"ci_trajectory\"",
-        "\"estimates\"",
-        "\"hw_lower\"",
-        "\"hw_upper\"",
-    ] {
-        if !text.contains(key) {
-            return Err(format!("{}: missing {key}", path.display()));
-        }
-    }
+    sbgp_bench::campaign::read_campaign(&text, "schema grid cells totals", CELL_KEYS)
+        .map_err(|e| format!("{}: {e}", path.display()))?;
     // Audit the embedded content checksum of every cell block that has
     // one (pre-hardening campaign files carry none — still accepted).
     // Cell blocks sit at exactly four spaces of indent, so the scan
@@ -1039,7 +968,9 @@ fn main() {
     if let Some(path) = &args.file {
         // Only parsed-snapshot runs carry these keys; the synthetic grid
         // (and the committed release JSON) is byte-for-byte unchanged.
-        let _ = writeln!(json, "    \"snapshot\": \"{}\",", path.display());
+        let mut snapshot = String::new();
+        json::write_str(&mut snapshot, &path.display().to_string());
+        let _ = writeln!(json, "    \"snapshot\": {snapshot},");
         let _ = writeln!(json, "    \"cps\": {},", list_json(&args.cps, false));
     }
     let _ = writeln!(json, "    \"asns\": {},", list_json(&args.asns, false));
@@ -1123,7 +1054,8 @@ fn group_spec_json(
     let _ = write!(s, "],\"steps\":{}", args.rollout_steps);
     if graph.is_some() {
         if let Some(path) = &args.file {
-            let _ = write!(s, ",\"snapshot\":\"{}\"", path.display());
+            s.push_str(",\"snapshot\":");
+            json::write_str(&mut s, &path.display().to_string());
             let _ = write!(s, ",\"cps\":[");
             for (i, cp) in args.cps.iter().enumerate() {
                 if i > 0 {
@@ -1138,33 +1070,6 @@ fn group_spec_json(
     s
 }
 
-/// `"key":"value"` extraction from a compact (no-space) group spec.
-fn spec_str<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let pat = format!("\"{key}\":\"");
-    let start = text.find(&pat)? + pat.len();
-    let end = text[start..].find('"')? + start;
-    Some(&text[start..end])
-}
-
-/// `"key":123` extraction from a compact group spec.
-fn spec_u64(text: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// `"key":[...]` — the raw bracket contents of a compact group spec.
-fn spec_list<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let pat = format!("\"{key}\":[");
-    let start = text.find(&pat)? + pat.len();
-    let end = text[start..].find(']')? + start;
-    Some(&text[start..end])
-}
-
 struct GroupSpec {
     figure: Figure,
     asns: usize,
@@ -1176,31 +1081,46 @@ struct GroupSpec {
 }
 
 fn parse_group_spec(text: &str) -> Result<GroupSpec, String> {
-    let figure = Figure::parse(spec_str(text, "figure").ok_or("spec: no figure")?)?;
-    let asns = spec_u64(text, "asns").ok_or("spec: no asns")? as usize;
-    let seed = spec_u64(text, "seed").ok_or("spec: no seed")?;
-    let models = spec_list(text, "models")
-        .ok_or("spec: no models")?
-        .split(',')
-        .filter(|t| !t.is_empty())
-        .map(|t| parse_model(t.trim_matches('"')))
-        .collect::<Result<Vec<_>, _>>()?;
-    let steps = spec_u64(text, "steps").ok_or("spec: no steps")? as usize;
-    let snapshot = spec_str(text, "snapshot").map(PathBuf::from);
-    let cps = match spec_list(text, "cps") {
-        Some(list) => list
-            .split(',')
-            .filter(|t| !t.is_empty())
-            .map(|t| t.parse::<u32>().map_err(|e| format!("spec: bad cp: {e}")))
-            .collect::<Result<Vec<_>, _>>()?,
-        None => Vec::new(),
-    };
+    let (mut figure, mut asns, mut seed, mut models, mut steps) = (None, None, None, None, None);
+    let (mut snapshot, mut cps) = (None, Vec::new());
+    let end = Reader::parse(text, |r| {
+        r.object(|key, r| {
+            match key {
+                "figure" => figure = Some(r.read_as(Reader::str, |s| Figure::parse(&s))?),
+                "asns" => asns = Some(r.u64()? as usize),
+                "seed" => seed = Some(r.u64()?),
+                "steps" => steps = Some(r.u64()? as usize),
+                "snapshot" => snapshot = Some(PathBuf::from(&*r.str()?)),
+                "models" => {
+                    let mut list = Vec::new();
+                    r.list(|r| {
+                        list.push(r.read_as(Reader::str, |s| parse_model(&s))?);
+                        Ok(())
+                    })?;
+                    models = Some(list);
+                }
+                "cps" => r.list(|r| {
+                    let cp = r.read_as(Reader::u64, |v| {
+                        u32::try_from(v).map_err(|_| format!("cp {v} above u32::MAX"))
+                    })?;
+                    cps.push(cp);
+                    Ok(())
+                })?,
+                _ => {
+                    r.skip()?;
+                }
+            }
+            Ok(())
+        })
+    })
+    .map_err(|e| format!("spec: {e}"))?;
+    let absent = |what: &str| format!("spec: byte {end}: no {what}");
     Ok(GroupSpec {
-        figure,
-        asns,
-        seed,
-        models,
-        steps,
+        figure: figure.ok_or_else(|| absent("figure"))?,
+        asns: asns.ok_or_else(|| absent("asns"))?,
+        seed: seed.ok_or_else(|| absent("seed"))?,
+        models: models.ok_or_else(|| absent("models"))?,
+        steps: steps.ok_or_else(|| absent("steps"))?,
         snapshot,
         cps,
     })
@@ -1384,14 +1304,60 @@ fn worker_main(args: &Args) -> ! {
 mod tests {
     use super::*;
 
+    /// A checkpoint cell with every key, `pairs` and `wall_ms` spliced in.
+    fn cell(pairs: &str, wall_ms: &str) -> String {
+        format!(
+            "{{\n  \"schema\": \"campaign-cell-v1\",\n  \"figure\": \"baseline\",\n  \"asns\": 400,\n  \
+             \"seed\": 11,\n  \"model\": \"sec1\",\n  \"steps\": 1,\n  \"budget\": 300,\n  \
+             \"ci_target\": null,\n  \"population\": 159600,\n  \"strata\": 16,\n  \
+             \"pairs\": {pairs},\n  \"wall_ms\": {wall_ms},\n  \"pairs_per_sec\": 32401.782,\n  \
+             \"max_halfwidth\": 0.01,\n  \"ci_trajectory\": [{{\"pairs\": 128, \"max_halfwidth\": 0.02}}],\n  \
+             \"estimates\": [{{\"step\": 0, \"lower\": 0.5, \"upper\": 0.6, \"hw_lower\": 0.01, \"hw_upper\": 0.02}}]\n}}"
+        )
+    }
+
     #[test]
     fn checkpoint_fields_keep_their_fractions() {
-        let cell = "{\n      \"pairs\": 400,\n      \"wall_ms\": 12.345,\n      \"pairs_per_sec\": 32401.782,\n}";
-        assert_eq!(json_f64(cell, "wall_ms"), Some(12.345));
-        assert_eq!(json_u64(cell, "pairs"), Some(400));
-        // A count is strict digits: a fraction is not silently truncated.
-        assert_eq!(json_u64(cell, "wall_ms"), None);
-        assert_eq!(json_u64("\"pairs\": -3,", "pairs"), None);
-        assert_eq!(json_u64(cell, "missing"), None);
+        let c = Cell::parse(&cell("400", "12.345")).unwrap();
+        assert_eq!(c.wall_ms, 12.345);
+        assert_eq!(c.pairs, 400);
+        assert_eq!(c.ci_target, None);
+        // A count is strict digits: a fraction or a sign is an error at
+        // the value, not a silent truncation.
+        for bad in ["400.5", "-3", "4e2"] {
+            let text = cell(bad, "12.345");
+            let err = Cell::parse(&text).unwrap_err();
+            assert_eq!(err.at, text.find(bad).unwrap(), "{bad}: {err}");
+        }
+        // A checkpoint missing a key is no checkpoint.
+        let text = cell("400", "12.345").replace("\"strata\"", "\"stratum\"");
+        let err = Cell::parse(&text).unwrap_err();
+        assert_eq!(
+            (err.at, err.what.as_str()),
+            (text.len() - 1, "missing \"strata\"")
+        );
+    }
+
+    #[test]
+    fn group_specs_round_trip_any_snapshot_path() {
+        let net = Internet::synthetic(200, 7);
+        let args = Args {
+            file: Some(PathBuf::from("C:\\snaps\\\"odd\" name.as-rel")),
+            cps: vec![15169, 8075],
+            ..Args::default()
+        };
+        let models = [SecurityModel::Security1st, SecurityModel::Security3rd];
+        let spec = group_spec_json(Figure::Rollout, &net, 42, &models, Some("odd"), &args);
+        let back = parse_group_spec(&spec).unwrap();
+        assert_eq!(back.snapshot, args.file);
+        assert_eq!(back.cps, args.cps);
+        assert_eq!(back.models, models);
+        assert_eq!(back.figure, Figure::Rollout);
+        assert_eq!(
+            (back.asns, back.seed, back.steps),
+            (net.len(), 42, args.rollout_steps)
+        );
+        let err = parse_group_spec("{\"figure\":\"baseline\"}").err().unwrap();
+        assert_eq!(err, "spec: byte 20: no asns");
     }
 }

@@ -27,8 +27,9 @@ fn main() {
     // CI-annotated estimates verbatim instead of re-deriving them here
     // (the full-universe numbers cost hours; the quotes are free).
     if let Ok(text) = std::fs::read_to_string("BENCH_campaign.json") {
-        if let Some(body) = render::render_campaign_quotes(&text) {
-            section("Campaign estimates (quoted from BENCH_campaign.json)", body);
+        match render::render_campaign_quotes(&text) {
+            Ok(body) => section("Campaign estimates (quoted from BENCH_campaign.json)", body),
+            Err(e) => eprintln!("warning: BENCH_campaign.json: {e}; campaign quotes skipped"),
         }
     }
     section(

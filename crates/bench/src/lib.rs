@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod render;
 
 use std::path::PathBuf;

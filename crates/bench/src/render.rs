@@ -9,12 +9,15 @@ use sbgp_sim::experiments::{
     baseline, churn, estimation, extensions, partitions, per_destination, rollout, root_cause,
     strategic, ExperimentConfig,
 };
+use sbgp_sim::json::JsonError;
 use sbgp_sim::report::{
     delta_pair, pct, pct_bounds, pct_estimate, stacked_bar, sweep_stats_line, Table,
 };
 use sbgp_sim::scenario::NamedDeployment;
 use sbgp_sim::stats::AdaptiveRun;
 use sbgp_sim::Internet;
+
+use crate::campaign;
 
 /// One-line summary of an adaptive run (sample size, rounds, final width).
 fn run_summary(run: &AdaptiveRun) -> String {
@@ -712,98 +715,16 @@ pub fn render_weighted(net: &Internet, cfg: &ExperimentConfig) -> String {
 
 /// Quote the CI-annotated estimates out of a committed campaign JSON
 /// (`BENCH_campaign.json`) so `run_all` can print the release-grid
-/// numbers **without re-deriving them**. Returns `None` unless the text
-/// carries the `campaign-v1` schema and at least one cell.
-///
-/// The file is machine-written by the `campaign` binary (never
-/// hand-edited), so line-oriented field extraction is a faithful parse.
-pub fn render_campaign_quotes(json: &str) -> Option<String> {
-    if !json.contains("\"schema\": \"campaign-v1\"") {
-        return None;
-    }
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\": ");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        // A quoted value ends at its closing quote — a `,` or `}` inside
-        // the string (e.g. a figure label like "rollout, sec3") is part
-        // of the value, not a terminator.
-        if let Some(inner) = rest.strip_prefix('"') {
-            return Some(&inner[..inner.find('"')?]);
-        }
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-    struct Cell {
-        figure: String,
-        asns: String,
-        seed: String,
-        model: String,
-        pairs: String,
-        population: String,
-        first: String,
-        last: String,
-        steps: usize,
-    }
-    let estimate = |line: &str| -> Option<String> {
-        let lower: f64 = field(line, "lower")?.parse().ok()?;
-        let upper: f64 = field(line, "upper")?.parse().ok()?;
-        let hw: f64 = field(line, "hw_lower")?
-            .parse::<f64>()
-            .ok()?
-            .max(field(line, "hw_upper")?.parse().ok()?);
-        Some(format!(
-            "{} ±{:.2}pp",
-            pct_bounds(sbgp_core::Bounds { lower, upper }),
-            100.0 * hw
-        ))
+/// numbers **without re-deriving them**. The text must carry the
+/// `campaign-v1` schema and at least one cell, each with the quoted keys
+/// and at least one estimate; anything else is an error naming its byte.
+pub fn render_campaign_quotes(json: &str) -> Result<String, JsonError> {
+    let keys = "figure asns seed model population pairs estimates";
+    let cells = campaign::read_campaign(json, "schema cells", keys)?;
+    let estimate = |&[lower, upper, hw_lower, hw_upper]: &[f64; 4]| {
+        let bounds = pct_bounds(sbgp_core::Bounds { lower, upper });
+        format!("{bounds} ±{:.2}pp", 100.0 * hw_lower.max(hw_upper))
     };
-    let mut cells: Vec<Cell> = Vec::new();
-    for line in json.lines() {
-        let line = line.trim();
-        if line.contains("\"schema\": \"campaign-cell-v1\"") {
-            cells.push(Cell {
-                figure: String::new(),
-                asns: String::new(),
-                seed: String::new(),
-                model: String::new(),
-                pairs: String::new(),
-                population: String::new(),
-                first: String::new(),
-                last: String::new(),
-                steps: 0,
-            });
-            continue;
-        }
-        let Some(cell) = cells.last_mut() else {
-            continue;
-        };
-        if line.starts_with("\"figure\"") {
-            cell.figure = field(line, "figure").unwrap_or_default().to_string();
-        } else if line.starts_with("\"asns\"") {
-            cell.asns = field(line, "asns").unwrap_or_default().to_string();
-        } else if line.starts_with("\"seed\"") {
-            cell.seed = field(line, "seed").unwrap_or_default().to_string();
-        } else if line.starts_with("\"model\"") {
-            cell.model = field(line, "model").unwrap_or_default().to_string();
-        } else if line.starts_with("\"pairs\"") {
-            cell.pairs = field(line, "pairs").unwrap_or_default().to_string();
-        } else if line.starts_with("\"population\"") {
-            cell.population = field(line, "population").unwrap_or_default().to_string();
-        } else if line.starts_with("{\"step\"") {
-            if let Some(e) = estimate(line) {
-                if cell.steps == 0 {
-                    cell.first = e.clone();
-                }
-                cell.last = e;
-                cell.steps += 1;
-            }
-        }
-    }
-    cells.retain(|c| c.steps > 0 && !c.figure.is_empty());
-    if cells.is_empty() {
-        return None;
-    }
     let mut out = String::new();
     out.push_str(
         "Release-grid stratified estimates, quoted verbatim from the committed\n\
@@ -820,16 +741,19 @@ pub fn render_campaign_quotes(json: &str) -> Option<String> {
         "H last step",
     ]);
     for c in &cells {
+        let (Some(first), Some(last)) = (c.estimates.first(), c.estimates.last()) else {
+            return Err(JsonError::new(c.end, "cell has no estimates"));
+        };
         t.row([
             c.figure.clone(),
-            c.asns.clone(),
-            c.seed.clone(),
+            c.asns.to_string(),
+            c.seed.to_string(),
             c.model.clone(),
-            c.pairs.clone(),
-            c.population.clone(),
-            c.first.clone(),
-            if c.steps > 1 {
-                c.last.clone()
+            c.pairs.to_string(),
+            c.population.to_string(),
+            estimate(first),
+            if c.estimates.len() > 1 {
+                estimate(last)
             } else {
                 "—".to_string()
             },
@@ -837,7 +761,7 @@ pub fn render_campaign_quotes(json: &str) -> Option<String> {
     }
     out.push_str(&t.render());
     out.push_str("\n(regenerate with `cargo run --release -p sbgp_bench --bin campaign`)\n");
-    Some(out)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -880,7 +804,7 @@ mod tests {
 
     #[test]
     fn campaign_quotes_require_schema_and_cells() {
-        assert!(render_campaign_quotes("{}").is_none());
-        assert!(render_campaign_quotes("{\"schema\": \"campaign-v1\"}").is_none());
+        assert!(render_campaign_quotes("{}").is_err());
+        assert!(render_campaign_quotes("{\"schema\": \"campaign-v1\"}").is_err());
     }
 }

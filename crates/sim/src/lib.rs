@@ -46,6 +46,9 @@
 //!   queries over length-prefixed JSON frames by serving delta patches
 //!   off the cached bases, with a documented bit-identical determinism
 //!   contract;
+//! * [`json`] — the one strict JSON pull reader (located errors, no
+//!   tree) and string writer that every frame, checkpoint and campaign
+//!   file goes through;
 //! * [`experiments`] — one driver per figure/table, returning plain data
 //!   that the `sbgp-bench` binaries print;
 //! * [`report`] — aligned-text table rendering.
@@ -55,6 +58,7 @@
 
 pub mod experiments;
 pub mod faultpoint;
+pub mod json;
 pub mod report;
 pub mod runner;
 pub mod sample;

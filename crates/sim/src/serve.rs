@@ -70,8 +70,15 @@
 //!            "lower":0.5,"upper":0.5,"hw_lower":0,"hw_upper":0,"pairs":4}, ...]}
 //! ```
 //!
-//! A malformed message is rejected with a clean
-//! `{"op":"error",...}` reply — never a crash, and the server keeps
+//! Frames are read by the strict reader of [`crate::json`]: any JSON
+//! whitespace and string escapes are accepted, and keys the planner does
+//! not know are skipped, but a repeated key, bytes after the object, a
+//! leading zero, a sign or fraction where a count belongs, or an id past
+//! the graph is an error. A malformed message is rejected with a clean
+//! `{"op":"error",...}` reply whose message names the key and the byte
+//! offset it concerns (`"attackers: byte 40: id 900 out of range ..."`);
+//! a frame with no readable `op` string gets
+//! `"malformed message: no op field"`. Never a crash, and the server keeps
 //! answering.
 //!
 //! # Determinism contract
@@ -89,6 +96,7 @@
 //! reply into an error frame instead of a partial answer, so successful
 //! replies stay deterministic.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -100,14 +108,12 @@ use sbgp_core::{
 };
 use sbgp_topology::AsId;
 
+use crate::json::{self, JsonError, Reader};
 use crate::runner::{map_reduce, Parallelism};
 use crate::stats::{
     estimate_adaptive_cells_eval, CellEval, EstimatorConfig, PairUniverse, SweepCellsEval,
 };
-use crate::supervise::{
-    json_str_field, json_u64_field, json_u64s, json_value, read_frame, sanitize, write_frame,
-    JSON_WS,
-};
+use crate::supervise::{read_frame, write_frame};
 use crate::Internet;
 
 /// Wire-schema tag carried by every planner reply.
@@ -181,41 +187,17 @@ pub fn parse_strategy(tok: &str) -> Result<AttackStrategy, String> {
     }
 }
 
-/// The strings listed under `key` (JSON whitespace allowed around every
-/// token; no escapes — the planner vocabulary is plain tokens), or `None`
-/// when the key is absent or holds anything but a flat list of strings.
-fn json_str_list(text: &str, key: &str) -> Option<Vec<String>> {
-    let body = json_value(text, key)?.strip_prefix('[')?;
-    let body = &body[..body.find(']')?];
-    if body.trim_matches(JSON_WS).is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',')
-        .map(|tok| {
-            let tok = tok
-                .trim_matches(JSON_WS)
-                .strip_prefix('"')?
-                .strip_suffix('"')?;
-            (!tok.contains('"')).then(|| tok.to_string())
-        })
-        .collect()
-}
-
-/// The value of an optional query key: `Ok(None)` when the key is absent,
-/// an error naming the key when it is present but `read` finds no `what`
-/// there.
-fn optional<'t, T>(
-    text: &'t str,
-    key: &str,
-    what: &str,
-    read: impl FnOnce(&'t str, &str) -> Option<T>,
-) -> Result<Option<T>, String> {
-    if json_value(text, key).is_none() {
-        return Ok(None);
-    }
-    read(text, key)
-        .map(Some)
-        .ok_or_else(|| format!("{key}: not {what}"))
+/// Read a list of vocabulary tokens through `parse`.
+fn tokens<T>(
+    r: &mut Reader<'_>,
+    parse: fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, JsonError> {
+    let mut out = Vec::new();
+    r.list(|r| {
+        out.push(r.read_as(Reader::str, |s| parse(&s))?);
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 /// Shortest-round-trip float formatting (Rust's `Display` for `f64` is
@@ -448,28 +430,25 @@ pub struct Query {
     pub deadline_ms: Option<u64>,
 }
 
-/// The ids listed under `key` (empty when the key is absent). A present
-/// key whose value is not a list of ids in `[0, n)` is an error naming it.
-fn parse_ids(text: &str, key: &str, n: usize) -> Result<Vec<AsId>, String> {
-    if json_value(text, key).is_none() {
-        return Ok(Vec::new());
-    }
-    let raw = json_u64s(text, key).ok_or_else(|| format!("{key}: not a list of AS ids"))?;
-    let mut out = Vec::with_capacity(raw.len());
-    for v in raw {
-        if v >= n as u64 {
-            return Err(format!("{key}: id {v} out of range (graph has {n} ASes)"));
-        }
-        out.push(AsId(v as u32));
-    }
+/// Read a list of graph ids, each in `[0, n)`.
+fn ids(r: &mut Reader<'_>, n: usize) -> Result<Vec<AsId>, JsonError> {
+    let mut out = Vec::new();
+    r.list(|r| {
+        out.push(r.read_as(Reader::u64, |v| match v < n as u64 {
+            true => Ok(AsId(v as u32)),
+            false => Err(format!("id {v} out of range (graph has {n} ASes)")),
+        })?);
+        Ok(())
+    })?;
     Ok(out)
 }
 
-fn reject_duplicates(ids: &[AsId], key: &str) -> Result<(), String> {
+/// Reject an id listed twice under `key`, whose list starts at byte `at`.
+fn reject_duplicates(ids: &[AsId], key: &str, at: usize) -> Result<(), String> {
     for (i, a) in ids.iter().enumerate() {
         if let Some(j) = ids[..i].iter().position(|b| b == a) {
             return Err(format!(
-                "{key}: id {a} listed twice (items {} and {})",
+                "{key}: byte {at}: id {a} listed twice (items {} and {})",
                 j + 1,
                 i + 1
             ));
@@ -478,79 +457,142 @@ fn reject_duplicates(ids: &[AsId], key: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// What one strict pass made of a request frame: its `op` string with the
+/// offset of that value, and its `id` (0 when absent), as far as the pass
+/// got; then either the frame's first syntax error, or the query the frame
+/// carries, itself an error when its fields make no query.
+struct Request<'t> {
+    op: Option<(usize, Cow<'t, str>)>,
+    id: u64,
+    read: Result<Result<Query, String>, String>,
+}
+
+impl<'t> Request<'t> {
+    /// Read a request frame against a graph of `n` ASes. An error names
+    /// the key it concerns, if any, and the byte where the problem lies;
+    /// keys a request does not use are skipped.
+    fn read(text: &'t str, n: usize) -> Request<'t> {
+        let mut q = Query {
+            id: 0,
+            secure: Vec::new(),
+            simplex: Vec::new(),
+            attackers: Vec::new(),
+            destinations: Vec::new(),
+            models: vec![SecurityModel::Security3rd],
+            variant: LpVariant::Standard,
+            strategies: vec![AttackStrategy::FakeLink],
+            budget: None,
+            seed: 0,
+            deadline_ms: None,
+        };
+        // The key whose value failed to read, and where the two required
+        // lists start (for the errors about their contents).
+        let (mut op, mut failed, mut attackers_at, mut destinations_at) = (None, None, None, None);
+        let read = Reader::parse(text, |r| {
+            r.object(|key, r| {
+                let at = r.at();
+                let read = match key {
+                    "op" => r.str().map(|v| op = Some((at, v))),
+                    "id" => r.u64().map(|v| q.id = v),
+                    "secure" => ids(r, n).map(|v| q.secure = v),
+                    "simplex" => ids(r, n).map(|v| q.simplex = v),
+                    "attackers" => {
+                        attackers_at = Some(at);
+                        ids(r, n).map(|v| q.attackers = v)
+                    }
+                    "destinations" => {
+                        destinations_at = Some(at);
+                        ids(r, n).map(|v| q.destinations = v)
+                    }
+                    "models" => tokens(r, parse_model).map(|v| {
+                        if !v.is_empty() {
+                            q.models = v;
+                        }
+                    }),
+                    "variant" => r
+                        .read_as(Reader::str, |s| parse_variant(&s))
+                        .map(|v| q.variant = v),
+                    "strategies" => tokens(r, parse_strategy).map(|v| {
+                        if !v.is_empty() {
+                            q.strategies = v;
+                        }
+                    }),
+                    "budget" => r.u64().map(|b| q.budget = (b > 0).then_some(b)),
+                    "seed" => r.u64().map(|v| q.seed = v),
+                    "deadline_ms" => r.u64().map(|ms| q.deadline_ms = (ms > 0).then_some(ms)),
+                    _ => r.skip().map(drop),
+                };
+                if read.is_err() {
+                    failed = Some(key.to_string());
+                }
+                read
+            })
+        });
+        let id = q.id;
+        let read = match read {
+            Ok(end) => Ok(validate(q, n, end, attackers_at, destinations_at)),
+            Err(e) => Err(match &failed {
+                Some(key) => format!("{key}: {e}"),
+                None => e.to_string(),
+            }),
+        };
+        Request { op, id, read }
+    }
+}
+
+/// Check that a query read from an object ending at byte `end` asks
+/// something answerable on a graph of `n` ASes. `attackers_at` and
+/// `destinations_at` are where those lists start, if present.
+fn validate(
+    q: Query,
+    n: usize,
+    end: usize,
+    attackers_at: Option<usize>,
+    destinations_at: Option<usize>,
+) -> Result<Query, String> {
+    if n < 3 {
+        return Err(format!("graph has {n} ASes; the metric needs at least 3"));
+    }
+    let attackers_at = attackers_at.unwrap_or(end);
+    let destinations_at = destinations_at.unwrap_or(end);
+    if q.attackers.is_empty() {
+        return Err(format!(
+            "attackers: byte {attackers_at}: need at least one suspected attacker"
+        ));
+    }
+    if q.destinations.is_empty() {
+        return Err(format!(
+            "destinations: byte {destinations_at}: need at least one destination"
+        ));
+    }
+    reject_duplicates(&q.attackers, "attackers", attackers_at)?;
+    reject_duplicates(&q.destinations, "destinations", destinations_at)?;
+    if q.models.len() * q.strategies.len() > 64 {
+        return Err(format!(
+            "byte {end}: {} models x {} strategies exceeds the 64-cell per-query cap",
+            q.models.len(),
+            q.strategies.len()
+        ));
+    }
+    let pairs_exist = q
+        .destinations
+        .iter()
+        .any(|d| q.attackers.iter().any(|m| m != d));
+    if !pairs_exist {
+        return Err(format!(
+            "destinations: byte {destinations_at}: no valid pairs: every attacker equals \
+             every destination"
+        ));
+    }
+    Ok(q)
+}
+
 impl Query {
     /// Parse a `{"op":"query",...}` message against a graph of `n` ASes.
+    /// An error names the key it concerns, if any, and the byte where the
+    /// problem lies; keys a query does not use are skipped.
     pub fn parse(text: &str, n: usize) -> Result<Query, String> {
-        if n < 3 {
-            return Err(format!("graph has {n} ASes; the metric needs at least 3"));
-        }
-        const UINT: &str = "an unsigned integer";
-        let id = optional(text, "id", UINT, json_u64_field)?.unwrap_or(0);
-        let secure = parse_ids(text, "secure", n)?;
-        let simplex = parse_ids(text, "simplex", n)?;
-        let attackers = parse_ids(text, "attackers", n)?;
-        let destinations = parse_ids(text, "destinations", n)?;
-        if attackers.is_empty() {
-            return Err("attackers: need at least one suspected attacker".into());
-        }
-        if destinations.is_empty() {
-            return Err("destinations: need at least one destination".into());
-        }
-        reject_duplicates(&attackers, "attackers")?;
-        reject_duplicates(&destinations, "destinations")?;
-        let models = match optional(text, "models", "a list of strings", json_str_list)? {
-            Some(toks) if !toks.is_empty() => toks
-                .iter()
-                .map(|t| parse_model(t))
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => vec![SecurityModel::Security3rd],
-        };
-        let variant = match optional(text, "variant", "a string", json_str_field)? {
-            Some(tok) => parse_variant(tok)?,
-            None => LpVariant::Standard,
-        };
-        let strategies = match optional(text, "strategies", "a list of strings", json_str_list)? {
-            Some(toks) if !toks.is_empty() => toks
-                .iter()
-                .map(|t| parse_strategy(t))
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => vec![AttackStrategy::FakeLink],
-        };
-        if models.len() * strategies.len() > 64 {
-            return Err(format!(
-                "{} models x {} strategies exceeds the 64-cell per-query cap",
-                models.len(),
-                strategies.len()
-            ));
-        }
-        let budget = match optional(text, "budget", UINT, json_u64_field)? {
-            Some(0) | None => None,
-            Some(b) => Some(b),
-        };
-        let deadline_ms = match optional(text, "deadline_ms", UINT, json_u64_field)? {
-            Some(0) | None => None,
-            Some(ms) => Some(ms),
-        };
-        let seed = optional(text, "seed", UINT, json_u64_field)?.unwrap_or(0);
-        let pairs_exist = destinations
-            .iter()
-            .any(|d| attackers.iter().any(|m| m != d));
-        if !pairs_exist {
-            return Err("no valid pairs: every attacker equals every destination".into());
-        }
-        Ok(Query {
-            id,
-            secure,
-            simplex,
-            attackers,
-            destinations,
-            models,
-            variant,
-            strategies,
-            budget,
-            seed,
-            deadline_ms,
-        })
+        Request::read(text, n).read.and_then(|q| q)
     }
 
     /// The query's deployment (full members win over simplex).
@@ -714,10 +756,11 @@ impl Planner {
 
     /// The `{"op":"ready",...}` hello frame payload.
     pub fn hello(&self) -> String {
+        let mut graph = String::new();
+        json::write_str(&mut graph, &self.net.name);
         format!(
-            "{{\"op\":\"ready\",\"schema\":\"{PLANNER_SCHEMA}\",\"graph\":\"{}\",\"asns\":{},\
+            "{{\"op\":\"ready\",\"schema\":\"{PLANNER_SCHEMA}\",\"graph\":{graph},\"asns\":{},\
              \"cache_capacity\":{},\"prewarmed\":{}}}",
-            sanitize(&self.net.name),
             self.net.len(),
             self.cfg.cache_capacity,
             self.prewarmed
@@ -725,23 +768,27 @@ impl Planner {
     }
 
     fn encode_error(id: u64, msg: &str) -> String {
-        format!(
-            "{{\"op\":\"error\",\"schema\":\"{PLANNER_SCHEMA}\",\"id\":{id},\"error\":\"{}\"}}",
-            sanitize(msg)
-        )
+        let mut s =
+            format!("{{\"op\":\"error\",\"schema\":\"{PLANNER_SCHEMA}\",\"id\":{id},\"error\":");
+        json::write_str(&mut s, msg);
+        s.push('}');
+        s
     }
 
     /// Handle one message; `None` means a clean shutdown request.
     pub fn handle(&mut self, text: &str) -> Option<String> {
-        let Some(op) = json_str_field(text, "op") else {
-            return Some(Self::encode_error(
-                json_u64_field(text, "id").unwrap_or(0),
-                "malformed message: no op field",
-            ));
+        let Request { op, id, read } = Request::read(text, self.net.len());
+        let Some((at, op)) = op else {
+            return Some(Self::encode_error(id, "malformed message: no op field"));
         };
-        match op {
-            "shutdown" => None,
-            "stats" => {
+        match (&*op, read) {
+            ("query", read) => Some(match read.and_then(|q| q) {
+                Ok(q) => self.answer(&q),
+                Err(e) => Self::encode_error(id, &e),
+            }),
+            (_, Err(e)) => Some(Self::encode_error(id, &format!("malformed message: {e}"))),
+            ("shutdown", Ok(_)) => None,
+            ("stats", Ok(_)) => {
                 let s = self.cache.stats;
                 Some(format!(
                     "{{\"op\":\"stats\",\"schema\":\"{PLANNER_SCHEMA}\",\"hits\":{},\"misses\":{},\
@@ -754,16 +801,9 @@ impl Planner {
                     s.derived
                 ))
             }
-            "query" => {
-                let id = json_u64_field(text, "id").unwrap_or(0);
-                match Query::parse(text, self.net.len()) {
-                    Ok(q) => Some(self.answer(&q)),
-                    Err(e) => Some(Self::encode_error(id, &e)),
-                }
-            }
-            other => Some(Self::encode_error(
-                json_u64_field(text, "id").unwrap_or(0),
-                &format!("unknown op {other:?}"),
+            (other, Ok(_)) => Some(Self::encode_error(
+                id,
+                &format!("byte {at}: unknown op {other:?}"),
             )),
         }
     }

@@ -37,6 +37,7 @@
 //! checksum, so resume can distinguish a good checkpoint from a torn or
 //! corrupted one and quarantine the latter instead of trusting it.
 
+use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -47,6 +48,7 @@ use sbgp_core::Bounds;
 use sbgp_topology::AsId;
 
 use crate::faultpoint;
+use crate::json::{self, JsonError, Reader};
 use crate::stats::{
     adaptive_rounds, empty_strata, merge_strata, AdaptiveRun, CellEval, CellStrata,
     EstimatorConfig, PairUniverse, Welford,
@@ -90,159 +92,8 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<String>> {
 }
 
 // ---------------------------------------------------------------------------
-// Wire messages (hand-rolled JSON, like every serializer in this repo)
+// Wire messages (written by hand, read through `crate::json`)
 // ---------------------------------------------------------------------------
-
-/// The string value of `key` (no escapes: the protocol vocabulary is
-/// plain tokens), or `None` when the key is absent or holds no string.
-pub(crate) fn json_str_field<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let rest = json_value(text, key)?.strip_prefix('"')?;
-    Some(&rest[..rest.find('"')?])
-}
-
-/// The unsigned-integer value of `key`, or `None` when the key is absent
-/// or holds anything else (a string, a sign, a fraction, a number past
-/// `u64::MAX`).
-pub(crate) fn json_u64_field(text: &str, key: &str) -> Option<u64> {
-    let value = json_value(text, key)?;
-    let end = value
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(value.len());
-    let after = value[end..].trim_start_matches(JSON_WS);
-    if !(after.is_empty() || after.starts_with([',', '}', ']'])) {
-        return None;
-    }
-    value[..end].parse().ok()
-}
-
-/// The text right after `"key"` and its colon (JSON whitespace allowed on
-/// both sides of the colon), or `None` when the outermost object has no
-/// such key. Keys of nested objects and the contents of strings (escapes
-/// included) are skipped, so a nested `"key":` never shadows a top-level
-/// one.
-pub(crate) fn json_value<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    // Most lookups are for absent optional keys: one substring search
-    // rules those out without walking the frame.
-    if !text.contains(&format!("\"{key}\"")) {
-        return None;
-    }
-    let mut depth = 0i64;
-    let mut rest = text;
-    // String by string: between two strings only brackets matter, and a
-    // branch-free count over that stretch keeps long id lists cheap.
-    while let Some(open) = rest.find('"') {
-        depth += nesting(&rest.as_bytes()[..open]);
-        let body = &rest[open + 1..];
-        let close = string_end(body.as_bytes())?;
-        rest = &body[close + 1..];
-        if depth == 1 && body[..close] == *key {
-            if let Some(value) = rest.trim_start_matches(JSON_WS).strip_prefix(':') {
-                return Some(value.trim_start_matches(JSON_WS));
-            }
-        }
-    }
-    None
-}
-
-/// Opening minus closing brackets in `bytes`, counted in chunks small
-/// enough for byte-wide counters so the loop vectorizes.
-fn nesting(bytes: &[u8]) -> i64 {
-    bytes
-        .chunks(255)
-        .map(|chunk| {
-            let (mut open, mut close) = (0u8, 0u8);
-            for &c in chunk {
-                open += u8::from(c == b'{' || c == b'[');
-                close += u8::from(c == b'}' || c == b']');
-            }
-            i64::from(open) - i64::from(close)
-        })
-        .sum()
-}
-
-/// The index of the quote that ends a JSON string whose contents start at
-/// `body[0]`, skipping escaped characters; `None` when it never ends.
-fn string_end(body: &[u8]) -> Option<usize> {
-    let mut i = 0;
-    loop {
-        i += body
-            .get(i..)?
-            .iter()
-            .position(|&c| c == b'"' || c == b'\\')?;
-        if body[i] == b'"' {
-            return Some(i);
-        }
-        i += 2;
-    }
-}
-
-pub(crate) const JSON_WS: [char; 4] = [' ', '\t', '\n', '\r'];
-
-/// Parse the value of `key` as a flat or one-level-nested array of
-/// unsigned integers — every number in source order, nesting flattened.
-/// JSON whitespace may surround every token. `None` when the key is absent
-/// or its value is anything else: a stray token, an empty element, deeper
-/// nesting, or a number past `u64::MAX`.
-pub(crate) fn json_u64s(text: &str, key: &str) -> Option<Vec<u64>> {
-    let value = json_value(text, key)?;
-    if !value.starts_with('[') {
-        return None;
-    }
-    let b = value.as_bytes();
-    let mut out = Vec::new();
-    let (mut i, mut depth) = (0, 0);
-    // Right after `[` or `,` a value must follow; `]` may close an array
-    // right after `[` or a value, and `,` may only follow a value.
-    let (mut want_value, mut may_close) = (true, true);
-    loop {
-        while b.get(i).is_some_and(|c| JSON_WS.contains(&char::from(*c))) {
-            i += 1;
-        }
-        match *b.get(i)? {
-            b'[' if want_value && depth < 2 => {
-                depth += 1;
-                may_close = true;
-                i += 1;
-            }
-            b']' if may_close => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(out);
-                }
-                want_value = false;
-                i += 1;
-            }
-            b',' if !want_value => {
-                want_value = true;
-                may_close = false;
-                i += 1;
-            }
-            b'0'..=b'9' if want_value => {
-                let start = i;
-                while b.get(i).is_some_and(u8::is_ascii_digit) {
-                    i += 1;
-                }
-                out.push(value[start..i].parse().ok()?);
-                want_value = false;
-                may_close = true;
-            }
-            _ => return None,
-        }
-    }
-}
-
-pub(crate) fn sanitize(msg: &str) -> String {
-    msg.chars()
-        .map(|c| {
-            if c == '"' || c == '\\' || c.is_control() {
-                ' '
-            } else {
-                c
-            }
-        })
-        .take(300)
-        .collect()
-}
 
 /// A coordinator→worker message, as the worker loop consumes it.
 #[derive(Clone, Debug, PartialEq)]
@@ -319,47 +170,114 @@ pub fn encode_result(id: u64, data: &[u64]) -> String {
 /// Encode a recoverable per-task failure (the worker survives; the
 /// coordinator strikes the task).
 pub fn encode_error(id: u64, msg: &str) -> String {
-    format!(
-        "{{\"type\":\"error\",\"id\":{id},\"msg\":\"{}\"}}",
-        sanitize(msg)
-    )
+    let mut s = format!("{{\"type\":\"error\",\"id\":{id},\"msg\":");
+    json::write_str(&mut s, msg);
+    s.push('}');
+    s
 }
 
-/// Parse a coordinator→worker frame.
-pub fn parse_worker_msg(text: &str) -> Result<WorkerMsg, String> {
-    match json_str_field(text, "type") {
-        Some("init") => {
-            let pat = "\"payload\":";
-            let start = text
-                .find(pat)
-                .ok_or_else(|| "init without payload".to_string())?
-                + pat.len();
-            let payload = text[start..]
-                .strip_suffix('}')
-                .ok_or_else(|| "unterminated init".to_string())?;
-            Ok(WorkerMsg::Init(payload.to_string()))
-        }
-        Some("task") => {
-            let id = json_u64_field(text, "id").ok_or_else(|| "task without id".to_string())?;
-            let dest =
-                json_u64_field(text, "dest").ok_or_else(|| "task without dest".to_string())?;
-            let flat =
-                json_u64s(text, "attackers").ok_or_else(|| "task without attackers".to_string())?;
-            if flat.len() % 2 != 0 {
-                return Err("odd attacker list".to_string());
-            }
-            let attackers = flat
-                .chunks_exact(2)
-                .map(|p| (AsId(p[0] as u32), p[1] as usize))
-                .collect();
-            Ok(WorkerMsg::Task {
-                id,
-                dest: AsId(dest as u32),
-                attackers,
+/// Convert `v` to a `T` (a graph id, a stratum), naming `what` it was
+/// when it does not fit.
+fn fits<T: TryFrom<u64>>(v: u64, what: &str) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("{what} {v} out of range"))
+}
+
+/// Read a list of unsigned integers.
+fn u64_list(r: &mut Reader<'_>) -> Result<Vec<u64>, JsonError> {
+    let mut out = Vec::new();
+    r.list(|r| {
+        out.push(r.u64()?);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// Read a task's `[[attacker, stratum], ...]` list.
+fn attacker_pairs(r: &mut Reader<'_>) -> Result<Vec<(AsId, usize)>, JsonError> {
+    let mut pairs = Vec::new();
+    r.list(|r| {
+        let pair = r.read_as(u64_list, |pair| match pair[..] {
+            [m, h] => Ok((AsId(fits(m, "attacker id")?), fits(h, "stratum")?)),
+            _ => Err("expected an [attacker, stratum] pair".to_string()),
+        })?;
+        pairs.push(pair);
+        Ok(())
+    })?;
+    Ok(pairs)
+}
+
+/// A protocol frame, in either direction: its `type` (with the offset of
+/// that value) and whichever fields it carries.
+#[derive(Default)]
+struct Frame<'t> {
+    kind: Option<(usize, Cow<'t, str>)>,
+    payload: Option<&'t str>,
+    id: Option<u64>,
+    dest: Option<AsId>,
+    attackers: Option<Vec<(AsId, usize)>>,
+    stats: Option<Vec<u64>>,
+    strata: Option<u64>,
+    data: Option<Vec<u64>>,
+    msg: Option<Cow<'t, str>>,
+}
+
+impl<'t> Frame<'t> {
+    /// Read a frame, and the offset of its closing brace.
+    fn read(text: &'t str) -> Result<(Frame<'t>, usize), JsonError> {
+        let mut f = Frame::default();
+        let end = Reader::parse(text, |r| {
+            r.object(|key, r| {
+                match key {
+                    "type" => f.kind = Some((r.at(), r.str()?)),
+                    "payload" => f.payload = Some(r.skip()?),
+                    "id" => f.id = Some(r.u64()?),
+                    "dest" => {
+                        f.dest = Some(AsId(r.read_as(Reader::u64, |v| fits(v, "destination id"))?))
+                    }
+                    "attackers" => f.attackers = Some(attacker_pairs(r)?),
+                    "stats" => f.stats = Some(u64_list(r)?),
+                    "strata" => f.strata = Some(r.u64()?),
+                    "data" => f.data = Some(u64_list(r)?),
+                    "msg" => f.msg = Some(r.str()?),
+                    _ => _ = r.skip()?,
+                }
+                Ok(())
             })
-        }
-        Some("shutdown") => Ok(WorkerMsg::Shutdown),
-        other => Err(format!("unknown message type {other:?}")),
+        })?;
+        Ok((f, end))
+    }
+
+    /// The frame's type; empty when it has none.
+    fn kind(&self) -> &str {
+        self.kind.as_ref().map_or("", |(_, k)| k)
+    }
+}
+
+/// Parse a coordinator→worker frame. Every error names the byte it
+/// concerns.
+pub fn parse_worker_msg(text: &str) -> Result<WorkerMsg, String> {
+    let (f, end) = Frame::read(text).map_err(|e| e.to_string())?;
+    let absent = |what: &str| format!("byte {end}: {what}");
+    let Frame {
+        kind,
+        payload,
+        id,
+        dest,
+        attackers,
+        ..
+    } = f;
+    match kind.as_ref().map(|(at, k)| (*at, &**k)) {
+        Some((_, "init")) => payload
+            .map(|p| WorkerMsg::Init(p.to_string()))
+            .ok_or_else(|| absent("init without payload")),
+        Some((_, "task")) => Ok(WorkerMsg::Task {
+            id: id.ok_or_else(|| absent("task without id"))?,
+            dest: dest.ok_or_else(|| absent("task without dest"))?,
+            attackers: attackers.ok_or_else(|| absent("task without attackers"))?,
+        }),
+        Some((_, "shutdown")) => Ok(WorkerMsg::Shutdown),
+        Some((at, other)) => Err(format!("byte {at}: unknown message type {other:?}")),
+        None => Err(absent("message without type")),
     }
 }
 
@@ -798,12 +716,12 @@ impl Supervisor {
                     let Some(slot) = self.slot_of(spawn_id) else {
                         continue;
                     };
-                    match json_str_field(&frame, "type") {
-                        Some("ready") => {
-                            let stats = json_u64s(&frame, "stats").unwrap_or_default();
-                            let strata = json_u64_field(&frame, "strata");
+                    // A frame that is not valid JSON has no type: garbage.
+                    let reply = Frame::read(&frame).map(|(f, _)| f).unwrap_or_default();
+                    match reply.kind() {
+                        "ready" => {
                             let want: Vec<u64> = cell_stats.iter().map(|&k| k as u64).collect();
-                            if stats == want && strata == Some(nstrata as u64) {
+                            if reply.stats == Some(want) && reply.strata == Some(nstrata as u64) {
                                 self.set_state(slot, ProcState::Idle);
                                 self.slots[slot].failures = 0;
                                 self.boot_failures = 0;
@@ -815,7 +733,7 @@ impl Supervisor {
                                 self.retire(slot, true);
                             }
                         }
-                        Some("result") => {
+                        "result" => {
                             let ProcState::Busy { task, .. } = self.state_of(slot) else {
                                 eprintln!(
                                     "supervisor: unexpected result from worker{spawn_id}, retiring"
@@ -823,9 +741,7 @@ impl Supervisor {
                                 self.retire(slot, true);
                                 continue;
                             };
-                            let id = json_u64_field(&frame, "id");
-                            let data = json_u64s(&frame, "data");
-                            match (id, data) {
+                            match (reply.id, reply.data) {
                                 (Some(id), Some(data))
                                     if id == task as u64 && data.len() == expected_len =>
                                 {
@@ -849,7 +765,7 @@ impl Supervisor {
                                 }
                             }
                         }
-                        Some("error") => {
+                        "error" => {
                             // The worker survived (caught panic / injected
                             // eval error): strike the task, keep the
                             // worker.
@@ -857,7 +773,7 @@ impl Supervisor {
                                 self.retire(slot, true);
                                 continue;
                             };
-                            let msg = json_str_field(&frame, "msg").unwrap_or("?").to_string();
+                            let msg = reply.msg.as_deref().unwrap_or("?");
                             self.set_state(slot, ProcState::Idle);
                             charge_strike(
                                 task,
@@ -1094,28 +1010,108 @@ mod tests {
             parse_worker_msg(&encode_shutdown()).unwrap(),
             WorkerMsg::Shutdown
         );
-        assert!(parse_worker_msg("{\"type\":\"task\"}").is_err());
-        assert!(parse_worker_msg("nonsense").is_err());
+        // Any key order, JSON whitespace anywhere, the payload verbatim.
+        let spaced = "{ \"payload\" : {\"b\": [1, {}]} ,\n\"type\": \"init\" }";
+        assert_eq!(
+            parse_worker_msg(spaced),
+            Ok(WorkerMsg::Init("{\"b\": [1, {}]}".to_string()))
+        );
+        for (bad, err) in [
+            ("{\"type\":\"task\"}", "byte 14: task without id"),
+            ("nonsense", "byte 0: expected '{'"),
+            ("{\"type\":\"init\"}", "byte 14: init without payload"),
+            (
+                "{\"type\":\"jump\"}",
+                "byte 8: unknown message type \"jump\"",
+            ),
+            (
+                "{\"type\":\"shutdown\"} {}",
+                "byte 20: trailing bytes after the value",
+            ),
+            (
+                "{\"type\":\"shutdown\",\"type\":\"task\"}",
+                "byte 19: duplicate key \"type\"",
+            ),
+            (
+                "{\"type\":\"task\",\"id\":1,\"dest\":2,\"attackers\":[[1]]}",
+                "byte 44: expected an [attacker, stratum] pair",
+            ),
+        ] {
+            assert_eq!(parse_worker_msg(bad), Err(err.to_string()), "{bad}");
+        }
 
         let ready = encode_ready(&[4, 4, 4], 25);
-        assert_eq!(json_u64s(&ready, "stats"), Some(vec![4, 4, 4]));
-        assert_eq!(json_u64_field(&ready, "strata"), Some(25));
+        let (ready, _) = Frame::read(&ready).unwrap();
+        assert_eq!(ready.kind(), "ready");
+        assert_eq!(ready.stats, Some(vec![4, 4, 4]));
+        assert_eq!(ready.strata, Some(25));
 
         let result = encode_result(3, &[1, u64::MAX, 0]);
-        assert_eq!(json_u64_field(&result, "id"), Some(3));
-        assert_eq!(json_u64s(&result, "data"), Some(vec![1, u64::MAX, 0]));
+        let (result, _) = Frame::read(&result).unwrap();
+        assert_eq!(result.id, Some(3));
+        assert_eq!(result.data, Some(vec![1, u64::MAX, 0]));
 
-        let err = encode_error(2, "boom \"quoted\"\nline");
-        assert_eq!(json_u64_field(&err, "id"), Some(2));
-        assert_eq!(json_str_field(&err, "msg"), Some("boom  quoted  line"));
+        // Error messages come back exactly, quotes and newlines included.
+        let msg = "boom \"quoted\"\nline \\ path";
+        let err = encode_error(2, msg);
+        let (err, _) = Frame::read(&err).unwrap();
+        assert_eq!(err.id, Some(2));
+        assert_eq!(err.msg.as_deref(), Some(msg));
+        assert!(Frame::read("{\"type\":\"error\"").is_err());
+    }
+
+    /// An id past `u32::MAX` is a located error, never a truncated id:
+    /// a destination at its value, an attacker at its pair.
+    #[test]
+    fn task_ids_out_of_range_are_rejected_where_they_stand() {
+        let max = u32::MAX;
+        let ok = format!("{{\"type\":\"task\",\"id\":1,\"dest\":{max},\"attackers\":[[{max},0]]}}");
+        assert_eq!(
+            parse_worker_msg(&ok),
+            Ok(WorkerMsg::Task {
+                id: 1,
+                dest: AsId(max),
+                attackers: vec![(AsId(max), 0)],
+            })
+        );
+        for (bad, err) in [
+            (
+                "{\"type\":\"task\",\"id\":1,\"dest\":4294967296,\"attackers\":[]}",
+                "byte 29: destination id 4294967296 out of range",
+            ),
+            (
+                "{\"type\":\"task\",\"id\":1,\"dest\":0,\"attackers\":[[5,0],[4294967301,1]]}",
+                "byte 50: attacker id 4294967301 out of range",
+            ),
+        ] {
+            assert_eq!(parse_worker_msg(bad), Err(err.to_string()), "{bad}");
+        }
     }
 
     #[test]
     fn u64_lists_accept_json_whitespace_and_reject_overflow() {
-        let parse = |text: &str| json_u64s(text, "k");
+        // The top-level `k` read as a list of unsigned integers; `None`
+        // when the key is absent or the text is not such an object.
+        let parse = |text: &str| {
+            Reader::parse(text, |r| {
+                let mut out = None;
+                r.object(|key, r| {
+                    match key {
+                        "k" => out = Some(u64_list(r)?),
+                        _ => {
+                            r.skip()?;
+                        }
+                    }
+                    Ok(())
+                })?;
+                Ok(out)
+            })
+            .ok()
+            .flatten()
+        };
         assert_eq!(parse("{\"k\":[1,2]}"), Some(vec![1, 2]));
         assert_eq!(parse("{\"k\" : [ 1 , 2 ] }"), Some(vec![1, 2]));
-        assert_eq!(parse("{\"k\":\n[[1, 2],\t[3]]}"), Some(vec![1, 2, 3]));
+        assert_eq!(parse("{\"k\":\n[1,\t2]}"), Some(vec![1, 2]));
         assert_eq!(parse("{\"k\":[ ]}"), Some(vec![]));
         assert_eq!(
             parse("{\"k\":[18446744073709551615]}"),
@@ -1131,13 +1127,23 @@ mod tests {
             "{\"k\":[1 2]}",
             "{\"k\":[-1]}",
             "{\"k\":[1.5]}",
-            "{\"k\":[[[1]]]}",
+            "{\"k\":[[1]]}",
             "{\"k\":[1",
             "{\"k\":1}",
             "{\"j\":[1]}",
         ] {
             assert_eq!(parse(bad), None, "accepted: {bad}");
         }
+        // Nested task pairs, with whitespace, read through the task path.
+        let task = "{\"type\":\"task\",\"id\":1,\"dest\":2,\"attackers\":\n[[1, 2],\t[3,4]]}";
+        assert_eq!(
+            parse_worker_msg(task),
+            Ok(WorkerMsg::Task {
+                id: 1,
+                dest: AsId(2),
+                attackers: vec![(AsId(1), 2), (AsId(3), 4)],
+            })
+        );
         // A string value that spells the key is not the key.
         assert_eq!(parse("{\"x\":\"k\",\"k\":[4]}"), Some(vec![4]));
         // Nor is a key of a nested object, or text inside a string.
@@ -1163,7 +1169,7 @@ mod tests {
             data.extend_from_slice(&[n, mean.to_bits(), m2.to_bits()]);
         }
         let text = encode_result(0, &data);
-        let back = json_u64s(&text, "data").unwrap();
+        let back = Frame::read(&text).unwrap().0.data.unwrap();
         assert_eq!(back, data);
         let decoded = decode_result_data(&back, &[1], 1);
         let d = &decoded[0][0][0];

@@ -29,6 +29,7 @@ use std::io::{BufReader, BufWriter};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
+use bgp_juice::sim::json::Reader;
 use bgp_juice::sim::supervise::{read_frame, write_frame};
 
 /// Locate the planner server binary: `$PLANNER_BIN` wins, else derive
@@ -46,16 +47,20 @@ fn server_binary() -> PathBuf {
     p
 }
 
-/// Pull `"asns":N` out of the hello frame.
+/// The `asns` count of the hello frame.
 fn asns_of(hello: &str) -> usize {
-    let pat = "\"asns\":";
-    let start = hello.find(pat).expect("hello carries asns") + pat.len();
-    hello[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .expect("asns is a number")
+    let mut asns = None;
+    Reader::parse(hello, |r| {
+        r.object(|key, r| match key {
+            "asns" => {
+                asns = Some(r.u64()?);
+                Ok(())
+            }
+            _ => r.skip().map(drop),
+        })
+    })
+    .expect("hello is a JSON object");
+    asns.expect("hello carries asns") as usize
 }
 
 fn main() {

@@ -12,6 +12,7 @@ mod support;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use bgp_juice::sim::json::Reader;
 use support::bench_bin;
 
 fn campaign_cmd(dir: &Path) -> Command {
@@ -364,7 +365,17 @@ fn campaign_quarantines_damaged_checkpoints() {
     // Silent corruption: flip one digit of a checkpointed estimate.
     let victim = ckpt.join("baseline_400_11_sec1.json");
     let text = std::fs::read_to_string(&victim).expect("victim cell");
-    let pos = text.find("\"population\": ").expect("population line") + "\"population\": ".len();
+    let mut pos = None;
+    Reader::parse(&text, |r| {
+        r.object(|key, r| {
+            if key == "population" {
+                pos = Some(r.at());
+            }
+            r.skip().map(drop)
+        })
+    })
+    .expect("victim cell is JSON");
+    let pos = pos.expect("population key");
     let mut bytes = text.into_bytes();
     bytes[pos] = b'0' + (bytes[pos] - b'0' + 1) % 10;
     std::fs::write(&victim, &bytes).unwrap();

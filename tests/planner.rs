@@ -22,7 +22,7 @@ use bgp_juice::prelude::*;
 use bgp_juice::sim::serve::{Planner, PlannerConfig};
 use bgp_juice::sim::supervise::{read_frame, write_frame};
 use bgp_juice::sim::Internet;
-use support::{bench_bin, json_f64};
+use support::{bench_bin, first_cell_bounds};
 
 fn planner_config(threads: usize) -> PlannerConfig {
     PlannerConfig {
@@ -121,8 +121,8 @@ fn cold_warm_and_solo_replies_are_bit_identical() {
     delta.attack(m, AttackStrategy::FakeLink);
     let (lo, hi) = delta.count_happy();
     let sources = (net.len() - 2) as f64;
-    assert_eq!(json_f64(&replies[3], "lower"), lo as f64 / sources);
-    assert_eq!(json_f64(&replies[3], "upper"), hi as f64 / sources);
+    let bounds = (lo as f64 / sources, hi as f64 / sources);
+    assert_eq!(first_cell_bounds(&replies[3]), bounds);
 }
 
 /// The policy grid of the near-miss queries: two models, two strategies.

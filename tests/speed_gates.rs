@@ -32,7 +32,7 @@ use bgp_juice::prelude::*;
 use bgp_juice::sim::serve::{Planner, PlannerConfig};
 use bgp_juice::topology::tier::Tier;
 use bgp_juice::topology::{io, Relationship};
-use support::json_f64;
+use support::first_cell_bounds;
 
 /// Timed repetitions per side; the fastest one is compared.
 const REPS: usize = 3;
@@ -342,8 +342,8 @@ fn warm_planner_cache_beats_cold_by_5x() {
     delta.attack(m, AttackStrategy::FakeLink);
     let (lo, hi) = delta.count_happy();
     let sources = (net.len() - 2) as f64;
-    assert_eq!(json_f64(&reply, "lower"), lo as f64 / sources, "{reply}");
-    assert_eq!(json_f64(&reply, "upper"), hi as f64 / sources, "{reply}");
+    let bounds = (lo as f64 / sources, hi as f64 / sources);
+    assert_eq!(first_cell_bounds(&reply), bounds, "{reply}");
 
     assert_speedup("planner warm vs cold cache", cold, warm, 5.0);
 }

@@ -7,14 +7,34 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// The number after `"key":` in a planner reply frame.
-pub fn json_f64(text: &str, key: &str) -> f64 {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat).expect("key present") + pat.len();
-    let end = text[start..]
-        .find([',', '}', ']'])
-        .expect("value terminated");
-    text[start..start + end].parse().expect("f64 value")
+use bgp_juice::sim::json::Reader;
+
+/// The `lower` and `upper` happy fractions of the first cell of a planner
+/// reply frame, read strictly through the crate's JSON reader.
+pub fn first_cell_bounds(reply: &str) -> (f64, f64) {
+    let mut first = None;
+    Reader::parse(reply, |r| {
+        r.object(|key, r| match key {
+            "cells" => r.list(|r| {
+                let (mut lower, mut upper) = (None, None);
+                r.object(|key, r| {
+                    match key {
+                        "lower" => lower = Some(r.f64()?),
+                        "upper" => upper = Some(r.f64()?),
+                        _ => {
+                            r.skip()?;
+                        }
+                    }
+                    Ok(())
+                })?;
+                first.get_or_insert((lower.expect("lower"), upper.expect("upper")));
+                Ok(())
+            }),
+            _ => r.skip().map(drop),
+        })
+    })
+    .expect("a well-formed reply");
+    first.expect("a reply with at least one cell")
 }
 
 /// The cargo target directory the tests' builds use: `CARGO_TARGET_DIR`
