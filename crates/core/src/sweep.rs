@@ -23,6 +23,18 @@
 //! sound, the undo invariant and the adjacency-mass budget), and every
 //! served step is committed as the next step's base.
 //!
+//! **Inert steps.** A route is secure only when every AS on it signs, the
+//! origin included (§2.2), so while the destination `d` does not sign no
+//! AS holds a secure route. Every model then ranks routes by LP and length
+//! alone, exactly as at `S = ∅`, and a validator's `validates` bit is only
+//! ever read together with a neighbor's secure bit — so no change in who
+//! validates can move a route, next hop, flag or happy count. An advance
+//! whose `d` signs its origin at *neither* end is therefore served as a
+//! no-op before any seeding or symmetric-difference scan. The rule is
+//! "`d` unsigned at both ends", not "no validators": a signing `d` (even a
+//! simplex one) has a secure route of its own, so validator flips around
+//! it, or its own signing flip, are real steps.
+//!
 //! The scenario may carry any [`crate::AttackStrategy`] (forged paths of
 //! any claimed depth) and any announcer set — colluding roots are re-fixed
 //! exactly like a single attacker whenever they fall inside the dirty
@@ -62,8 +74,9 @@ pub struct SweepStats {
     pub full_recomputes: usize,
     /// Steps served by dirty-region re-fixing (any direction).
     pub incremental_steps: usize,
-    /// Steps whose deployment change could not affect any outcome (only
-    /// non-destination simplex flips).
+    /// Steps whose deployment change could not affect any outcome: the
+    /// destination signed at neither end (no secure route can exist), or
+    /// only non-destination simplex members flipped.
     pub noop_steps: usize,
     /// Incremental steps where validators only joined (or the destination
     /// started signing).
@@ -244,8 +257,9 @@ impl<'g> SweepEngine<'g> {
     /// Exact for *any* deployment; incremental for every same-universe step
     /// after the first, whether the secure set grew, shrank, or did both
     /// (the step is classified monotone / retracting / mixed in
-    /// [`SweepStats`]). The returned outcome is valid until the next
-    /// `advance`/`begin` call.
+    /// [`SweepStats`]), and a no-op when the destination signs at neither
+    /// end (see the module docs). The returned outcome is valid until the
+    /// next `advance`/`begin` call.
     ///
     /// # Panics
     ///
@@ -262,12 +276,19 @@ impl<'g> SweepEngine<'g> {
             return self.commit(deployment);
         };
 
+        // An unsigned destination admits no secure route, so while it
+        // signs at neither end no validator flip can move any outcome.
+        let d = scenario.destination;
+        if !deployment.signs_origin(d) && !prev.signs_origin(d) {
+            self.stats.noop_steps += 1;
+            return self.commit(deployment);
+        }
+
         // Dirty seeds: the symmetric difference of the `validates` sets,
         // plus the destination when its origin-signing status flipped in
         // either direction. Simplex flips elsewhere are invisible to the
         // engine (only the destination's signing is ever read) — a pure
         // no-op, whether the simplex member joined or left.
-        let d = scenario.destination;
         let graph = self.core.graph();
         let (_, region) = self.core.seed();
         let mut grew = false;
@@ -472,6 +493,117 @@ mod tests {
         let mut fresh = Engine::new(&g);
         let want = fresh.compute(scenario, &s1, policy);
         assert_outcomes_match(sweep.outcome(), want, &g, "noop step");
+    }
+
+    /// Sweep `scenario` over `steps` under every model × Standard/LP2/LPinf,
+    /// comparing every AS and the happy bounds with a fresh compute at each
+    /// step, and assert which steps after the first were served as no-ops.
+    fn assert_noop_steps(
+        g: &AsGraph,
+        scenario: AttackScenario,
+        steps: &[Deployment],
+        noops: &[bool],
+        ctx: &str,
+    ) {
+        assert_eq!(
+            noops.len() + 1,
+            steps.len(),
+            "{ctx}: one flag per step after the first"
+        );
+        for model in SecurityModel::ALL {
+            for variant in [LpVariant::Standard, LpVariant::LpK(2), LpVariant::LpInf] {
+                let policy = Policy::with_variant(model, variant);
+                let mut sweep = SweepEngine::new(g);
+                let mut fresh = Engine::new(g);
+                sweep.begin(scenario, policy);
+                for (k, dep) in steps.iter().enumerate() {
+                    let before = sweep.stats();
+                    let got = sweep.advance(dep);
+                    let want = fresh.compute(scenario, dep, policy);
+                    let ctx = format!("{ctx} {policy} step {k}");
+                    assert_outcomes_match(got, want, g, &ctx);
+                    assert_eq!(sweep.count_happy(), want.count_happy(), "{ctx}");
+                    if k > 0 {
+                        let noop = sweep.stats().delta_since(&before).noop_steps == 1;
+                        assert_eq!(noop, noops[k - 1], "{ctx}: served as a no-op?");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn steps_with_an_unsigned_destination_are_noops() {
+        // d = 0 signs only from step 3 to step 5; every step flips some
+        // validator. While d signs at neither end no route can be secure,
+        // so the step is a no-op; the join, the leave and every step in
+        // between are real.
+        let g = gadget();
+        let full = |ids: &[u32]| Deployment::full_from_iter(N, ids.iter().map(|&i| AsId(i)));
+        let steps = [
+            full(&[1, 2]),
+            full(&[1, 2, 5]),
+            full(&[1, 5, 6]),
+            full(&[0, 1, 5, 6]),
+            full(&[0, 1, 2, 5, 6]),
+            full(&[0, 1, 2]),
+            full(&[1, 2]),
+            full(&[1, 2, 5, 6]),
+            full(&[5]),
+        ];
+        let noops = [true, true, false, false, false, false, true, true];
+        let marked = AttackScenario {
+            mark: Some(AsId(6)),
+            ..AttackScenario::attack(AsId(4), AsId(0))
+        };
+        let scenarios = [
+            ("attack", AttackScenario::attack(AsId(4), AsId(0))),
+            (
+                "forged path",
+                AttackScenario::attack(AsId(4), AsId(0))
+                    .with_strategy(AttackStrategy::FakePath { hops: 2 }),
+            ),
+            (
+                "colluding",
+                AttackScenario::colluding(&[AsId(4), AsId(7)], AsId(0))
+                    .with_strategy(AttackStrategy::FakePath { hops: 1 }),
+            ),
+            ("marked", marked),
+        ];
+        for (ctx, scenario) in scenarios {
+            assert_noop_steps(&g, scenario, &steps, &noops, ctx);
+        }
+    }
+
+    #[test]
+    fn a_signing_destination_makes_steps_real() {
+        let g = gadget();
+        let scenario = AttackScenario::attack(AsId(4), AsId(0));
+        // A simplex d while validators flip: secure routes exist, so every
+        // validator flip can move outcomes.
+        let simplex_d = |ids: &[u32]| {
+            let mut dep = Deployment::full_from_iter(N, ids.iter().map(|&i| AsId(i)));
+            dep.insert_simplex(AsId(0));
+            dep
+        };
+        let steps = [
+            simplex_d(&[1]),
+            simplex_d(&[1, 2, 5]),
+            simplex_d(&[5, 6]),
+            simplex_d(&[]),
+        ];
+        assert_noop_steps(&g, scenario, &steps, &[false; 3], "simplex d");
+        // d's signing flips with no validator at all: `route(d).secure`
+        // flips each time.
+        let mut signed = Deployment::empty(N);
+        signed.insert_simplex(AsId(0));
+        let steps = [
+            Deployment::empty(N),
+            signed.clone(),
+            Deployment::empty(N),
+            signed,
+        ];
+        assert_noop_steps(&g, scenario, &steps, &[false; 3], "signing d alone");
     }
 
     #[test]

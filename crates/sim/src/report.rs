@@ -100,8 +100,10 @@ pub fn delta_pair(b: sbgp_core::Bounds) -> String {
 }
 
 /// One-line summary of a run's [`sbgp_core::SweepStats`]: how its
-/// `advance` calls were served (noop / incremental by direction / full
-/// recompute), the fallback rate, and the refixed fraction of AS-steps.
+/// `advance` calls were served (noop — the destination signed at neither
+/// end, or only non-destination simplex members flipped — / incremental by
+/// direction / full recompute), the fallback rate, and the refixed
+/// fraction of AS-steps.
 pub fn sweep_stats_line(s: &sbgp_core::SweepStats, universe: usize) -> String {
     format!(
         "{} steps = {} noop + {} incr ({} grow / {} shrink / {} mixed) + {} full \

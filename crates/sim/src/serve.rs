@@ -76,8 +76,9 @@
 //! leading zero, a sign or fraction where a count belongs, or an id past
 //! the graph is an error. A malformed message is rejected with a clean
 //! `{"op":"error",...}` reply whose message names the key and the byte
-//! offset it concerns (`"attackers: byte 40: id 900 out of range ..."`);
-//! a frame with no readable `op` string gets
+//! offset it concerns (`"attackers: byte 40: id 900 out of range ..."`),
+//! wherever the frame's `op` key sits. A frame that is not an object, or
+//! an object that reads cleanly without an `op` string, gets
 //! `"malformed message: no op field"`. Never a crash, and the server keeps
 //! answering.
 //!
@@ -779,7 +780,17 @@ impl Planner {
     pub fn handle(&mut self, text: &str) -> Option<String> {
         let Request { op, id, read } = Request::read(text, self.net.len());
         let Some((at, op)) = op else {
-            return Some(Self::encode_error(id, "malformed message: no op field"));
+            // A frame that opens as an object gets its first located
+            // error, wherever its `op` key sits; other text, or an object
+            // that reads cleanly without one, has no op to speak of.
+            let opens_object = text
+                .trim_start_matches([' ', '\t', '\n', '\r'])
+                .starts_with('{');
+            let msg = match read {
+                Err(e) if opens_object => format!("malformed message: {e}"),
+                _ => "malformed message: no op field".to_string(),
+            };
+            return Some(Self::encode_error(id, &msg));
         };
         match (&*op, read) {
             ("query", read) => Some(match read.and_then(|q| q) {
@@ -1256,6 +1267,42 @@ mod tests {
             .unwrap();
         assert!(reply.contains("\"op\":\"reply\""), "{reply}");
         assert!(planner.handle("{\"op\":\"shutdown\"}").is_none());
+    }
+
+    #[test]
+    fn errors_stay_located_wherever_op_sits() {
+        let mut planner = Planner::new(tiny(), PlannerConfig::default());
+        let error = |planner: &mut Planner, frame: &str| {
+            let reply = planner.handle(frame).expect("an error reply, not shutdown");
+            let prefix = "{\"op\":\"error\",\"schema\":\"planner-v1\",";
+            assert!(reply.starts_with(prefix), "{frame} -> {reply}");
+            reply
+        };
+        // `op` after the bad list: the pass stops before it reaches `op`.
+        let reply = error(
+            &mut planner,
+            "{\"id\":3,\"attackers\":[1,x],\"op\":\"query\"}",
+        );
+        assert_eq!(
+            reply,
+            "{\"op\":\"error\",\"schema\":\"planner-v1\",\"id\":3,\"error\":\
+             \"malformed message: attackers: byte 23: expected an unsigned integer\"}"
+        );
+        // Leading whitespace still opens an object.
+        let reply = error(&mut planner, " \n{\"id\":4,\"op\":7}");
+        assert!(
+            reply.contains("\"error\":\"malformed message: op: byte 15"),
+            "{reply}"
+        );
+        // Non-objects, and objects that read cleanly without an `op`,
+        // have no op to speak of.
+        for frame in ["this is not a planner message", "[1,2]", "{}", "{\"id\":5}"] {
+            let reply = error(&mut planner, frame);
+            assert!(
+                reply.ends_with("\"error\":\"malformed message: no op field\"}"),
+                "{frame} -> {reply}"
+            );
+        }
     }
 
     #[test]

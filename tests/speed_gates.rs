@@ -6,7 +6,7 @@
 //!
 //! | gate | fast path vs reference | scale | cross-check | threshold |
 //! |---|---|---|---|---|
-//! | churn | `SweepEngine` retraction steps vs one `Engine::compute` per step | 4,000 ASes, seed 42, peak 10 | identical happy counts | ≥2× |
+//! | churn | `SweepEngine` retraction steps vs one `Engine::compute` per step | 4,000 ASes, seed 42, peak 10 | identical happy counts; the wane steps of pairs with a signing destination are retractions, not no-ops | ≥2× |
 //! | fused | `FusedDeltaEngine` at S=∅ on the 3-model × 3-variant grid vs one `AttackDeltaEngine` loop per cell | 4,000 ASes, seed 42 | identical happy counts | ≥2× |
 //! | ingest | `GraphBuilder::from_edges` vs the incremental `GraphBuilder` | 100,000 ASes, seed 42 | identical graphs, segment by segment | ≥2× |
 //! | planner | warm vs cold `Planner` on one 3-query Sec-1st stream | 4,000 ASes, seed 42, cache 256 | cold ≡ warm ≡ solo replies, zero warm misses | ≥5× |
@@ -84,6 +84,11 @@ fn assert_speedup(gate: &str, reference: Duration, fast: Duration, threshold: f6
 /// The wane half of a wax-and-wane churn trajectory is pure retractions.
 /// Served by the sweep engine, those steps must be ≥2× faster than the
 /// full recompute a sweep without a retraction path would run per step.
+///
+/// A step whose destination signs at neither end is a no-op, so sampled
+/// destinations alone may time no retraction at all. The pairs therefore
+/// also target a Tier 2 that signs at every step and one of its stubs,
+/// and every wane step of those pairs must be served as a retraction.
 #[test]
 #[ignore = "speed gate; run in release with --ignored"]
 fn churn_retraction_steps_beat_full_recomputes_by_2x() {
@@ -92,12 +97,25 @@ fn churn_retraction_steps_beat_full_recomputes_by_2x() {
     let net = Internet::synthetic(asns, seed);
     let traj = scenario::churn_trajectory(&net, peak);
     let attackers = sample::sample_non_stubs(&net, 3, seed);
+    let signer = net.tiers.tier2()[0];
+    let signing = [signer, scenario::stubs_of(&net, &[signer])[0]];
+    assert!(
+        signing
+            .iter()
+            .all(|&d| traj.iter().all(|s| s.signs_origin(d))),
+        "the signing destinations must sign across the whole trajectory"
+    );
     let dests: Vec<AsId> = sample::sample_all(&net, 2, seed ^ 0xD)
         .into_iter()
+        .chain(signing)
         .filter(|d| !attackers.contains(d))
         .collect();
     let pairs = sample::pairs(&attackers, &dests);
-    assert!(!pairs.is_empty(), "no (m, d) pairs sampled");
+    let signing_pairs = pairs.iter().filter(|(_, d)| signing.contains(d)).count();
+    assert!(
+        signing_pairs > 0,
+        "no (m, d) pair with a signing destination"
+    );
 
     // Each repetition times only the wane steps (indices peak..), and
     // counts happy sources over every step.
@@ -124,11 +142,13 @@ fn churn_retraction_steps_beat_full_recomputes_by_2x() {
             (wane, counts)
         });
         let mut sweep = SweepEngine::new(&net.graph);
-        let (swept, sweep_counts) = fastest(|| {
+        let (swept, (sweep_counts, signing_wane)) = fastest(|| {
             let (mut wane, mut counts) = (Duration::ZERO, 0);
+            let mut signing_wane = SweepStats::default();
             for &(m, d) in &pairs {
                 sweep.begin(AttackScenario::attack(m, d), policy);
                 for (k, dep) in traj.iter().enumerate() {
+                    let before = sweep.stats();
                     let (t, happy) = timed(|| {
                         sweep.advance(dep);
                         sweep.count_happy().0
@@ -136,11 +156,24 @@ fn churn_retraction_steps_beat_full_recomputes_by_2x() {
                     counts += happy;
                     if k >= peak {
                         wane += t;
+                        if signing.contains(&d) {
+                            signing_wane.merge(&sweep.stats().delta_since(&before));
+                        }
                     }
                 }
             }
-            (wane, counts)
+            (wane, (counts, signing_wane))
         });
+        // The timed wane steps of the signing pairs were real retractions:
+        // none a no-op, each served incrementally unless its region passed
+        // the mass budget.
+        assert!(
+            signing_wane.noop_steps == 0
+                && signing_wane.retracting_steps > 0
+                && signing_wane.retracting_steps + signing_wane.fallback_steps
+                    == signing_pairs * (traj.len() - peak),
+            "{model}: signing pairs' wane steps were not retractions: {signing_wane:?}"
+        );
         assert_eq!(
             scratch_counts, sweep_counts,
             "{model}: the churn sweep diverged from from-scratch outcomes"

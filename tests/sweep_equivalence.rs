@@ -420,47 +420,85 @@ fn check_generated(
     scenario: AttackScenario,
     ctx: &str,
 ) -> SweepStats {
-    let mut total = SweepStats::default();
-    for model in SecurityModel::ALL {
-        let policy = Policy::new(model);
+    let policies = SecurityModel::ALL.map(Policy::new);
+    check_generated_steps(net, steps, scenario, &policies, ctx)
+        .into_iter()
+        .fold(SweepStats::default(), |mut total, step| {
+            total.merge(&step);
+            total
+        })
+}
+
+/// [`check_generated`] under each of `policies`, returning the stats of
+/// each step (index `k` holds step `k`'s counters summed over the
+/// policies), so a test can tell how every step was served.
+fn check_generated_steps(
+    net: &Internet,
+    steps: &[Deployment],
+    scenario: AttackScenario,
+    policies: &[Policy],
+    ctx: &str,
+) -> Vec<SweepStats> {
+    let mut per_step = vec![SweepStats::default(); steps.len()];
+    for &policy in policies {
         let mut sweep = SweepEngine::new(&net.graph);
         let mut fresh = Engine::new(&net.graph);
         sweep.begin(scenario, policy);
         for (k, dep) in steps.iter().enumerate() {
+            let before = sweep.stats();
             let got = sweep.advance(dep);
             let want = fresh.compute(scenario, dep, policy);
             for v in net.graph.ases() {
                 assert_eq!(
                     got.route(v),
                     want.route(v),
-                    "{ctx} {model} step {k}: route at {v}"
+                    "{ctx} {policy} step {k}: route at {v}"
                 );
                 assert_eq!(
                     got.next_hop(v),
                     want.next_hop(v),
-                    "{ctx} {model} step {k}: next hop at {v}"
+                    "{ctx} {policy} step {k}: next hop at {v}"
                 );
                 assert_eq!(
                     got.may_traverse_mark(v),
                     want.may_traverse_mark(v),
-                    "{ctx} {model} step {k}: mark at {v}"
+                    "{ctx} {policy} step {k}: mark at {v}"
                 );
             }
             assert_eq!(
                 sweep.count_happy(),
                 want.count_happy(),
-                "{ctx} {model} step {k}: happy bounds"
+                "{ctx} {policy} step {k}: happy bounds"
             );
+            per_step[k].merge(&sweep.stats().delta_since(&before));
         }
-        total.merge(&sweep.stats());
     }
-    total
+    per_step
+}
+
+/// [`check_generated`] for a `scenario` whose destination never signs
+/// along `steps`: every sweep must also serve every step after the first
+/// as a no-op.
+fn check_generated_inert(
+    net: &Internet,
+    steps: &[Deployment],
+    scenario: AttackScenario,
+    ctx: &str,
+) {
+    let policies = SecurityModel::ALL.map(Policy::new);
+    let per_step = check_generated_steps(net, steps, scenario, &policies, ctx);
+    for (k, step) in per_step.iter().enumerate().skip(1) {
+        assert_eq!(step.noop_steps, policies.len(), "{ctx} step {k}: {step:?}");
+    }
 }
 
 /// The same equivalence on a structured (generated) topology with a real
 /// rollout, where the incremental path is actually exercised (proptest's
 /// tiny graphs often fall back to full recomputes: on them a compute is
-/// cheaper than any patch, so the adjacency-mass budget is tiny).
+/// cheaper than any patch, so the adjacency-mass budget is tiny). The
+/// content provider never signs on this rollout, so its sweep must serve
+/// every step after the first as a no-op; the Tier 2 destination signs
+/// from step 1 on and keeps the incremental path covered.
 #[test]
 fn sweep_matches_fresh_engine_on_generated_internet() {
     let net = Internet::synthetic(400, 17);
@@ -472,31 +510,143 @@ fn sweep_matches_fresh_engine_on_generated_internet() {
     ]
     .to_vec();
     let m = net.tiers.tier2()[1];
-    let d = net.content_providers[0];
-    let attack = AttackScenario::attack(m, d);
-    let stats = check_generated(&net, &steps, attack, "rollout");
+    let d = net.tiers.tier2()[0];
+    let stats = check_generated(&net, &steps, AttackScenario::attack(m, d), "rollout");
     assert!(
         stats.incremental_steps > 0,
         "rollout never took the incremental path"
+    );
+    let cp = net.content_providers[0];
+    check_generated_inert(
+        &net,
+        &steps,
+        AttackScenario::attack(m, cp),
+        "unsigned rollout",
     );
 }
 
 /// The same equivalence on a generated topology over a full wax-and-wane
 /// churn trajectory, where the *retraction* path is actually exercised
-/// incrementally (not just bailed to the region-cap fallback).
+/// incrementally (not just bailed to the region-cap fallback) by a Tier 2
+/// destination that signs throughout; the never-signing content provider
+/// is served as a no-op at every step after the first.
 #[test]
 fn sweep_matches_fresh_engine_on_generated_internet_churn() {
     let net = Internet::synthetic(400, 17);
     let steps = scenario::churn_trajectory(&net, 4);
     assert_eq!(steps.len(), 7, "wax-and-wane at peak 4");
     let m = net.tiers.tier2()[1];
-    let d = net.content_providers[0];
-    let attack = AttackScenario::attack(m, d);
-    let stats = check_generated(&net, &steps, attack, "churn");
+    let d = net.tiers.tier2()[0];
+    let stats = check_generated(&net, &steps, AttackScenario::attack(m, d), "churn");
     assert!(
         stats.retracting_steps > 0,
         "churn trajectory never took the incremental retraction path"
     );
+    let cp = net.content_providers[0];
+    check_generated_inert(
+        &net,
+        &steps,
+        AttackScenario::attack(m, cp),
+        "unsigned churn",
+    );
+}
+
+/// Every security model under the Standard, LP2 and LPinf variants.
+fn all_policies() -> Vec<Policy> {
+    SecurityModel::ALL
+        .into_iter()
+        .flat_map(|model| {
+            [LpVariant::Standard, LpVariant::LpK(2), LpVariant::LpInf]
+                .map(|variant| Policy::with_variant(model, variant))
+        })
+        .collect()
+}
+
+/// The inert-step rule on a generated topology: an advance whose
+/// destination signs at neither end is a no-op, and nothing else is. A
+/// Tier 2 destination joins the wax-and-wane trajectory at step 2 and
+/// leaves it at step 7, so steps 1 and 8 are no-ops and steps 2–7 (the
+/// join, the leave and every step with `d` signing) are real. A simplex
+/// destination while validators flip is never inert, nor is a destination
+/// whose signing flips with no validator at all. Every sweep matches a
+/// fresh compute at every AS, under every model and LP variant, for a
+/// plain attack, a forged path, colluding announcers and a mark.
+#[test]
+fn steps_with_an_unsigned_destination_are_noops_on_generated_internet() {
+    let net = Internet::synthetic(400, 17);
+    let steps = scenario::churn_trajectory(&net, 5);
+    assert_eq!(steps.len(), 9, "wax-and-wane at peak 5");
+    let t2 = net.tiers.tier2();
+    // The first Tier 2 outside the ladder's first two rungs.
+    let d = *t2
+        .iter()
+        .find(|&&v| !steps[1].signs_origin(v))
+        .expect("a Tier 2 off the second rung");
+    let signing: Vec<bool> = steps.iter().map(|s| s.signs_origin(d)).collect();
+    assert_eq!(
+        signing,
+        [false, false, true, true, true, true, true, false, false],
+        "d must join at step 2 and leave at step 7"
+    );
+    let (m, colluder) = (t2[0], net.content_providers[1]);
+    let cp = net.content_providers[0];
+    let scenarios = |d: AsId| {
+        let mut marked = AttackScenario::attack(m, d);
+        marked.mark = Some(t2[1]);
+        [
+            ("attack", AttackScenario::attack(m, d)),
+            (
+                "forged path",
+                AttackScenario::attack(m, d).with_strategy(AttackStrategy::FakePath { hops: 2 }),
+            ),
+            (
+                "colluding",
+                AttackScenario::colluding(&[m, colluder], d)
+                    .with_strategy(AttackStrategy::FakePath { hops: 1 }),
+            ),
+            ("marked", marked),
+        ]
+    };
+    let policies = all_policies();
+    let sweeps = policies.len();
+    // Served as a no-op by every sweep, or by none.
+    let noops = |per_step: &[SweepStats]| -> Vec<bool> {
+        per_step[1..]
+            .iter()
+            .map(|step| {
+                assert!(
+                    step.noop_steps == 0 || step.noop_steps == sweeps,
+                    "{step:?}"
+                );
+                step.noop_steps == sweeps
+            })
+            .collect()
+    };
+    for (ctx, scenario) in scenarios(d) {
+        let per_step = check_generated_steps(&net, &steps, scenario, &policies, ctx);
+        let want = [true, false, false, false, false, false, false, true];
+        assert_eq!(noops(&per_step), want, "{ctx}: joining d");
+    }
+    // A simplex destination, never validating, while the ladder churns.
+    let simplex_steps: Vec<Deployment> = steps
+        .iter()
+        .map(|s| {
+            let mut s = s.clone();
+            s.insert_simplex(cp);
+            s
+        })
+        .collect();
+    // A destination whose signing flips while nothing validates.
+    let mut signed = Deployment::empty(net.len());
+    signed.insert_simplex(cp);
+    let bare = Deployment::empty(net.len());
+    let flips = [bare.clone(), signed.clone(), bare, signed];
+    for (ctx, scenario) in scenarios(cp) {
+        let per_step = check_generated_steps(&net, &simplex_steps, scenario, &policies, ctx);
+        assert!(noops(&per_step).iter().all(|&n| !n), "{ctx}: simplex d");
+        let per_step = check_generated_steps(&net, &flips, scenario, &policies, ctx);
+        assert!(noops(&per_step).iter().all(|&n| !n), "{ctx}: signing flips");
+    }
 }
 
 /// Stubs (ASes without customers) of `net` whose `validates` bit flips
@@ -517,7 +667,10 @@ fn flipping_and_steady_stubs(net: &Internet, steps: &[Deployment]) -> (Vec<AsId>
 /// stubs, so region solves fold and resolve thousands of stubs, and roots
 /// that are stubs whose own deployment flips land inside the region: a
 /// stub destination (re-fixed as the origin), a stub attacker, a colluding
-/// stub pair flooding 2-hop forged paths, and a stub mark.
+/// stub pair flooding 2-hop forged paths, and a stub mark. The last three
+/// run against a Tier 2 destination that signs throughout, and again
+/// against the never-signing content provider, whose sweeps must serve
+/// every step after the first as a no-op.
 #[test]
 fn sweep_matches_fresh_engine_with_stub_roots_under_churn() {
     let net = Internet::synthetic(2000, 7);
@@ -530,27 +683,36 @@ fn sweep_matches_fresh_engine_with_stub_roots_under_churn() {
     assert!(!steady.is_empty(), "every stub flips");
     let cp = net.content_providers[0];
     let t2 = net.tiers.tier2()[2];
+    let signer = net.tiers.tier2()[0];
+    assert!(steps.iter().all(|s| s.signs_origin(signer)));
     let pick = |k: usize| flipping[k * flipping.len() / 4];
-    let scenarios = [
-        ("stub destination", AttackScenario::attack(t2, pick(0))),
-        ("stub attacker", AttackScenario::attack(pick(1), cp)),
-        (
-            "colluding stubs",
-            AttackScenario::colluding(&[pick(2), steady[steady.len() / 2]], cp)
-                .with_strategy(AttackStrategy::FakePath { hops: 2 }),
-        ),
-        ("stub mark", {
-            let mut marked = AttackScenario::attack(t2, cp);
-            marked.mark = Some(pick(3));
-            marked
-        }),
-    ];
-    for (ctx, scenario) in scenarios {
+    let stub_roots = |d: AsId| {
+        [
+            ("stub attacker", AttackScenario::attack(pick(1), d)),
+            (
+                "colluding stubs",
+                AttackScenario::colluding(&[pick(2), steady[steady.len() / 2]], d)
+                    .with_strategy(AttackStrategy::FakePath { hops: 2 }),
+            ),
+            ("stub mark", {
+                let mut marked = AttackScenario::attack(t2, d);
+                marked.mark = Some(pick(3));
+                marked
+            }),
+        ]
+    };
+    let signing = [("stub destination", AttackScenario::attack(t2, pick(0)))]
+        .into_iter()
+        .chain(stub_roots(signer));
+    for (ctx, scenario) in signing {
         let stats = check_generated(&net, &steps, scenario, ctx);
         assert!(
             stats.incremental_steps > 0,
             "{ctx}: churn never took the incremental path"
         );
+    }
+    for (ctx, scenario) in stub_roots(cp) {
+        check_generated_inert(&net, &steps, scenario, ctx);
     }
 }
 
@@ -571,16 +733,28 @@ fn sweep_matches_fresh_engine_on_40k_churn() {
     let cp = net.content_providers[0];
     let t2 = net.tiers.tier2();
     let attacker = steady[steady.len() / 3];
+    // The content provider and the steady stub never sign, so their
+    // sweeps must serve steps as no-ops; the other two destinations sign.
     let scenarios = [
-        AttackScenario::attack(attacker, cp),
-        AttackScenario::attack(attacker, t2[5]),
-        AttackScenario::attack(t2[1], flipping[flipping.len() / 2]),
-        AttackScenario::attack(t2[1], steady[2 * steady.len() / 3]),
+        (AttackScenario::attack(attacker, cp), true),
+        (AttackScenario::attack(attacker, t2[5]), false),
+        (
+            AttackScenario::attack(t2[1], flipping[flipping.len() / 2]),
+            false,
+        ),
+        (
+            AttackScenario::attack(t2[1], steady[2 * steady.len() / 3]),
+            true,
+        ),
     ];
     let mut total = SweepStats::default();
-    for scenario in scenarios {
+    for (scenario, unsigned) in scenarios {
         let ctx = format!("40k d={}", scenario.destination);
-        total.merge(&check_generated(&net, &steps, scenario, &ctx));
+        let stats = check_generated(&net, &steps, scenario, &ctx);
+        if unsigned {
+            assert!(stats.noop_steps > 0, "{ctx}: no inert step");
+        }
+        total.merge(&stats);
     }
     assert!(total.retracting_steps > 0, "no incremental retraction");
     assert!(total.monotone_steps > 0, "no incremental growth");
