@@ -29,8 +29,8 @@
 //! alone, exactly as at `S = ∅`, and a validator's `validates` bit is only
 //! ever read together with a neighbor's secure bit — so no change in who
 //! validates can move a route, next hop, flag or happy count. An advance
-//! whose `d` signs its origin at *neither* end is therefore served as a
-//! no-op before any seeding or symmetric-difference scan. The rule is
+//! whose `d` signs its origin at *neither* end skips the symmetric-difference
+//! scan, seeds nothing and is served as a no-op. The rule is
 //! "`d` unsigned at both ends", not "no validators": a signing `d` (even a
 //! simplex one) has a secure route of its own, so validator flips around
 //! it, or its own signing flip, are real steps.
@@ -276,33 +276,30 @@ impl<'g> SweepEngine<'g> {
             return self.commit(deployment);
         };
 
-        // An unsigned destination admits no secure route, so while it
-        // signs at neither end no validator flip can move any outcome.
-        let d = scenario.destination;
-        if !deployment.signs_origin(d) && !prev.signs_origin(d) {
-            self.stats.noop_steps += 1;
-            return self.commit(deployment);
-        }
-
         // Dirty seeds: the symmetric difference of the `validates` sets,
         // plus the destination when its origin-signing status flipped in
-        // either direction. Simplex flips elsewhere are invisible to the
-        // engine (only the destination's signing is ever read) — a pure
-        // no-op, whether the simplex member joined or left.
+        // either direction. An unsigned destination admits no secure
+        // route, so while it signs at neither end validator flips seed
+        // nothing. Simplex flips elsewhere are invisible to the engine
+        // (only the destination's signing is ever read). Either way an
+        // empty region is a pure no-op.
+        let d = scenario.destination;
+        let (signs_now, signs_prev) = (deployment.signs_origin(d), prev.signs_origin(d));
         let graph = self.core.graph();
         let (_, region) = self.core.seed();
         let mut grew = false;
         let mut shrank = false;
-        for v in deployment.newly_validating(prev) {
-            grew = true;
-            region.insert(v);
+        if signs_now || signs_prev {
+            for v in deployment.newly_validating(prev) {
+                grew = true;
+                region.insert(v);
+            }
+            for v in deployment.newly_retired(prev) {
+                shrank = true;
+                region.insert(v);
+            }
         }
-        for v in deployment.newly_retired(prev) {
-            shrank = true;
-            region.insert(v);
-        }
-        let signs_now = deployment.signs_origin(d);
-        if signs_now != prev.signs_origin(d) {
+        if signs_now != signs_prev {
             grew |= signs_now;
             shrank |= !signs_now;
             region.insert(d);

@@ -363,6 +363,17 @@ impl<'t> Reader<'t> {
     }
 }
 
+/// Whether the first token of `text` opens an object: a `{` after any
+/// JSON whitespace.
+pub fn opens_object(text: &str) -> bool {
+    let mut r = Reader {
+        text,
+        pos: 0,
+        depth: 0,
+    };
+    r.peek() == Some(b'{')
+}
+
 /// Append `s` to `out` as a JSON string: quotes, backslashes and control
 /// characters escaped, everything else verbatim.
 pub fn write_str(out: &mut String, s: &str) {
@@ -502,6 +513,20 @@ mod tests {
             Ok(Some("[ {\"a\": []} ]"))
         );
         assert_eq!(value_of("{\"k\\u0020\":1}"), Ok(None));
+    }
+
+    #[test]
+    fn opens_object_reads_only_the_first_token() {
+        for (text, opens) in [
+            ("{", true),
+            (" \t\r\n{\"k\":x", true),
+            ("[{}]", false),
+            ("\"{\"", false),
+            ("\u{a0}{}", false),
+            ("", false),
+        ] {
+            assert_eq!(opens_object(text), opens, "{text:?}");
+        }
     }
 
     #[test]

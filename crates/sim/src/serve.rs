@@ -783,11 +783,8 @@ impl Planner {
             // A frame that opens as an object gets its first located
             // error, wherever its `op` key sits; other text, or an object
             // that reads cleanly without one, has no op to speak of.
-            let opens_object = text
-                .trim_start_matches([' ', '\t', '\n', '\r'])
-                .starts_with('{');
             let msg = match read {
-                Err(e) if opens_object => format!("malformed message: {e}"),
+                Err(e) if json::opens_object(text) => format!("malformed message: {e}"),
                 _ => "malformed message: no op field".to_string(),
             };
             return Some(Self::encode_error(id, &msg));

@@ -14,7 +14,7 @@
 
 use std::path::Path;
 
-use bgp_juice::sim::json::Reader;
+use bgp_juice::sim::json::{self, Reader};
 use bgp_juice::sim::serve::{Planner, PlannerConfig, Query};
 use bgp_juice::sim::supervise::{
     encode_error, encode_init, encode_ready, encode_result, encode_shutdown, encode_task,
@@ -152,10 +152,8 @@ fn planner_frames_never_panic_and_errors_are_located() {
             // cleanly without an `op` string. Any other frame that opens as
             // an object names where it broke, wherever its `op` key sits.
             let msg = error.expect("an error reply carries its message");
-            let opens_object = text
-                .trim_start_matches([' ', '\t', '\n', '\r'])
-                .starts_with('{');
-            let no_op = !opens_object || Reader::parse(text, |r| r.skip().map(drop)).is_ok();
+            let no_op =
+                !json::opens_object(text) || Reader::parse(text, |r| r.skip().map(drop)).is_ok();
             assert!(
                 (no_op && msg == "malformed message: no op field") || located(&msg, text),
                 "{text:?} -> {msg}"

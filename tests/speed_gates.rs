@@ -6,7 +6,7 @@
 //!
 //! | gate | fast path vs reference | scale | cross-check | threshold |
 //! |---|---|---|---|---|
-//! | churn | `SweepEngine` retraction steps vs one `Engine::compute` per step | 4,000 ASes, seed 42, peak 10 | identical happy counts; the wane steps of pairs with a signing destination are retractions, not no-ops | ≥2× |
+//! | churn | `SweepEngine` retraction steps vs one `Engine::compute` per step, timed on pairs whose destination signs | 4,000 ASes, seed 42, peak 10 | identical happy counts over every pair; the timed steps are retractions, not no-ops | ≥2× |
 //! | fused | `FusedDeltaEngine` at S=∅ on the 3-model × 3-variant grid vs one `AttackDeltaEngine` loop per cell | 4,000 ASes, seed 42 | identical happy counts | ≥2× |
 //! | ingest | `GraphBuilder::from_edges` vs the incremental `GraphBuilder` | 100,000 ASes, seed 42 | identical graphs, segment by segment | ≥2× |
 //! | planner | warm vs cold `Planner` on one 3-query Sec-1st stream | 4,000 ASes, seed 42, cache 256 | cold ≡ warm ≡ solo replies, zero warm misses | ≥5× |
@@ -87,8 +87,10 @@ fn assert_speedup(gate: &str, reference: Duration, fast: Duration, threshold: f6
 ///
 /// A step whose destination signs at neither end is a no-op, so sampled
 /// destinations alone may time no retraction at all. The pairs therefore
-/// also target a Tier 2 that signs at every step and one of its stubs,
-/// and every wane step of those pairs must be served as a retraction.
+/// also target a Tier 2 that signs at every step and one of its stubs;
+/// only those pairs' wane steps are timed, on both sides, and each must
+/// be served as a retraction. Every pair still feeds the happy-count
+/// cross-check.
 #[test]
 #[ignore = "speed gate; run in release with --ignored"]
 fn churn_retraction_steps_beat_full_recomputes_by_2x() {
@@ -117,8 +119,8 @@ fn churn_retraction_steps_beat_full_recomputes_by_2x() {
         "no (m, d) pair with a signing destination"
     );
 
-    // Each repetition times only the wane steps (indices peak..), and
-    // counts happy sources over every step.
+    // Each repetition times only the signing pairs' wane steps (indices
+    // peak..), and counts happy sources over every step of every pair.
     let (mut scratch_wane, mut sweep_wane) = (Duration::ZERO, Duration::ZERO);
     for model in SecurityModel::ALL {
         let policy = Policy::new(model);
@@ -126,6 +128,7 @@ fn churn_retraction_steps_beat_full_recomputes_by_2x() {
         let (scratch, scratch_counts) = fastest(|| {
             let (mut wane, mut counts) = (Duration::ZERO, 0);
             for &(m, d) in &pairs {
+                let timed_pair = signing.contains(&d);
                 for (k, dep) in traj.iter().enumerate() {
                     let (t, happy) = timed(|| {
                         engine
@@ -134,7 +137,7 @@ fn churn_retraction_steps_beat_full_recomputes_by_2x() {
                             .0
                     });
                     counts += happy;
-                    if k >= peak {
+                    if timed_pair && k >= peak {
                         wane += t;
                     }
                 }
@@ -147,6 +150,7 @@ fn churn_retraction_steps_beat_full_recomputes_by_2x() {
             let mut signing_wane = SweepStats::default();
             for &(m, d) in &pairs {
                 sweep.begin(AttackScenario::attack(m, d), policy);
+                let timed_pair = signing.contains(&d);
                 for (k, dep) in traj.iter().enumerate() {
                     let before = sweep.stats();
                     let (t, happy) = timed(|| {
@@ -154,11 +158,9 @@ fn churn_retraction_steps_beat_full_recomputes_by_2x() {
                         sweep.count_happy().0
                     });
                     counts += happy;
-                    if k >= peak {
+                    if timed_pair && k >= peak {
                         wane += t;
-                        if signing.contains(&d) {
-                            signing_wane.merge(&sweep.stats().delta_since(&before));
-                        }
+                        signing_wane.merge(&sweep.stats().delta_since(&before));
                     }
                 }
             }
