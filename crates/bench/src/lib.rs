@@ -38,6 +38,7 @@ use std::path::PathBuf;
 use sbgp_core::{AttackStrategy, LpVariant};
 use sbgp_sim::experiments::ExperimentConfig;
 use sbgp_sim::{Internet, Parallelism};
+use sbgp_topology::gen::InternetConfig;
 
 /// Parsed command-line options for the figure binaries.
 #[derive(Clone, Debug)]
@@ -102,7 +103,7 @@ impl Cli {
                 args.next().ok_or_else(|| format!("{name} needs a value"))
             };
             match arg.as_str() {
-                "--asns" => cli.asns = parse_num(&take("--asns")?)?,
+                "--asns" => cli.asns = check_asns("--asns", parse_num(&take("--asns")?)?)?,
                 "--seed" => cli.seed = parse_num(&take("--seed")?)?,
                 "--attackers" => cli.config.attackers = parse_num(&take("--attackers")?)?,
                 "--destinations" => cli.config.destinations = parse_num(&take("--destinations")?)?,
@@ -268,6 +269,19 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad number {s:?}"))
 }
 
+/// `asns`, unless it is below the synthetic generator's floor
+/// ([`InternetConfig::min_total_ases`] of the default shape); the error
+/// names `what` (a flag or a key) and the floor.
+pub fn check_asns(what: &str, asns: usize) -> Result<usize, String> {
+    let floor = InternetConfig::default().min_total_ases();
+    match asns >= floor {
+        true => Ok(asns),
+        false => Err(format!(
+            "{what} {asns} is below the synthetic generator's floor of {floor} ASes"
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,6 +353,17 @@ mod tests {
     fn bad_input_is_rejected() {
         assert!(parse(&["--asns"]).is_err());
         assert!(parse(&["--asns", "x"]).is_err());
+        // Below the generator's floor is a usage error naming the flag
+        // and the floor, not a panic inside the generator.
+        let floor = InternetConfig::default().min_total_ases();
+        for small in ["0", "5", "50", &(floor - 1).to_string()] {
+            let err = parse(&["--asns", small]).unwrap_err();
+            assert!(
+                err.contains("--asns") && err.contains(&format!("floor of {floor} ASes")),
+                "{err}"
+            );
+        }
+        assert_eq!(parse(&["--asns", &floor.to_string()]).unwrap().asns, floor);
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--policy", "lp9"]).is_err());
     }

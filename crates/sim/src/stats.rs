@@ -874,7 +874,7 @@ pub trait CellEval: Sync {
 }
 
 /// [`estimate_adaptive_cells`] driven by a [`CellEval`].
-pub fn estimate_adaptive_cells_eval<E: CellEval>(
+pub fn estimate_adaptive_cells_eval<E: CellEval + ?Sized>(
     universe: &PairUniverse,
     cfg: &EstimatorConfig,
     eval: &E,

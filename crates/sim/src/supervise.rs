@@ -291,7 +291,7 @@ pub fn parse_worker_msg(text: &str) -> Result<WorkerMsg, String> {
 /// Welford accumulator (floats as `to_bits`). This is byte-for-byte the
 /// chunk accumulator the in-process reduction would have produced for the
 /// same group, which is the whole bit-identity argument.
-pub fn eval_task_data<E: CellEval>(
+pub fn eval_task_data<E: CellEval + ?Sized>(
     eval: &E,
     w: &mut E::Worker,
     nstrata: usize,

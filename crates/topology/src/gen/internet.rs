@@ -87,6 +87,12 @@ impl InternetConfig {
             ..InternetConfig::default()
         }
     }
+
+    /// The fewest total ASes [`generate`] accepts under this shape: the
+    /// fixed Tier-1, Tier-2 and CP populations plus ten transit ASes.
+    pub fn min_total_ases(&self) -> usize {
+        self.tier1_count + self.tier2_count + self.cp_count + 10
+    }
 }
 
 /// Output of [`generate`]: the graph plus the structural roles the
@@ -162,7 +168,7 @@ impl AttachmentPool {
 pub fn generate(config: &InternetConfig) -> GeneratedInternet {
     let c = config;
     assert!(
-        c.total_ases >= c.tier1_count + c.tier2_count + c.cp_count + 10,
+        c.total_ases >= c.min_total_ases(),
         "total_ases too small for the configured tier counts"
     );
     assert!((0.0..=1.0).contains(&c.stub_fraction), "stub_fraction");

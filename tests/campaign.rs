@@ -411,3 +411,120 @@ fn campaign_quarantines_damaged_checkpoints() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--validate` audits every cell's checksum over the bytes the reader
+/// located, wherever the cell sits: a flipped estimate digit is caught in
+/// a cell indented by five spaces as well as in one indented by four.
+#[test]
+fn validate_audits_cells_at_any_indent() {
+    let dir = std::env::temp_dir().join(format!("sbgp_campaign_indent_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = campaign_cmd(&dir).output().expect("spawn campaign");
+    assert!(out.status.success(), "smoke run failed");
+    let text = std::fs::read_to_string(dir.join("BENCH_campaign_smoke.json")).expect("JSON");
+
+    // Flip one estimate digit of the second cell.
+    let cell = text
+        .match_indices("\n    {\n")
+        .nth(1)
+        .expect("a second cell")
+        .0
+        + 1;
+    let digit = cell + text[cell..].find("\"lower\": 0.").expect("an estimate") + 11;
+    let mut flipped = text.clone().into_bytes();
+    flipped[digit] = b'0' + (flipped[digit] - b'0' + 1) % 10;
+    let flipped = String::from_utf8(flipped).unwrap();
+    let validate = |name: &str, json: &str| {
+        std::fs::write(dir.join(name), json).unwrap();
+        campaign_cmd(&dir)
+            .args(["--validate", name])
+            .output()
+            .expect("spawn validate")
+    };
+    for (name, json) in [
+        ("flipped.json", flipped.clone()),
+        (
+            "indented.json",
+            format!("{} {}", &flipped[..cell], &flipped[cell..]),
+        ),
+    ] {
+        let out = validate(name, &json);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "{name}: a flipped digit passed --validate"
+        );
+        assert!(
+            stderr.contains("cell checksum mismatch"),
+            "{name}: {stderr}"
+        );
+    }
+    // The untouched document still validates.
+    assert!(validate("clean.json", &text).status.success());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint whose content names another cell (a file copied over
+/// another's name) is recomputed, not resumed: the assembled grid holds
+/// each cell exactly once.
+#[test]
+fn resume_recomputes_a_checkpoint_naming_another_cell() {
+    let dir = std::env::temp_dir().join(format!("sbgp_campaign_copied_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = campaign_cmd(&dir).output().expect("spawn campaign");
+    assert!(out.status.success(), "smoke run failed");
+    let json_path = dir.join("BENCH_campaign_smoke.json");
+    let first = std::fs::read_to_string(&json_path).expect("campaign JSON");
+
+    let ckpt = dir.join("campaign_smoke_ckpt");
+    std::fs::copy(
+        ckpt.join("rollout_400_11_sec1.json"),
+        ckpt.join("rollout_400_11_sec3.json"),
+    )
+    .expect("copy a checkpoint over another");
+    let out = campaign_cmd(&dir).output().expect("spawn campaign");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "rerun failed:\n{stdout}");
+    assert!(
+        stdout.contains("1 computed, 5 resumed"),
+        "the copied checkpoint was trusted:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("rollout_400_11_sec3: checkpoint names a different cell"),
+        "{stdout}"
+    );
+    let second = std::fs::read_to_string(&json_path).expect("campaign JSON after rerun");
+    assert_eq!(estimates_only(&first), estimates_only(&second));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot below the synthetic generator's floor has no synthetic
+/// twin: the campaign says so and exits before computing anything.
+#[test]
+fn campaign_refuses_a_snapshot_too_small_for_a_twin() {
+    let dir = std::env::temp_dir().join(format!("sbgp_campaign_tiny_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/cyclops_sample.as-rel");
+    let out = Command::new(bench_bin("campaign"))
+        .current_dir(&dir)
+        .arg("--file")
+        .arg(&fixture)
+        .output()
+        .expect("spawn campaign");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("below the synthetic generator's floor"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!dir.join("campaign_ckpt").read_dir().unwrap().any(|_| true));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -5,15 +5,16 @@
 //! protocol type, and the first cell of `BENCH_campaign.json` — are
 //! mutated by byte flips, truncations, insertions and duplicated keys, and
 //! each mutant is fed to the readers that face outside input:
-//! `Query::parse`, `Planner::handle`, `parse_worker_msg`, the checkpoint
-//! resume reader (`Cell::parse` plus the checksum audit) and
-//! `render_campaign_quotes`. None may panic, and every error must name a
+//! `Query::parse`, `Planner::handle`, `parse_worker_msg`, the workers'
+//! group-spec reader (`CellSpec::read`), the checkpoint resume reader
+//! (`Cell::parse` plus the checksum audit) and `render_campaign_quotes`. None may panic, and every error must name a
 //! byte offset inside its input. The mutation stream is fixed by the
 //! seed, so a failure reproduces exactly; the whole run takes well under
 //! a second in a debug build.
 
 use std::path::Path;
 
+use bgp_juice::core::SecurityModel;
 use bgp_juice::sim::json::{self, Reader};
 use bgp_juice::sim::serve::{Planner, PlannerConfig, Query};
 use bgp_juice::sim::supervise::{
@@ -22,7 +23,7 @@ use bgp_juice::sim::supervise::{
 };
 use bgp_juice::sim::Internet;
 use bgp_juice::topology::AsId;
-use sbgp_bench::campaign::Cell;
+use sbgp_bench::campaign::{Cell, CellSpec, Figure};
 use sbgp_bench::render::render_campaign_quotes;
 
 /// Mutants per seed.
@@ -186,6 +187,37 @@ fn worker_frames_never_panic_and_errors_are_located() {
         Ok(_) => parsed += 1,
         Err(e) => assert!(located(&e, text), "{text:?} -> {e}"),
     });
+    assert!(parsed > 50, "{parsed} parsed");
+}
+
+#[test]
+fn cell_specs_never_panic_and_errors_are_located() {
+    let synthetic = CellSpec {
+        figure: Figure::Rollout,
+        asns: 400,
+        seed: 11,
+        models: vec![SecurityModel::Security1st, SecurityModel::Security3rd],
+        rollout_steps: 3,
+        budget: 300,
+        ci_target: Some(0.005),
+        ..CellSpec::default()
+    };
+    let snapshot = CellSpec {
+        figure: Figure::Ladder,
+        snapshot: Some("C:\\snaps\\\"odd\" name.as-rel".into()),
+        cps: vec![15169, 8075],
+        ci_target: None,
+        ..synthetic.clone()
+    };
+    let mut parsed = 0;
+    fuzz(
+        &[synthetic.to_json(), snapshot.to_json()],
+        5,
+        |text| match CellSpec::read(text) {
+            Ok(_) => parsed += 1,
+            Err(e) => assert!(e.at <= text.len(), "{text:?} -> {e}"),
+        },
+    );
     assert!(parsed > 50, "{parsed} parsed");
 }
 
