@@ -60,6 +60,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use sbgp_bench::campaign::{CampaignEval, Cell, CellSpec, Figure, CAMPAIGN_SCHEMA, CELL_KEYS};
+use sbgp_bench::parse_list;
 use sbgp_core::SecurityModel;
 use sbgp_sim::faultpoint;
 use sbgp_sim::json;
@@ -120,16 +121,6 @@ impl Default for Args {
     }
 }
 
-fn parse_list<T, E: std::fmt::Display>(
-    s: &str,
-    f: impl Fn(&str) -> Result<T, E>,
-) -> Result<Vec<T>, String> {
-    s.split(',')
-        .filter(|t| !t.is_empty())
-        .map(|t| f(t.trim()).map_err(|e| e.to_string()))
-        .collect()
-}
-
 fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
     value.parse().map_err(|_| format!("{flag} wants a number"))
 }
@@ -142,16 +133,16 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let flag = arg.as_str();
         let mut take = || args.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag {
-            "--figures" => a.figures = parse_list(&take()?, Figure::parse)?,
+            "--figures" => a.figures = parse_list(flag, &take()?, Figure::parse)?,
             "--asns" => {
-                a.asns = parse_list(&take()?, |t| {
+                a.asns = parse_list(flag, &take()?, |t| {
                     let n = t.parse::<usize>().map_err(|e| e.to_string())?;
                     sbgp_bench::check_asns(flag, n)
                 })?;
                 asns_explicit = true;
             }
-            "--seeds" => a.seeds = parse_list(&take()?, |t| t.parse::<u64>())?,
-            "--models" => a.cell.models = parse_list(&take()?, parse_model)?,
+            "--seeds" => a.seeds = parse_list(flag, &take()?, |t| t.parse::<u64>())?,
+            "--models" => a.cell.models = parse_list(flag, &take()?, parse_model)?,
             "--ci" => {
                 let target: f64 = number(flag, take()?)?;
                 // Same contract as the shared figure CLI: a fractional
@@ -173,7 +164,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--out" => a.out = PathBuf::from(take()?),
             "--validate" => a.validate = Some(PathBuf::from(take()?)),
             "--file" => a.cell.snapshot = Some(PathBuf::from(take()?)),
-            "--cps" => a.cell.cps = parse_list(&take()?, |t| t.parse::<u32>())?,
+            "--cps" => a.cell.cps = parse_list(flag, &take()?, |t| t.parse::<u32>())?,
             "--workers" => a.workers = number(flag, take()?)?,
             "--worker" => a.worker = true,
             "--worker-id" => a.worker_id = number(flag, take()?)?,
@@ -942,6 +933,42 @@ mod tests {
         assert_eq!(
             parse(&["--pairs", "x"]).err().unwrap(),
             "--pairs wants a number"
+        );
+    }
+
+    // A repeated grid value would run (and report) its cells twice.
+    #[test]
+    fn a_repeated_figure_is_a_usage_error() {
+        assert_eq!(
+            parse(&["--figures", "rollout,baseline,rollout"])
+                .err()
+                .unwrap(),
+            "--figures lists rollout twice (items 1 and 3)"
+        );
+    }
+
+    #[test]
+    fn a_repeated_size_is_a_usage_error() {
+        assert_eq!(
+            parse(&["--asns", "400, 4000,400"]).err().unwrap(),
+            "--asns lists 400 twice (items 1 and 3)"
+        );
+    }
+
+    #[test]
+    fn a_repeated_seed_is_a_usage_error() {
+        assert_eq!(
+            parse(&["--seeds", "11,11"]).err().unwrap(),
+            "--seeds lists 11 twice (items 1 and 2)"
+        );
+        assert_eq!(parse(&["--seeds", "11,12"]).unwrap().seeds, [11, 12]);
+    }
+
+    #[test]
+    fn a_repeated_model_is_a_usage_error() {
+        assert_eq!(
+            parse(&["--models", "sec1,sec3,sec1"]).err().unwrap(),
+            "--models lists sec1 twice (items 1 and 3)"
         );
     }
 }

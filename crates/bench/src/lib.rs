@@ -113,27 +113,9 @@ impl Cli {
                 }
                 "--ixp" => cli.ixp = true,
                 "--file" => cli.file = Some(PathBuf::from(take("--file")?)),
-                "--cps" => {
-                    let cps = take("--cps")?
-                        .split(',')
-                        .filter(|t| !t.is_empty())
-                        .map(|t| parse_num(t.trim()))
-                        .collect::<Result<Vec<u32>, String>>()?;
-                    // A repeated ASN would double-count that content
-                    // provider in every per-CP average; reject it with
-                    // the offending positions instead of silently
-                    // skewing the numbers.
-                    for (i, asn) in cps.iter().enumerate() {
-                        if let Some(j) = cps[..i].iter().position(|b| b == asn) {
-                            return Err(format!(
-                                "--cps lists ASN {asn} twice (items {} and {})",
-                                j + 1,
-                                i + 1
-                            ));
-                        }
-                    }
-                    cli.cps = cps;
-                }
+                // A repeated ASN would double-count that content provider
+                // in every per-CP average.
+                "--cps" => cli.cps = parse_list("--cps", &take("--cps")?, parse_num)?,
                 "--strategy" => {
                     let value = take("--strategy")?;
                     let strategy = match value.as_str() {
@@ -267,6 +249,30 @@ impl Cli {
 
 fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad number {s:?}"))
+}
+
+/// Parse a comma-separated list flag's value, item by item (empty items
+/// are skipped, the others trimmed). A value that names one item twice
+/// is an error naming the item and both 1-based positions: every list flag
+/// is a set, and a repeat would count its item twice.
+pub fn parse_list<T: PartialEq, E: std::fmt::Display>(
+    flag: &str,
+    value: &str,
+    parse: impl Fn(&str) -> Result<T, E>,
+) -> Result<Vec<T>, String> {
+    let mut items = Vec::new();
+    for token in value.split(',').filter(|t| !t.is_empty()).map(str::trim) {
+        let item = parse(token).map_err(|e| e.to_string())?;
+        if let Some(j) = items.iter().position(|seen| *seen == item) {
+            return Err(format!(
+                "{flag} lists {token} twice (items {} and {})",
+                j + 1,
+                items.len() + 1
+            ));
+        }
+        items.push(item);
+    }
+    Ok(items)
 }
 
 /// `asns`, unless it is below the synthetic generator's floor

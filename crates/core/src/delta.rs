@@ -85,9 +85,9 @@ pub struct DeltaStats {
     /// Total ASes re-fixed across all delta-served attacks (final region
     /// sizes, stubs included).
     pub refixed_ases: usize,
-    /// Extra region solves beyond the first attempt: verify steps that
-    /// absorbed a core AS (stub-only absorption is resolved in place and
-    /// costs no round).
+    /// Frontier solves after the first round: verify steps that absorbed a
+    /// core AS, each paid with a solve of only the absorbed frontier
+    /// (stub-only absorption is resolved in place and costs no round).
     pub grow_rounds: usize,
 }
 
@@ -327,9 +327,10 @@ impl<'g> AttackDeltaEngine<'g> {
             .with_strategy(strategy);
         // Discover the contested ball in one cheap forward scan of the
         // base, so the first solve already covers it: growing it hop by hop
-        // through the verify step would cost one full region re-solve per
-        // hop of the bogus announcement's reach. An over-budget ball is
-        // computed fresh before any undo or solve work is spent on it.
+        // through the verify step would cost one frontier round (a solve
+        // and a verify) per hop of the bogus announcement's reach. An
+        // over-budget ball is computed fresh before any undo or solve work
+        // is spent on it.
         let graph = self.core.graph();
         let (base, region) = self.core.seed();
         let mass = self

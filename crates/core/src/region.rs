@@ -24,7 +24,20 @@
 //! exactly that difference and a commit copies exactly it into the base, so
 //! no patch pays an `O(V)` copy.
 //!
-//! **Verify and grow.** A neighbor `u` of a changed AS `v` is *affected*
+//! **Verify and grow.** A patch runs in *rounds*. Round 1 solves the seeds
+//! on top of the base. Each round then verifies only its own members
+//! against the working outcome as it stood before that round, and absorbs
+//! the genuinely affected neighbors into the next round's *frontier*;
+//! members of earlier rounds that are affected again are included. The
+//! next round solves only that frontier on top of the working outcome. The
+//! loop ends when a verify absorbs nothing. Exactness needs only one fact
+//! per round: outside a round's members no AS's route was written, so only
+//! the neighbors of its changed members can see a new input, and the
+//! verify checks exactly those. Every AS that may be inconsistent after a
+//! round is thus in the next frontier, and an empty frontier leaves the
+//! working outcome locally consistent everywhere.
+//!
+//! A neighbor `u` of a changed AS `v` is *affected*
 //! only when `v`'s old or new offer would tie or beat `u`'s current route
 //! under the reference [`preference_key`] order. The condition is
 //!
@@ -36,9 +49,11 @@
 //!   secure offer that lost its security when the owner left `S`), which
 //!   can strictly worsen `u`'s best route even though the replacement offer
 //!   looks unremarkable. Note the min-property guaranteeing this check is
-//!   complete: in a stable state `u`'s selected route is the best offer it
-//!   receives, so any offer `u` actually used satisfies `old_offer <= k`
-//!   and a worsened dependency never slips past the filter.
+//!   complete: in a locally consistent state `u`'s selected route is the
+//!   best offer it receives, so any offer `u` actually used satisfies
+//!   `old_offer <= k` and a worsened dependency never slips past the
+//!   filter. (An `u` that was inconsistent before the round is one of the
+//!   round's members, so it is never judged by this filter.)
 //!
 //! Anything strictly worse in both states (the common case, e.g. a hub
 //! whose short customer route dwarfs the offer) cannot change `u`'s
@@ -46,11 +61,13 @@
 //! implicated.
 //!
 //! Only core growth costs another solve. A non-root stub exports no route
-//! (Ex), so a stub absorbed into the region can change no other AS's
-//! route, and a re-solve would reproduce every core route unchanged: such
-//! stubs are resolved in place and the loop stops.
+//! (Ex), so a stub absorbed into the frontier can change no other AS's
+//! route: a frontier of stubs alone is resolved in place and the loop
+//! stops.
 //!
-//! The whole solve → verify → grow loop and its give-up rule
+//! The *region* a patch reports — its undo set, the members whose happy
+//! counts it patches and its re-fixed count — is the union of every
+//! round's members. The whole round loop and its give-up rule
 //! ([`mass_budget`]) are shared.
 
 use sbgp_topology::{AsGraph, AsId, AsSet};
@@ -61,11 +78,13 @@ use crate::engine::Engine;
 use crate::outcome::{Outcome, KIND_CUSTOMER, KIND_ORIGIN, KIND_PEER, KIND_PROVIDER, KIND_UNFIXED};
 use crate::policy::{preference_key, Policy};
 
-/// The region mass (sum of member degrees) above which a patch stops
-/// beating a fresh [`Engine::compute`]: a patch pays about three passes
-/// over the region's adjacency where a compute pays one over the whole
-/// graph's mass `n + 2·E`. Regions are hub-heavy, so node counts would
-/// track cost poorly.
+/// The mass (sum of member degrees) a patch may solve, summed over all of
+/// its rounds, before it stops beating a fresh [`Engine::compute`]: a
+/// patch pays about three passes over the adjacency it solves where a
+/// compute pays one over the whole graph's mass `n + 2·E`. Every round's
+/// members are charged, so an AS re-absorbed by a later round is charged
+/// again; the charge thus bounds the work of the whole loop and ends it.
+/// Regions are hub-heavy, so node counts would track cost poorly.
 pub(crate) fn mass_budget(graph: &AsGraph) -> usize {
     (graph.len() + 2 * graph.num_edges()) / 6
 }
@@ -78,6 +97,13 @@ pub(crate) struct Region {
 }
 
 impl Region {
+    fn new(n: usize) -> Region {
+        Region {
+            set: AsSet::new(n),
+            list: Vec::new(),
+        }
+    }
+
     /// Add `v`; returns whether it was not a member yet.
     pub(crate) fn insert(&mut self, v: AsId) -> bool {
         let new = self.set.insert(v);
@@ -85,6 +111,13 @@ impl Region {
             self.list.push(v);
         }
         new
+    }
+
+    /// Remove every member, in `O(members)`.
+    fn clear(&mut self) {
+        for v in self.list.drain(..) {
+            self.set.remove(v);
+        }
     }
 }
 
@@ -101,7 +134,8 @@ enum Restore {
 
 /// How a [`PatchCore::serve`] went.
 pub(crate) struct Served {
-    /// Verify steps that absorbed a core AS, each paid with a re-solve.
+    /// Frontier solves: verify steps that absorbed a core AS, each paid
+    /// with a solve of the absorbed frontier.
     pub(crate) grow_rounds: usize,
     /// The final region's size when the patch held; `None` when the region
     /// passed the budget and the outcome was computed fresh.
@@ -118,7 +152,15 @@ pub(crate) struct PatchCore<'g> {
     /// the served outcome.
     base_happy: (usize, usize),
     happy: (usize, usize),
+    /// The union of a patch's rounds (the seeds on entry).
     region: Region,
+    /// The members of the round being solved, and the frontier its verify
+    /// collects for the next one.
+    round: Region,
+    frontier: Region,
+    /// The working outcome as it stood before the current round, from a
+    /// patch's second round on (the first verifies against the base).
+    before: Outcome,
     /// The last patch's final region, valid while `restore` is `Touched`.
     touched: Vec<AsId>,
     restore: Restore,
@@ -131,10 +173,10 @@ impl<'g> PatchCore<'g> {
             base: Outcome::new_empty(),
             base_happy: (0, 0),
             happy: (0, 0),
-            region: Region {
-                set: AsSet::new(graph.len()),
-                list: Vec::new(),
-            },
+            region: Region::new(graph.len()),
+            round: Region::new(graph.len()),
+            frontier: Region::new(graph.len()),
+            before: Outcome::new_empty(),
             touched: Vec::new(),
             restore: Restore::Clean,
         }
@@ -228,15 +270,8 @@ impl<'g> PatchCore<'g> {
             self.engine.outcome_mut(),
             &self.base,
         );
-        let (within_budget, grow_rounds) = solve_within_budget(
-            &mut self.engine,
-            &self.base,
-            scenario,
-            deployment,
-            policy,
-            &mut self.region,
-            mass,
-        );
+        let (within_budget, grow_rounds) =
+            self.solve_within_budget(scenario, deployment, policy, mass);
         if !within_budget {
             self.compute(scenario, deployment, policy);
             return Served {
@@ -260,6 +295,149 @@ impl<'g> PatchCore<'g> {
             refixed: Some(self.touched.len()),
         }
     }
+
+    /// Solve the seeded region to local consistency in frontier rounds (see
+    /// the module docs): round 1 solves the seeds on top of the base, and
+    /// each later round solves only the core frontier the previous verify
+    /// ([`Self::grow_affected`]) absorbed, on top of the working outcome; a
+    /// frontier of stubs alone is resolved in place. `mass` is the seeds'
+    /// adjacency mass; every frontier, and every AS a solve's fix log
+    /// absorbs, adds its members' mass, checked against [`mass_budget`]
+    /// before any further work. On return `region` is the union of the
+    /// rounds. Returns whether the loop stayed within the budget — if so
+    /// the working outcome is exact, else partial — and the grow rounds
+    /// (core frontiers) spent.
+    fn solve_within_budget(
+        &mut self,
+        scenario: AttackScenario,
+        deployment: &Deployment,
+        policy: Policy,
+        mut mass: usize,
+    ) -> (bool, usize) {
+        let graph = self.engine.graph();
+        let budget = mass_budget(graph);
+        // Round 1 is the seeds; the region becomes the union of the rounds.
+        self.round.clear();
+        std::mem::swap(&mut self.round, &mut self.region);
+        let mut grow_rounds = 0;
+        loop {
+            let seeded = self.round.list.len();
+            self.engine.solve_region(
+                scenario,
+                deployment,
+                policy,
+                &mut self.round.set,
+                &mut self.round.list,
+            );
+            for &v in &self.round.list[seeded..] {
+                mass += graph.degree(v);
+            }
+            for &v in &self.round.list {
+                self.region.insert(v);
+            }
+            let core = self.grow_affected(scenario, deployment, policy, grow_rounds == 0);
+            if self.frontier.list.is_empty() {
+                return (true, grow_rounds);
+            }
+            grow_rounds += usize::from(core);
+            mass += self
+                .frontier
+                .list
+                .iter()
+                .map(|&v| graph.degree(v))
+                .sum::<usize>();
+            if mass > budget {
+                return (false, grow_rounds);
+            }
+            if !core {
+                self.engine
+                    .resolve_stubs(&self.frontier.list, policy, deployment);
+                for &v in &self.frontier.list {
+                    self.region.insert(v);
+                }
+                return (true, grow_rounds);
+            }
+            // The next round verifies against the working outcome as it
+            // stands now: this round wrote only its own members.
+            if grow_rounds == 1 {
+                self.before.copy_from(self.engine.outcome());
+            } else {
+                for &v in &self.round.list {
+                    self.before.copy_entry_from(self.engine.outcome(), v);
+                }
+            }
+            std::mem::swap(&mut self.round, &mut self.frontier);
+        }
+    }
+
+    /// Compare the working outcome at every member of the solved round
+    /// against the outcome before the round (the base in the first round)
+    /// and collect the genuinely affected non-members as the next
+    /// frontier. When nothing escaped, the round is exact (see the module
+    /// docs). Returns whether a core AS (one with customers) was absorbed;
+    /// if only non-root stubs were, the solved core stands.
+    ///
+    /// The destination and the announcers never join the region: their
+    /// entries are roots, re-fixed explicitly by the caller when needed
+    /// (with colluding attackers, *every* member of the announcer set is
+    /// excluded).
+    fn grow_affected(
+        &mut self,
+        scenario: AttackScenario,
+        deployment: &Deployment,
+        policy: Policy,
+        first_round: bool,
+    ) -> bool {
+        let graph = self.engine.graph();
+        let new = self.engine.outcome();
+        let old = if first_round {
+            &self.base
+        } else {
+            &self.before
+        };
+        let (round, frontier) = (&self.round, &mut self.frontier);
+        frontier.clear();
+        let d = scenario.destination;
+        let mut core = false;
+        for &v in &round.list {
+            if new.same_for_neighbors(old, v) {
+                continue;
+            }
+            // Each neighbor list with the route class `u` would learn from
+            // `v`: v's providers learn a customer route, and so on.
+            let classes: [(&[AsId], u8); 3] = [
+                (graph.providers(v), 0),
+                (graph.peers(v), 1),
+                (graph.customers(v), 2),
+            ];
+            for (neighbors, rank) in classes {
+                for &u in neighbors {
+                    if round.set.contains(u)
+                        || frontier.set.contains(u)
+                        || u == d
+                        || scenario.is_attacker(u)
+                    {
+                        continue;
+                    }
+                    let validating = deployment.validates(u);
+                    let current = current_key(old, u, policy, validating);
+                    let old_offer = offer_key(old, v, rank, policy, validating);
+                    let new_offer = offer_key(new, v, rank, policy, validating);
+                    let affected = match current {
+                        None => old_offer.is_some() || new_offer.is_some(),
+                        Some(k) => {
+                            old_offer.is_some_and(|o| o <= k) || new_offer.is_some_and(|o| o <= k)
+                        }
+                    };
+                    if affected {
+                        frontier.insert(u);
+                        core |= !graph.customers(u).is_empty();
+                    }
+                }
+            }
+        }
+        core
+    }
 }
 
 /// Copy `from` into `to` wherever `restore` says they may differ.
@@ -273,68 +451,6 @@ fn sync(restore: Restore, touched: &[AsId], to: &mut Outcome, from: &Outcome) {
         }
         Restore::Full => to.copy_from(from),
     }
-}
-
-/// Solve the region to local consistency on top of `base`: solve, verify
-/// ([`grow_affected`]), re-solve after core growth, resolve stub-only
-/// growth in place. `mass` is the adjacency mass of the region on entry;
-/// absorbed members add theirs, and every loop top (so also a stub-grown
-/// region before it is served) checks it against [`mass_budget`]. Returns
-/// whether the region stayed within the budget — if so the working outcome
-/// is exact, else partial — and the grow rounds (core absorptions) spent.
-fn solve_within_budget(
-    engine: &mut Engine,
-    base: &Outcome,
-    scenario: AttackScenario,
-    deployment: &Deployment,
-    policy: Policy,
-    region: &mut Region,
-    mut mass: usize,
-) -> (bool, usize) {
-    let graph = engine.graph();
-    let budget = mass_budget(graph);
-    let mut counted = region.list.len();
-    let mut grow_rounds = 0;
-    let mut stubs_from = None;
-    loop {
-        for &v in &region.list[counted..] {
-            mass += graph.degree(v);
-        }
-        counted = region.list.len();
-        if mass > budget {
-            return (false, grow_rounds);
-        }
-        if let Some(from) = stubs_from {
-            engine.resolve_stubs(&region.list[from..], policy, deployment);
-            break;
-        }
-        engine.solve_region(
-            scenario,
-            deployment,
-            policy,
-            &mut region.set,
-            &mut region.list,
-        );
-        // Core growth costs a re-solve (a grow round); stub-only growth is
-        // resolved in place once the grown region passed the budget check.
-        let solved = region.list.len();
-        if grow_affected(
-            graph,
-            engine.outcome(),
-            base,
-            scenario,
-            deployment,
-            policy,
-            region,
-        ) {
-            grow_rounds += 1;
-        } else if region.list.len() > solved {
-            stubs_from = Some(solved);
-        } else {
-            break;
-        }
-    }
-    (true, grow_rounds)
 }
 
 /// Move the happy-source bounds `happy` ([`Outcome::count_happy`]) from
@@ -354,67 +470,6 @@ fn patch_happy(happy: &mut (usize, usize), old: &Outcome, new: &Outcome, members
             happy.1 += usize::from(f.may_reach_destination());
         }
     }
-}
-
-/// Compare `new` against `old` at every region member and absorb the
-/// genuinely affected out-of-region neighbors into `region`. When nothing
-/// escaped, the patch is exact (see the module docs). Returns whether a
-/// core AS (one with customers) was absorbed; if only non-root stubs were,
-/// the solved core stands.
-///
-/// The destination and the announcers never join the region: their entries
-/// are roots, re-fixed explicitly by the caller when needed (with colluding
-/// attackers, *every* member of the announcer set is excluded).
-fn grow_affected(
-    graph: &AsGraph,
-    new: &Outcome,
-    old: &Outcome,
-    scenario: AttackScenario,
-    deployment: &Deployment,
-    policy: Policy,
-    region: &mut Region,
-) -> bool {
-    let d = scenario.destination;
-    let mut frontier: Vec<AsId> = Vec::new();
-    for &v in region.list.iter() {
-        if new.same_for_neighbors(old, v) {
-            continue;
-        }
-        // Each neighbor list with the route class `u` would learn from
-        // `v`: v's providers learn a customer route, and so on.
-        let classes: [(&[AsId], u8); 3] = [
-            (graph.providers(v), 0),
-            (graph.peers(v), 1),
-            (graph.customers(v), 2),
-        ];
-        for (neighbors, rank) in classes {
-            for &u in neighbors {
-                if region.set.contains(u) || u == d || scenario.is_attacker(u) {
-                    continue;
-                }
-                let validating = deployment.validates(u);
-                let current = current_key(old, u, policy, validating);
-                let old_offer = offer_key(old, v, rank, policy, validating);
-                let new_offer = offer_key(new, v, rank, policy, validating);
-                let affected = match current {
-                    None => old_offer.is_some() || new_offer.is_some(),
-                    Some(k) => {
-                        old_offer.is_some_and(|o| o <= k) || new_offer.is_some_and(|o| o <= k)
-                    }
-                };
-                if affected {
-                    frontier.push(u);
-                }
-            }
-        }
-    }
-    let mut core = false;
-    for u in frontier {
-        if region.insert(u) {
-            core |= !graph.customers(u).is_empty();
-        }
-    }
-    core
 }
 
 /// `u`'s current position in the preference order, or `None` when it has no

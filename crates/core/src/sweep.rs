@@ -17,7 +17,8 @@
 //! direction ([`Deployment::newly_validating`] ∪
 //! [`Deployment::newly_retired`]) — plus the destination when its signing
 //! status flipped either way. The region is solved, verified at its
-//! border and grown by the patch core [`crate::AttackDeltaEngine`] shares
+//! border and grown in frontier rounds by the patch core
+//! [`crate::AttackDeltaEngine`] shares
 //! (crate-private `region`, which documents the local-consistency
 //! argument, the two-sided verify filter that makes retraction steps
 //! sound, the undo invariant and the adjacency-mass budget), and every
@@ -45,17 +46,20 @@
 //! destination started signing), *retracting* (validators only left, full
 //! members downgraded to simplex, or the destination stopped signing), or
 //! *mixed* (both at once), and all three are served through the identical
-//! solve/verify/grow loop. Retraction needs no extra machinery because
-//! every solve attempt unfixes the whole region and re-derives it from the
-//! boundary under the *new* deployment — the region members never trust
-//! stale secure bits — while everything outside the region kept all of its
-//! route inputs unchanged. Only the first call, a universe mismatch, or a
-//! region whose adjacency mass passes the budget falls back to a fresh
-//! [`crate::Engine::compute`], so `advance` is *always* exact; incrementality is
-//! purely an optimization. The equivalence is enforced outcome-for-outcome
-//! by `tests/sweep_equivalence.rs` against fresh computes — over monotone
-//! *and* arbitrary grow/shrink/simplex-flip sequences — and, transitively,
-//! by the message-level simulator oracle in `tests/equivalence.rs`.
+//! loop of frontier rounds (solve, verify, solve what the verify absorbed).
+//! Retraction needs no extra machinery because every round unfixes its
+//! members and re-derives them from their boundary under the *new*
+//! deployment — a member never trusts its stale secure bit — while every
+//! AS outside the round kept its route, so only the neighbors of changed
+//! members, which the round's verify checks, can see a new input. Only the
+//! first call, a universe mismatch, or a patch whose charged adjacency
+//! mass passes the budget falls back to a fresh
+//! [`crate::Engine::compute`], so `advance` is *always* exact;
+//! incrementality is purely an optimization. The equivalence is enforced
+//! outcome-for-outcome by `tests/sweep_equivalence.rs` against fresh
+//! computes — over monotone *and* arbitrary grow/shrink/simplex-flip
+//! sequences — and, transitively, by the message-level simulator oracle in
+//! `tests/equivalence.rs`.
 
 use sbgp_topology::AsGraph;
 
@@ -87,15 +91,16 @@ pub struct SweepStats {
     /// Incremental steps with flips in both directions.
     pub mixed_steps: usize,
     /// Steps that *attempted* the incremental path but fell back because
-    /// the region's adjacency mass passed the budget, whether at its seeds
-    /// or after a verify step grew it (a subset of `full_recomputes`).
+    /// the adjacency mass charged to the patch passed the budget, whether
+    /// at its seeds or after a verify step absorbed a frontier (a subset of
+    /// `full_recomputes`).
     pub fallback_steps: usize,
     /// Total ASes re-fixed across all incremental steps (final region
     /// sizes, stubs included).
     pub refixed_ases: usize,
-    /// Extra region solves beyond the first attempt: verify steps that
-    /// absorbed a core AS (stub-only absorption is resolved in place and
-    /// costs no round).
+    /// Frontier solves after the first round: verify steps that absorbed a
+    /// core AS, each paid with a solve of only the absorbed frontier
+    /// (stub-only absorption is resolved in place and costs no round).
     pub grow_rounds: usize,
 }
 
@@ -791,6 +796,93 @@ mod tests {
             assert_eq!(stats.fallback_steps, 1, "{policy}");
             assert_eq!(stats.grow_rounds, 1, "{policy}: the hub's absorption only");
             assert_eq!(stats.incremental_steps, 0, "{policy}");
+        }
+    }
+
+    /// d(0) buys from a(1), a from x(2) and x from p(3), so p's customer
+    /// route runs through x. The `stubs` ASes from 4 on buy from both p and
+    /// d; they route through d, so p's changes never reach them, but they
+    /// add to p's degree. The ASes after them form a filler chain up to
+    /// `n`, which sets `region::mass_budget`.
+    fn provider_over_a_chain(stubs: u32, n: usize) -> AsGraph {
+        let mut b = GraphBuilder::new(n);
+        b.add_provider(AsId(0), AsId(1)).unwrap();
+        b.add_provider(AsId(1), AsId(2)).unwrap();
+        b.add_provider(AsId(2), AsId(3)).unwrap();
+        for s in 4..4 + stubs {
+            b.add_provider(AsId(s), AsId(3)).unwrap();
+            b.add_provider(AsId(s), AsId(0)).unwrap();
+        }
+        for i in 5 + stubs..n as u32 {
+            b.add_provider(AsId(i), AsId(i - 1)).unwrap();
+        }
+        b.build()
+    }
+
+    /// The step of [`provider_over_a_chain`] that secures the chain: a and
+    /// p join S next to d and x. Round 1 solves the seeds {a, p}; p still
+    /// sees x's insecure route, so only a changes. Its verify absorbs x,
+    /// round 2 secures x, and that verify re-absorbs p.
+    fn securing_the_chain(n: usize) -> [Deployment; 2] {
+        [
+            Deployment::full_from_iter(n, [AsId(0), AsId(2)]),
+            Deployment::full_from_iter(n, (0..4).map(AsId)),
+        ]
+    }
+
+    #[test]
+    fn a_later_round_re_absorbs_an_earlier_member() {
+        let g = provider_over_a_chain(0, N);
+        let scenario = AttackScenario::normal(AsId(0));
+        for model in SecurityModel::ALL {
+            for variant in [LpVariant::Standard, LpVariant::LpK(2), LpVariant::LpInf] {
+                let policy = Policy::with_variant(model, variant);
+                let mut sweep = SweepEngine::new(&g);
+                let mut fresh = Engine::new(&g);
+                sweep.begin(scenario, policy);
+                for (k, dep) in securing_the_chain(N).iter().enumerate() {
+                    let got = sweep.advance(dep);
+                    let want = fresh.compute(scenario, dep, policy);
+                    assert_outcomes_match(got, want, &g, &format!("{policy} step {k}"));
+                    assert_eq!(sweep.count_happy(), want.count_happy(), "{policy} step {k}");
+                }
+                assert!(sweep.outcome().uses_secure_route(AsId(3)), "{policy}");
+                let stats = sweep.stats();
+                assert_eq!(stats.incremental_steps, 1, "{policy}");
+                // x's frontier, then p's again; the region is {a, p, x}.
+                assert_eq!(stats.grow_rounds, 2, "{policy}");
+                assert_eq!(stats.refixed_ases, 3, "{policy}");
+            }
+        }
+    }
+
+    #[test]
+    fn re_absorbed_mass_counts_against_the_budget() {
+        // Eight stubs make p heavy. The union region {a, p, x} fits the
+        // budget, but p's second absorption is charged again and does not:
+        // the step falls back before its third solve.
+        let n = 36;
+        let g = provider_over_a_chain(8, n);
+        let budget = region::mass_budget(&g);
+        let [a, x, p] = [1, 2, 3].map(|i| g.degree(AsId(i)));
+        assert!(a + x + p <= budget, "the union must fit the budget");
+        assert!(a + x + 2 * p > budget, "the re-absorbed p must break it");
+        let scenario = AttackScenario::normal(AsId(0));
+        for model in SecurityModel::ALL {
+            let policy = Policy::new(model);
+            let mut sweep = SweepEngine::new(&g);
+            let mut fresh = Engine::new(&g);
+            sweep.begin(scenario, policy);
+            for (k, dep) in securing_the_chain(n).iter().enumerate() {
+                let got = sweep.advance(dep);
+                let want = fresh.compute(scenario, dep, policy);
+                assert_outcomes_match(got, want, &g, &format!("{policy} step {k}"));
+                assert_eq!(sweep.count_happy(), want.count_happy(), "{policy} step {k}");
+            }
+            let stats = sweep.stats();
+            assert_eq!(stats.fallback_steps, 1, "{policy}");
+            assert_eq!(stats.incremental_steps, 0, "{policy}");
+            assert_eq!(stats.grow_rounds, 2, "{policy}");
         }
     }
 

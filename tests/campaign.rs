@@ -528,3 +528,20 @@ fn campaign_refuses_a_snapshot_too_small_for_a_twin() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A grid axis that repeats a value is a usage error (exit 2) naming both
+/// positions, before any cell runs.
+#[test]
+fn campaign_rejects_a_repeated_grid_value() {
+    let out = Command::new(bench_bin("campaign"))
+        .args(["--smoke", "--seeds", "11,11"])
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("spawn campaign");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--seeds lists 11 twice (items 1 and 2)"),
+        "{stderr}"
+    );
+}
