@@ -201,7 +201,7 @@ impl<'g> AttackDeltaEngine<'g> {
         self.stats.base_computes += 1;
         self.core
             .compute(AttackScenario::normal(destination), deployment, policy);
-        self.core.commit();
+        self.core.commit(None);
         self.cell = Some((deployment.clone(), policy));
     }
 

@@ -104,6 +104,16 @@ impl RouteClass {
     }
 }
 
+/// One AS's whole stored entry — kind, length, packed flags and next hop —
+/// as a sweep saves it for a rewind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Entry {
+    kind: u8,
+    len: u32,
+    flags: u8,
+    next_hop: u32,
+}
+
 /// Resolved routing information for one AS.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RouteInfo {
@@ -207,11 +217,29 @@ impl Outcome {
     /// and commit primitive, `O(touched)` instead of `O(V)`.
     #[inline]
     pub(crate) fn copy_entry_from(&mut self, other: &Outcome, v: AsId) {
+        self.set_entry(v, other.entry(v));
+    }
+
+    /// `v`'s whole entry.
+    #[inline]
+    pub(crate) fn entry(&self, v: AsId) -> Entry {
         let i = v.index();
-        self.kind[i] = other.kind[i];
-        self.len[i] = other.len[i];
-        self.flags[i] = other.flags[i];
-        self.next_hop[i] = other.next_hop[i];
+        Entry {
+            kind: self.kind[i],
+            len: self.len[i],
+            flags: self.flags[i],
+            next_hop: self.next_hop[i],
+        }
+    }
+
+    /// Overwrite `v`'s whole entry.
+    #[inline]
+    pub(crate) fn set_entry(&mut self, v: AsId, entry: Entry) {
+        let i = v.index();
+        self.kind[i] = entry.kind;
+        self.len[i] = entry.len;
+        self.flags[i] = entry.flags;
+        self.next_hop[i] = entry.next_hop;
     }
 
     /// Return `v` to the unfixed state, as if the run had never reached it.

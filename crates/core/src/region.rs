@@ -22,7 +22,9 @@
 //! fix log catches the one exception — an AS unreachable in the base
 //! getting fixed — and absorbs it into the region. The next serve undoes
 //! exactly that difference and a commit copies exactly it into the base, so
-//! no patch pays an `O(V)` copy.
+//! no patch pays an `O(V)` copy. A commit can also record the base entries
+//! it overwrites, so that the sweep can later write them back
+//! ([`PatchCore::rewind`]; see [`crate::SweepEngine`] on retraced steps).
 //!
 //! **Verify and grow.** A patch runs in *rounds*. Round 1 solves the seeds
 //! on top of the base. Each round then verifies only its own members
@@ -75,7 +77,9 @@ use sbgp_topology::{AsGraph, AsId, AsSet};
 use crate::attack::AttackScenario;
 use crate::deployment::Deployment;
 use crate::engine::Engine;
-use crate::outcome::{Outcome, KIND_CUSTOMER, KIND_ORIGIN, KIND_PEER, KIND_PROVIDER, KIND_UNFIXED};
+use crate::outcome::{
+    Entry, Outcome, KIND_CUSTOMER, KIND_ORIGIN, KIND_PEER, KIND_PROVIDER, KIND_UNFIXED,
+};
 use crate::policy::{preference_key, Policy};
 
 /// The mass (sum of member degrees) a patch may solve, summed over all of
@@ -225,8 +229,32 @@ impl<'g> PatchCore<'g> {
         self.restore = Restore::Full;
     }
 
-    /// Make the served outcome the base.
-    pub(crate) fn commit(&mut self) {
+    /// Make the served outcome the base. With `overwritten`, first record
+    /// there every base entry the commit changes, so that [`Self::rewind`]
+    /// can undo it: the entries at the last patch's final region, or, after
+    /// a fresh compute, only the entries that differ (one `O(V)` compare
+    /// keeps a diff, not a snapshot). The base must cover the graph then.
+    pub(crate) fn commit(&mut self, overwritten: Option<&mut Vec<(AsId, Entry)>>) {
+        if let Some(saved) = overwritten {
+            saved.clear();
+            let (base, new) = (&self.base, self.engine.outcome());
+            debug_assert_eq!(
+                base.len(),
+                new.len(),
+                "a recorded commit needs a whole base"
+            );
+            match self.restore {
+                Restore::Clean => {}
+                Restore::Touched => saved.extend(self.touched.iter().map(|&v| (v, base.entry(v)))),
+                Restore::Full => saved.extend(
+                    self.engine
+                        .graph()
+                        .ases()
+                        .map(|v| (v, base.entry(v)))
+                        .filter(|&(v, old)| old != new.entry(v)),
+                ),
+            }
+        }
         sync(
             self.restore,
             &self.touched,
@@ -235,6 +263,25 @@ impl<'g> PatchCore<'g> {
         );
         self.base_happy = self.happy;
         self.restore = Restore::Clean;
+    }
+
+    /// Undo the last commit not yet undone: write the base entries it
+    /// overwrote (`saved`, as [`Self::commit`] recorded them) back into the
+    /// base and the served outcome, whose happy bounds become `happy`, the
+    /// base's bounds before that commit.
+    pub(crate) fn rewind(&mut self, saved: &[(AsId, Entry)], happy: (usize, usize)) {
+        debug_assert_eq!(
+            self.restore,
+            Restore::Clean,
+            "rewind only a committed state"
+        );
+        let served = self.engine.outcome_mut();
+        for &(v, entry) in saved {
+            self.base.set_entry(v, entry);
+            served.set_entry(v, entry);
+        }
+        self.base_happy = happy;
+        self.happy = happy;
     }
 
     /// Clear the region for seeding; returns it with the base the seeds

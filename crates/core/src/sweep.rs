@@ -36,6 +36,26 @@
 //! simplex one) has a secure route of its own, so validator flips around
 //! it, or its own signing flip, are real steps.
 //!
+//! **Retraced steps.** The engine keeps a *trail*: a stack of its committed
+//! steps, each holding the deployment and happy bounds before the step and
+//! the base entries (kind, length, flags, next hop) its commit overwrote —
+//! a patch's final region, or after a fresh compute only the entries that
+//! differ, found by one `O(V)` compare (a diff, not a snapshot). An advance
+//! back to the deployment before the top step — each wane step of a
+//! wax-and-wane trajectory, or a flap — pops that step and writes its saved
+//! entries back into the base and the served outcome instead of solving
+//! anything. Theorem 2.1 makes this exact: the stable state for a fixed
+//! scenario, deployment and policy is unique, so the outcome at that
+//! deployment is, bit for bit, the one the sweep already served there. The
+//! stack order makes the restore exact: while a step is on top, every
+//! later step has been popped, so the base is exactly the outcome after
+//! that step, and undoing its writes gives exactly the outcome before it.
+//! The inert rule is checked first, and every committed step with a
+//! deployment before it is pushed, no-ops included (with nothing saved), so
+//! that order holds. [`SweepEngine::begin`] and
+//! [`SweepEngine::begin_from`] clear the trail, so a sweep never rewinds
+//! into another pair's state.
+//!
 //! The scenario may carry any [`crate::AttackStrategy`] (forged paths of
 //! any claimed depth) and any announcer set — colluding roots are re-fixed
 //! exactly like a single attacker whenever they fall inside the dirty
@@ -61,11 +81,11 @@
 //! sequences — and, transitively, by the message-level simulator oracle in
 //! `tests/equivalence.rs`.
 
-use sbgp_topology::AsGraph;
+use sbgp_topology::{AsGraph, AsId};
 
 use crate::attack::AttackScenario;
 use crate::deployment::Deployment;
-use crate::outcome::Outcome;
+use crate::outcome::{Entry, Outcome};
 use crate::policy::Policy;
 use crate::region::PatchCore;
 
@@ -102,19 +122,24 @@ pub struct SweepStats {
     /// core AS, each paid with a solve of only the absorbed frontier
     /// (stub-only absorption is resolved in place and costs no round).
     pub grow_rounds: usize,
+    /// Steps back to the deployment before the last step not yet rewound,
+    /// served by writing back the entries that step overwrote (see the
+    /// module docs on retraced steps).
+    pub rewound_steps: usize,
 }
 
 impl SweepStats {
     /// Total steps served. Invariant:
-    /// `noop_steps + incremental_steps + full_recomputes` equals the number
-    /// of [`SweepEngine::advance`] calls (every call is counted exactly
-    /// once, including mid-loop fallbacks), and
+    /// `noop_steps + rewound_steps + incremental_steps + full_recomputes`
+    /// equals the number of [`SweepEngine::advance`] calls (every call is
+    /// counted exactly once, including mid-loop fallbacks), and
     /// `monotone_steps + retracting_steps + mixed_steps == incremental_steps`.
     pub fn steps(&self) -> usize {
-        self.full_recomputes + self.incremental_steps + self.noop_steps
+        self.full_recomputes + self.incremental_steps + self.noop_steps + self.rewound_steps
     }
 
     /// Fraction of steps served by a full recompute (0 when no steps ran).
+    /// Every step counts in the denominator, no-ops and rewinds included.
     pub fn fallback_rate(&self) -> f64 {
         let steps = self.steps();
         if steps == 0 {
@@ -161,6 +186,7 @@ impl SweepStats {
             fallback_steps,
             refixed_ases,
             grow_rounds,
+            rewound_steps,
         } = *other;
         SweepStats {
             full_recomputes: f(self.full_recomputes, full_recomputes),
@@ -172,8 +198,20 @@ impl SweepStats {
             fallback_steps: f(self.fallback_steps, fallback_steps),
             refixed_ases: f(self.refixed_ases, refixed_ases),
             grow_rounds: f(self.grow_rounds, grow_rounds),
+            rewound_steps: f(self.rewound_steps, rewound_steps),
         }
     }
+}
+
+/// A committed step, kept so that an advance back to `before` can undo it.
+#[derive(Debug)]
+struct Step {
+    /// The deployment before the step.
+    before: Deployment,
+    /// The happy bounds before the step.
+    happy: (usize, usize),
+    /// The base entries the step's commit overwrote.
+    overwritten: Vec<(AsId, Entry)>,
 }
 
 /// Incremental routing-outcome computer for one `(scenario, policy)` over
@@ -183,7 +221,8 @@ impl SweepStats {
 /// [`SweepEngine::begin`] starts a new sweep, then each
 /// [`SweepEngine::advance`] returns the exact stable outcome for the next
 /// deployment, reusing the previous step's state for every same-universe
-/// step — growth, retraction, or mixed churn alike.
+/// step — growth, retraction, or mixed churn alike — and rewinding a step
+/// back to the deployment before the last one.
 #[derive(Debug)]
 pub struct SweepEngine<'g> {
     /// Its base is the outcome of the last served step.
@@ -192,6 +231,10 @@ pub struct SweepEngine<'g> {
     run: Option<(AttackScenario, Policy)>,
     /// Deployment of the last served step.
     prev: Option<Deployment>,
+    /// The committed steps not yet rewound are `trail[..depth]`, oldest
+    /// first; the slots past `depth` keep their buffers for reuse.
+    trail: Vec<Step>,
+    depth: usize,
     stats: SweepStats,
 }
 
@@ -202,6 +245,8 @@ impl<'g> SweepEngine<'g> {
             core: PatchCore::new(graph),
             run: None,
             prev: None,
+            trail: Vec::new(),
+            depth: 0,
             stats: SweepStats::default(),
         }
     }
@@ -219,6 +264,7 @@ impl<'g> SweepEngine<'g> {
     pub fn begin(&mut self, scenario: AttackScenario, policy: Policy) {
         self.run = Some((scenario, policy));
         self.prev = None;
+        self.depth = 0;
         self.core.adopt(&Outcome::new_empty(), (0, 0));
     }
 
@@ -255,6 +301,7 @@ impl<'g> SweepEngine<'g> {
         self.run = Some((scenario, policy));
         self.core.adopt(outcome, happy);
         self.prev = Some(deployment.clone());
+        self.depth = 0;
     }
 
     /// Compute the stable outcome for the next deployment of the sweep.
@@ -262,9 +309,10 @@ impl<'g> SweepEngine<'g> {
     /// Exact for *any* deployment; incremental for every same-universe step
     /// after the first, whether the secure set grew, shrank, or did both
     /// (the step is classified monotone / retracting / mixed in
-    /// [`SweepStats`]), and a no-op when the destination signs at neither
-    /// end (see the module docs). The returned outcome is valid until the
-    /// next `advance`/`begin` call.
+    /// [`SweepStats`]), a no-op when the destination signs at neither end,
+    /// and a rewind when `deployment` is the one before the last step not
+    /// yet rewound (see the module docs). The returned outcome is valid
+    /// until the next `advance`/`begin` call.
     ///
     /// # Panics
     ///
@@ -281,28 +329,34 @@ impl<'g> SweepEngine<'g> {
             return self.commit(deployment);
         };
 
-        // Dirty seeds: the symmetric difference of the `validates` sets,
-        // plus the destination when its origin-signing status flipped in
-        // either direction. An unsigned destination admits no secure
-        // route, so while it signs at neither end validator flips seed
-        // nothing. Simplex flips elsewhere are invisible to the engine
-        // (only the destination's signing is ever read). Either way an
-        // empty region is a pure no-op.
+        // An unsigned destination admits no secure route, so while it signs
+        // at neither end no validator flip can move an outcome.
         let d = scenario.destination;
         let (signs_now, signs_prev) = (deployment.signs_origin(d), prev.signs_origin(d));
+        if !signs_now && !signs_prev {
+            self.stats.noop_steps += 1;
+            return self.commit(deployment);
+        }
+        if self.depth > 0 && self.trail[self.depth - 1].before == *deployment {
+            return self.rewind();
+        }
+
+        // Dirty seeds: the symmetric difference of the `validates` sets,
+        // plus the destination when its origin-signing status flipped in
+        // either direction. Simplex flips elsewhere are invisible to the
+        // engine (only the destination's signing is ever read), so an
+        // empty region is a pure no-op.
         let graph = self.core.graph();
         let (_, region) = self.core.seed();
         let mut grew = false;
         let mut shrank = false;
-        if signs_now || signs_prev {
-            for v in deployment.newly_validating(prev) {
-                grew = true;
-                region.insert(v);
-            }
-            for v in deployment.newly_retired(prev) {
-                shrank = true;
-                region.insert(v);
-            }
+        for v in deployment.newly_validating(prev) {
+            grew = true;
+            region.insert(v);
+        }
+        for v in deployment.newly_retired(prev) {
+            shrank = true;
+            region.insert(v);
         }
         if signs_now != signs_prev {
             grew |= signs_now;
@@ -334,10 +388,47 @@ impl<'g> SweepEngine<'g> {
         self.commit(deployment)
     }
 
-    /// Make the served step the base of the next one.
+    /// Make the served step the base of the next one, and push it on the
+    /// trail when it has a deployment before it.
     fn commit(&mut self, deployment: &Deployment) -> &Outcome {
-        self.core.commit();
-        self.prev = Some(deployment.clone());
+        match self.prev.replace(deployment.clone()) {
+            None => self.core.commit(None),
+            Some(before) => {
+                let happy = self.core.base_happy();
+                if self.depth == self.trail.len() {
+                    self.trail.push(Step {
+                        before,
+                        happy,
+                        overwritten: Vec::new(),
+                    });
+                } else {
+                    let step = &mut self.trail[self.depth];
+                    step.before = before;
+                    step.happy = happy;
+                }
+                self.core
+                    .commit(Some(&mut self.trail[self.depth].overwritten));
+                self.depth += 1;
+            }
+        }
+        self.core.outcome()
+    }
+
+    /// Undo the last step not yet rewound: its deployment before becomes
+    /// the current one, and its overwritten entries and happy bounds the
+    /// base again.
+    fn rewind(&mut self) -> &Outcome {
+        self.depth -= 1;
+        let step = &mut self.trail[self.depth];
+        self.core.rewind(&step.overwritten, step.happy);
+        // Swapped, not cloned: the slot is dead until a push overwrites it.
+        std::mem::swap(
+            self.prev
+                .as_mut()
+                .expect("a step has a deployment after it"),
+            &mut step.before,
+        );
+        self.stats.rewound_steps += 1;
         self.core.outcome()
     }
 
@@ -497,9 +588,88 @@ mod tests {
         assert_outcomes_match(sweep.outcome(), want, &g, "noop step");
     }
 
-    /// Sweep `scenario` over `steps` under every model × Standard/LP2/LPinf,
-    /// comparing every AS and the happy bounds with a fresh compute at each
-    /// step, and assert which steps after the first were served as no-ops.
+    /// Every security model under the Standard, LP2 and LPinf variants.
+    fn all_policies() -> Vec<Policy> {
+        SecurityModel::ALL
+            .into_iter()
+            .flat_map(|model| {
+                [LpVariant::Standard, LpVariant::LpK(2), LpVariant::LpInf]
+                    .map(|variant| Policy::with_variant(model, variant))
+            })
+            .collect()
+    }
+
+    /// Sweep `scenario` over `steps` under every policy of
+    /// [`all_policies`], comparing every AS and the happy bounds with a
+    /// fresh compute at each step, and checking that `steps()` counts every
+    /// advance. Returns each step's stats summed over the policies.
+    fn sweep_checked(
+        g: &AsGraph,
+        scenario: AttackScenario,
+        steps: &[Deployment],
+        ctx: &str,
+    ) -> Vec<SweepStats> {
+        let mut per_step = vec![SweepStats::default(); steps.len()];
+        for policy in all_policies() {
+            let mut sweep = SweepEngine::new(g);
+            let mut fresh = Engine::new(g);
+            sweep.begin(scenario, policy);
+            for (k, dep) in steps.iter().enumerate() {
+                let before = sweep.stats();
+                let got = sweep.advance(dep);
+                let want = fresh.compute(scenario, dep, policy);
+                let ctx = format!("{ctx} {policy} step {k}");
+                assert_outcomes_match(got, want, g, &ctx);
+                assert_eq!(sweep.count_happy(), want.count_happy(), "{ctx}");
+                assert_eq!(sweep.stats().steps(), k + 1, "{ctx}: one step per advance");
+                per_step[k].merge(&sweep.stats().delta_since(&before));
+            }
+        }
+        per_step
+    }
+
+    /// Which steps after the first every sweep of [`sweep_checked`] served
+    /// by the counter `field` (each step by all of them or by none).
+    fn served_by(per_step: &[SweepStats], field: fn(&SweepStats) -> usize) -> Vec<bool> {
+        let sweeps = all_policies().len();
+        per_step[1..]
+            .iter()
+            .map(|step| {
+                let n = field(step);
+                assert!(n == 0 || n == sweeps, "{step:?}");
+                n == sweeps
+            })
+            .collect()
+    }
+
+    /// The test scenarios on a graph whose destination is 0: a
+    /// plain attack by `m`, a forged path, `m` colluding with `other`, and
+    /// a plain attack whose routes are checked against a `mark`.
+    fn scenarios(m: u32, other: u32, mark: u32) -> [(&'static str, AttackScenario); 4] {
+        let attack = AttackScenario::attack(AsId(m), AsId(0));
+        [
+            ("attack", attack),
+            (
+                "forged path",
+                attack.with_strategy(AttackStrategy::FakePath { hops: 2 }),
+            ),
+            (
+                "colluding",
+                AttackScenario::colluding(&[AsId(m), AsId(other)], AsId(0))
+                    .with_strategy(AttackStrategy::FakePath { hops: 1 }),
+            ),
+            (
+                "marked",
+                AttackScenario {
+                    mark: Some(AsId(mark)),
+                    ..attack
+                },
+            ),
+        ]
+    }
+
+    /// Sweep `scenario` over `steps` with [`sweep_checked`] and assert
+    /// which steps after the first were served as no-ops.
     fn assert_noop_steps(
         g: &AsGraph,
         scenario: AttackScenario,
@@ -512,26 +682,8 @@ mod tests {
             steps.len(),
             "{ctx}: one flag per step after the first"
         );
-        for model in SecurityModel::ALL {
-            for variant in [LpVariant::Standard, LpVariant::LpK(2), LpVariant::LpInf] {
-                let policy = Policy::with_variant(model, variant);
-                let mut sweep = SweepEngine::new(g);
-                let mut fresh = Engine::new(g);
-                sweep.begin(scenario, policy);
-                for (k, dep) in steps.iter().enumerate() {
-                    let before = sweep.stats();
-                    let got = sweep.advance(dep);
-                    let want = fresh.compute(scenario, dep, policy);
-                    let ctx = format!("{ctx} {policy} step {k}");
-                    assert_outcomes_match(got, want, g, &ctx);
-                    assert_eq!(sweep.count_happy(), want.count_happy(), "{ctx}");
-                    if k > 0 {
-                        let noop = sweep.stats().delta_since(&before).noop_steps == 1;
-                        assert_eq!(noop, noops[k - 1], "{ctx}: served as a no-op?");
-                    }
-                }
-            }
-        }
+        let per_step = sweep_checked(g, scenario, steps, ctx);
+        assert_eq!(served_by(&per_step, |s| s.noop_steps), noops, "{ctx}");
     }
 
     #[test]
@@ -554,25 +706,7 @@ mod tests {
             full(&[5]),
         ];
         let noops = [true, true, false, false, false, false, true, true];
-        let marked = AttackScenario {
-            mark: Some(AsId(6)),
-            ..AttackScenario::attack(AsId(4), AsId(0))
-        };
-        let scenarios = [
-            ("attack", AttackScenario::attack(AsId(4), AsId(0))),
-            (
-                "forged path",
-                AttackScenario::attack(AsId(4), AsId(0))
-                    .with_strategy(AttackStrategy::FakePath { hops: 2 }),
-            ),
-            (
-                "colluding",
-                AttackScenario::colluding(&[AsId(4), AsId(7)], AsId(0))
-                    .with_strategy(AttackStrategy::FakePath { hops: 1 }),
-            ),
-            ("marked", marked),
-        ];
-        for (ctx, scenario) in scenarios {
+        for (ctx, scenario) in scenarios(4, 7, 6) {
             assert_noop_steps(&g, scenario, &steps, &noops, ctx);
         }
     }
@@ -606,6 +740,173 @@ mod tests {
             signed,
         ];
         assert_noop_steps(&g, scenario, &steps, &[false; 3], "signing d alone");
+    }
+
+    /// Sweep every scenario of [`scenarios`] over `steps` with [`sweep_checked`] and
+    /// assert which steps after the first were rewound; `served` asserts
+    /// how the other steps went.
+    fn assert_rewound_steps(
+        g: &AsGraph,
+        (m, other, mark): (u32, u32, u32),
+        steps: &[Deployment],
+        rewound: &[bool],
+        served: impl Fn(&str, &[SweepStats]),
+    ) {
+        for (ctx, scenario) in scenarios(m, other, mark) {
+            let per_step = sweep_checked(g, scenario, steps, ctx);
+            assert_eq!(
+                served_by(&per_step, |s| s.rewound_steps),
+                rewound,
+                "{ctx}: rewound?"
+            );
+            served(ctx, &per_step);
+        }
+    }
+
+    #[test]
+    fn a_step_back_after_a_patch_is_rewound() {
+        let g = gadget();
+        let full = |ids: &[u32]| Deployment::full_from_iter(N, ids.iter().map(|&i| AsId(i)));
+        let (a, b) = (full(&[0, 1]), full(&[0, 1, 2, 5]));
+        assert_rewound_steps(
+            &g,
+            (4, 7, 6),
+            &[a.clone(), b, a],
+            &[false, true],
+            |ctx, s| {
+                assert_eq!(
+                    served_by(s, |s| s.incremental_steps),
+                    [true, false],
+                    "{ctx}"
+                );
+            },
+        );
+    }
+
+    #[test]
+    fn a_step_back_after_a_fallback_is_rewound() {
+        // The destination's signing flip on a fully deployed 16-chain
+        // passes the mass budget (see the mid-loop fallback test below).
+        // The announcers 16 and 17 peer with 8 and 10, so 1..7 keep their
+        // routes to d and flip to secure under every model.
+        let mut b = GraphBuilder::new(18);
+        for i in 1..16u32 {
+            b.add_provider(AsId(i), AsId(i - 1)).unwrap();
+        }
+        b.add_peering(AsId(16), AsId(8)).unwrap();
+        b.add_peering(AsId(17), AsId(10)).unwrap();
+        let g = b.build();
+        let unsigned = Deployment::full_from_iter(18, (1..16).map(AsId));
+        let signed = Deployment::full_from_iter(18, (0..16).map(AsId));
+        let steps = [unsigned.clone(), signed, unsigned];
+        assert_rewound_steps(&g, (16, 17, 5), &steps, &[false, true], |ctx, s| {
+            assert_eq!(served_by(s, |s| s.fallback_steps), [true, false], "{ctx}");
+        });
+    }
+
+    #[test]
+    fn a_step_back_after_a_noop_is_rewound_or_inert() {
+        let g = gadget();
+        // Only a non-destination simplex member flips: a no-op whose step
+        // back is rewound.
+        let a = Deployment::full_from_iter(N, [AsId(0), AsId(1)]);
+        let mut b = a.clone();
+        b.insert_simplex(AsId(7));
+        assert_rewound_steps(
+            &g,
+            (4, 7, 6),
+            &[a.clone(), b, a],
+            &[false, true],
+            |ctx, s| {
+                assert_eq!(served_by(s, |s| s.noop_steps), [true, false], "{ctx}");
+            },
+        );
+        // The destination signs at neither end: both steps are inert.
+        let a = Deployment::full_from_iter(N, [AsId(1), AsId(2)]);
+        let b = Deployment::full_from_iter(N, [AsId(1), AsId(2), AsId(5)]);
+        assert_rewound_steps(
+            &g,
+            (4, 7, 6),
+            &[a.clone(), b, a],
+            &[false, false],
+            |ctx, s| {
+                assert_eq!(served_by(s, |s| s.noop_steps), [true, true], "{ctx}");
+            },
+        );
+    }
+
+    #[test]
+    fn a_step_back_across_the_destination_signing_flip_is_rewound() {
+        let g = gadget();
+        let a = Deployment::full_from_iter(N, [AsId(1), AsId(2), AsId(5), AsId(6)]);
+        let mut b = a.clone();
+        b.insert_simplex(AsId(0));
+        let steps = [a.clone(), b.clone(), a, b];
+        assert_rewound_steps(&g, (4, 7, 6), &steps, &[false, true, false], |ctx, s| {
+            assert_eq!(
+                served_by(s, |s| s.monotone_steps),
+                [true, false, true],
+                "{ctx}"
+            );
+        });
+    }
+
+    #[test]
+    fn retraced_paths_rewind_in_stack_order() {
+        let g = gadget();
+        let full = |ids: &[u32]| Deployment::full_from_iter(N, ids.iter().map(|&i| AsId(i)));
+        let (a, b, c) = (full(&[0, 1]), full(&[0, 1, 2]), full(&[0, 1, 2, 5, 6]));
+        // A → B → C → B → A: the two steps back pop the trail in order.
+        let there_and_back = [a.clone(), b.clone(), c, b.clone(), a.clone()];
+        let rewound = [false, false, true, true];
+        assert_rewound_steps(&g, (4, 7, 6), &there_and_back, &rewound, |_, _| {});
+        // A → B → A → B → A: a rewound step is off the trail, so stepping
+        // forward again is served afresh, and stepping back rewinds again.
+        let flapping = [a.clone(), b.clone(), a.clone(), b, a];
+        let rewound = [false, true, false, true];
+        assert_rewound_steps(&g, (4, 7, 6), &flapping, &rewound, |ctx, s| {
+            let incremental = served_by(s, |s| s.incremental_steps);
+            assert_eq!(incremental, [true, false, true, false], "{ctx}");
+        });
+    }
+
+    #[test]
+    fn a_new_pair_never_rewinds_into_the_old_one() {
+        // Each sweep steps A → B for one pair, then starts another pair at
+        // B (by `begin` or `begin_from`) and steps back to A. That step
+        // must be served for the new pair, not rewound into the old one.
+        let g = gadget();
+        let a = Deployment::full_from_iter(N, [AsId(0), AsId(1)]);
+        let b = Deployment::full_from_iter(N, [AsId(0), AsId(1), AsId(2), AsId(5)]);
+        let old = AttackScenario::attack(AsId(7), AsId(0));
+        for (ctx, scenario) in scenarios(4, 3, 6) {
+            for policy in all_policies() {
+                let ctx = format!("{ctx} {policy}");
+                let mut fresh = Engine::new(&g);
+                for from_outcome in [false, true] {
+                    let mut sweep = SweepEngine::new(&g);
+                    sweep.begin(old, policy);
+                    sweep.advance(&a);
+                    sweep.advance(&b);
+                    if from_outcome {
+                        let at_b = fresh.compute(scenario, &b, policy);
+                        sweep.begin_from(scenario, policy, &b, at_b, at_b.count_happy());
+                    } else {
+                        sweep.begin(scenario, policy);
+                        sweep.advance(&b);
+                    }
+                    let before = sweep.stats();
+                    let got = sweep.advance(&a);
+                    let want = fresh.compute(scenario, &a, policy);
+                    let ctx = format!("{ctx} begin_from={from_outcome}");
+                    assert_outcomes_match(got, want, &g, &ctx);
+                    assert_eq!(sweep.count_happy(), want.count_happy(), "{ctx}");
+                    let step = sweep.stats().delta_since(&before);
+                    assert_eq!(step.rewound_steps, 0, "{ctx}: {step:?}");
+                    assert_eq!(step.steps(), 1, "{ctx}: {step:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! * [`rpki_churn`] — the metric along a **wax-and-wane trajectory**
 //!   ([`scenario::churn_trajectory`]): coverage climbs the Tier-2 rollout
 //!   ladder to its peak and erodes back down. Each `(m, d, model)` triple
-//!   is one [`sweep::metric_churn`] pass, so the wane half rides the
-//!   engine's *retraction* path incrementally, and the merged
-//!   [`SweepStats`] make the incremental/fallback split observable.
+//!   is one [`sweep::metric_churn`] pass, so the wane half, which retraces
+//!   the wax, is rewound by the engine rather than re-solved, and the
+//!   merged [`SweepStats`] make the incremental/fallback/rewound split
+//!   observable.
 //! * [`wedgie_churn`] — the §2.3 wedgie driven by **adoption churn**
 //!   instead of a link flap: at the message level (mixed SecP priorities)
 //!   waning and restoring one AS's participation wedges the system, while
@@ -74,8 +75,9 @@ fn churn_label(i: usize, peak: usize) -> String {
 /// The metric along the wax-and-wane RPKI churn trajectory, for all three
 /// security models. The wane half retraces the wax half, so the metric
 /// must be mirror-symmetric — a structural self-check the callers (and
-/// the golden outputs) rely on — while the engines serve the shrinking
-/// steps through their retraction path rather than recomputing.
+/// the golden outputs) rely on — while the engines rewind the shrinking
+/// steps, each back to a deployment they already served, rather than
+/// recomputing.
 pub fn rpki_churn(net: &Internet, cfg: &ExperimentConfig) -> ChurnResult {
     let attackers = sample::sample_non_stubs(net, cfg.attackers, cfg.seed);
     let dests = sample::sample_all(net, cfg.destinations, cfg.seed ^ 0xD);
@@ -312,7 +314,9 @@ mod tests {
             assert_eq!(r.points[k].secure_count, r.points[last - k].secure_count);
         }
         for (i, s) in r.stats.iter().enumerate() {
-            assert!(s.retracting_steps > 0, "model {i}: {s:?}");
+            // The wane retraces the wax, so it is rewound, never re-solved.
+            assert!(s.rewound_steps > 0, "model {i}: {s:?}");
+            assert_eq!(s.retracting_steps + s.mixed_steps, 0, "model {i}: {s:?}");
             assert!(s.monotone_steps > 0, "model {i}: {s:?}");
             assert_eq!(
                 s.monotone_steps + s.retracting_steps + s.mixed_steps,

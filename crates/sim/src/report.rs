@@ -101,15 +101,17 @@ pub fn delta_pair(b: sbgp_core::Bounds) -> String {
 
 /// One-line summary of a run's [`sbgp_core::SweepStats`]: how its
 /// `advance` calls were served (noop — the destination signed at neither
-/// end, or only non-destination simplex members flipped — / incremental by
+/// end, or only non-destination simplex members flipped — / rewound — a
+/// step back to the deployment before the last step — / incremental by
 /// direction / full recompute), the fallback rate, and the refixed
 /// fraction of AS-steps.
 pub fn sweep_stats_line(s: &sbgp_core::SweepStats, universe: usize) -> String {
     format!(
-        "{} steps = {} noop + {} incr ({} grow / {} shrink / {} mixed) + {} full \
-         ({} mid-loop); fallback {}, refixed {} of AS-steps",
+        "{} steps = {} noop + {} rewound + {} incr ({} grow / {} shrink / {} mixed) \
+         + {} full ({} mid-loop); fallback {}, refixed {} of AS-steps",
         s.steps(),
         s.noop_steps,
+        s.rewound_steps,
         s.incremental_steps,
         s.monotone_steps,
         s.retracting_steps,

@@ -74,12 +74,35 @@ pub fn sweep_rollout_steps(net: &Internet, steps: usize) -> Vec<Deployment> {
 /// coverage that grows and then erodes (expiring ROAs, validators turned
 /// off after incidents). `2 * peak - 1` steps; the wane half retraces the
 /// wax half in reverse, so every adjacent pair past the peak is a pure
-/// retraction. Deterministic from the topology, like the rollout it
-/// mirrors.
+/// retraction back to a deployment the sweep already served, which
+/// [`sbgp_core::SweepEngine`] rewinds instead of re-solving.
+/// Deterministic from the topology, like the rollout it mirrors.
 pub fn churn_trajectory(net: &Internet, peak: usize) -> Vec<Deployment> {
     let wax = sweep_rollout_steps(net, peak);
     let mut steps = wax.clone();
     steps.extend(wax.into_iter().rev().skip(1));
+    steps
+}
+
+/// [`churn_trajectory`] with a wane that never retraces the wax: it retires
+/// the ISPs that joined after the first rung (with their stubs) in the
+/// order they joined, down to the first rung again, so a sweep serves its
+/// wane as real retractions instead of rewinding. The integration tests'
+/// support module has the same helper.
+#[cfg(test)]
+pub(crate) fn retiring_churn_trajectory(net: &Internet, peak: usize) -> Vec<Deployment> {
+    let mut steps = sweep_rollout_steps(net, peak);
+    let t2 = net.tiers.tier2();
+    // The ISPs of a rung are a prefix of the Tier 2 list.
+    let rungs: Vec<usize> = steps
+        .iter()
+        .map(|s| t2.iter().take_while(|&&v| s.validates(v)).count())
+        .collect();
+    let (first, top) = (rungs[0], rungs[peak - 1]);
+    for &retired in &rungs[1..] {
+        let isps = [&t2[..first], &t2[retired..top]].concat();
+        steps.push(isps_and_stubs(net, &isps));
+    }
     steps
 }
 

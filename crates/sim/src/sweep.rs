@@ -25,10 +25,13 @@
 //! `for S_k → for m` order would re-patch the attacker's whole contested
 //! region into every step. Sequences may churn in any direction — grow,
 //! shrink, or both per step — and still ride the deployment axis
-//! incrementally; only a dirty-region blow-up falls back to a full
-//! recomputation, and [`metric_churn`] / [`metric_churn_by_destination`]
-//! surface the merged [`SweepStats`] (fallback rate, refixed fraction,
-//! step directions) so that cost is observable instead of silent.
+//! incrementally. A step back to the deployment before the last one (each
+//! wane step of a wax-and-wane trajectory) is rewound from the entries the
+//! engine saved, with no solve at all; only a dirty-region blow-up falls
+//! back to a full recomputation, and [`metric_churn`] /
+//! [`metric_churn_by_destination`] surface the merged [`SweepStats`]
+//! (fallback rate, refixed fraction, step directions, rewound steps) so
+//! that cost is observable instead of silent.
 //!
 //! The pooled runners fold per-pair happy fractions through
 //! [`MetricAccumulator`] in (group, attacker) order; the per-destination
@@ -320,8 +323,11 @@ mod tests {
 
     #[test]
     fn churn_metric_equals_per_step_metric_and_reports_stats() {
-        // A wax-and-wane trajectory: the wane half is pure retractions,
-        // and the merged stats must show them served incrementally.
+        // A wax-and-wane trajectory: the wane half retraces the wax, so the
+        // merged stats must show every wane step rewound, except those whose
+        // destination signs at neither end (no-ops). A wane that retires
+        // ISPs in join order retraces nothing, so its steps must be served
+        // as retractions.
         let net = net();
         let attackers = sample::sample_non_stubs(&net, 3, 11);
         let dests = sample::sample_all(&net, 4, 12);
@@ -329,30 +335,50 @@ mod tests {
         let traj = scenario::churn_trajectory(&net, 3);
         assert_eq!(traj.len(), 5);
         let policy = Policy::new(SecurityModel::Security2nd);
-        let (churned, stats) = metric_churn(
-            &net,
-            &pairs,
-            &traj,
-            policy,
-            AttackStrategy::FakeLink,
-            Parallelism(2),
-        );
-        for (k, dep) in traj.iter().enumerate() {
-            let fresh = runner::metric(&net, &pairs, dep, policy, Parallelism(2));
-            assert_eq!(churned[k], fresh, "step {k}");
-        }
+        let churn = |traj: &[Deployment]| {
+            let (churned, stats) = metric_churn(
+                &net,
+                &pairs,
+                traj,
+                policy,
+                AttackStrategy::FakeLink,
+                Parallelism(2),
+            );
+            for (k, dep) in traj.iter().enumerate() {
+                let fresh = runner::metric(&net, &pairs, dep, policy, Parallelism(2));
+                assert_eq!(churned[k], fresh, "step {k}");
+            }
+            assert_eq!(
+                stats.monotone_steps + stats.retracting_steps + stats.mixed_steps,
+                stats.incremental_steps,
+                "{stats:?}"
+            );
+            assert!(stats.fallback_rate() < 1.0, "{stats:?}");
+            assert!(stats.refixed_fraction(net.len()) <= 1.0, "{stats:?}");
+            (churned, stats)
+        };
+        let (churned, stats) = churn(&traj);
         // Wax-and-wane symmetry: step k and its mirror see the same S.
         assert_eq!(churned[0], churned[4]);
         assert_eq!(churned[1], churned[3]);
-        assert!(stats.retracting_steps > 0, "{stats:?}");
-        assert!(stats.monotone_steps > 0, "{stats:?}");
+        let served: Vec<AsId> = pairs.iter().filter(|(m, d)| m != d).map(|p| p.1).collect();
+        let inert_wane: usize = served
+            .iter()
+            .map(|&d| {
+                (3..5)
+                    .filter(|&k| !traj[k - 1].signs_origin(d) && !traj[k].signs_origin(d))
+                    .count()
+            })
+            .sum();
         assert_eq!(
-            stats.monotone_steps + stats.retracting_steps + stats.mixed_steps,
-            stats.incremental_steps,
+            stats.rewound_steps + inert_wane,
+            2 * served.len(),
             "{stats:?}"
         );
-        assert!(stats.fallback_rate() < 1.0, "{stats:?}");
-        assert!(stats.refixed_fraction(net.len()) <= 1.0, "{stats:?}");
+        assert!(stats.monotone_steps > 0, "{stats:?}");
+        let (_, stats) = churn(&scenario::retiring_churn_trajectory(&net, 3));
+        assert!(stats.retracting_steps > 0, "{stats:?}");
+        assert_eq!(stats.rewound_steps, 0, "{stats:?}");
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //! `Engine::compute` itself to the protocol, so together these close the
 //! chain: sweep ≡ engine ≡ simulated S*BGP.
 
+mod support;
+
 use proptest::prelude::*;
 
 use bgp_juice::prelude::*;
+use support::retiring_churn_trajectory;
 
 /// Build a random valley-free topology from pairwise edge codes.
 /// Providers always have smaller ids, so the hierarchy is acyclic.
@@ -526,9 +529,11 @@ fn sweep_matches_fresh_engine_on_generated_internet() {
 }
 
 /// The same equivalence on a generated topology over a full wax-and-wane
-/// churn trajectory, where the *retraction* path is actually exercised
-/// incrementally (not just bailed to the region-cap fallback) by a Tier 2
-/// destination that signs throughout; the never-signing content provider
+/// churn trajectory. Its wane retraces the wax, so a Tier 2 destination
+/// that signs throughout has every wane step rewound. On the trajectory
+/// whose wane retires ISPs in join order instead, the *retraction* path is
+/// actually exercised incrementally (not just bailed to the region-cap
+/// fallback) by the same destination. The never-signing content provider
 /// is served as a no-op at every step after the first.
 #[test]
 fn sweep_matches_fresh_engine_on_generated_internet_churn() {
@@ -537,7 +542,13 @@ fn sweep_matches_fresh_engine_on_generated_internet_churn() {
     assert_eq!(steps.len(), 7, "wax-and-wane at peak 4");
     let m = net.tiers.tier2()[1];
     let d = net.tiers.tier2()[0];
-    let stats = check_generated(&net, &steps, AttackScenario::attack(m, d), "churn");
+    let policies = SecurityModel::ALL.map(Policy::new);
+    let scenario = AttackScenario::attack(m, d);
+    let per_step = check_generated_steps(&net, &steps, scenario, &policies, "churn");
+    assert_wane_rewound(&steps, &per_step, d, policies.len(), "churn");
+    let retiring = retiring_churn_trajectory(&net, 4);
+    assert!(retiring.iter().all(|s| s.signs_origin(d)));
+    let stats = check_generated(&net, &retiring, scenario, "retiring churn");
     assert!(
         stats.retracting_steps > 0,
         "churn trajectory never took the incremental retraction path"
@@ -549,6 +560,29 @@ fn sweep_matches_fresh_engine_on_generated_internet_churn() {
         AttackScenario::attack(m, cp),
         "unsigned churn",
     );
+}
+
+/// Assert that a sweep along a `churn_trajectory` (`steps`) served every
+/// wane step by a rewind — each one retraces a wax step — except those
+/// whose destination `d` signs at neither end, which stay no-ops.
+/// `per_step` is [`check_generated_steps`]' output over `sweeps` policies.
+fn assert_wane_rewound(
+    steps: &[Deployment],
+    per_step: &[SweepStats],
+    d: AsId,
+    sweeps: usize,
+    ctx: &str,
+) {
+    let peak = steps.len().div_ceil(2);
+    for k in peak..steps.len() {
+        let step = &per_step[k];
+        assert_eq!(step.steps(), sweeps, "{ctx} step {k}: {step:?}");
+        if steps[k - 1].signs_origin(d) || steps[k].signs_origin(d) {
+            assert_eq!(step.rewound_steps, sweeps, "{ctx} step {k}: {step:?}");
+        } else {
+            assert_eq!(step.noop_steps, sweeps, "{ctx} step {k}: {step:?}");
+        }
+    }
 }
 
 /// Every security model under the Standard, LP2 and LPinf variants.
@@ -720,7 +754,11 @@ fn sweep_matches_fresh_engine_with_stub_roots_under_churn() {
 /// over the 19-step wax-and-wane trajectory on the 40 000-AS synthetic
 /// Internet, for stub and non-stub destinations, matches a fresh compute
 /// at every AS and every step, on both sides of the mass budget (some
-/// advances fall back). `#[ignore]`d (a few seconds in release);
+/// advances fall back), and rewinds every wane step that is not a no-op.
+/// The same holds over the trajectory whose wane retires ISPs in join
+/// order, where its steps are real incremental retractions for the first
+/// Tier 2 and one of its stubs, which sign throughout.
+/// `#[ignore]`d (a few seconds in release);
 /// CI's bench-smoke job runs it with
 /// `cargo test --release --test sweep_equivalence -- --ignored`.
 #[test]
@@ -747,16 +785,41 @@ fn sweep_matches_fresh_engine_on_40k_churn() {
             true,
         ),
     ];
+    let policies = SecurityModel::ALL.map(Policy::new);
     let mut total = SweepStats::default();
     for (scenario, unsigned) in scenarios {
         let ctx = format!("40k d={}", scenario.destination);
-        let stats = check_generated(&net, &steps, scenario, &ctx);
+        let per_step = check_generated_steps(&net, &steps, scenario, &policies, &ctx);
+        assert_wane_rewound(
+            &steps,
+            &per_step,
+            scenario.destination,
+            policies.len(),
+            &ctx,
+        );
+        let mut stats = SweepStats::default();
+        for step in &per_step {
+            stats.merge(step);
+        }
         if unsigned {
             assert!(stats.noop_steps > 0, "{ctx}: no inert step");
         }
         total.merge(&stats);
     }
-    assert!(total.retracting_steps > 0, "no incremental retraction");
+    let retiring = retiring_churn_trajectory(&net, 10);
+    let signing = [t2[0], scenario::stubs_of(&net, &[t2[0]])[0]];
+    let mut retracted = SweepStats::default();
+    for d in signing {
+        assert!(retiring.iter().all(|s| s.signs_origin(d)));
+        let ctx = format!("40k retiring d={d}");
+        retracted.merge(&check_generated(
+            &net,
+            &retiring,
+            AttackScenario::attack(attacker, d),
+            &ctx,
+        ));
+    }
+    assert!(retracted.retracting_steps > 0, "no incremental retraction");
     assert!(total.monotone_steps > 0, "no incremental growth");
     // Exactness on both sides of the mass budget: some advances must give
     // up on their region and fall back.
