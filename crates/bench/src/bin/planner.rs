@@ -122,7 +122,8 @@ fn main() {
     let _ = writer.flush();
     let s = planner.cache_stats();
     eprintln!(
-        "planner: done — {} hits, {} misses ({} derived), {} evictions",
-        s.hits, s.misses, s.derived, s.evictions
+        "planner: done — {} hits, {} misses ({} derived), {} pairs answered from kept counts, \
+         {} evictions",
+        s.hits, s.misses, s.derived, s.answered, s.evictions
     );
 }

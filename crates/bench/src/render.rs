@@ -444,7 +444,7 @@ pub fn render_churn(net: &Internet, cfg: &ExperimentConfig) -> String {
     out.push_str(&t.render());
     out.push_str(
         "\n(the wane half retraces the wax half, so each step's metric equals its\n\
-         mirror's — served through the engine's retraction path, not recomputed)\n",
+         mirror's — rewound from the entries the wax saved, not recomputed)\n",
     );
     out.push_str("\nsweep-engine serving stats:\n");
     for (model, s) in SecurityModel::ALL.into_iter().zip(&r.stats) {

@@ -19,7 +19,18 @@
 //!   models at a deployment without a full member, where they collapse)
 //!   and adopted via [`sbgp_core::FusedDeltaEngine::begin_with_bases`] /
 //!   [`sbgp_core::AttackDeltaEngine::begin_from_base`], skipping the route
-//!   computation;
+//!   computation. Computation heads whose keys coincide share one probe;
+//! * a destination that signs at neither level (in neither the full nor
+//!   the simplex list) is keyed at `S = ∅` under Sec 3rd: a route is
+//!   secure only when every AS on it signs, the origin included (§2.2),
+//!   so by Theorem 2.1 its outcome is the `S = ∅` one under every model
+//!   and at every deployment. Its entry also keeps the happy counts of
+//!   every `(attacker, strategy)` it has answered, which depend on nothing
+//!   else there: a pair found there is served from them
+//!   ([`CacheStats::answered`]), the destination's engine `begin` is
+//!   skipped when every one of its pairs is, and the counts the engines
+//!   serve are kept after the pass, in item order. The answers live and
+//!   are evicted with their entry;
 //! * an exact-path miss is derived from the nearest cached base of the
 //!   same destination and keyed policy — the entry whose full and simplex
 //!   lists differ least from the query's, ties broken by those lists — by
@@ -57,7 +68,7 @@
 //!  "attackers":[4,5],"destinations":[0,6],// suspected pairs (m ≠ d)
 //!  "models":["sec1","sec3"],"variant":"lp","strategies":["fakelink","path2"],
 //!  "budget":0,"seed":42,"deadline_ms":0}  // budget>0 => stratified estimate
-//! {"op":"stats"}                          // cache hit/miss/eviction/derived counters
+//! {"op":"stats"}                          // cache hit/miss/eviction/derived/answered counters
 //! {"op":"shutdown"}
 //! ```
 //!
@@ -88,8 +99,10 @@
 //! state and any [`Parallelism`]. Cache adoption is exact: an adopted
 //! normal outcome is bit-identical to a freshly computed one (the engines
 //! are deterministic), and so is a derived one (the stable state is
-//! unique, whichever cached base the advance starts from);
-//! `tests/planner.rs` pins both. The exact path merges per-destination
+//! unique, whichever cached base the advance starts from), and so are the
+//! counts kept at `S = ∅` (an unsigned destination's outcome is the
+//! `S = ∅` one everywhere; `tests/theorems.rs` pins that property);
+//! `tests/planner.rs` pins all three. The exact path merges per-destination
 //! accumulators in item order, and the estimate path inherits the
 //! chunk-order reduction of [`crate::stats`].
 //! Timing never appears in a reply (the `"stats"` op is the explicitly
@@ -215,7 +228,9 @@ fn fmt_f64(v: f64) -> String {
 #[derive(Clone, Copy, Debug)]
 pub struct PlannerConfig {
     /// LRU capacity of the normal-outcome cache (entries; each holds one
-    /// per-AS outcome, so memory is `O(capacity × n)`).
+    /// per-AS outcome, and an entry keyed at `S = ∅` at most one kept
+    /// answer per attacker and strategy, so memory stays
+    /// `O(capacity × n)`).
     pub cache_capacity: usize,
     /// Destinations to pre-warm at boot: baseline (`S = ∅`) LP normal
     /// outcomes, which every security model shares there, for the content
@@ -249,6 +264,9 @@ pub struct CacheStats {
     /// and policy by one deployment-sweep advance instead of a fresh
     /// compute (a subset of `misses`).
     pub derived: u64,
+    /// Pairs served from the happy counts an entry keyed at `S = ∅` kept
+    /// when it answered them before, with no engine work.
+    pub answered: u64,
     /// Entries evicted by the LRU policy.
     pub evictions: u64,
 }
@@ -267,10 +285,19 @@ struct CacheKey {
 
 impl CacheKey {
     /// The key of `dest`'s base under `policy` at the canonical deployment
-    /// `(full, simplex)`. Without a full member the security models
-    /// collapse onto one computation ([`CellSet::computations`]), so one
-    /// representative model, Sec 3rd, keys them all.
+    /// `(full, simplex)`. A route is secure only when every AS on it signs,
+    /// the origin included (§2.2), and the stable state is unique
+    /// (Theorem 2.1), so a destination that signs at neither level has its
+    /// `S = ∅` outcome under every model and at every deployment: it is
+    /// keyed at the empty deployment. Without a full member the security
+    /// models collapse onto one computation ([`CellSet::computations`]), so
+    /// one representative model, Sec 3rd, keys them all.
     fn new(dest: AsId, policy: Policy, (full, simplex): &(Vec<AsId>, Vec<AsId>)) -> CacheKey {
+        let signs = full.binary_search(&dest).is_ok() || simplex.binary_search(&dest).is_ok();
+        let (full, simplex) = match signs {
+            true => (full.clone(), simplex.clone()),
+            false => (Vec::new(), Vec::new()),
+        };
         let policy = if full.is_empty() {
             Policy::with_variant(SecurityModel::Security3rd, policy.variant)
         } else {
@@ -279,9 +306,16 @@ impl CacheKey {
         CacheKey {
             dest,
             policy,
-            full: full.clone(),
-            simplex: simplex.clone(),
+            full,
+            simplex,
         }
+    }
+
+    /// Whether the key sits at `S = ∅`, where a pair's happy counts depend
+    /// on nothing but the key, the attacker and the strategy, so its entry
+    /// keeps them ([`Answers`]).
+    fn is_baseline(&self) -> bool {
+        self.full.is_empty() && self.simplex.is_empty()
     }
 
     /// How many members the two keys' deployments differ by: the size of
@@ -327,9 +361,28 @@ fn sorted_symmetric_difference(a: &[AsId], b: &[AsId]) -> usize {
 /// policy of the computation head that looked it up.
 type Bases = HashMap<AsId, Vec<(Policy, Arc<CachedBase>)>>;
 
+/// An attacker and the strategy it announces.
+type Attack = (AsId, AttackStrategy);
+
+/// The happy bounds `(lower, upper)` of the pairs an entry keyed at
+/// `S = ∅` has answered, per attack.
+type Answers = HashMap<Attack, (usize, usize)>;
+
 struct CacheEntry {
     base: Arc<CachedBase>,
+    /// Kept on `S = ∅` keys only: elsewhere a patch off the base costs
+    /// little, and its answer belongs to one deployment.
+    answers: Answers,
     stamp: u64,
+}
+
+/// What a query's probe of the cache found: the bases to attach, the keys
+/// that missed (each with the computation heads that share it, in head
+/// order), and the keys at `S = ∅`, hit or missed, in destination order.
+struct Probe {
+    bases: Bases,
+    missed: Vec<(CacheKey, Vec<Policy>)>,
+    baseline: Vec<CacheKey>,
 }
 
 /// LRU cache of normal-conditions outcomes.
@@ -351,13 +404,13 @@ impl NormalCache {
     }
 
     /// Fetch (and refresh) an entry, counting a hit or miss.
-    fn get(&mut self, key: &CacheKey) -> Option<&Arc<CachedBase>> {
+    fn get(&mut self, key: &CacheKey) -> Option<&CacheEntry> {
         self.clock += 1;
         match self.entries.get_mut(key) {
             Some(e) => {
                 e.stamp = self.clock;
                 self.stats.hits += 1;
-                Some(&e.base)
+                Some(e)
             }
             None => {
                 self.stats.misses += 1;
@@ -383,7 +436,13 @@ impl NormalCache {
     fn insert(&mut self, key: CacheKey, base: Arc<CachedBase>) {
         self.clock += 1;
         let stamp = self.clock;
-        self.entries.insert(key, CacheEntry { base, stamp });
+        let answers = Answers::new();
+        let entry = CacheEntry {
+            base,
+            answers,
+            stamp,
+        };
+        self.entries.insert(key, entry);
         while self.entries.len() > self.capacity {
             if let Some(victim) = self
                 .entries
@@ -394,6 +453,27 @@ impl NormalCache {
                 self.entries.remove(&victim);
                 self.stats.evictions += 1;
             }
+        }
+    }
+
+    /// The answers `key`'s entry kept for `attackers` under each lane's
+    /// strategy (empty when it is not cached). Not a use: no stamp moves.
+    fn answers(&self, key: &CacheKey, attackers: &[AsId], lanes: &[PolicyCell]) -> Answers {
+        let Some(e) = self.entries.get(key) else {
+            return Answers::new();
+        };
+        attackers
+            .iter()
+            .flat_map(|&m| lanes.iter().map(move |l| (m, l.strategy)))
+            .filter_map(|attack| Some((attack, *e.answers.get(&attack)?)))
+            .collect()
+    }
+
+    /// Keep `counts` as the answer of `key`'s entry for `attack`, if the
+    /// entry is still cached. Not a use: no stamp moves.
+    fn keep(&mut self, key: &CacheKey, attack: Attack, counts: (usize, usize)) {
+        if let Some(e) = self.entries.get_mut(key) {
+            e.answers.insert(attack, counts);
         }
     }
 }
@@ -650,7 +730,12 @@ struct ExactAcc {
     lower: Vec<f64>,
     upper: Vec<f64>,
     pairs: u64,
-    harvest: Vec<(AsId, Policy, Arc<CachedBase>)>,
+    /// Pairs served from kept answers.
+    answered: u64,
+    harvest: Vec<(CacheKey, Arc<CachedBase>)>,
+    /// Counts the engines served for destinations keyed at `S = ∅`, to
+    /// keep: `(key, (attacker, strategy), counts)`.
+    answers: Vec<(CacheKey, Attack, (usize, usize))>,
     timed_out: bool,
 }
 
@@ -660,9 +745,17 @@ impl ExactAcc {
             lower: vec![0.0; cells],
             upper: vec![0.0; cells],
             pairs: 0,
+            answered: 0,
             harvest: Vec::new(),
+            answers: Vec::new(),
             timed_out: false,
         }
+    }
+
+    /// Add one pair's happy counts for input cell `c`.
+    fn add(&mut self, c: usize, (lower, upper): (usize, usize), sources: f64) {
+        self.lower[c] += lower as f64 / sources;
+        self.upper[c] += upper as f64 / sources;
     }
 
     fn merge(&mut self, o: ExactAcc) {
@@ -673,7 +766,9 @@ impl ExactAcc {
             *a += b;
         }
         self.pairs += o.pairs;
+        self.answered += o.answered;
         self.harvest.extend(o.harvest);
+        self.answers.extend(o.answers);
         self.timed_out |= o.timed_out;
     }
 }
@@ -800,13 +895,15 @@ impl Planner {
                 let s = self.cache.stats;
                 Some(format!(
                     "{{\"op\":\"stats\",\"schema\":\"{PLANNER_SCHEMA}\",\"hits\":{},\"misses\":{},\
-                     \"evictions\":{},\"entries\":{},\"queries\":{},\"derived\":{}}}",
+                     \"evictions\":{},\"entries\":{},\"queries\":{},\"derived\":{},\
+                     \"answered\":{}}}",
                     s.hits,
                     s.misses,
                     s.evictions,
                     self.cache.entries.len(),
                     self.queries,
-                    s.derived
+                    s.derived,
+                    s.answered
                 ))
             }
             (other, Ok(_)) => Some(Self::encode_error(
@@ -858,19 +955,20 @@ impl Planner {
         }
     }
 
-    /// The cached normal-conditions bases of a query at `dep`, per
-    /// destination (destinations with none are absent), cloned so the
-    /// parallel pass owns its inputs, and the `(destination, policy)` probes
-    /// that missed, in destination order. The cache is probed once per
-    /// computation head — the only computations that look a base up — and
-    /// a found base is attached under the head's policy.
+    /// Probe the cache for a query at `dep` with canonical member lists
+    /// `sets`: the bases found, per destination (destinations with none
+    /// are absent), cloned so the parallel pass owns its inputs; the keys
+    /// that missed, in destination order; and the keys at `S = ∅`. Only
+    /// computation heads look a base up, and heads whose keys coincide (an
+    /// unsigned destination's) share one probe: one hit or miss per
+    /// distinct key. A found base is attached under each head's policy.
     fn cached_bases(
         &mut self,
         q: &Query,
         dep: &Deployment,
         cells: &CellSet,
         sets: &(Vec<AsId>, Vec<AsId>),
-    ) -> (Bases, Vec<(AsId, Policy)>) {
+    ) -> Probe {
         let (comps, _) = cells.computations(dep);
         let heads: Vec<Policy> = comps
             .iter()
@@ -878,17 +976,33 @@ impl Planner {
             .filter(|&(ci, comp)| comp.base == ci)
             .map(|(_, comp)| comp.cell.policy)
             .collect();
-        let mut bases = Bases::new();
-        let mut missed = Vec::new();
+        let mut probe = Probe {
+            bases: Bases::new(),
+            missed: Vec::new(),
+            baseline: Vec::new(),
+        };
         for &d in &q.destinations {
+            let mut keys: Vec<(CacheKey, Vec<Policy>)> = Vec::new();
             for &policy in &heads {
-                match self.cache.get(&CacheKey::new(d, policy, sets)) {
-                    Some(base) => bases.entry(d).or_default().push((policy, base.clone())),
-                    None => missed.push((d, policy)),
+                let key = CacheKey::new(d, policy, sets);
+                match keys.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, shared)) => shared.push(policy),
+                    None => keys.push((key, vec![policy])),
                 }
             }
+            for (key, policies) in keys {
+                if key.is_baseline() {
+                    probe.baseline.push(key.clone());
+                }
+                let Some(entry) = self.cache.get(&key) else {
+                    probe.missed.push((key, policies));
+                    continue;
+                };
+                let attached = probe.bases.entry(d).or_default();
+                attached.extend(policies.into_iter().map(|p| (p, entry.base.clone())));
+            }
         }
-        (bases, missed)
+        probe
     }
 
     /// Derive the bases the exact probe `missed` from the nearest cached
@@ -896,30 +1010,27 @@ impl Planner {
     /// one [`CachedBase::advanced`] each on a per-query [`SweepEngine`]:
     /// exact by Theorem 2.1, a region patch when the deployments are close
     /// and one compute when the advance's own budget says they are not.
-    /// Derived bases join `bases` like hits and are cached in destination
-    /// order; probes with no same-cell entry are left to the pass.
-    fn derive_bases(
-        &mut self,
-        dep: &Deployment,
-        sets: &(Vec<AsId>, Vec<AsId>),
-        missed: Vec<(AsId, Policy)>,
-        bases: &mut Bases,
-    ) {
+    /// Derived bases join `bases` like hits, under every head that shares
+    /// the key, and are cached in destination order; keys with no
+    /// same-cell entry are left to the pass.
+    fn derive_bases(&mut self, missed: Vec<(CacheKey, Vec<Policy>)>, bases: &mut Bases) {
         let n = self.net.len();
         let mut sweep = None;
         let mut derived = Vec::new();
-        for (d, policy) in missed {
-            let key = CacheKey::new(d, policy, sets);
+        for (key, policies) in missed {
             let Some((near, base)) = self.cache.nearest(&key) else {
                 continue;
             };
             let sweep = sweep.get_or_insert_with(|| SweepEngine::new(&self.net.graph));
-            // The advance runs under the keyed policy: a collapsed key's
-            // entry may hold a Sec-3rd base at a deployment with full
-            // members, which is no base for the head's own model there.
+            // The advance runs under the keyed policy, to the keyed
+            // deployment: a collapsed key's entry may hold a Sec-3rd base
+            // at a deployment with full members, which is no base for the
+            // head's own model there.
             let from = deployment_of(n, &near.full, &near.simplex);
-            let base = Arc::new(base.advanced(sweep, &from, dep, key.policy));
-            bases.entry(d).or_default().push((policy, base.clone()));
+            let to = deployment_of(n, &key.full, &key.simplex);
+            let base = Arc::new(base.advanced(sweep, &from, &to, key.policy));
+            let attached = bases.entry(key.dest).or_default();
+            attached.extend(policies.into_iter().map(|p| (p, base.clone())));
             derived.push((key, base));
         }
         self.cache.stats.derived += derived.len() as u64;
@@ -929,7 +1040,11 @@ impl Planner {
     }
 
     /// Exact path: enumerate every `m ≠ d` pair, one fused pass per
-    /// destination, bases adopted from (and harvested into) the cache.
+    /// destination, bases adopted from (and harvested into) the cache. A
+    /// destination keyed at `S = ∅` serves the pairs its entry kept an
+    /// answer for from those counts, and skips its `begin` when that is
+    /// every pair; the engines serve the rest, and their counts are kept
+    /// after the pass.
     #[allow(clippy::type_complexity)]
     fn answer_exact(
         &mut self,
@@ -940,12 +1055,28 @@ impl Planner {
         let dep = q.deployment(n);
         let cells = q.cell_set();
         let sets = q.canonical_sets();
-        let (mut bases, missed) = self.cached_bases(q, &dep, &cells, &sets);
-        self.derive_bases(&dep, &sets, missed, &mut bases);
+        let Probe {
+            mut bases,
+            missed,
+            baseline,
+        } = self.cached_bases(q, &dep, &cells, &sets);
+        // Each destination keyed at `S = ∅`: its key and the answers its
+        // entry kept for the query's pairs.
+        let kept: HashMap<AsId, (CacheKey, Answers)> = baseline
+            .into_iter()
+            .map(|key| {
+                let answers = self.cache.answers(&key, &q.attackers, cells.lanes());
+                (key.dest, (key, answers))
+            })
+            .collect();
+        self.derive_bases(missed, &mut bases);
         let eval = SweepCellsEval::from_cells(&self.net, std::slice::from_ref(&dep), cells.clone())
             .with_bases(bases);
         let sources = (n - 2) as f64;
         let ncells = cells.input_len();
+        let strategy_of: Vec<AttackStrategy> = (0..ncells)
+            .map(|c| cells.lanes()[cells.lane_of(c)].strategy)
+            .collect();
         let acc = map_reduce(
             self.cfg.parallelism,
             &q.destinations,
@@ -959,14 +1090,54 @@ impl Planner {
                         return;
                     }
                 }
-                for (p, base) in eval.begin_exporting(w, d) {
-                    acc.harvest.push((d, p, Arc::new(base)));
+                let kept = kept.get(&d);
+                // Each pair's kept counts per input cell, when every
+                // cell's strategy has one.
+                let pairs: Vec<(AsId, Option<Vec<(usize, usize)>>)> = q
+                    .attackers
+                    .iter()
+                    .filter(|&&m| m != d)
+                    .map(|&m| {
+                        let counts = kept.and_then(|(_, k)| {
+                            strategy_of
+                                .iter()
+                                .map(|&s| k.get(&(m, s)).copied())
+                                .collect()
+                        });
+                        (m, counts)
+                    })
+                    .collect();
+                // Kept answers spare the engines' `begin` only when they
+                // serve every pair: a destination with no pair still
+                // begins, so a base it missed is harvested.
+                let served = !pairs.is_empty() && pairs.iter().all(|(_, c)| c.is_some());
+                if !served {
+                    let mine = acc.harvest.len();
+                    for (p, base) in eval.begin_exporting(w, d) {
+                        let key = CacheKey::new(d, p, &sets);
+                        // Heads sharing an unsigned destination's key
+                        // computed the same base: harvest it once (keys
+                        // of different destinations never coincide).
+                        if acc.harvest[mine..].iter().all(|(k, _)| *k != key) {
+                            acc.harvest.push((key, Arc::new(base)));
+                        }
+                    }
                 }
-                for &m in q.attackers.iter().filter(|&&m| m != d) {
-                    eval.serve_pair(w, m, d, &mut |c, _, (lower, upper)| {
-                        acc.lower[c] += lower as f64 / sources;
-                        acc.upper[c] += upper as f64 / sources;
-                    });
+                for (m, counts) in pairs {
+                    match counts {
+                        Some(counts) => {
+                            for (c, &counts) in counts.iter().enumerate() {
+                                acc.add(c, counts, sources);
+                            }
+                            acc.answered += 1;
+                        }
+                        None => eval.serve_pair(w, m, d, &mut |c, _, counts| {
+                            acc.add(c, counts, sources);
+                            if let Some((key, _)) = kept {
+                                acc.answers.push((key.clone(), (m, strategy_of[c]), counts));
+                            }
+                        }),
+                    }
                     acc.pairs += 1;
                 }
             },
@@ -979,11 +1150,17 @@ impl Planner {
             ));
         }
         // Harvest the computed bases into the cache, in item order. Each
-        // key missed this query's probe and destinations are distinct, so
-        // none repeats.
-        for (d, p, base) in acc.harvest {
-            self.cache.insert(CacheKey::new(d, p, &sets), base);
+        // key missed this query's probe, the probe looked each distinct key
+        // up once, and destinations are distinct, so none repeats. Then
+        // keep the counts the engines served at `S = ∅` keys, in item
+        // order.
+        for (key, base) in acc.harvest {
+            self.cache.insert(key, base);
         }
+        for (key, attack, counts) in acc.answers {
+            self.cache.keep(&key, attack, counts);
+        }
+        self.cache.stats.answered += acc.answered;
         let answers = (0..ncells)
             .map(|c| CellAnswer {
                 cell: cells.lanes()[cells.lane_of(c)],
@@ -1018,7 +1195,9 @@ impl Planner {
         }
         let dep = q.deployment(self.net.len());
         let cells = q.cell_set();
-        let (bases, _) = self.cached_bases(q, &dep, &cells, &q.canonical_sets());
+        let bases = self
+            .cached_bases(q, &dep, &cells, &q.canonical_sets())
+            .bases;
         let universe = PairUniverse::new(&self.net, &q.attackers, &q.destinations);
         if universe.population() == 0 {
             return Err("no valid pairs in the estimation universe".into());
@@ -1370,29 +1549,73 @@ mod tests {
             CacheKey::new(AsId(d), policy, &(ids(full), ids(simplex)))
         };
         let mut delta = sbgp_core::AttackDeltaEngine::new(&net.graph);
-        delta.begin(AsId(9), &Deployment::empty(net.len()), policy);
+        delta.begin(AsId(0), &Deployment::empty(net.len()), policy);
         let base = Arc::new(delta.export_base());
         let mut cache = NormalCache::new(8);
+        // Each destination signs in its entries' deployments.
         for k in [
-            key(9, &[1, 2, 4], &[]),
-            key(9, &[1, 2, 3], &[]),
-            key(9, &[1], &[]),
-            key(9, &[1, 2], &[5, 6]),
-            key(10, &[1, 2], &[]),
+            key(0, &[0, 1, 2, 4], &[]),
+            key(0, &[0, 1, 2, 3], &[]),
+            key(0, &[0, 1], &[]),
+            key(0, &[0, 1, 2], &[5, 6]),
+            key(10, &[0, 1, 2, 10], &[]),
         ] {
             cache.insert(k, base.clone());
         }
-        // Three entries differ from {1, 2} by one member; the first by
+        // Three entries differ from {0, 1, 2} by one member; the first by
         // member lists wins, and another destination never qualifies.
-        let (near, _) = cache.nearest(&key(9, &[1, 2], &[])).unwrap();
-        assert_eq!(near, &key(9, &[1], &[]));
-        let (near, _) = cache.nearest(&key(9, &[1, 2], &[5])).unwrap();
-        assert_eq!(near, &key(9, &[1, 2], &[5, 6]));
-        assert!(cache.nearest(&key(11, &[1, 2], &[])).is_none());
+        let (near, _) = cache.nearest(&key(0, &[0, 1, 2], &[])).unwrap();
+        assert_eq!(near, &key(0, &[0, 1], &[]));
+        let (near, _) = cache.nearest(&key(0, &[0, 1, 2], &[5])).unwrap();
+        assert_eq!(near, &key(0, &[0, 1, 2], &[5, 6]));
+        assert!(cache.nearest(&key(11, &[0, 1, 2, 11], &[])).is_none());
         // Without a full member the key collapses onto Sec 3rd: no Sec-1st
         // entry qualifies.
-        assert!(cache.nearest(&key(9, &[], &[1, 2])).is_none());
+        assert!(cache.nearest(&key(0, &[], &[0, 1, 2])).is_none());
+        // A destination that signs at neither level is keyed at S = ∅,
+        // under Sec 3rd, whatever the deployment and model.
+        let empty = CacheKey::new(
+            AsId(0),
+            Policy::new(SecurityModel::Security3rd),
+            &(Vec::new(), Vec::new()),
+        );
+        assert_eq!(key(0, &[1, 2], &[3]), empty);
+        assert!(empty.is_baseline() && !key(0, &[0], &[]).is_baseline());
+        assert!(cache.nearest(&empty).is_none());
         assert_eq!(cache.stats, CacheStats::default(), "nearest counted a use");
+    }
+
+    #[test]
+    fn unsigned_destination_probes_one_key() {
+        // Sec 1st and Sec 3rd are two computations at a deployment with
+        // full members, but destination 9 signs at neither level: both
+        // heads share its S = ∅ key, so one probe, one miss, one entry.
+        let query = |secure: &str| {
+            format!(
+                "{{\"op\":\"query\",\"id\":1,\"secure\":[{secure}],\
+                 \"models\":[\"sec1\",\"sec3\"],\"strategies\":[\"fakelink\",\"hijack\"],\
+                 \"attackers\":[5,6],\"destinations\":[9]}}"
+            )
+        };
+        let mut planner = Planner::new(tiny(), PlannerConfig::default());
+        let first = planner.handle(&query("1,2,3")).unwrap();
+        let s = planner.cache_stats();
+        assert_eq!((s.hits, s.misses, s.answered), (0, 1, 0), "{s:?}");
+        assert_eq!(planner.cache.entries.len(), 1, "one entry per key");
+        let key = planner.cache.entries.keys().next().unwrap();
+        assert!(key.is_baseline() && key.dest == AsId(9), "{key:?}");
+        // Two pairs × two strategies kept; a second deployment where 9
+        // does not sign is served from them, no engine run.
+        assert_eq!(
+            planner.cache.entries.values().next().unwrap().answers.len(),
+            4
+        );
+        let second = planner.handle(&query("1,2,4,7")).unwrap();
+        assert_eq!(first, second, "an unsigned destination's answer moved");
+        let s = planner.cache_stats();
+        assert_eq!((s.hits, s.misses, s.answered), (1, 1, 2), "{s:?}");
+        let mut cold = Planner::new(tiny(), PlannerConfig::default());
+        assert_eq!(cold.handle(&query("1,2,4,7")).unwrap(), second);
     }
 
     #[test]

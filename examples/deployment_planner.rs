@@ -23,7 +23,9 @@
 //! exact repeat (served entirely from cache — byte-identical reply), a
 //! query mixing cached and uncached destinations, a deliberately
 //! malformed frame (the server must answer with a clean error and keep
-//! serving), a stratified estimate, the cache-stats op, and shutdown.
+//! serving), a stratified estimate, a query about unsigned destinations
+//! at a second deployment (served from the answers kept at `S = ∅`), the
+//! cache-stats op, and shutdown.
 
 use std::io::{BufReader, BufWriter};
 use std::path::PathBuf;
@@ -124,6 +126,14 @@ fn main() {
             "{{\"op\":\"query\",\"id\":5,\"secure\":[0,1,2,3,4],\"simplex\":[5],\
              \"attackers\":[{m1},{m2}],\"destinations\":[0,1,6,7],\
              \"models\":[\"sec3\"],\"budget\":6,\"seed\":7}}"
+        ),
+        // Destinations 6 and 7 sign at neither level, so they route as
+        // at S = ∅ at every deployment: at a second one, every pair is
+        // served from the answers query 3 kept, with no engine run.
+        format!(
+            "{{\"op\":\"query\",\"id\":6,\"secure\":[0,1,2,3],\"simplex\":[4,5],\
+             \"attackers\":[{m1},{m2}],\"destinations\":[6,7],\
+             \"models\":[\"sec1\",\"sec3\"],\"strategies\":[\"fakelink\",\"hijack\"]}}"
         ),
         "{\"op\":\"stats\"}".to_string(),
         "{\"op\":\"shutdown\"}".to_string(),

@@ -121,7 +121,7 @@ fn planner_frames_never_panic_and_errors_are_located() {
         .filter_map(|l| l.strip_prefix("-> "))
         .map(str::to_string)
         .collect();
-    assert_eq!(seeds.len(), 8, "the client golden's request frames");
+    assert_eq!(seeds.len(), 9, "the client golden's request frames");
     let mut planner = Planner::new(net, PlannerConfig::default());
     let (mut parsed, mut errors) = (0, 0);
     fuzz(&seeds, 1, |text| {

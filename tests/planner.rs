@@ -195,10 +195,24 @@ fn near_miss_stream(net: &Internet) -> Vec<String> {
 fn derived_misses_match_fresh_planners() {
     let net = Internet::synthetic(600, 7);
     let stream = near_miss_stream(&net);
-    // Queries 1–4 look up 3 destinations × {Sec 1st, Sec 3rd}; 5 and 6 one
-    // collapsed key per destination; 7 two destinations × two models. Only
-    // query 1 and the fresh destination of query 7 find no same-cell base.
-    let (misses, derived) = (6 * 4 + 3 * 2 + 4, 6 * 3 + 3 * 2 + 2);
+    // A destination that signs at neither level is keyed at S = ∅ under
+    // Sec 3rd, one key for both models. Queries 1, 2 and 4 look up
+    // 3 destinations × {Sec 1st, Sec 3rd}. Query 3 leaves dests[0] out:
+    // 2 × 2 keys plus its one S = ∅ key, derived from its Sec-3rd entries.
+    // Queries 5 and 6 look up one collapsed key per destination (dests[2]
+    // signs in neither list in query 5: its S = ∅ key). Query 7's
+    // destinations, dests[0] and the fresh one, are odd, so neither signs
+    // at `everyone_even`: dests[0] hits query 3's S = ∅ entry and serves
+    // both its pairs from the answers kept there, and the fresh one misses
+    // once, with no same-cell base to derive from. So 6 + 6 + 5 + 6 + 3 +
+    // 3 + 1 misses, all derived but query 1's six and the fresh one, and
+    // one hit.
+    let stubs = stubs(&net);
+    assert!(
+        stubs[0].0 % 2 == 1 && stubs[6].0 % 2 == 1,
+        "query 7's premise"
+    );
+    let (misses, derived) = (6 * 3 + 5 + 3 * 2 + 1, 6 * 2 + 5 + 3 * 2);
     for threads in [1, 2, 5] {
         let mut planner = Planner::new(net.clone(), planner_config(threads));
         let replies = run_stream(&mut planner, &stream);
@@ -213,13 +227,13 @@ fn derived_misses_match_fresh_planners() {
         }
         let first = planner.cache_stats();
         assert_eq!(
-            (first.misses, first.derived),
-            (misses, derived),
+            (first.hits, first.misses, first.derived, first.answered),
+            (1, misses, derived, 2),
             "{threads} thread(s)"
         );
         let stats = planner.handle("{\"op\":\"stats\"}").expect("stats");
         assert!(
-            stats.ends_with(&format!(",\"derived\":{derived}}}")),
+            stats.ends_with(&format!(",\"derived\":{derived},\"answered\":2}}")),
             "{stats}"
         );
 
@@ -231,7 +245,7 @@ fn derived_misses_match_fresh_planners() {
         let again = planner.cache_stats();
         assert_eq!(
             again.hits - first.hits,
-            misses,
+            misses + 1,
             "the repeat must be all hits"
         );
         assert_eq!(
@@ -239,7 +253,100 @@ fn derived_misses_match_fresh_planners() {
             (first.misses, first.derived),
             "the repeat missed"
         );
+        // The repeat serves every pair at an unsigned destination from kept
+        // answers: dests[0] in query 3, dests[2] in query 5, and both
+        // destinations of query 7, two attackers each.
+        assert_eq!(again.answered - first.answered, 8, "{threads} thread(s)");
     }
+}
+
+/// Destinations that sign at neither level have their S = ∅ outcome at
+/// every deployment (§2.2, Theorem 2.1), so the planner keys them at ∅ and
+/// keeps each pair's answer with the entry. Asked at two deployments and
+/// at a true S = ∅, every reply matches a cold one-query planner's byte
+/// for byte, at 1, 2 and 5 threads; the second deployment and S = ∅ are
+/// served from the kept answers, with no base computed.
+#[test]
+fn unsigned_destinations_answer_from_kept_counts() {
+    let net = Internet::synthetic(600, 7);
+    let stubs = stubs(&net);
+    let (dests, attackers) = (&stubs[..3], &stubs[3..5]);
+    let non_stubs = net.tiers.non_stubs();
+    let near: Vec<AsId> = non_stubs[1..].to_vec();
+    let stream = [
+        what_if(1, (&non_stubs, &stubs[5..6]), attackers, dests, TWO_BY_TWO),
+        what_if(2, (&near, &stubs[6..8]), attackers, dests, TWO_BY_TWO),
+        what_if(3, (&[], &[]), attackers, dests, TWO_BY_TWO),
+    ];
+    // The pairs the second and third queries serve from kept answers.
+    let pairs = (dests.len() * attackers.len()) as u64;
+    for threads in [1, 2, 5] {
+        let mut planner = Planner::new(net.clone(), planner_config(threads));
+        for (i, q) in stream.iter().enumerate() {
+            let before = planner.cache_stats();
+            let reply = planner.handle(q).expect("reply");
+            let after = planner.cache_stats();
+            let mut cold = Planner::new(net.clone(), planner_config(threads));
+            assert_eq!(
+                reply,
+                cold.handle(q).expect("reply"),
+                "{threads} thread(s): {q}"
+            );
+            // One S = ∅ key per destination, shared by both models.
+            assert_eq!(cold.cache_stats().misses, dests.len() as u64, "{q}");
+            let (misses, answered) = match i {
+                0 => (dests.len() as u64, 0),
+                _ => (0, pairs),
+            };
+            assert_eq!(
+                (
+                    after.misses - before.misses,
+                    after.answered - before.answered
+                ),
+                (misses, answered),
+                "{threads} thread(s): {q}"
+            );
+            assert_eq!(after.derived, 0, "{q}");
+        }
+    }
+}
+
+/// The kept answers live and die with their entry: with room for two
+/// entries, an unsigned destination's S = ∅ entry is evicted and its
+/// answers with it, and the replies stay those of an unbounded cache.
+#[test]
+fn evicted_answers_leave_replies_unchanged() {
+    let net = Internet::synthetic(600, 7);
+    let stubs = stubs(&net);
+    let attackers = &stubs[3..5];
+    let non_stubs = net.tiers.non_stubs();
+    let signing = [non_stubs.as_slice(), &stubs[1..3]].concat();
+    let stream = [
+        // stubs[0] signs at neither level: keyed at S = ∅, answers kept.
+        what_if(1, (&non_stubs, &[]), attackers, &stubs[..1], TWO_BY_TWO),
+        // Two Sec-1st and two Sec-3rd bases push it out.
+        what_if(2, (&signing, &[]), attackers, &stubs[1..3], TWO_BY_TWO),
+        // Asked again at another deployment: a miss, served afresh.
+        what_if(3, (&signing, &[]), attackers, &stubs[..1], TWO_BY_TWO),
+        // And then from the re-kept answers.
+        what_if(4, (&[], &[]), attackers, &stubs[..1], TWO_BY_TWO),
+    ];
+    let small = PlannerConfig {
+        cache_capacity: 2,
+        ..planner_config(1)
+    };
+    let mut evicting = Planner::new(net.clone(), small);
+    let mut roomy = Planner::new(net.clone(), planner_config(1));
+    let mut answered = Vec::new();
+    for q in &stream {
+        let before = evicting.cache_stats().answered;
+        assert_eq!(evicting.handle(q), roomy.handle(q), "{q}");
+        answered.push(evicting.cache_stats().answered - before);
+    }
+    let s = evicting.cache_stats();
+    assert!(s.evictions >= 3, "{s:?}");
+    assert_eq!(answered, [0, 0, 0, 2], "kept answers outlived their entry");
+    assert_eq!(roomy.cache_stats().answered, 4, "the roomy cache kept both");
 }
 
 /// The `planner-10k` stream shape at 10,000 ASes: candidate deployments of
@@ -287,9 +394,24 @@ fn derived_misses_match_fresh_planners_at_10k() {
         let mut cold = Planner::new(net.clone(), planner_config(1));
         assert_eq!(reply, cold.handle(q).expect("reply"), "{q}");
     }
+    // Query i uses candidate (5i mod 8) and group i mod 2. Only the even
+    // queries ask about dests[0..4], and only candidates 4–7 leave one out:
+    // candidates 4 and 6 (queries 4 and 6, mod 8) leave out dests[0] and
+    // dests[2], which sign at neither level there and are keyed at S = ∅.
+    // The even queries use 4 distinct deployments: 16 misses, of which
+    // query 0's four (each destination's first) and the two S = ∅ keys
+    // (no Sec-3rd entry to derive from) are computed. The odd ones use 8
+    // (candidates 5, 7, 1+novel, 3, 7+novel, 1, 5+novel, 3+novel): 32
+    // misses, all derived but query 1's four. So 48 misses, 38 derived.
+    // Kept answers: queries 12 and 20 share one attacker each with query
+    // 4's S = ∅ pairs at dests[0], and query 22 both of its attackers with
+    // queries 6 and 14 at dests[2].
     let stats = planner.cache_stats();
-    assert_eq!(stats.misses - stats.derived, 8, "{stats:?}");
-    assert!(stats.derived > 0, "{stats:?}");
+    assert_eq!(
+        (stats.misses, stats.derived, stats.answered),
+        (48, 38, 4),
+        "{stats:?}"
+    );
 }
 
 /// A malformed message mid-stream draws a clean `{"op":"error",...}`

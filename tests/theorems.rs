@@ -11,6 +11,10 @@
 //!   concrete deployment.
 //! * **Appendix C bounds** — tie-break bounds are ordered and bracket the
 //!   partition-derived limits.
+//! * **Unsigned destinations** — a route is secure only when every AS on it
+//!   signs, the origin included (§2.2), so while the destination signs at
+//!   neither level every outcome is its `S = ∅` outcome, under every model
+//!   and LP variant (the planner keys such destinations at `S = ∅`).
 
 use proptest::prelude::*;
 
@@ -97,6 +101,140 @@ impl Instance {
         }
         dep
     }
+}
+
+/// An [`Instance`] at a random deployment its destination is not part
+/// of: each other AS rolls below `full_pct` (10–50) to be a full member,
+/// in the next 20 points to be a simplex one. `accomplice` picks the second
+/// announcer of the colluding pair.
+#[derive(Debug, Clone)]
+struct UnsignedInstance {
+    inst: Instance,
+    full_pct: u8,
+    rolls: Vec<u8>,
+    accomplice: usize,
+}
+
+fn arb_unsigned_instance() -> impl Strategy<Value = UnsignedInstance> {
+    arb_instance().prop_flat_map(|inst| {
+        let n = inst.n;
+        (
+            Just(inst),
+            10u8..51,
+            proptest::collection::vec(0u8..100, n),
+            0..n,
+        )
+            .prop_map(|(inst, full_pct, rolls, accomplice)| UnsignedInstance {
+                inst,
+                full_pct,
+                rolls,
+                accomplice,
+            })
+    })
+}
+
+impl UnsignedInstance {
+    /// The drawn deployment; `d` signs at neither level.
+    fn deployment(&self, d: AsId) -> Deployment {
+        let mut dep = Deployment::empty(self.inst.n);
+        for (i, &roll) in self.rolls.iter().enumerate() {
+            let v = AsId(i as u32);
+            if v == d {
+                continue;
+            }
+            if roll < self.full_pct {
+                dep.insert_full(v);
+            } else if roll < self.full_pct + 20 {
+                dep.insert_simplex(v);
+            }
+        }
+        dep
+    }
+
+    /// A fake link, a hijack, a 3-hop forged path, a colluding pair and
+    /// the normal outcome marked at `m`.
+    fn scenarios(&self, m: AsId, d: AsId) -> Vec<AttackScenario> {
+        let n = self.inst.n;
+        let accomplice = (self.accomplice..self.accomplice + n)
+            .map(|i| AsId((i % n) as u32))
+            .find(|&c| c != m && c != d)
+            .expect("n ≥ 5 leaves a second announcer");
+        vec![
+            AttackScenario::attack(m, d),
+            AttackScenario::hijack(m, d),
+            AttackScenario::attack(m, d).with_strategy(AttackStrategy::FakePath { hops: 3 }),
+            AttackScenario::colluding(&[m, accomplice], d),
+            AttackScenario::normal_marked(d, m),
+        ]
+    }
+}
+
+/// Every model under the standard, LP2 and LPinf variants.
+fn all_policies() -> Vec<Policy> {
+    let variants = [LpVariant::Standard, LpVariant::LpK(2), LpVariant::LpInf];
+    SecurityModel::ALL
+        .into_iter()
+        .flat_map(|m| variants.map(|v| Policy::with_variant(m, v)))
+        .collect()
+}
+
+/// The source ASes (neither the destination nor an announcer) at which
+/// two outcomes of one scenario differ in route (class, length, security,
+/// root flags), mark bit or next hop, the roots' own entries counted too
+/// when `roots`; and whether their happy bounds differ.
+fn differences(graph: &AsGraph, a: &Outcome, b: &Outcome, roots: bool) -> (usize, bool) {
+    let differ = graph
+        .ases()
+        .filter(|&v| roots || a.is_source(v))
+        .filter(|&v| {
+            a.route(v) != b.route(v)
+                || a.flags(v) != b.flags(v)
+                || a.may_traverse_mark(v) != b.may_traverse_mark(v)
+                || a.next_hop(v) != b.next_hop(v)
+        })
+        .count();
+    (differ, a.count_happy() != b.count_happy())
+}
+
+/// The outcome differences of every scenario × policy of `u` between its
+/// deployment (with `d` made a full member when `sign`) and `S = ∅`,
+/// summed as in [`differences`].
+fn against_empty(u: &UnsignedInstance, sign: bool, roots: bool) -> Option<(usize, bool)> {
+    let (m, d) = u.inst.attack_pair()?;
+    let graph = graph_from_codes(u.inst.n, &u.inst.codes);
+    let mut dep = u.deployment(d);
+    if sign {
+        dep.insert_full(d);
+    }
+    let empty = Deployment::empty(u.inst.n);
+    let (mut at_dep, mut at_empty) = (Engine::new(&graph), Engine::new(&graph));
+    let (mut differ, mut happy) = (0, false);
+    for scenario in u.scenarios(m, d) {
+        for policy in all_policies() {
+            let a = at_dep.compute(scenario, &dep, policy);
+            let b = at_empty.compute(scenario, &empty, policy);
+            let (k, h) = differences(&graph, a, b, roots);
+            differ += k;
+            happy |= h;
+        }
+    }
+    Some((differ, happy))
+}
+
+/// The control of `unsigned_destinations_route_as_at_empty_deployment`:
+/// the comparison does see a deployment. With the destination made a
+/// full member, some drawn instance routes a source AS differently.
+#[test]
+fn signed_destinations_route_differently_somewhere() {
+    use proptest::test_runner::TestRunner;
+    let mut differing = 0;
+    TestRunner::new(ProptestConfig::with_cases(64)).run(&arb_unsigned_instance(), |u| {
+        if let Some((differ, _)) = against_empty(&u, true, false) {
+            differing += usize::from(differ > 0);
+        }
+        Ok(())
+    });
+    assert!(differing > 0, "no signing destination changed a route");
 }
 
 proptest! {
@@ -275,6 +413,17 @@ proptest! {
                 prop_assert!(a.happy.upper <= a.sources);
             }
         }
+    }
+
+    /// A destination that signs at neither level routes as at `S = ∅`:
+    /// every outcome under every model and LP variant equals the empty
+    /// deployment's at every AS (route, root flags, mark bit, next hop),
+    /// and so do its happy bounds.
+    #[test]
+    fn unsigned_destinations_route_as_at_empty_deployment(u in arb_unsigned_instance()) {
+        let Some((differ, happy)) = against_empty(&u, false, true) else { return Ok(()) };
+        prop_assert_eq!(differ, 0, "{:?}", u);
+        prop_assert!(!happy, "happy bounds moved: {:?}", u);
     }
 
     /// Secure routes imply happiness in every model (a secure route cannot
