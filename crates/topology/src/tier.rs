@@ -114,16 +114,28 @@ impl TierConfig {
         graph: &AsGraph,
         cp_asns: &[u32],
     ) -> Result<TierConfig, TopologyError> {
-        let by_label: std::collections::HashMap<u32, AsId> =
-            graph.ases().map(|v| (graph.asn_label(v), v)).collect();
-        let mut content_providers = Vec::with_capacity(cp_asns.len());
+        // One scan of the labels against the sorted, deduplicated CP list
+        // finds the AS of every listed ASN.
+        let mut wanted = cp_asns.to_vec();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let mut found: Vec<Option<AsId>> = vec![None; wanted.len()];
+        for v in graph.ases() {
+            if let Ok(k) = wanted.binary_search(&graph.asn_label(v)) {
+                found[k] = Some(v);
+            }
+        }
+        let mut content_providers = Vec::with_capacity(wanted.len());
         for &asn in cp_asns {
-            match by_label.get(&asn) {
+            let k = wanted
+                .binary_search(&asn)
+                .expect("every listed ASN is wanted");
+            match found[k] {
                 // A repeated ASN is kept once (first occurrence) — a
                 // doubled id would count that CP twice in every per-CP
                 // average. The CLI rejects duplicates up front; this
                 // guards every other caller.
-                Some(&v) if !content_providers.contains(&v) => content_providers.push(v),
+                Some(v) if !content_providers.contains(&v) => content_providers.push(v),
                 Some(_) => {}
                 None => return Err(TopologyError::UnknownAsn(asn)),
             }
@@ -428,6 +440,33 @@ mod tests {
         let g = b.build();
         let cfg = TierConfig::with_content_provider_asns(&g, &[1]).unwrap();
         assert_eq!(cfg.content_providers, vec![AsId(1)]);
+    }
+
+    #[test]
+    fn content_provider_asns_keep_first_occurrences_and_name_the_first_missing() {
+        let mut b = GraphBuilder::new(4);
+        for v in 1..4 {
+            b.add_provider(AsId(v), AsId(0)).unwrap();
+        }
+        b.set_asn_labels(vec![3356, 15169, 20940, 8075]).unwrap();
+        let g = b.build();
+        // Repeats are dropped in place: each CP keeps its first position.
+        let cfg =
+            TierConfig::with_content_provider_asns(&g, &[8075, 15169, 8075, 20940, 15169]).unwrap();
+        assert_eq!(cfg.content_providers, vec![AsId(3), AsId(1), AsId(2)]);
+        // The error names the first missing ASN in list order, not the
+        // smallest one.
+        for (cps, missing) in [
+            (&[15169, 64513, 64512][..], 64513),
+            (&[64512, 15169, 64513][..], 64512),
+            (&[15169, 20940, 64513, 64512, 64513][..], 64513),
+        ] {
+            assert_eq!(
+                TierConfig::with_content_provider_asns(&g, cps).unwrap_err(),
+                TopologyError::UnknownAsn(missing),
+                "{cps:?}"
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! seed, so a failure reproduces exactly; the whole run takes well under
 //! a second in a debug build.
 
+mod support;
+
 use std::path::Path;
 
 use bgp_juice::core::SecurityModel;
@@ -25,26 +27,10 @@ use bgp_juice::sim::Internet;
 use bgp_juice::topology::AsId;
 use sbgp_bench::campaign::{Cell, CellSpec, Figure};
 use sbgp_bench::render::render_campaign_quotes;
+use support::Rng;
 
 /// Mutants per seed.
 const MUTANTS: usize = 400;
-
-/// SplitMix64: a tiny seeded generator, so the stream never changes.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
 
 /// Bytes that steer a mutant toward the grammar's edges.
 const ALPHABET: &[u8] = b"{}[]\",:\\/-+0123456789.eEtrufalsn \n\tu";

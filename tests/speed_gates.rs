@@ -1,4 +1,4 @@
-//! Release speed gates: the four speedups that justify a design decision,
+//! Release speed gates: the five speedups that justify a design decision,
 //! each re-measured in process at its acceptance scale and held to its
 //! threshold. Every gate times both sides min-of-3 on the same inputs and
 //! first checks that both sides computed the same answers, so a gate can
@@ -9,6 +9,7 @@
 //! | churn | `SweepEngine` retraction steps vs one `Engine::compute` per step, timed on a wane that retires ISPs in join order, on pairs whose destination signs | 4,000 ASes, seed 42, peak 10 | identical happy counts over every pair; the timed steps are retractions or budget fallbacks, not no-ops or rewinds | ≥2× |
 //! | fused | `FusedDeltaEngine` at S=∅ on the 3-model × 3-variant grid vs one `AttackDeltaEngine` loop per cell | 4,000 ASes, seed 42 | identical happy counts | ≥2× |
 //! | ingest | `GraphBuilder::from_edges` vs the incremental `GraphBuilder` | 100,000 ASes, seed 42 | identical graphs, segment by segment | ≥2× |
+//! | parse | one-pass `io::parse_relationships` vs the reference parser in `tests/support`, on the serial-1 text | 100,000 ASes, seed 42 | identical graphs, segment by segment | ≥2× |
 //! | planner | warm vs cold `Planner` on one 3-query Sec-1st stream over 80 destinations | 4,000 ASes, seed 42, cache 256 | cold ≡ warm ≡ solo replies, zero warm misses | ≥5× |
 //!
 //! Debug-build timings mean nothing, so every gate is `#[ignore]`d in
@@ -32,7 +33,9 @@ use bgp_juice::prelude::*;
 use bgp_juice::sim::serve::{Planner, PlannerConfig};
 use bgp_juice::topology::tier::Tier;
 use bgp_juice::topology::{io, Relationship};
-use support::{first_cell_bounds, retiring_churn_trajectory};
+use support::{
+    assert_same_graph, first_cell_bounds, reference_parse_relationships, retiring_churn_trajectory,
+};
 
 /// Timed repetitions per side; the fastest one is compared.
 const REPS: usize = 3;
@@ -310,16 +313,29 @@ fn bulk_csr_build_beats_the_incremental_builder_by_2x() {
     );
 }
 
-/// Same labels and the same customer, peer and provider segments for
-/// every AS.
-fn assert_same_graph(a: &AsGraph, b: &AsGraph) {
-    assert_eq!(a.len(), b.len());
-    for v in a.ases() {
-        assert_eq!(a.asn_label(v), b.asn_label(v), "{v} label");
-        assert_eq!(a.customers(v), b.customers(v), "{v} customers");
-        assert_eq!(a.peers(v), b.peers(v), "{v} peers");
-        assert_eq!(a.providers(v), b.providers(v), "{v} providers");
-    }
+/// The one-pass as-rel parser must read the serial-1 text of a 100k-AS
+/// snapshot ≥2× faster than the reference parser (the line-count pre-pass,
+/// SipHash interning and `seen`-map design it replaced, kept in
+/// `tests/support`), and both must build the same graph.
+#[test]
+#[ignore = "speed gate; run in release with --ignored"]
+fn one_pass_parse_beats_the_reference_parser_by_2x() {
+    let _serial = serial();
+    let (asns, seed) = (100_000, 42);
+    let text = io::write_relationships(&Internet::synthetic(asns, seed).graph);
+    let (fast, fast_graph) =
+        fastest(|| timed(|| io::parse_relationships(text.as_bytes()).expect("one-pass parse")));
+    let (reference, reference_graph) = fastest(|| {
+        timed(|| reference_parse_relationships(text.as_bytes()).expect("reference parse"))
+    });
+    assert_eq!(fast_graph.len(), asns, "round trip dropped ASes");
+    assert_same_graph(&fast_graph, &reference_graph);
+    assert_speedup(
+        "100k as-rel parse vs reference parser",
+        reference,
+        fast,
+        2.0,
+    );
 }
 
 /// A warm planner cache must answer the what-if stream ≥5× faster than a
