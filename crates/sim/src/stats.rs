@@ -231,39 +231,58 @@ impl IndexPermutation {
 /// One (attacker tier × destination tier) cell of the pair universe: the
 /// cross product of the tier's members in each pool, minus the `m = d`
 /// diagonal, addressable by a dense index in `[0, len)`.
+///
+/// A tier's attacker and destination pools are stored once per universe
+/// and shared by every stratum of its row and column; a stratum keeps an
+/// attacker list of its own only when it has to reorder the pool.
 #[derive(Clone, Debug)]
 pub struct Stratum {
     /// Tier the attackers of this cell belong to.
     pub attacker_tier: Tier,
     /// Tier the destinations of this cell belong to.
     pub dest_tier: Tier,
-    /// Attackers, reordered so the ones that also appear in `dests` come
-    /// first — their rows are one pair shorter (the `m = d` diagonal),
-    /// which keeps `pair_at` O(1).
-    attackers: Vec<AsId>,
+    /// Attackers, with the ones that also appear in `dests` first — their
+    /// rows are one pair shorter (the `m = d` diagonal), which keeps
+    /// `pair_at` O(1). This is the shared pool of the attacker tier when
+    /// the pool already lists those attackers first, and a reordered copy
+    /// of it otherwise.
+    attackers: Arc<[AsId]>,
     /// For each of the first `colliding` attackers, its index in `dests`.
     skip: Vec<u32>,
     colliding: usize,
-    dests: Vec<AsId>,
+    /// The shared pool of the destination tier.
+    dests: Arc<[AsId]>,
     size: u64,
 }
 
 impl Stratum {
-    fn build(attacker_tier: Tier, dest_tier: Tier, pool_a: &[AsId], dests: Vec<AsId>) -> Stratum {
-        let mut attackers = Vec::with_capacity(pool_a.len());
-        let mut tail = Vec::new();
+    fn build(
+        attacker_tier: Tier,
+        dest_tier: Tier,
+        pool_a: &Arc<[AsId]>,
+        dests: &Arc<[AsId]>,
+    ) -> Stratum {
+        // Tiers partition the ASes, so only a cell on the diagonal of the
+        // tier grid can hold an attacker that is also a destination.
         let mut skip = Vec::new();
-        for &m in pool_a {
-            match dests.binary_search(&m) {
-                Ok(j) => {
-                    attackers.push(m);
+        let mut in_order = true;
+        if attacker_tier == dest_tier {
+            for (i, m) in pool_a.iter().enumerate() {
+                if let Ok(j) = dests.binary_search(m) {
+                    in_order &= skip.len() == i;
                     skip.push(j as u32);
                 }
-                Err(_) => tail.push(m),
             }
         }
-        let colliding = attackers.len();
-        attackers.extend(tail);
+        let attackers = if in_order {
+            Arc::clone(pool_a)
+        } else {
+            let (mut head, tail): (Vec<AsId>, Vec<AsId>) =
+                pool_a.iter().partition(|m| dests.binary_search(m).is_ok());
+            head.extend(tail);
+            head.into()
+        };
+        let colliding = skip.len();
         let dlen = dests.len() as u64;
         let size =
             colliding as u64 * dlen.saturating_sub(1) + (attackers.len() - colliding) as u64 * dlen;
@@ -273,7 +292,7 @@ impl Stratum {
             attackers,
             skip,
             colliding,
-            dests,
+            dests: Arc::clone(dests),
             size,
         }
     }
@@ -325,28 +344,35 @@ impl PairUniverse {
     /// Partition `attacker_pool × dest_pool` (minus the diagonal) by tier.
     /// Pools are deduplicated; their order does not matter.
     pub fn new(net: &Internet, attacker_pool: &[AsId], dest_pool: &[AsId]) -> PairUniverse {
-        let bucket = |pool: &[AsId]| -> HashMap<Tier, Vec<AsId>> {
+        let sorted = |pool: &[AsId]| -> Vec<AsId> {
             let mut sorted = pool.to_vec();
             sorted.sort_unstable();
             sorted.dedup();
-            let mut out: HashMap<Tier, Vec<AsId>> = HashMap::new();
-            for v in sorted {
-                out.entry(net.tiers.tier(v)).or_default().push(v);
-            }
-            out
+            sorted
         };
-        let a_by_tier = bucket(attacker_pool);
-        let d_by_tier = bucket(dest_pool);
+        // A pool's members of each tier, in `FIGURE_TIER_ORDER`.
+        let by_tier = |sorted: &[AsId]| -> Vec<Arc<[AsId]>> {
+            FIGURE_TIER_ORDER
+                .iter()
+                .map(|&t| {
+                    let in_tier = |v: &&AsId| net.tiers.tier(**v) == t;
+                    sorted.iter().filter(in_tier).copied().collect()
+                })
+                .collect()
+        };
+        let (attackers, dests) = (sorted(attacker_pool), sorted(dest_pool));
+        let a_pools = by_tier(&attackers);
+        // One set of tier pools when both pools are the same set.
+        let d_pools = if dests == attackers {
+            a_pools.clone()
+        } else {
+            by_tier(&dests)
+        };
+        drop((attackers, dests));
         let mut strata = Vec::new();
-        for ta in FIGURE_TIER_ORDER {
-            let Some(pool_a) = a_by_tier.get(&ta) else {
-                continue;
-            };
-            for td in FIGURE_TIER_ORDER {
-                let Some(pool_d) = d_by_tier.get(&td) else {
-                    continue;
-                };
-                let s = Stratum::build(ta, td, pool_a, pool_d.clone());
+        for (&ta, pool_a) in FIGURE_TIER_ORDER.iter().zip(&a_pools) {
+            for (&td, pool_d) in FIGURE_TIER_ORDER.iter().zip(&d_pools) {
+                let s = Stratum::build(ta, td, pool_a, pool_d);
                 if !s.is_empty() {
                     strata.push(s);
                 }
@@ -1405,6 +1431,76 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(seen, exhaustive);
+    }
+
+    #[test]
+    fn pair_at_enumerates_each_stratum_in_reference_order() {
+        // The reference order, from fresh copies of the cell's tier pools:
+        // the cell's attackers that are also its destinations, in pool
+        // order, each with every other destination; then the rest, in
+        // pool order, with every destination.
+        fn reference(
+            net: &Internet,
+            pool_a: &[AsId],
+            pool_d: &[AsId],
+            s: &Stratum,
+        ) -> Vec<(AsId, AsId)> {
+            let tier_pool = |pool: &[AsId], t: Tier| {
+                let mut v: Vec<AsId> = pool
+                    .iter()
+                    .copied()
+                    .filter(|&v| net.tiers.tier(v) == t)
+                    .collect();
+                v.sort_unstable();
+                v.dedup();
+                v
+            };
+            let (a, d) = (
+                tier_pool(pool_a, s.attacker_tier),
+                tier_pool(pool_d, s.dest_tier),
+            );
+            let (head, tail): (Vec<AsId>, Vec<AsId>) = a.iter().partition(|m| d.contains(m));
+            let mut out = Vec::new();
+            for m in head {
+                out.extend(d.iter().filter(|&&x| x != m).map(|&x| (m, x)));
+            }
+            for m in tail {
+                out.extend(d.iter().map(|&x| (m, x)));
+            }
+            out
+        }
+        let net = net();
+        let all: Vec<AsId> = net.graph.ases().collect();
+        let every_other: Vec<AsId> = all.iter().copied().step_by(2).collect();
+        let mut reordered = 0;
+        for (pool_a, pool_d) in [
+            (net.tiers.non_stubs(), all.clone()),
+            (all.clone(), all.clone()),
+            // Only some attackers of a same-tier cell are destinations, and
+            // they interleave with the rest: the one case that needs an
+            // attacker list of its own.
+            (all.clone(), every_other),
+        ] {
+            let u = PairUniverse::new(&net, &pool_a, &pool_d);
+            let mut shared: HashMap<Tier, *const AsId> = HashMap::new();
+            for s in u.strata() {
+                let got: Vec<(AsId, AsId)> = (0..s.len()).map(|p| s.pair_at(p)).collect();
+                assert_eq!(
+                    got,
+                    reference(&net, &pool_a, &pool_d, s),
+                    "{:?}",
+                    (s.attacker_tier, s.dest_tier)
+                );
+                if s.attackers.windows(2).any(|w| w[0] > w[1]) {
+                    reordered += 1;
+                } else {
+                    // A list in pool order is the tier's one shared pool.
+                    let pool = s.attackers.as_ptr();
+                    assert_eq!(*shared.entry(s.attacker_tier).or_insert(pool), pool);
+                }
+            }
+        }
+        assert!(reordered > 0, "no stratum kept its own attacker order");
     }
 
     #[test]

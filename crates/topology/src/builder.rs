@@ -129,32 +129,36 @@ impl GraphBuilder {
     /// without the per-edge hash-map probe that dominates incremental
     /// build time past ~60k ASes.
     ///
-    /// Edges are collected, normalized into packed `(min, max)` keys,
-    /// sorted with one unstable integer sort, deduplicated and
-    /// conflict-checked in a single linear scan, and written straight into
-    /// the CSR arrays (the sort order makes every per-AS segment come out
-    /// sorted without per-vertex sorting passes). Validation matches the
-    /// incremental path exactly: out-of-range ids, self-loops, and
-    /// contradictory duplicate declarations are rejected; exact repeats
-    /// are deduplicated. `asn_labels` must be empty or exactly `n` long.
+    /// Each edge is packed into one `u64` key (both ids and the
+    /// relationship, in that sort order), the keys are sorted with one
+    /// unstable integer sort, deduplicated and conflict-checked in a
+    /// single linear scan, and written straight into the CSR arrays (the
+    /// sort order makes every per-AS segment come out sorted without
+    /// per-vertex sorting passes). The as-rel parser fills the same keys
+    /// and shares the fill. Validation matches the incremental path
+    /// exactly: out-of-range ids, self-loops, and contradictory duplicate
+    /// declarations are rejected; exact repeats are deduplicated.
+    /// `asn_labels` must be empty or exactly `n` long. A key holds ids
+    /// below 2³¹, so `n` past 2³¹ is refused with
+    /// [`TopologyError::IdOutOfRange`] before anything is allocated.
     pub fn from_edges<I>(n: usize, asn_labels: Vec<u32>, edges: I) -> Result<AsGraph, TopologyError>
     where
         I: IntoIterator<Item = (AsId, AsId, Relationship)>,
     {
+        if n > MAX_KEYED_ASES {
+            return Err(TopologyError::IdOutOfRange {
+                id: AsId(MAX_KEYED_ASES as u32),
+                len: n,
+            });
+        }
         if !asn_labels.is_empty() && asn_labels.len() != n {
             return Err(TopologyError::LabelCountMismatch {
                 labels: asn_labels.len(),
                 len: n,
             });
         }
-        // Kind tags ordered so contradictory declarations of one pair sort
-        // adjacently right after the pair's exact repeats.
-        const MIN_IS_CUSTOMER: u8 = 0;
-        const MAX_IS_CUSTOMER: u8 = 1;
-        const PEER: u8 = 2;
-
         let edges = edges.into_iter();
-        let mut packed: Vec<(u64, u8)> = Vec::with_capacity(edges.size_hint().0);
+        let mut keys: Vec<u64> = Vec::with_capacity(edges.size_hint().0);
         for (a, b, rel) in edges {
             for id in [a, b] {
                 if id.index() >= n {
@@ -164,108 +168,10 @@ impl GraphBuilder {
             if a == b {
                 return Err(TopologyError::SelfLoop(a));
             }
-            let (lo, hi, kind) = match (a.0 <= b.0, rel) {
-                (true, Relationship::CustomerToProvider) => (a.0, b.0, MIN_IS_CUSTOMER),
-                (false, Relationship::CustomerToProvider) => (b.0, a.0, MAX_IS_CUSTOMER),
-                (true, Relationship::PeerToPeer) => (a.0, b.0, PEER),
-                (false, Relationship::PeerToPeer) => (b.0, a.0, PEER),
-            };
-            packed.push((((lo as u64) << 32) | hi as u64, kind));
+            keys.push(edge_key(a, b, rel));
         }
-        packed.sort_unstable();
-        packed.dedup();
-        // After dedup, two entries sharing a pair key are necessarily
-        // contradictory declarations of that pair.
-        for w in packed.windows(2) {
-            if w[0].0 == w[1].0 {
-                let (lo, hi) = (AsId((w[0].0 >> 32) as u32), AsId(w[0].0 as u32));
-                return Err(TopologyError::ConflictingRelationship(lo, hi));
-            }
-        }
-
-        // Per-class degree counts, then one prefix-sum pass for the CSR
-        // segment bounds.
-        let mut cust_deg = vec![0u32; n];
-        let mut peer_deg = vec![0u32; n];
-        let mut prov_deg = vec![0u32; n];
-        let mut num_c2p = 0usize;
-        let mut num_p2p = 0usize;
-        for &(key, kind) in &packed {
-            let (lo, hi) = ((key >> 32) as usize, key as u32 as usize);
-            match kind {
-                MIN_IS_CUSTOMER => {
-                    prov_deg[lo] += 1;
-                    cust_deg[hi] += 1;
-                    num_c2p += 1;
-                }
-                MAX_IS_CUSTOMER => {
-                    prov_deg[hi] += 1;
-                    cust_deg[lo] += 1;
-                    num_c2p += 1;
-                }
-                _ => {
-                    peer_deg[lo] += 1;
-                    peer_deg[hi] += 1;
-                    num_p2p += 1;
-                }
-            }
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut cust_end = Vec::with_capacity(n);
-        let mut peer_end = Vec::with_capacity(n);
-        let mut total = 0u32;
-        for v in 0..n {
-            offsets.push(total);
-            let ce = total + cust_deg[v];
-            let pe = ce + peer_deg[v];
-            total = pe + prov_deg[v];
-            cust_end.push(ce);
-            peer_end.push(pe);
-        }
-        offsets.push(total);
-
-        // Direct fill. Iterating the sorted edge list once appends every
-        // vertex's neighbors in ascending id order within each class
-        // segment: for a vertex v, edges where v is the `max` member (their
-        // neighbors are < v) arrive before edges where v is the `min`
-        // member (neighbors > v), and each group arrives ascending — so the
-        // merged segment is sorted, matching the incremental path's
-        // per-vertex `sort_unstable` output exactly.
-        let mut cust_cur: Vec<u32> = offsets[..n].to_vec();
-        let mut peer_cur = cust_end.clone();
-        let mut prov_cur = peer_end.clone();
-        let mut neighbors = vec![AsId(0); total as usize];
-        for &(key, kind) in &packed {
-            let (lo, hi) = ((key >> 32) as usize, key as u32 as usize);
-            let mut put = |cur: &mut [u32], at: usize, neighbor: usize| {
-                neighbors[cur[at] as usize] = AsId(neighbor as u32);
-                cur[at] += 1;
-            };
-            match kind {
-                MIN_IS_CUSTOMER => {
-                    put(&mut prov_cur, lo, hi);
-                    put(&mut cust_cur, hi, lo);
-                }
-                MAX_IS_CUSTOMER => {
-                    put(&mut prov_cur, hi, lo);
-                    put(&mut cust_cur, lo, hi);
-                }
-                _ => {
-                    put(&mut peer_cur, lo, hi);
-                    put(&mut peer_cur, hi, lo);
-                }
-            }
-        }
-
-        Ok(AsGraph {
-            offsets,
-            cust_end,
-            peer_end,
-            neighbors,
-            asn_labels,
-            num_c2p,
-            num_p2p,
-        })
+        sort_edge_keys(&mut keys)?;
+        Ok(fill_csr(n, asn_labels, &keys))
     }
 
     /// True when the pair already has an edge of any kind.
@@ -336,6 +242,142 @@ impl GraphBuilder {
             num_c2p,
             num_p2p,
         }
+    }
+}
+
+/// The ASes an edge key can address: ids below 2³¹.
+pub(crate) const MAX_KEYED_ASES: usize = 1 << 31;
+
+// Kind tags of an edge key, ordered so contradictory declarations of one
+// pair sort adjacently right after the pair's exact repeats.
+const MIN_IS_CUSTOMER: u64 = 0;
+const MAX_IS_CUSTOMER: u64 = 1;
+const PEER: u64 = 2;
+
+/// One edge as one sortable `u64`: `lo << 33 | hi << 2 | kind` for the
+/// pair's ids `lo < hi` (both below [`MAX_KEYED_ASES`]) and its kind
+/// read from `lo`'s side. Keys sort by `(lo, hi, kind)`, the order the
+/// CSR fill depends on, and a pair's repeats and contradictions sort
+/// next to each other.
+pub(crate) fn edge_key(a: AsId, b: AsId, rel: Relationship) -> u64 {
+    let (lo, hi, kind) = match (a.0 <= b.0, rel) {
+        (true, Relationship::CustomerToProvider) => (a.0, b.0, MIN_IS_CUSTOMER),
+        (false, Relationship::CustomerToProvider) => (b.0, a.0, MAX_IS_CUSTOMER),
+        (true, Relationship::PeerToPeer) => (a.0, b.0, PEER),
+        (false, Relationship::PeerToPeer) => (b.0, a.0, PEER),
+    };
+    (u64::from(lo) << 33) | (u64::from(hi) << 2) | kind
+}
+
+/// The `(lo, hi)` ids of an edge key.
+fn key_pair(key: u64) -> (usize, usize) {
+    (
+        (key >> 33) as usize,
+        ((key >> 2) as u32 & (u32::MAX >> 1)) as usize,
+    )
+}
+
+/// Sort edge keys, drop exact repeats, and refuse a pair declared with
+/// two relationships.
+pub(crate) fn sort_edge_keys(keys: &mut Vec<u64>) -> Result<(), TopologyError> {
+    keys.sort_unstable();
+    keys.dedup();
+    // After dedup, two keys sharing a pair are necessarily contradictory
+    // declarations of that pair.
+    match keys.windows(2).find(|w| w[0] >> 2 == w[1] >> 2) {
+        Some(w) => {
+            let (lo, hi) = key_pair(w[0]);
+            Err(TopologyError::ConflictingRelationship(
+                AsId(lo as u32),
+                AsId(hi as u32),
+            ))
+        }
+        None => Ok(()),
+    }
+}
+
+/// The CSR graph of `n` ASes from sorted, deduplicated, conflict-free
+/// edge keys over ids below `n`.
+pub(crate) fn fill_csr(n: usize, asn_labels: Vec<u32>, keys: &[u64]) -> AsGraph {
+    // Per-class degree counts, then one prefix-sum pass for the CSR
+    // segment bounds.
+    let mut cust = vec![0u32; n];
+    let mut peer = vec![0u32; n];
+    let mut prov = vec![0u32; n];
+    let mut num_c2p = 0usize;
+    for &key in keys {
+        let (lo, hi) = key_pair(key);
+        match key & 3 {
+            MIN_IS_CUSTOMER => {
+                prov[lo] += 1;
+                cust[hi] += 1;
+                num_c2p += 1;
+            }
+            MAX_IS_CUSTOMER => {
+                prov[hi] += 1;
+                cust[lo] += 1;
+                num_c2p += 1;
+            }
+            _ => {
+                peer[lo] += 1;
+                peer[hi] += 1;
+            }
+        }
+    }
+    // Each degree becomes its segment's start, the class's fill cursor.
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut cust_end = Vec::with_capacity(n);
+    let mut peer_end = Vec::with_capacity(n);
+    let mut total = 0u32;
+    for v in 0..n {
+        offsets.push(total);
+        let ce = total + cust[v];
+        let pe = ce + peer[v];
+        total = pe + prov[v];
+        cust_end.push(ce);
+        peer_end.push(pe);
+        (cust[v], peer[v], prov[v]) = (offsets[v], ce, pe);
+    }
+    offsets.push(total);
+
+    // Direct fill. Iterating the sorted keys once appends every vertex's
+    // neighbors in ascending id order within each class segment: for a
+    // vertex v, edges where v is the `max` member (their neighbors are
+    // < v) arrive before edges where v is the `min` member (neighbors
+    // > v), and each group arrives ascending — so the merged segment is
+    // sorted, matching the incremental path's per-vertex `sort_unstable`
+    // output exactly.
+    let mut neighbors = vec![AsId(0); total as usize];
+    for &key in keys {
+        let (lo, hi) = key_pair(key);
+        let mut put = |cur: &mut [u32], at: usize, neighbor: usize| {
+            neighbors[cur[at] as usize] = AsId(neighbor as u32);
+            cur[at] += 1;
+        };
+        match key & 3 {
+            MIN_IS_CUSTOMER => {
+                put(&mut prov, lo, hi);
+                put(&mut cust, hi, lo);
+            }
+            MAX_IS_CUSTOMER => {
+                put(&mut prov, hi, lo);
+                put(&mut cust, lo, hi);
+            }
+            _ => {
+                put(&mut peer, lo, hi);
+                put(&mut peer, hi, lo);
+            }
+        }
+    }
+
+    AsGraph {
+        offsets,
+        cust_end,
+        peer_end,
+        neighbors,
+        asn_labels,
+        num_c2p,
+        num_p2p: keys.len() - num_c2p,
     }
 }
 
@@ -491,5 +533,93 @@ mod tests {
             GraphBuilder::from_edges(3, vec![1, 2], std::iter::empty()),
             Err(TopologyError::LabelCountMismatch { labels: 2, len: 3 })
         ));
+    }
+
+    #[test]
+    fn edge_keys_sort_like_the_pair_and_kind_tuple() {
+        // The fill relies on the order of the `(lo << 32 | hi, kind)`
+        // tuple; the one-`u64` key must sort identically at both ends of
+        // its id range, with every pair's repeats and contradictions side
+        // by side.
+        let top = AsId((MAX_KEYED_ASES - 1) as u32);
+        let ids = [AsId(0), AsId(1), AsId(top.0 - 1), top];
+        let mut edges = Vec::new();
+        for &a in &ids {
+            for &b in &ids {
+                if a != b {
+                    for rel in [Relationship::CustomerToProvider, Relationship::PeerToPeer] {
+                        edges.push((a, b, rel));
+                        edges.push((a, b, rel)); // an exact repeat
+                    }
+                }
+            }
+        }
+        let tuple = |&(a, b, rel): &(AsId, AsId, Relationship)| {
+            let (lo, hi) = (a.0.min(b.0), a.0.max(b.0));
+            let kind = match (a.0 <= b.0, rel) {
+                (_, Relationship::PeerToPeer) => 2u8,
+                (true, _) => 0,
+                (false, _) => 1,
+            };
+            ((u64::from(lo) << 32) | u64::from(hi), kind)
+        };
+        let key = |&(a, b, rel): &(AsId, AsId, Relationship)| edge_key(a, b, rel);
+        let mut by_tuple = edges.clone();
+        by_tuple.sort_by_key(tuple);
+        let mut by_key = edges.clone();
+        by_key.sort_by_key(key);
+        let tuples =
+            |list: &[(AsId, AsId, Relationship)]| list.iter().map(tuple).collect::<Vec<_>>();
+        assert_eq!(tuples(&by_key), tuples(&by_tuple));
+        for w in by_key.windows(2) {
+            // Distinct keys of one pair are its contradictions, and every
+            // key of a pair sits in one run.
+            let (k0, k1) = (key(&w[0]), key(&w[1]));
+            assert_eq!(k0 >> 2 == k1 >> 2, tuple(&w[0]).0 == tuple(&w[1]).0);
+        }
+        for e in &edges {
+            let (pair, _) = tuple(e);
+            let (lo, hi) = key_pair(key(e));
+            assert_eq!(
+                (lo as u64, hi as u64),
+                (pair >> 32, pair & u64::from(u32::MAX))
+            );
+        }
+        // All three kinds of the top pair sort adjacently and in tag order.
+        let mut top_pair: Vec<u64> = [
+            (AsId(0), top, Relationship::PeerToPeer),
+            (top, AsId(0), Relationship::CustomerToProvider),
+            (AsId(0), top, Relationship::CustomerToProvider),
+        ]
+        .iter()
+        .map(key)
+        .collect();
+        top_pair.sort_unstable();
+        assert_eq!(
+            top_pair.iter().map(|k| k & 3).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+        assert!(matches!(
+            sort_edge_keys(&mut top_pair),
+            Err(TopologyError::ConflictingRelationship(AsId(0), t)) if t == top
+        ));
+    }
+
+    #[test]
+    fn from_edges_refuses_more_ases_than_a_key_holds_before_allocating() {
+        // Three `n`-sized arrays of 2³¹ + 1 entries would take 24 GiB; the
+        // guard must answer first, and fast.
+        let start = std::time::Instant::now();
+        let err = GraphBuilder::from_edges(MAX_KEYED_ASES + 1, Vec::new(), std::iter::empty())
+            .unwrap_err();
+        assert!(start.elapsed() < std::time::Duration::from_millis(100));
+        assert_eq!(
+            err,
+            TopologyError::IdOutOfRange {
+                id: AsId(1 << 31),
+                len: MAX_KEYED_ASES + 1
+            }
+        );
+        assert!(err.to_string().contains("past the 2147483648 ids"), "{err}");
     }
 }

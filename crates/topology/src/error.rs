@@ -7,7 +7,9 @@ use crate::AsId;
 /// Errors raised while building or parsing a topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
-    /// An edge references an AS id outside `0..n`.
+    /// An edge references an AS id outside `0..n`, or a graph of `n`
+    /// ASes would need an id past the 2³¹ that bulk construction holds
+    /// (`id` is then the first id it cannot hold).
     IdOutOfRange {
         /// The offending id.
         id: AsId,
@@ -44,6 +46,13 @@ pub enum TopologyError {
 impl fmt::Display for TopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            TopologyError::IdOutOfRange { id, len } if id.index() < *len => {
+                write!(
+                    f,
+                    "a graph of {len} ASes is past the {} ids a graph can hold",
+                    id.0
+                )
+            }
             TopologyError::IdOutOfRange { id, len } => {
                 write!(f, "{id} is out of range for a graph of {len} ASes")
             }

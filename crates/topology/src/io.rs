@@ -23,20 +23,24 @@
 //! The parser reads a document in one pass: canonical lines
 //! (`digits|digits|-1|0`, with an optional source column) take a
 //! byte-level fast path, every other line the general parser, and ASNs
-//! are interned through a dense open-addressing table. Repeated lines are
-//! not tracked while reading: [`GraphBuilder::from_edges`] sorts the
-//! edges, drops exact repeats and finds contradictory ones. Only when a
-//! line fails to parse or the builder reports a contradiction is the text
-//! scanned again, with a map of each pair's first declaration, so the
-//! error names the first bad line in file order — for a contradiction,
-//! with the line of the declaration it contradicts. Bytes that are not
-//! UTF-8 are a parse error on their line, naming the byte offset.
+//! are interned through a dense open-addressing table. Each edge is kept
+//! as one `u64` key, the key [`GraphBuilder::from_edges`] builds from.
+//! Repeated lines are not tracked while reading: the keys are sorted,
+//! exact repeats dropped and contradictory ones found, and the text is
+//! freed before the CSR arrays are filled. Only when a line fails to
+//! parse or the sort finds a contradiction is the text scanned again,
+//! with a map of each pair's first declaration, so the error names the
+//! first bad line in file order — for a contradiction, with the line of
+//! the declaration it contradicts. Bytes that are not UTF-8 are a parse
+//! error on their line, naming the byte offset.
 //!
 //! **Caveat:** the relationship format carries edges only, so an AS with no
 //! edges at all is unrepresentable — a write→parse round trip drops
 //! edge-less ASes. Real snapshots never contain them (an AS with no
 //! relationships is not observable in BGP), and the synthetic generator
 //! never produces them.
+//!
+//! [`GraphBuilder::from_edges`]: crate::GraphBuilder::from_edges
 
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
@@ -45,7 +49,8 @@ use std::hash::{BuildHasher, Hasher};
 use std::io::Read;
 use std::path::Path;
 
-use crate::{AsGraph, AsId, GraphBuilder, Relationship, TopologyError};
+use crate::builder::{edge_key, fill_csr, sort_edge_keys, MAX_KEYED_ASES};
+use crate::{AsGraph, AsId, Relationship, TopologyError};
 
 /// The provenance tokens serial-2 releases append as a fourth column.
 const SERIAL2_SOURCES: [&str; 3] = ["bgp", "mlp", "ixp"];
@@ -60,15 +65,19 @@ struct Line {
 
 /// Parse a serial-1 or serial-2 relationship document from any reader.
 ///
-/// One pass over the text interns ASNs and collects every declared edge;
-/// [`GraphBuilder::from_edges`] then sorts them, drops exact repeats (in
-/// either direction for peers) and finds contradictory declarations of
-/// one pair. The returned error is always the first one in file order: a
-/// line that does not parse, or a line that contradicts an earlier
-/// declaration of its pair (naming that declaration's line). Both are
-/// located by re-scanning the text, which only happens once the document
-/// is known to be bad. Bytes that are not UTF-8 are a parse error on
-/// their line, naming the byte offset.
+/// One pass over the text interns ASNs and packs every declared edge into
+/// one `u64` key, the key [`GraphBuilder::from_edges`] builds from. The
+/// keys are then sorted, exact repeats (in either direction for peers)
+/// dropped and contradictory declarations of one pair found while the
+/// text is still held; the text is freed before the CSR arrays are
+/// filled, so the two never coexist. The returned error is always the
+/// first one in file order: a line that does not parse, or a line that
+/// contradicts an earlier declaration of its pair (naming that
+/// declaration's line). Both are located by re-scanning the text, which
+/// only happens once the document is known to be bad. Bytes that are not
+/// UTF-8 are a parse error on their line, naming the byte offset.
+///
+/// [`GraphBuilder::from_edges`]: crate::GraphBuilder::from_edges
 pub fn parse_relationships<R: Read>(mut reader: R) -> Result<AsGraph, TopologyError> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
@@ -83,30 +92,35 @@ pub fn parse_relationships<R: Read>(mut reader: R) -> Result<AsGraph, TopologyEr
     // `1|2|0\n`, is six bytes), so the list never regrows and leaves no
     // copies behind; the pages past the edges actually read are never
     // written, so they cost address space, not memory.
-    let mut edges: Vec<(AsId, AsId, Relationship)> = Vec::with_capacity(text.len() / 6 + 1);
+    let mut keys: Vec<u64> = Vec::with_capacity(text.len() / 6 + 1);
     for (lineno, line) in text.lines().enumerate() {
         let Line { a, b, peer } = match parse_line(line, lineno + 1) {
             Ok(Some(line)) => line,
             Ok(None) => continue,
             Err(e) => return Err(first_error(text).unwrap_or(e)),
         };
-        let a = ids.intern(a, &mut labels);
-        let b = ids.intern(b, &mut labels);
-        edges.push(if peer {
-            (a, b, Relationship::PeerToPeer)
+        let (Some(a), Some(b)) = (ids.intern(a, &mut labels), ids.intern(b, &mut labels)) else {
+            return Err(TopologyError::Parse {
+                line: lineno + 1,
+                message: format!("more than {MAX_KEYED_ASES} distinct ASNs"),
+            });
+        };
+        keys.push(if peer {
+            edge_key(a, b, Relationship::PeerToPeer)
         } else {
-            (b, a, Relationship::CustomerToProvider)
+            edge_key(b, a, Relationship::CustomerToProvider)
         });
     }
-    // The table is done with; the builder may reuse its memory.
+    // The table is done with; the sort and the fill may reuse its memory.
     drop(ids);
     // Every id is interned and no line is a self-loop, so the only
-    // relationship error the builder can find is a contradiction, which
-    // the re-scan locates.
-    match GraphBuilder::from_edges(labels.len(), labels, edges) {
-        Err(e @ TopologyError::ConflictingRelationship(..)) => Err(first_error(text).unwrap_or(e)),
-        built => built,
+    // relationship error left is a contradiction, which the re-scan
+    // locates.
+    if let Err(e) = sort_edge_keys(&mut keys) {
+        return Err(first_error(text).unwrap_or(e));
     }
+    drop(bytes);
+    Ok(fill_csr(labels.len(), labels, &keys))
 }
 
 /// Dense ASN → [`AsId`] interning: open addressing with linear probing
@@ -143,7 +157,9 @@ impl AsnIds {
         (self.mul.wrapping_mul(u64::from(asn)) >> self.shift) as usize
     }
 
-    fn intern(&mut self, asn: u32, labels: &mut Vec<u32>) -> AsId {
+    /// The id of `asn`, or `None` when it would be new and every id an
+    /// edge key holds is taken.
+    fn intern(&mut self, asn: u32, labels: &mut Vec<u32>) -> Option<AsId> {
         if 2 * (labels.len() + 1) > self.slots.len() {
             self.grow(labels);
         }
@@ -151,13 +167,14 @@ impl AsnIds {
         let mut i = self.slot(asn);
         loop {
             match self.slots[i] {
+                Self::FREE if labels.len() == MAX_KEYED_ASES => return None,
                 Self::FREE => {
                     let id = labels.len() as u32;
                     self.slots[i] = id;
                     labels.push(asn);
-                    return AsId(id);
+                    return Some(AsId(id));
                 }
-                id if labels[id as usize] == asn => return AsId(id),
+                id if labels[id as usize] == asn => return Some(AsId(id)),
                 _ => i = (i + 1) & mask,
             }
         }
@@ -434,8 +451,35 @@ mod tests {
     }
 
     #[test]
+    fn a_contradiction_on_the_last_line_of_a_large_document_is_located() {
+        // The text is freed before the CSR fill; the contradiction must
+        // still be found while it is held, with both lines named.
+        let text = write_relationships(&generate(&InternetConfig::sized(2_000, 5)).graph);
+        let (first_at, first) = text
+            .lines()
+            .enumerate()
+            .find(|(_, l)| l.ends_with("|-1"))
+            .expect("a transit line");
+        let (p, c) = first.split_once('|').expect("a|b|-1");
+        let c = c.trim_end_matches("|-1");
+        let doc = format!("{text}{c}|{p}|-1\n");
+        let last = doc.lines().count();
+        assert!(last > 4_000, "{last} lines");
+        match parse_relationships(doc.as_bytes()) {
+            Err(TopologyError::Parse { line, message }) => {
+                assert_eq!(line, last);
+                assert!(
+                    message.contains(&format!("first declared on line {}", first_at + 1)),
+                    "{message}"
+                );
+            }
+            other => panic!("expected a located conflict, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn the_first_error_in_file_order_is_reported() {
-        // The builder meets the 1|2 pair first (lowest ids), but the 5|6
+        // The key sort meets the 1|2 pair first (lowest ids), but the 5|6
         // contradiction comes first in the file.
         let doc = "1|2|-1\n5|6|0\n5|6|-1\n1|2|0\n";
         match parse_relationships(doc.as_bytes()) {

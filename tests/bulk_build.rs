@@ -6,12 +6,15 @@
 //! conflict-free input: same labels, same customer/peer/provider segment
 //! for every AS *in the same order* — the engines iterate adjacency
 //! segments directly, so even a reordering within a segment would be an
-//! observable behavior change.
+//! observable behavior change. The as-rel parser packs the same edge keys
+//! without going through `from_edges`, so its graph is held to the same
+//! standard.
 
 use proptest::prelude::*;
 
 use bgp_juice::prelude::*;
 use bgp_juice::topology::gen::{generate, InternetConfig};
+use bgp_juice::topology::io::parse_relationships;
 use bgp_juice::topology::{Relationship, TopologyError};
 
 /// Assert two graphs are identical, segment order included.
@@ -64,8 +67,71 @@ fn incremental(
     Ok(b.build())
 }
 
+/// The serial-1 text of `edges` under `labels`, every other line written
+/// twice (a peer line reversed the second time), with the ASN labels and
+/// edges the parse must give: ids renumbered in the order the text first
+/// names each ASN, repeats included.
+fn serial1(
+    labels: &[u32],
+    edges: &[(AsId, AsId, Relationship)],
+) -> (String, Vec<u32>, Vec<(AsId, AsId, Relationship)>) {
+    let mut text = String::new();
+    let mut renumber: Vec<Option<AsId>> = vec![None; labels.len()];
+    let mut parsed_labels = Vec::new();
+    let mut parsed_edges = Vec::new();
+    let mut id = |v: AsId| {
+        *renumber[v.index()].get_or_insert_with(|| {
+            parsed_labels.push(labels[v.index()]);
+            AsId(parsed_labels.len() as u32 - 1)
+        })
+    };
+    for (i, &(x, y, rel)) in edges.iter().enumerate() {
+        let (lx, ly) = (labels[x.index()], labels[y.index()]);
+        let (line, again, edge) = match rel {
+            // `x` is the customer; serial-1 names the provider first.
+            Relationship::CustomerToProvider => {
+                let (p, c) = (id(y), id(x));
+                let line = format!("{ly}|{lx}|-1\n");
+                (line.clone(), line, (c, p, rel))
+            }
+            Relationship::PeerToPeer => {
+                let (a, b) = (id(x), id(y));
+                (
+                    format!("{lx}|{ly}|0\n"),
+                    format!("{ly}|{lx}|0\n"),
+                    (a, b, rel),
+                )
+            }
+        };
+        text.push_str(&line);
+        parsed_edges.push(edge);
+        if i % 2 == 1 {
+            text.push_str(&again);
+            parsed_edges.push(edge);
+        }
+    }
+    (text, parsed_labels, parsed_edges)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The parse of a document ≡ the bulk build of its edges ≡ the
+    /// incremental build, bit for bit, repeated lines included.
+    #[test]
+    fn parse_matches_bulk_and_incremental_builds(
+        (n, edges, label_base) in (2usize..24)
+            .prop_flat_map(|n| (Just(n), arb_edges(n), 1u32..1_000_000))
+    ) {
+        let labels: Vec<u32> = (0..n as u32).map(|i| label_base + 7 * i).collect();
+        let (text, labels, edges) = serial1(&labels, &edges);
+        let parsed = parse_relationships(text.as_bytes()).expect("conflict-free by construction");
+        let bulk = GraphBuilder::from_edges(labels.len(), labels.clone(), edges.iter().copied())
+            .expect("conflict-free by construction");
+        let incr = incremental(labels.len(), &labels, &edges).expect("conflict-free by construction");
+        assert_identical(&parsed, &bulk);
+        assert_identical(&bulk, &incr);
+    }
 
     /// Random conflict-free edge lists: bulk ≡ incremental, bit for bit.
     #[test]
